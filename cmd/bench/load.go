@@ -19,7 +19,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// loadConfig parameterizes the diffd load test (bench -load).
+// loadConfig parameterizes the diffd load test.
 type loadConfig struct {
 	// addr is a running daemon's base URL ("http://host:port"); empty
 	// starts an in-process server and drives it over loopback, so the

@@ -1,43 +1,13 @@
-// Command bench runs the performance-observability matrix and maintains
-// the BENCH_<n>.json trajectory at the repository root:
+// Command bench load-tests the diff service (cmd/diffd): it replays a
+// generated commit history through concurrent HTTP clients and reports
+// client-observed latency quantiles, throughput, and admission-control
+// sheds:
 //
-//	bench                            # run the full matrix, write BENCH_<n>.json
-//	bench -smoke                     # reduced matrix (CI's bench-smoke job)
-//	bench -list                      # print the scenario names and exit
-//	bench -scenario 'engine/.*'      # run matching scenarios only
-//	bench -reps 7 -warmup 2          # tune repetitions
-//	bench -out report.json           # explicit output path (skips numbering)
-//
-// Comparing two reports turns bench into a regression gate:
-//
-//	bench -compare BENCH_0.json BENCH_1.json                  # 5% tolerance
-//	bench -compare -tolerance 0.25 -allow-removed OLD NEW     # smoke vs full
-//	bench -compare -quality-tolerance 0.05 OLD NEW            # looser conciseness gate
-//
-// The gate fails (exit 1) when any scenario's median wall time regressed
-// beyond BOTH the tolerance and the scenario's noise band (the larger
-// IQR), when a scenario's total compound edit count grew beyond the
-// quality tolerance (the conciseness gate; -quality-tolerance -1 disables
-// it), or when a scenario disappeared without -allow-removed.
-//
-// Profiling a run (see docs/OBSERVABILITY.md):
-//
-//	bench -cpuprofile cpu.pprof -scenario 'truediff/medium/light'
-//	bench -exectrace trace.out -scenario 'engine/.*'
-//	bench -memprofile mem.pprof
-//
-// Profile-taking runs enable pprof phase/pair/worker labels automatically,
-// so `go tool pprof -tagfocus phase=emit cpu.pprof` decomposes samples by
-// truediff phase.
-//
-// Load-testing the diff service (cmd/diffd) replays a generated commit
-// history through concurrent HTTP clients and reports client-observed
-// latency quantiles, throughput, and admission-control sheds:
-//
-//	bench -load                              # self-contained: in-process daemon
-//	bench -load -load-addr http://host:8347  # against a running diffd
-//	bench -load -load-clients 16 -load-requests 1000
-//	bench -load -chaos -chaos-rate 0.1       # goodput under fault injection
+//	bench                                   # self-contained: in-process daemon
+//	bench -load-addr http://host:8347       # against a running diffd
+//	bench -load-clients 16 -load-requests 1000
+//	bench -load-trace                       # per-trace latency decomposition
+//	bench -chaos -chaos-rate 0.1            # goodput under fault injection
 //
 // With -chaos a seeded fault proxy (internal/chaos) sits between the
 // clients and the daemon, injecting connection resets, 5xx/429 answers,
@@ -45,187 +15,45 @@
 // the report adds goodput (successful requests per second) plus injected
 // fault counts.
 //
-// Exit status: 0 on success, 1 on a failed gate, 2 on usage or I/O errors.
+// Performance is measured by pipebench/ (see docs/BENCHMARKING.md); this
+// command checks the service's behaviour under load and faults and is not
+// a performance gate.
+//
+// Exit status: 0 on success, 1 when a request failed for a reason other
+// than admission control, 2 on setup errors.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
-
-	"repro/internal/perfobs"
-	"repro/internal/profiling"
 )
 
 func main() {
 	var (
-		compare      = flag.Bool("compare", false, "compare two reports: bench -compare OLD.json NEW.json")
-		tolerance    = flag.Float64("tolerance", perfobs.DefaultTolerance, "relative median slowdown the gate forgives (0.05 = 5%)")
-		qualityTol   = flag.Float64("quality-tolerance", perfobs.DefaultQualityTolerance, "relative edit-count growth the conciseness gate forgives (negative disables)")
-		allowRemoved = flag.Bool("allow-removed", false, "do not fail the gate on scenarios missing from the new report")
-		list         = flag.Bool("list", false, "print scenario names and exit")
-		smoke        = flag.Bool("smoke", false, "run the reduced smoke matrix (a strict subset of the full matrix)")
-		scenario     = flag.String("scenario", "", "regexp filtering scenario names to run")
-		reps         = flag.Int("reps", 0, "measured repetitions per scenario (default 5; smoke default 3)")
-		warmup       = flag.Int("warmup", 0, "warmup repetitions per scenario (default 1)")
-		out          = flag.String("out", "", "write the report to this path instead of the next BENCH_<n>.json")
-		dir          = flag.String("dir", ".", "directory of the BENCH_<n>.json trajectory")
-		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile   = flag.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to this file")
-		exectrace    = flag.String("exectrace", "", "write a runtime/trace execution trace of the run to this file")
-		load         = flag.Bool("load", false, "load-test a diffd daemon instead of running the matrix")
 		loadAddr     = flag.String("load-addr", "", "base URL of a running diffd (empty starts an in-process server)")
 		loadClients  = flag.Int("load-clients", 8, "concurrent load-test clients")
 		loadRequests = flag.Int("load-requests", 200, "total load-test requests")
 		loadSeed     = flag.Int64("load-seed", 1, "corpus seed for the load test")
 		loadTrace    = flag.Bool("load-trace", false, "record spans during the load test and print a per-trace latency decomposition")
-		chaosOn      = flag.Bool("chaos", false, "with -load: inject faults through a seeded chaos proxy and report goodput")
+		chaosOn      = flag.Bool("chaos", false, "inject faults through a seeded chaos proxy and report goodput")
 		chaosRate    = flag.Float64("chaos-rate", 0.1, "with -chaos: total injected fault rate in [0,1]")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "with -chaos: fault schedule seed")
 	)
 	flag.Parse()
-
-	if *compare {
-		os.Exit(runCompare(flag.Args(), *tolerance, *qualityTol, *allowRemoved))
-	}
-	if *load {
-		os.Exit(runLoad(loadConfig{
-			addr:      *loadAddr,
-			clients:   *loadClients,
-			requests:  *loadRequests,
-			seed:      *loadSeed,
-			trace:     *loadTrace,
-			chaos:     *chaosOn,
-			chaosRate: *chaosRate,
-			chaosSeed: *chaosSeed,
-		}))
-	}
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "bench: unexpected arguments (use -compare OLD NEW to compare reports)")
+		fmt.Fprintln(os.Stderr, "bench: unexpected arguments")
+		flag.Usage()
 		os.Exit(2)
 	}
-
-	matrix := perfobs.FullMatrix()
-	if *smoke {
-		matrix = perfobs.SmokeMatrix()
-		if *reps == 0 {
-			*reps = 3
-		}
-	}
-	if *scenario != "" {
-		re, err := regexp.Compile(*scenario)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: -scenario: %v\n", err)
-			os.Exit(2)
-		}
-		var kept []perfobs.Scenario
-		for _, sc := range matrix {
-			if re.MatchString(sc.Name()) {
-				kept = append(kept, sc)
-			}
-		}
-		matrix = kept
-	}
-	if *list {
-		for _, sc := range matrix {
-			fmt.Println(sc.Name())
-		}
-		return
-	}
-	if len(matrix) == 0 {
-		fmt.Fprintln(os.Stderr, "bench: no scenarios match")
-		os.Exit(2)
-	}
-
-	prof := profiling.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile, ExecTrace: *exectrace}
-	stop := func() error { return nil }
-	if prof.Enabled() {
-		var err error
-		stop, err = profiling.Start(prof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(2)
-		}
-	}
-
-	report, err := perfobs.Run(perfobs.RunConfig{
-		Scenarios: matrix,
-		Warmup:    *warmup,
-		Reps:      *reps,
-		Smoke:     *smoke,
-		// Profile output is only useful when the measured code carries
-		// labels and trace regions, so profiling opts into them.
-		ProfileLabels: prof.Enabled(),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if serr := stop(); serr != nil {
-		fmt.Fprintln(os.Stderr, "bench:", serr)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(2)
-	}
-
-	path := *out
-	if path == "" {
-		path, err = perfobs.NextBenchPath(*dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(2)
-		}
-	}
-	if err := report.WriteFile(path); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(2)
-	}
-	report.WriteSummary(os.Stdout)
-	fmt.Printf("wrote %s (%d scenarios)\n", path, len(report.Scenarios))
-}
-
-func runCompare(args []string, tolerance, qualityTol float64, allowRemoved bool) int {
-	// The standard flag package stops parsing at the first positional
-	// argument, so `bench -compare OLD NEW -tolerance 0.25` leaves the
-	// trailing flags in args. Accept them here so flag position doesn't
-	// matter.
-	var paths []string
-	for len(args) > 0 {
-		if args[0] == "-" || args[0][0] != '-' {
-			paths = append(paths, args[0])
-			args = args[1:]
-			continue
-		}
-		fs := flag.NewFlagSet("bench -compare", flag.ContinueOnError)
-		fs.Float64Var(&tolerance, "tolerance", tolerance, "")
-		fs.Float64Var(&qualityTol, "quality-tolerance", qualityTol, "")
-		fs.BoolVar(&allowRemoved, "allow-removed", allowRemoved, "")
-		if err := fs.Parse(args); err != nil {
-			return 2
-		}
-		args = fs.Args()
-	}
-	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "bench: -compare needs exactly two report paths: bench -compare OLD.json NEW.json")
-		return 2
-	}
-	args = paths
-	oldR, err := perfobs.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		return 2
-	}
-	newR, err := perfobs.ReadFile(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		return 2
-	}
-	opts := perfobs.CompareOptions{Tolerance: tolerance, QualityTolerance: qualityTol, AllowRemoved: allowRemoved}
-	cmp := perfobs.Compare(oldR, newR, opts)
-	cmp.WriteText(os.Stdout, opts)
-	if cmp.Failed() {
-		return 1
-	}
-	return 0
+	os.Exit(runLoad(loadConfig{
+		addr:      *loadAddr,
+		clients:   *loadClients,
+		requests:  *loadRequests,
+		seed:      *loadSeed,
+		trace:     *loadTrace,
+		chaos:     *chaosOn,
+		chaosRate: *chaosRate,
+		chaosSeed: *chaosSeed,
+	}))
 }

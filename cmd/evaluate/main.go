@@ -14,14 +14,13 @@
 //	evaluate -experiment engine -trace out.jsonl      # one JSONL record per diff
 //	evaluate -experiment engine -slow-diff 5ms        # log diffs at/above 5ms
 //
-// Profiling and benchmarking (see docs/OBSERVABILITY.md; the same four
-// flags exist on cmd/truediff and cmd/bench):
+// Profiling (see docs/OBSERVABILITY.md; the same three flags exist on
+// cmd/truediff):
 //
 //	evaluate -experiment fig5 -cpuprofile cpu.pprof   # pprof CPU profile
 //	evaluate -experiment engine -memprofile mem.pprof # post-run heap profile
 //	evaluate -experiment engine -exectrace trace.out  # runtime/trace; phases
 //	                                                  # appear as truediff/* regions
-//	evaluate -experiment engine -bench-out run.json   # perfobs-schema timing report
 //
 // Profiling flags enable pprof phase labels automatically, so
 // `go tool pprof -tagfocus phase=shares cpu.pprof` isolates one phase.
@@ -35,9 +34,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"time"
 
-	"repro/internal/perfobs"
 	"repro/internal/profiling"
 	"repro/structdiff"
 	"repro/structdiff/corpus"
@@ -62,7 +59,6 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (enables phase labels)")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to this file")
 		exectrace   = flag.String("exectrace", "", "write a runtime/trace execution trace to this file (phases appear as truediff/* regions)")
-		benchOut    = flag.String("bench-out", "", "write the experiment's wall time as a perfobs-schema JSON report to this file (comparable via bench -compare)")
 	)
 	flag.Parse()
 
@@ -76,7 +72,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	expStart := time.Now()
 
 	fullOpts := corpus.Options{
 		Seed: *seed, Files: *files, Commits: *commits,
@@ -203,40 +198,4 @@ func main() {
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
 	}
-	if *benchOut != "" {
-		if err := writeBenchReport(*benchOut, *experiment, eng.Snapshot(), time.Since(expStart)); err != nil {
-			fmt.Fprintf(os.Stderr, "evaluate: -bench-out: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeBenchReport records the invocation's total experiment wall time (and
-// the shared engine's cumulative work, when any experiment used it) as a
-// perfobs-schema report, so experiment timings can be tracked across
-// commits with `bench -compare` (single-sample statistics: the medians are
-// the run itself).
-func writeBenchReport(path, experiment string, snap structdiff.Snapshot, elapsed time.Duration) error {
-	nodes := int64(snap.SourceNodes + snap.TargetNodes)
-	res := perfobs.ScenarioResult{
-		Name:       "cli/evaluate/" + experiment,
-		System:     "evaluate",
-		Corpus:     "cli",
-		Edits:      "cli",
-		Pairs:      int(snap.Diffs),
-		Nodes:      nodes,
-		Reps:       1,
-		WallNS:     perfobs.Summarize([]float64{float64(elapsed.Nanoseconds())}),
-		EditsTotal: int(snap.Edits),
-	}
-	if elapsed > 0 && nodes > 0 {
-		res.NodesPerSec = perfobs.Summarize([]float64{float64(nodes) / elapsed.Seconds()})
-	}
-	rep := &perfobs.Report{
-		SchemaVersion: perfobs.SchemaVersion,
-		CreatedUnix:   time.Now().Unix(),
-		Env:           perfobs.CaptureEnv(),
-		Scenarios:     []perfobs.ScenarioResult{res},
-	}
-	return rep.WriteFile(path)
 }

@@ -24,14 +24,13 @@
 //
 //	truediff -stats -metrics-addr :9090 old.py new.py
 //
-// Profiling and benchmarking (see docs/OBSERVABILITY.md; the same four
-// flags exist on cmd/evaluate and cmd/bench):
+// Profiling (see docs/OBSERVABILITY.md; the same three flags exist on
+// cmd/evaluate):
 //
 //	truediff -cpuprofile cpu.pprof old.py new.py   # pprof CPU profile
 //	truediff -memprofile mem.pprof old.py new.py   # post-run heap profile
 //	truediff -exectrace trace.out old.py new.py    # runtime/trace; phases
 //	                                               # appear as truediff/* regions
-//	truediff -bench-out run.json old.py new.py     # perfobs-schema timing report
 //
 // Profiling flags enable pprof phase labels automatically, so
 // `go tool pprof -tagfocus phase=emit cpu.pprof` isolates one phase.
@@ -48,7 +47,6 @@ import (
 	"os/signal"
 	"time"
 
-	"repro/internal/perfobs"
 	"repro/internal/profiling"
 	"repro/structdiff"
 	"repro/structdiff/baselines/gumtree"
@@ -56,31 +54,6 @@ import (
 	"repro/structdiff/langs/jsonlang"
 	"repro/structdiff/langs/pylang"
 )
-
-// writeBenchReport records one CLI diff as a perfobs-schema report, so
-// ad-hoc invocations can be tracked and compared with `bench -compare`
-// (single-sample statistics: the medians are the run itself).
-func writeBenchReport(path, lang string, nodes, edits int, elapsed time.Duration) error {
-	wall := []float64{float64(elapsed.Nanoseconds())}
-	rep := &perfobs.Report{
-		SchemaVersion: perfobs.SchemaVersion,
-		CreatedUnix:   time.Now().Unix(),
-		Env:           perfobs.CaptureEnv(),
-		Scenarios: []perfobs.ScenarioResult{{
-			Name:        "cli/truediff/" + lang,
-			System:      "truediff",
-			Corpus:      "cli",
-			Edits:       "cli",
-			Pairs:       1,
-			Nodes:       int64(nodes),
-			Reps:        1,
-			WallNS:      perfobs.Summarize(wall),
-			NodesPerSec: perfobs.Summarize([]float64{float64(nodes) / elapsed.Seconds()}),
-			EditsTotal:  edits,
-		}},
-	}
-	return rep.WriteFile(path)
-}
 
 func main() {
 	var (
@@ -94,7 +67,6 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (enables phase labels)")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to this file")
 		exectrace   = flag.String("exectrace", "", "write a runtime/trace execution trace to this file (phases appear as truediff/* regions)")
-		benchOut    = flag.String("bench-out", "", "write the diff's timing as a perfobs-schema JSON report to this file (comparable via bench -compare)")
 		mergeMode   = flag.Bool("merge", false, "three-way merge: truediff -merge ANCESTOR OURS THEIRS")
 		mergePolicy = flag.String("merge-policy", "fail", "conflict resolution for -merge: fail | ours | theirs")
 	)
@@ -116,7 +88,7 @@ func main() {
 	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: truediff [-check] [-explain] [-stats] [-baselines] [-quiet] [-lang python|json] [-metrics-addr ADDR]\n"+
-			"                [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE] [-bench-out FILE] OLD NEW\n"+
+			"                [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE] OLD NEW\n"+
 			"       truediff -merge [-merge-policy fail|ours|theirs] ANCESTOR OURS THEIRS")
 		os.Exit(1)
 	}
@@ -130,7 +102,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(flag.Arg(0), flag.Arg(1), *lang, *metricsAddr, *benchOut, prof.Enabled(), *explain, *check, *stat, *baselines, *quiet)
+	err := run(flag.Arg(0), flag.Arg(1), *lang, *metricsAddr, prof.Enabled(), *explain, *check, *stat, *baselines, *quiet)
 	if serr := stop(); serr != nil {
 		fmt.Fprintln(os.Stderr, "truediff:", serr)
 	}
@@ -250,7 +222,7 @@ func runMerge(basePath, oursPath, theirsPath, lang, policy string, stat, quiet b
 // and reported; distinct from operational failure).
 var errMergeConflicts = errors.New("merge conflicts")
 
-func run(oldPath, newPath, lang, metricsAddr, benchOut string, profiled, explain, check, stat, baselines, quiet bool) error {
+func run(oldPath, newPath, lang, metricsAddr string, profiled, explain, check, stat, baselines, quiet bool) error {
 	sch, alloc, before, after, err := parseBoth(lang, oldPath, newPath)
 	if err != nil {
 		return err
@@ -318,12 +290,6 @@ func run(oldPath, newPath, lang, metricsAddr, benchOut string, profiled, explain
 			append([]structdiff.Option{structdiff.WithSchema(sch), structdiff.WithAllocator(alloc)}, labelOpts...)...)
 		elapsed = time.Since(start)
 		if err != nil {
-			return err
-		}
-	}
-
-	if benchOut != "" {
-		if err := writeBenchReport(benchOut, lang, before.Size()+after.Size(), res.Script.EditCount(), elapsed); err != nil {
 			return err
 		}
 	}

@@ -62,15 +62,21 @@ func TestCloseDrainsInFlightBatch(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	started := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		close(started)
 		if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
 			t.Errorf("DiffBatch: %v", err)
 		}
 	}()
-	<-started
+	// Close must race a batch that is already in flight. Batches counts up
+	// right after DiffBatch registers with the engine; closing before that
+	// would reject the batch with ErrEngineClosed instead of draining it.
+	for deadline := time.Now().Add(10 * time.Second); e.Snapshot().Batches == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("DiffBatch never registered with the engine")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -3,23 +3,18 @@
 // (subtree registries, assignment maps, edit buffers, selection heaps) is
 // recycled through a sync.Pool instead of reallocated per diff, and the
 // tree-preparation work that dominates truediff's cost (paper §6) is
-// amortized across the batch at two levels:
-//
-//   - a whole-tree intern store keyed by content digest makes re-ingesting
-//     a tree the engine has seen before a map lookup instead of a clone —
-//     the common case in a version-history replay, where one commit's
-//     "after" is the next commit's "before";
-//   - a cross-diff digest memo shared by all workers avoids rehashing
-//     subtrees that recur across caller-allocated ingests — unchanged files
-//     recur commit after commit, and idiomatic code repeats whole
-//     sub-expressions (ROADMAP: corpus-scale workloads).
+// amortized across the batch: a whole-tree intern store keyed by content
+// digest makes re-ingesting a tree the engine has seen before a map lookup
+// instead of a clone — the common case in a version-history replay, where
+// one commit's "after" is the next commit's "before" — and trees that
+// arrive already hashed are ingested by copying their digests.
 //
 // The engine is the concurrency boundary of the system: a Differ is
 // immutable and an Engine adds only concurrency-safe state on top (the
-// intern store, the striped memo, the scratch pool, atomic counters), so
-// one Engine may be shared freely between goroutines. Trees enter the
-// engine through Ingest; batches run through DiffBatch, which honours
-// context cancellation; cumulative counters are read with Snapshot.
+// intern store, the scratch pool, atomic counters), so one Engine may be
+// shared freely between goroutines. Trees enter the engine through Ingest;
+// batches run through DiffBatch, which honours context cancellation;
+// cumulative counters are read with Snapshot.
 package engine
 
 import (
@@ -45,7 +40,7 @@ import (
 )
 
 // Config configures an Engine. The zero value is usable: paper-standard
-// diff options, SHA-256 hashing, one worker per CPU, memo enabled.
+// diff options, SHA-256 hashing, one worker per CPU.
 type Config struct {
 	// Workers bounds the goroutines a DiffBatch fans out over. Zero or
 	// negative selects runtime.GOMAXPROCS(0).
@@ -56,9 +51,6 @@ type Config struct {
 	// Hash selects the subtree hash used by Ingest. The zero value is
 	// tree.SHA256, the paper's choice.
 	Hash tree.HashKind
-	// DisableMemo turns off the cross-diff digest memo; Ingest then hashes
-	// every subtree from scratch. Intended for ablation measurements.
-	DisableMemo bool
 
 	// Explain, when true, collects per-edit provenance for every diff: each
 	// successful PairResult carries a truediff.Explanation whose records are
@@ -149,7 +141,6 @@ type Engine struct {
 	sch    *sig.Schema
 	differ *truediff.Differ
 	cfg    Config
-	memo   *tree.DigestMemo
 	pool   sync.Pool // of *truediff.Scratch
 	store  treeStore
 	uris   struct {
@@ -262,12 +253,6 @@ func New(sch *sig.Schema, cfg Config) *Engine {
 		cfg:    cfg,
 		slo:    telemetry.NewSLO(cfg.SLO),
 	}
-	if !cfg.DisableMemo {
-		// The namespace partitions memo keys by schema and hash kind, so
-		// digests cached for one language or algorithm can never leak into
-		// another if a memo were ever shared more widely.
-		e.memo = tree.NewDigestMemo(fmt.Sprintf("%s#%d|", sch.Fingerprint(), cfg.Hash))
-	}
 	e.pool.New = func() any {
 		e.m.poolMisses.Add(1)
 		return truediff.NewScratch()
@@ -320,35 +305,31 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Ingest prepares a tree for diffing through this engine.
+// Ingest prepares a tree for diffing through this engine: it returns a copy
+// of root with fresh URIs, numbered in post-order, carrying digests of the
+// engine's hash kind. Digests never depend on URIs, so a root that already
+// carries digests of that kind (tree.HashedWith) is copied with them;
+// any other root is rehashed (tree.Clone). Either way the copy is the one
+// tree.Clone would have produced.
 //
-// With a non-nil alloc, Ingest clones root with fresh URIs from alloc and
-// hashes the clone against the engine's shared digest memo, so subtrees
-// whose digests were computed for any earlier ingest are not rehashed. The
-// returned tree is what Clone would have produced; only the hashing work
-// differs. Use this mode when the caller owns the URI space (e.g. to keep
-// URIs small and deterministic per document).
+// With a non-nil alloc, the URIs come from alloc. Use this mode when the
+// caller owns the URI space (e.g. to keep URIs small and deterministic per
+// document).
 //
 // With a nil alloc, the tree enters the engine-managed store: its URIs come
 // from the engine's own space (globally unique across everything the engine
 // has ingested), and trees are interned by content digest — re-ingesting a
 // content-identical tree returns the previously ingested tree outright, at
 // the cost of a single map lookup. This is the fast path for batch replays,
-// where consecutive versions of a document share endpoints. Trees that
-// already carry digests of the engine's hash kind are admitted by copying
-// those digests (digests never depend on URIs), skipping hashing entirely.
+// where consecutive versions of a document share endpoints.
 func (e *Engine) Ingest(root *tree.Node, alloc *uri.Allocator) *tree.Node {
 	if root == nil {
 		return nil
 	}
 	if alloc != nil {
-		c := tree.CloneMemo(root, alloc, e.cfg.Hash, e.memo)
-		e.m.ingestedTrees.Add(1)
-		e.m.ingestedNodes.Add(uint64(c.Size()))
-		return c
+		return e.clone(root, alloc)
 	}
-	prehashed := tree.HashedWith(root, e.cfg.Hash)
-	if prehashed {
+	if tree.HashedWith(root, e.cfg.Hash) {
 		if c := e.store.get(root.ExactHash()); c != nil {
 			e.m.storeHits.Add(1)
 			return c
@@ -356,16 +337,23 @@ func (e *Engine) Ingest(root *tree.Node, alloc *uri.Allocator) *tree.Node {
 	}
 	la := uri.NewAllocator()
 	la.Reserve(e.reserveBlock(0, root.Size()))
-	var c *tree.Node
-	if prehashed {
-		c = tree.CloneKeepDigests(root, la)
-	} else {
-		c = tree.CloneMemo(root, la, e.cfg.Hash, e.memo)
-	}
+	c := e.clone(root, la)
 	e.m.storeMisses.Add(1)
+	return e.store.put(c.ExactHash(), c)
+}
+
+// clone copies root with fresh URIs from alloc, keeping its digests when
+// they are of the engine's hash kind and rehashing otherwise.
+func (e *Engine) clone(root *tree.Node, alloc *uri.Allocator) *tree.Node {
+	var c *tree.Node
+	if tree.HashedWith(root, e.cfg.Hash) {
+		c = tree.CloneKeepDigests(root, alloc)
+	} else {
+		c = tree.Clone(root, alloc, e.cfg.Hash)
+	}
 	e.m.ingestedTrees.Add(1)
 	e.m.ingestedNodes.Add(uint64(c.Size()))
-	return e.store.put(c.ExactHash(), c)
+	return c
 }
 
 // Pair is one diffing task of a batch.

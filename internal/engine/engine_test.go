@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -64,7 +65,7 @@ func enginePairs(tps []testPair) []Pair {
 // TestBatchMatchesSequential is the engine's core correctness property:
 // a concurrent batch produces, pair for pair, exactly the script and
 // patched tree a fresh sequential differ produces. Run with -race this
-// also exercises the memo striping and the scratch pool under contention.
+// also exercises the scratch pool under contention.
 func TestBatchMatchesSequential(t *testing.T) {
 	tps := makePairs(t, 24)
 	e := New(exp.Schema(), Config{Workers: 8})
@@ -235,55 +236,68 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-// TestIngestMemoReusesDigests ingests the same tree twice and expects the
-// second pass to be served from the digest memo, with clones identical to
-// what plain Clone produces.
-func TestIngestMemoReusesDigests(t *testing.T) {
-	g := exp.NewGen(7)
-	orig := g.Tree(200)
-	e := New(g.Schema(), Config{})
+// TestIngestMatchesClone is the differential check for Ingest with a
+// caller-owned allocator. Whichever way the engine takes a tree in —
+// copying digests already of its hash kind, or rehashing — the result must
+// be, node by node, what tree.Clone produces from an allocator in the same
+// state: the same tags, literals, post-order URIs, and both digests. Every
+// input hash kind meets every engine hash kind, and source and target
+// share one allocator as they do in a real pair.
+func TestIngestMatchesClone(t *testing.T) {
+	kinds := []tree.HashKind{tree.SHA256, tree.FNV64}
+	for _, in := range kinds {
+		for _, kind := range kinds {
+			e := New(exp.Schema(), Config{Hash: kind})
+			g := exp.NewGen(int64(7 + 10*in + kind))
+			for i := 0; i < 4; i++ {
+				before := tree.Clone(g.Tree(40+60*i), uri.NewAllocator(), in)
+				after := tree.Clone(g.MutateN(before, 1+i), uri.NewAllocator(), in)
 
-	c1 := e.Ingest(orig, uri.NewAllocator())
-	afterFirst := e.Snapshot()
-	c2 := e.Ingest(orig, uri.NewAllocator())
-	afterSecond := e.Snapshot()
-
-	plain := tree.Clone(orig, uri.NewAllocator(), tree.SHA256)
-	for _, c := range []*tree.Node{c1, c2} {
-		if !tree.Equal(c, plain) {
-			t.Fatal("memoized clone differs from plain clone")
+				alloc, ref := uri.NewAllocator(), uri.NewAllocator()
+				for _, orig := range []*tree.Node{before, after} {
+					got := e.Ingest(orig, alloc)
+					want := tree.Clone(orig, ref, kind)
+					if msg := nodeMismatch(got, want); msg != "" {
+						t.Fatalf("input %d, engine %d, tree %d: %s", in, kind, i, msg)
+					}
+				}
+			}
+			if snap := e.Snapshot(); snap.IngestedTrees != 8 || snap.StoreMisses != 0 {
+				t.Errorf("engine %d: %d trees ingested, %d store misses; want 8 and 0",
+					kind, snap.IngestedTrees, snap.StoreMisses)
+			}
 		}
-		if c.StructHash() != plain.StructHash() || c.LitHash() != plain.LitHash() {
-			t.Fatal("memoized digests differ from freshly computed digests")
-		}
-	}
-	if afterFirst.MemoMisses == 0 {
-		t.Error("first ingest should populate the memo")
-	}
-	if gained := afterSecond.MemoHits - afterFirst.MemoHits; gained == 0 {
-		t.Error("second ingest of the same tree should hit the memo")
-	}
-	if afterSecond.IngestedTrees != 2 {
-		t.Errorf("IngestedTrees = %d, want 2", afterSecond.IngestedTrees)
-	}
-	if afterSecond.MemoEntries == 0 {
-		t.Error("memo should hold entries")
 	}
 }
 
-// TestIngestMemoDisabled checks the ablation switch.
-func TestIngestMemoDisabled(t *testing.T) {
-	g := exp.NewGen(8)
-	orig := g.Tree(64)
-	e := New(g.Schema(), Config{DisableMemo: true})
-	c := e.Ingest(orig, nil)
-	if !tree.Equal(c, orig) {
-		t.Fatal("ingest without memo should still clone faithfully")
+// nodeMismatch walks got and want in lockstep and describes the first node
+// whose tag, URI, literals, kid count, size, height, or digests differ, or
+// returns "" when the trees agree everywhere.
+func nodeMismatch(got, want *tree.Node) string {
+	switch {
+	case got.Tag != want.Tag:
+		return fmt.Sprintf("tag %s, want %s", got.Tag, want.Tag)
+	case got.URI != want.URI:
+		return fmt.Sprintf("%s: URI %d, want %d", want.Tag, got.URI, want.URI)
+	case len(got.Lits) != len(want.Lits) || len(got.Kids) != len(want.Kids):
+		return fmt.Sprintf("%s#%d: arity differs", want.Tag, want.URI)
+	case got.Size() != want.Size() || got.Height() != want.Height():
+		return fmt.Sprintf("%s#%d: size/height %d/%d, want %d/%d",
+			want.Tag, want.URI, got.Size(), got.Height(), want.Size(), want.Height())
+	case got.StructHash() != want.StructHash() || got.LitHash() != want.LitHash():
+		return fmt.Sprintf("%s#%d: digests differ", want.Tag, want.URI)
 	}
-	snap := e.Snapshot()
-	if snap.MemoHits != 0 || snap.MemoMisses != 0 || snap.MemoEntries != 0 {
-		t.Errorf("disabled memo reported activity: %+v", snap)
+	for i := range want.Lits {
+		if !tree.LitEqual(got.Lits[i], want.Lits[i]) {
+			return fmt.Sprintf("%s#%d: literal %d is %v, want %v", want.Tag, want.URI, i, got.Lits[i], want.Lits[i])
+		}
 	}
+	for i := range want.Kids {
+		if msg := nodeMismatch(got.Kids[i], want.Kids[i]); msg != "" {
+			return msg
+		}
+	}
+	return ""
 }
 
 // TestIngestInternsTrees checks engine-managed ingest (nil allocator):
@@ -310,11 +324,6 @@ func TestIngestInternsTrees(t *testing.T) {
 	}
 	if snap.StoreHitRate != 0.5 {
 		t.Errorf("StoreHitRate = %v, want 0.5", snap.StoreHitRate)
-	}
-	// Interned trees skip hashing when the input already carries digests of
-	// the engine's kind, so the memo must not have been touched.
-	if snap.MemoMisses != 0 {
-		t.Errorf("pre-hashed ingest touched the digest memo: %d misses", snap.MemoMisses)
 	}
 	// A different tree must not be conflated.
 	ic := e.Ingest(gA.MutateN(a, 2), nil)

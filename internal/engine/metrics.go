@@ -115,14 +115,6 @@ type Snapshot struct {
 	PoolMisses  uint64
 	PoolHitRate float64
 
-	// MemoHits and MemoMisses count digest lookups served from and added
-	// to the cross-diff memo; MemoEntries is its current size. All zero
-	// when the memo is disabled.
-	MemoHits    uint64
-	MemoMisses  uint64
-	MemoHitRate float64
-	MemoEntries int
-
 	// IngestedTrees and IngestedNodes count what passed through Ingest.
 	// Store hits (below) do not ingest anything new and are not counted
 	// here.
@@ -198,13 +190,6 @@ func (e *Engine) Snapshot() Snapshot {
 	if s.PoolGets > 0 {
 		s.PoolHitRate = float64(s.PoolGets-s.PoolMisses) / float64(s.PoolGets)
 	}
-	if e.memo != nil {
-		s.MemoHits, s.MemoMisses = e.memo.Stats()
-		if total := s.MemoHits + s.MemoMisses; total > 0 {
-			s.MemoHitRate = float64(s.MemoHits) / float64(total)
-		}
-		s.MemoEntries = e.memo.Len()
-	}
 	s.OptimalityGap = aggregateGap(s.BaselineEdits, s.BaselineMinimal)
 	return s
 }
@@ -224,7 +209,7 @@ func aggregateGap(edits, minimal uint64) float64 {
 // Sub returns the per-interval delta s − prev: every cumulative counter is
 // subtracted (saturating at zero, so a snapshot of a different engine or a
 // stale prev cannot wrap around), the hit rates are recomputed over the
-// interval, and the gauges (MemoEntries, StoreEntries) keep s's current
+// interval, and the gauges (StoreEntries, QueueDepth, SLO) keep s's current
 // values. Taking a snapshot before and after a batch and subtracting gives
 // per-batch metrics without resetting the engine:
 //
@@ -253,13 +238,10 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		TargetNodes:       sub64(s.TargetNodes, prev.TargetNodes),
 		PoolGets:          sub64(s.PoolGets, prev.PoolGets),
 		PoolMisses:        sub64(s.PoolMisses, prev.PoolMisses),
-		MemoHits:          sub64(s.MemoHits, prev.MemoHits),
-		MemoMisses:        sub64(s.MemoMisses, prev.MemoMisses),
 		IngestedTrees:     sub64(s.IngestedTrees, prev.IngestedTrees),
 		IngestedNodes:     sub64(s.IngestedNodes, prev.IngestedNodes),
 		StoreHits:         sub64(s.StoreHits, prev.StoreHits),
 		StoreMisses:       sub64(s.StoreMisses, prev.StoreMisses),
-		MemoEntries:       s.MemoEntries,
 		StoreEntries:      s.StoreEntries,
 		QueueDepth:        s.QueueDepth,
 		SLO:               s.SLO,
@@ -278,9 +260,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	}
 	if d.PoolGets > 0 {
 		d.PoolHitRate = float64(d.PoolGets-d.PoolMisses) / float64(d.PoolGets)
-	}
-	if total := d.MemoHits + d.MemoMisses; total > 0 {
-		d.MemoHitRate = float64(d.MemoHits) / float64(total)
 	}
 	d.OptimalityGap = aggregateGap(d.BaselineEdits, d.BaselineMinimal)
 	return d
@@ -316,7 +295,7 @@ func (s Snapshot) String() string {
 			"quality: %d changed nodes, %d baselined diffs (gap %+.1f%%)\n"+
 			"workers: %.1f%% utilized over %v capacity, queue depth %d\n"+
 			"scratch pool: %d gets, %d misses (%.1f%% hit)\n"+
-			"digest memo: %d hits, %d misses (%.1f%% hit), %d entries; ingested %d trees / %d nodes\n"+
+			"ingest: %d trees / %d nodes\n"+
 			"tree store: %d hits, %d misses (%.1f%% hit), %d trees interned\n"+
 			"%s",
 		s.Diffs, s.Errors, s.Batches, s.Edits, s.SourceNodes, s.TargetNodes,
@@ -326,7 +305,6 @@ func (s Snapshot) String() string {
 		s.ChangedNodes, s.BaselinedDiffs, 100*s.OptimalityGap,
 		100*s.Utilization, s.WorkerCapacity.Round(time.Millisecond), s.QueueDepth,
 		s.PoolGets, s.PoolMisses, 100*s.PoolHitRate,
-		s.MemoHits, s.MemoMisses, 100*s.MemoHitRate, s.MemoEntries,
 		s.IngestedTrees, s.IngestedNodes,
 		s.StoreHits, s.StoreMisses, 100*s.StoreHitRate, s.StoreEntries,
 		s.SLO,

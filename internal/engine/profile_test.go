@@ -147,7 +147,6 @@ func TestGatherMetricsUtilizationAndBuildInfo(t *testing.T) {
 		"# TYPE structdiff_engine_worker_capacity_seconds_total counter",
 		"# TYPE structdiff_engine_utilization_ratio gauge",
 		"# TYPE structdiff_pool_hit_ratio gauge",
-		"# TYPE structdiff_memo_hit_ratio gauge",
 		"# TYPE structdiff_store_hit_ratio gauge",
 	} {
 		if !strings.Contains(out, needle) {

@@ -102,10 +102,6 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 		counter("structdiff_pool_gets_total", "Scratch-pool checkouts.", s.PoolGets),
 		counter("structdiff_pool_misses_total", "Scratch-pool checkouts that allocated fresh state.", s.PoolMisses),
 		ratio("structdiff_pool_hit_ratio", "Fraction of scratch-pool checkouts that recycled state.", s.PoolHitRate),
-		counter("structdiff_memo_hits_total", "Digest lookups served from the cross-diff memo.", s.MemoHits),
-		counter("structdiff_memo_misses_total", "Digest lookups that had to hash.", s.MemoMisses),
-		ratio("structdiff_memo_hit_ratio", "Fraction of digest lookups served from the cross-diff memo.", s.MemoHitRate),
-		gauge("structdiff_memo_entries", "Digests currently cached in the cross-diff memo.", s.MemoEntries),
 		counter("structdiff_store_hits_total", "Nil-alloc ingests served from the whole-tree intern store.", s.StoreHits),
 		counter("structdiff_store_misses_total", "Nil-alloc ingests that had to clone.", s.StoreMisses),
 		ratio("structdiff_store_hit_ratio", "Fraction of nil-alloc ingests served from the whole-tree intern store.", s.StoreHitRate),

@@ -18,7 +18,6 @@ func TestSnapshotSub(t *testing.T) {
 		Diffs: 10, Errors: 2, SlowDiffs: 3, Batches: 4, Edits: 100,
 		SourceNodes: 1000, TargetNodes: 1200, DiffWall: 100 * time.Millisecond,
 		PoolGets: 8, PoolMisses: 2,
-		MemoHits: 6, MemoMisses: 2, MemoEntries: 50,
 		IngestedTrees: 12, IngestedNodes: 900,
 		StoreHits: 4, StoreMisses: 4, StoreEntries: 7,
 		SLO: telemetry.SLOSnapshot{Requests: 9, Errors: 1},
@@ -27,7 +26,6 @@ func TestSnapshotSub(t *testing.T) {
 		Diffs: 4, Errors: 2, SlowDiffs: 1, Batches: 1, Edits: 40,
 		SourceNodes: 400, TargetNodes: 500, DiffWall: 60 * time.Millisecond,
 		PoolGets: 4, PoolMisses: 2,
-		MemoHits: 2, MemoMisses: 2, MemoEntries: 30,
 		IngestedTrees: 5, IngestedNodes: 300,
 		StoreHits: 1, StoreMisses: 3, StoreEntries: 3,
 	}
@@ -46,15 +44,12 @@ func TestSnapshotSub(t *testing.T) {
 	if d.PoolGets != 4 || d.PoolMisses != 0 || d.PoolHitRate != 1 {
 		t.Errorf("pool delta wrong: gets %d misses %d rate %v", d.PoolGets, d.PoolMisses, d.PoolHitRate)
 	}
-	if d.MemoHits != 4 || d.MemoMisses != 0 || d.MemoHitRate != 1 {
-		t.Errorf("memo delta wrong: hits %d misses %d rate %v", d.MemoHits, d.MemoMisses, d.MemoHitRate)
-	}
 	if d.StoreHits != 3 || d.StoreMisses != 1 || d.StoreHitRate != 0.75 {
 		t.Errorf("store delta wrong: hits %d misses %d rate %v", d.StoreHits, d.StoreMisses, d.StoreHitRate)
 	}
 	// Gauges keep the current values; the SLO is a windowed gauge too.
-	if d.MemoEntries != 50 || d.StoreEntries != 7 {
-		t.Errorf("gauges not kept: memo %d store %d", d.MemoEntries, d.StoreEntries)
+	if d.StoreEntries != 7 {
+		t.Errorf("gauge not kept: store %d", d.StoreEntries)
 	}
 	if d.SLO.Requests != 9 || d.SLO.Errors != 1 {
 		t.Errorf("SLO not kept as a gauge: %+v", d.SLO)
@@ -98,7 +93,6 @@ func TestSnapshotStringGolden(t *testing.T) {
 		ChangedNodes: 120, BaselinedDiffs: 4, OptimalityGap: 0.05,
 		SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
 		PoolGets: 10, PoolMisses: 2, PoolHitRate: 0.8,
-		MemoHits: 300, MemoMisses: 100, MemoHitRate: 0.75, MemoEntries: 400,
 		IngestedTrees: 20, IngestedNodes: 2100,
 		StoreHits: 5, StoreMisses: 15, StoreHitRate: 0.25, StoreEntries: 15,
 		QueueDepth: 2, WorkerCapacity: 4200 * time.Millisecond, Utilization: 0.5,
@@ -122,7 +116,7 @@ func TestSnapshotStringGolden(t *testing.T) {
 		"quality: 120 changed nodes, 4 baselined diffs (gap +5.0%)\n" +
 		"workers: 50.0% utilized over 4.2s capacity, queue depth 2\n" +
 		"scratch pool: 10 gets, 2 misses (80.0% hit)\n" +
-		"digest memo: 300 hits, 100 misses (75.0% hit), 400 entries; ingested 20 trees / 2100 nodes\n" +
+		"ingest: 20 trees / 2100 nodes\n" +
 		"tree store: 5 hits, 15 misses (25.0% hit), 15 trees interned\n" +
 		"slo[1h0m0s]: 10 req, avail 90.00% (target 99.90%, burn 100.0x/100.0x), 100.00% <= 250ms (target 95.00%), p95 33ms"
 	if got := s.String(); got != want {
@@ -313,7 +307,6 @@ func TestGatherMetrics(t *testing.T) {
 		"# TYPE structdiff_diff_duration_seconds histogram",
 		`structdiff_phase_duration_seconds_bucket{phase="shares",le="+Inf"} ` +
 			"8",
-		"structdiff_memo_entries",
 		"structdiff_pool_gets_total",
 		"structdiff_store_entries",
 	} {

@@ -42,8 +42,8 @@ type EngineReplayResult struct {
 	ScriptsAgree bool
 	Mismatches   int
 
-	// Snapshot is the engine's metrics delta over the replay (pool, memo,
-	// and tree-store hit rates, per-diff wall totals): the difference of
+	// Snapshot is the engine's metrics delta over the replay (pool and
+	// tree-store hit rates, per-diff wall totals): the difference of
 	// the snapshots taken after and before the batch (Snapshot.Sub), so a
 	// reused engine reports this replay's numbers, not its lifetime's.
 	Snapshot engine.Snapshot

@@ -1,6 +1,6 @@
 // Package profiling starts and stops the standard Go profilers behind one
-// call, so every CLI (cmd/bench, cmd/truediff, cmd/evaluate) wires the
-// -cpuprofile, -memprofile, and -exectrace flags identically.
+// call, so cmd/truediff and cmd/evaluate wire the -cpuprofile, -memprofile,
+// and -exectrace flags identically.
 package profiling
 
 import (

@@ -14,9 +14,7 @@
 package sig
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -173,7 +171,6 @@ type Schema struct {
 	name   string
 	sigs   map[Tag]*Sig
 	parent map[Sort]Sort // immediate supersort; absent entries have parent Any
-	fp     string        // cached Fingerprint
 }
 
 // NewSchema returns an empty schema with the given descriptive name. The
@@ -296,33 +293,6 @@ func (s *Schema) MustDeclare(g Sig) { s.mustDeclare(g) }
 
 // Lookup returns the signature of tag, or nil if the tag is not declared.
 func (s *Schema) Lookup(t Tag) *Sig { return s.sigs[t] }
-
-// Fingerprint returns a digest of the schema's declarations: its name,
-// every signature in tag order, and the sort hierarchy. Two schemas with
-// the same fingerprint declare the same vocabulary, so digest caches (the
-// engine's cross-diff memo) use it to partition their key space per
-// schema. The fingerprint is computed on first use and cached; do not
-// declare further tags or sorts after calling it.
-func (s *Schema) Fingerprint() string {
-	if s.fp != "" {
-		return s.fp
-	}
-	h := sha256.New()
-	io.WriteString(h, s.name)
-	for _, t := range s.Tags() {
-		io.WriteString(h, s.sigs[t].String())
-	}
-	subs := make([]Sort, 0, len(s.parent))
-	for sub := range s.parent {
-		subs = append(subs, sub)
-	}
-	sort.Slice(subs, func(i, j int) bool { return subs[i] < subs[j] })
-	for _, sub := range subs {
-		fmt.Fprintf(h, "%s<:%s;", sub, s.parent[sub])
-	}
-	s.fp = string(h.Sum(nil))
-	return s.fp
-}
 
 // ResultSort returns the result sort of tag and whether it is declared.
 func (s *Schema) ResultSort(t Tag) (Sort, bool) {

@@ -20,8 +20,8 @@
 // # Batch diffing
 //
 // For many diffs over one schema, create an Engine: it fans batches over a
-// worker pool, recycles per-diff scratch state, and memoizes subtree
-// digests across diffs. See NewEngine and docs/API.md.
+// worker pool, recycles per-diff scratch state, and interns ingested trees
+// by content. See NewEngine and docs/API.md.
 package structdiff
 
 import (
@@ -53,7 +53,6 @@ type config struct {
 	diff     truediff.Options
 	hash     tree.HashKind
 	workers  int
-	noMemo   bool
 	observer func(DiffEvent)
 	slow     time.Duration
 	slowLog  func(DiffEvent)
@@ -106,10 +105,6 @@ func WithHashKind(k HashKind) Option { return func(c *config) { c.hash = k } }
 // WithWorkers bounds the goroutines an Engine fans a batch over (default:
 // one per CPU).
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithoutMemo disables an Engine's cross-diff digest memo (for ablation
-// measurements; the memo is on by default).
-func WithoutMemo() Option { return func(c *config) { c.noMemo = true } }
 
 // WithTracer attaches a telemetry tracer: every diff emits BeginDiff, one
 // Phase event per truediff step (prepare, shares, select, emit) in order,
@@ -383,7 +378,7 @@ func NewDiffer(sch *Schema, opts ...Option) *Differ {
 }
 
 // NewEngine returns a concurrent batch diffing engine for trees of the
-// schema, honouring WithWorkers, WithHashKind, WithoutMemo, and the diff
+// schema, honouring WithWorkers, WithHashKind, and the diff
 // options. See the Engine type (internal/engine re-exported here) for the
 // batch API and Snapshot for its metrics.
 func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
@@ -395,7 +390,6 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 		Workers:           cfg.workers,
 		Diff:              cfg.diff,
 		Hash:              cfg.hash,
-		DisableMemo:       cfg.noMemo,
 		Observer:          cfg.observer,
 		SlowDiffThreshold: cfg.slow,
 		SlowDiffLog:       cfg.slowLog,
@@ -427,7 +421,7 @@ func NewTraceWriter(w io.Writer) *TraceWriter { return telemetry.NewTraceWriter(
 // error, and engine construction failure alike — so the one-shot engine's
 // intern store and scratch state never outlive the call. Applications
 // running more than one batch should keep an Engine (NewEngine) so scratch
-// state and the digest memo carry over between batches, and Close it when
+// state and the intern store carry over between batches, and Close it when
 // done.
 func DiffBatch(ctx context.Context, sch *Schema, pairs []Pair, opts ...Option) ([]PairResult, error) {
 	e, err := NewEngine(sch, opts...)

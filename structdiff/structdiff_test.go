@@ -152,8 +152,8 @@ func TestEngineThroughFacade(t *testing.T) {
 	if snap.Diffs != uint64(len(pairs)) {
 		t.Errorf("Snapshot().Diffs = %d, want %d", snap.Diffs, len(pairs))
 	}
-	if snap.MemoHits == 0 {
-		t.Error("chained ingests should hit the digest memo")
+	if snap.IngestedTrees != uint64(2*len(pairs)) {
+		t.Errorf("Snapshot().IngestedTrees = %d, want %d", snap.IngestedTrees, 2*len(pairs))
 	}
 }
 

@@ -28,8 +28,6 @@ type (
 	Builder = tree.Builder
 	// HashKind selects the subtree hash algorithm.
 	HashKind = tree.HashKind
-	// DigestMemo caches subtree digests across trees (used by Engine).
-	DigestMemo = tree.DigestMemo
 	// URI identifies a node stably across edits.
 	URI = uri.URI
 	// Allocator hands out fresh URIs.
@@ -233,7 +231,7 @@ func NewScratch() *Scratch { return truediff.NewScratch() }
 
 type (
 	// Engine diffs batches of tree pairs concurrently with pooled scratch
-	// state and a cross-diff digest memo; see NewEngine.
+	// state and a whole-tree intern store; see NewEngine.
 	Engine = engine.Engine
 	// EngineConfig is the engine's plain-struct configuration (NewEngine
 	// assembles it from Options).
