@@ -115,7 +115,6 @@ func main() {
 		MaxQueue:          *maxQueue,
 		TenantLimit:       *tenantLimit,
 		SlowDiffThreshold: *slow,
-		Logf:              logf,
 		Logger:            logger,
 		SLO: telemetry.SLOConfig{
 			Window:           *sloWindow,

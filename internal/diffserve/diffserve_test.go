@@ -23,9 +23,6 @@ import (
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
-	}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -217,6 +214,44 @@ func TestPanicSurvival(t *testing.T) {
 	// The process survived; the next request must succeed.
 	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
 		t.Fatalf("request after panic: %v", err)
+	}
+}
+
+// TestDeeplyNestedSourceRejected: a well-formed source nested one level
+// past tree.MaxSExprDepth is answered 400 bad_request instead of being
+// decoded (deep enough input would overflow the decoder's stack and kill
+// the daemon), and the server keeps serving.
+func TestDeeplyNestedSourceRejected(t *testing.T) {
+	_, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1})
+	depth := tree.MaxSExprDepth + 1
+	body, _ := json.Marshal(DiffRequest{
+		SchemaVersion: WireVersion,
+		Lang:          "exp",
+		Source: TreeInput{SExpr: strings.Repeat(`(Call "f" `, depth-1) + "(Num 1)" +
+			strings.Repeat(")", depth-1)},
+		Target: TreeInput{SExpr: "(Num 2)"},
+	})
+	resp, err := http.Post(hs.URL+"/v1/diff", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("nested source: status %d, want 400", resp.StatusCode)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("decode error response: %v", err)
+	}
+	if er.Error.Kind != ErrKindBadRequest {
+		t.Errorf("nested source: kind %q, want %q", er.Error.Kind, ErrKindBadRequest)
+	}
+
+	c := NewClient(hs.URL, "exp", exp.Schema())
+	defer c.Close()
+	src, dst := genPair(4, 60)
+	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
+		t.Fatalf("request after the nested one: %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"math"
 	"net/http"
@@ -38,8 +37,6 @@ type Config struct {
 	// an overrunning diff fails alone with a timeout error while the rest
 	// of its batch completes. Zero disables the bound.
 	DiffTimeout time.Duration
-	// CheckpointEvery overrides the cancellation-checkpoint interval.
-	CheckpointEvery int
 	// DisableFallback turns off graceful degradation. By default the
 	// service runs engines with FallbackRootReplace: a pair that panics or
 	// times out is answered with a coarse but compliant root-replacement
@@ -85,9 +82,10 @@ type Config struct {
 	// engine, and phase child spans delivered to the sink. Nil disables
 	// span recording; trace IDs still propagate for correlation.
 	Spans telemetry.SpanSink
-	// Logger, when non-nil, receives structured records (panics at error
-	// level here, plus the engines' failure/fallback/slow-diff records)
-	// instead of Logf. Logf remains the fallback for free-form lines.
+	// Logger receives structured records: handler panics at error level
+	// here, plus the engines' failure, fallback and slow-diff records. Nil
+	// logs panics and slow diffs through slog.Default() and drops failure
+	// and fallback records.
 	Logger *slog.Logger
 	// FlightRecent and FlightSlowest size the /debug/diffz flight
 	// recorder: the last-N ring and the slowest-K retention set. Zero
@@ -99,10 +97,6 @@ type Config struct {
 	// time). Zero values select telemetry.SLOConfig defaults. The shed
 	// Retry-After estimate derives from this window's p95.
 	SLO telemetry.SLOConfig
-
-	// Logf receives server lifecycle and error lines; nil uses the
-	// standard logger.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -126,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadyFraction == 0 {
 		c.ReadyFraction = 0.9
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
 	}
 	return c
 }
@@ -195,7 +186,6 @@ func NewServer(cfg Config) (*Server, error) {
 		ecfg := engine.Config{
 			Workers:           cfg.Workers,
 			DiffTimeout:       cfg.DiffTimeout,
-			CheckpointEvery:   cfg.CheckpointEvery,
 			SlowDiffThreshold: cfg.SlowDiffThreshold,
 			Spans:             cfg.Spans,
 			Logger:            cfg.Logger,
@@ -248,14 +238,14 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.LogAttrs(r.Context(), slog.LevelError, "panic serving request",
-					slog.String("method", r.Method),
-					slog.String("path", r.URL.Path),
-					slog.Any("panic", v))
-			} else {
-				s.cfg.Logf("diffserve: panic serving %s %s: %v", r.Method, r.URL.Path, v)
+			logger := s.cfg.Logger
+			if logger == nil {
+				logger = slog.Default()
 			}
+			logger.LogAttrs(r.Context(), slog.LevelError, "panic serving request",
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Any("panic", v))
 			s.m.serverErrors.Add(1)
 			writeError(w, http.StatusInternalServerError, WireError{
 				Kind: ErrKindInternal, Message: fmt.Sprintf("internal error: %v", v),

@@ -20,7 +20,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"log"
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
@@ -54,7 +53,7 @@ type Config struct {
 
 	// Explain, when true, collects per-edit provenance for every diff: each
 	// successful PairResult carries a truediff.Explanation whose records are
-	// index-aligned with the script's edits (see truediff.Options.Explain).
+	// index-aligned with the script's edits (see truediff.ContextWithExplain).
 	// Fallback (root-replacement) results carry no explanation — the real
 	// diff never finished. Off (the default), the diff path pays nothing.
 	Explain bool
@@ -67,25 +66,16 @@ type Config struct {
 	// (ChangedNodes, ReuseRatio, ratios) are always computed.
 	QualityBaseline int
 
-	// Tracer, when non-nil, receives span events for every diff the engine
-	// runs (BeginDiff, one Phase per truediff step, EndDiff). With
-	// Workers > 1 the tracer observes diffs from several goroutines at
-	// once, so it must be concurrency-safe; per-diff ordering holds within
-	// each worker. Equivalent to setting Diff.Tracer, which it overrides.
-	Tracer telemetry.Tracer
 	// Observer, when non-nil, is called synchronously after every diff —
 	// successful, failed, or short-circuited — with that diff's event.
 	// It runs on worker goroutines: keep it cheap and concurrency-safe
 	// (telemetry.TraceWriter is; so is recording into histograms).
 	Observer func(DiffEvent)
 	// SlowDiffThreshold enables slow-diff logging: completed diffs whose
-	// wall time meets or exceeds it are reported through SlowDiffLog. Zero
-	// disables the check.
+	// wall time meets or exceeds it are counted (Snapshot.SlowDiffs) and
+	// logged at warn level through Logger, or slog.Default() when Logger is
+	// nil. Zero disables the check.
 	SlowDiffThreshold time.Duration
-	// SlowDiffLog overrides where slow diffs are reported. Nil logs one
-	// line per slow diff via Logger when set, else the standard library
-	// logger.
-	SlowDiffLog func(DiffEvent)
 	// Spans, when non-nil, turns on distributed tracing: every diff runs
 	// under an "engine.diff" span (parented on Pair.Trace when valid) and
 	// the four truediff phases are synthesized into child spans. Nil (the
@@ -94,14 +84,9 @@ type Config struct {
 	// Logger, when non-nil, receives structured records for noteworthy
 	// diffs — failures (error level), fallbacks and slow diffs (warn) —
 	// with trace_id/span_id correlation when the pair carried a trace.
-	// Routine successful diffs are never logged; use Observer or Tracer
-	// for those.
+	// Routine successful diffs are never logged; use Observer for those.
+	// Without a Logger only slow diffs are logged, through slog.Default().
 	Logger *slog.Logger
-	// SLO parameterizes the engine's rolling-window objective accounting
-	// (availability = non-error diffs; latency objective on diff wall
-	// time). The zero value selects the defaults documented on
-	// telemetry.SLOConfig; accounting is always on (lock-free counters).
-	SLO telemetry.SLOConfig
 
 	// DiffTimeout bounds each individual diff: a diff still running when
 	// the deadline passes is aborted at its next cancellation checkpoint
@@ -109,11 +94,6 @@ type Config struct {
 	// when the diff starts (not when the batch does), so large batches
 	// don't starve late pairs. Zero disables the per-diff deadline.
 	DiffTimeout time.Duration
-	// CheckpointEvery overrides how many nodes a diff processes between
-	// cancellation-checkpoint polls (truediff.Options.CheckpointEvery).
-	// Zero selects truediff.DefaultCheckpointEvery. Equivalent to setting
-	// Diff.CheckpointEvery, which it overrides when positive.
-	CheckpointEvery int
 	// Fallback selects the graceful-degradation policy for diffs that
 	// panic, overrun DiffTimeout, or emit an ill-typed script. See
 	// FallbackMode.
@@ -241,17 +221,11 @@ func (e *Engine) reserveBlock(min uri.URI, n int) uri.URI {
 
 // New returns an Engine for trees of the given schema.
 func New(sch *sig.Schema, cfg Config) *Engine {
-	if cfg.Tracer != nil {
-		cfg.Diff.Tracer = cfg.Tracer
-	}
-	if cfg.CheckpointEvery > 0 {
-		cfg.Diff.CheckpointEvery = cfg.CheckpointEvery
-	}
 	e := &Engine{
 		sch:    sch,
 		differ: truediff.NewWithOptions(sch, cfg.Diff),
 		cfg:    cfg,
-		slo:    telemetry.NewSLO(cfg.SLO),
+		slo:    telemetry.NewSLO(telemetry.SLOConfig{}),
 	}
 	e.pool.New = func() any {
 		e.m.poolMisses.Add(1)
@@ -540,11 +514,9 @@ feed:
 	return results, nil
 }
 
-// diffOne wraps diffPair with the per-diff observability shell: the
-// "engine.diff" span (when Config.Spans is set) with phase child spans
-// synthesized via a context-carried tracer, and the SLO observation. With
-// tracing off the extra cost is two clock reads and a handful of atomic
-// adds.
+// diffOne runs one pair and records it. With Config.Spans set the diff
+// runs under an "engine.diff" span, and its phases become child spans
+// through a context-carried tracer.
 func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 	// Labels are caller-supplied (e.g. by remote diffserve clients) and
 	// fan out to every observability surface — span attributes, pprof
@@ -560,26 +532,7 @@ func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(e.cfg.Spans, p.Trace))
 	}
 	pr := e.diffPair(ctx, p)
-	wall := time.Since(start)
-	e.slo.Observe(wall, pr.Err == nil)
-	if span != nil {
-		if p.Label != "" {
-			span.SetAttr("pair", p.Label)
-		}
-		span.SetAttr("source_nodes", pr.Stats.SourceSize)
-		span.SetAttr("target_nodes", pr.Stats.TargetSize)
-		span.SetAttr("edits", pr.Stats.Edits)
-		if pr.Stats.Identical {
-			span.SetAttr("identical", true)
-		}
-		if pr.Stats.Fallback {
-			span.SetAttr("fallback", true)
-		}
-		if pr.Err != nil {
-			span.SetAttr("err", pr.Err.Error())
-		}
-		span.EndAt(start.Add(wall))
-	}
+	e.record(DiffEvent{Label: p.Label, Trace: p.Trace, Stats: pr.Stats, Err: pr.Err}, span, time.Since(start))
 	return pr
 }
 
@@ -601,21 +554,8 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 			TargetInterned: true,
 			Identical:      true,
 		}
-		if e.cfg.QualityBaseline > 0 && st.SourceSize <= e.cfg.QualityBaseline {
-			// Identical trees are trivially minimal: distance 0, gap 0.
-			st.Baselined = true
-		}
-		e.m.diffs.Add(1)
-		e.m.sourceNodes.Add(uint64(st.SourceSize))
-		e.m.targetNodes.Add(uint64(st.TargetSize))
-		// The pair was served in effectively zero time; it belongs in the
-		// latency and size distributions, but not in the phase histograms
-		// (no truediff step ran).
-		e.h.latency.Record(0)
-		e.h.edits.Record(0)
-		e.h.nodes.Record(int64(st.SourceSize))
-		e.h.nodes.Record(int64(st.TargetSize))
-		e.recordQuality(st)
+		// Identical trees are trivially minimal: distance 0, gap 0.
+		st.Baselined = e.cfg.QualityBaseline > 0 && st.SourceSize <= e.cfg.QualityBaseline
 		pr := PairResult{
 			Result: &truediff.Result{Script: &truechange.Script{}, Patched: p.Source},
 			Stats:  st,
@@ -629,7 +569,7 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 				Edits:      []truediff.EditProvenance{},
 			}
 		}
-		return e.finish(p, pr)
+		return pr
 	}
 
 	e.m.poolGets.Add(1)
@@ -688,8 +628,7 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	}
 	wall := time.Since(start)
 	if err != nil {
-		e.m.errors.Add(1)
-		return e.finish(p, PairResult{Err: err})
+		return PairResult{Err: err}
 	}
 
 	st := DiffStats{
@@ -714,38 +653,11 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 			st.Baselined = true
 		}
 	}
-	e.m.diffs.Add(1)
-	e.m.edits.Add(uint64(st.Edits))
-	e.m.sourceNodes.Add(uint64(st.SourceSize))
-	e.m.targetNodes.Add(uint64(st.TargetSize))
-	e.m.wallNanos.Add(uint64(wall.Nanoseconds()))
-	e.h.latency.Record(wall.Nanoseconds())
-	for ph, d := range st.Phases {
-		e.h.phases[ph].Record(d.Nanoseconds())
-	}
-	e.h.edits.Record(int64(st.Edits))
-	e.h.nodes.Record(int64(st.SourceSize))
-	e.h.nodes.Record(int64(st.TargetSize))
-	e.recordQuality(st)
 	pr := PairResult{Result: res, Stats: st}
 	if ecol != nil && !fellBack {
 		pr.Explain = ecol.Last
 	}
-	return e.finish(p, pr)
-}
-
-// recordQuality feeds one diff's conciseness metrics into the quality
-// histograms (permille-scaled) and cumulative counters.
-func (e *Engine) recordQuality(st DiffStats) {
-	e.h.reuse.Record(int64(st.ReuseRatio * 1000))
-	e.h.editsChanged.Record(int64(st.EditsPerChangedNode * 1000))
-	e.h.scriptTree.Record(int64(st.ScriptTreeRatio * 1000))
-	e.m.changedNodes.Add(uint64(st.ChangedNodes))
-	if st.Baselined {
-		e.m.baselinedDiffs.Add(1)
-		e.m.baselineEdits.Add(uint64(st.Edits))
-		e.m.baselineMinimal.Add(uint64(st.MinimalEdits))
-	}
+	return pr
 }
 
 // internedTree reports whether n is the canonical copy held by the
@@ -758,48 +670,88 @@ func (e *Engine) internedTree(n *tree.Node) bool {
 	return e.store.get(n.ExactHash()) == n
 }
 
-// finish runs the per-diff observability tail — slow-diff reporting,
-// structured logging of noteworthy outcomes, and the observer callback —
-// and passes the result through.
-func (e *Engine) finish(p Pair, pr PairResult) PairResult {
-	slow := e.cfg.SlowDiffThreshold > 0 && pr.Err == nil && pr.Stats.Wall >= e.cfg.SlowDiffThreshold
-	if slow {
-		e.m.slowDiffs.Add(1)
-	}
-	logWorthy := e.cfg.Logger != nil && (pr.Err != nil || pr.Stats.Fallback)
-	if !slow && !logWorthy && e.cfg.Observer == nil {
-		return pr
-	}
-	ev := DiffEvent{Label: p.Label, Trace: p.Trace, Stats: pr.Stats, Err: pr.Err}
-	if slow {
-		switch {
-		case e.cfg.SlowDiffLog != nil:
-			e.cfg.SlowDiffLog(ev)
-		case e.cfg.Logger != nil:
-			e.logEvent(slog.LevelWarn, "slow diff", ev,
-				slog.Duration("threshold", e.cfg.SlowDiffThreshold))
-		default:
-			log.Printf("structdiff: slow diff %s: wall %v (threshold %v), %d+%d nodes, %d edits, phases %v",
-				labelOr(ev.Label, "<unlabelled>"), ev.Stats.Wall, e.cfg.SlowDiffThreshold,
-				ev.Stats.SourceSize, ev.Stats.TargetSize, ev.Stats.Edits, ev.Stats.Phases)
+// record is the one place an engine diff is accounted, whichever way it
+// ended — normal, short-circuited, failed, or served by fallback: the
+// counters and histograms (quality included), the SLO window, slow-diff
+// and failure logging, the Observer, and the attributes of the
+// "engine.diff" span, which it ends, all read ev. The SLO window observes
+// elapsed, the pair's whole time in diffOne, so short-circuited pairs
+// (Stats.Wall zero) and failed ones (Stats zero) carry their real latency.
+func (e *Engine) record(ev DiffEvent, span *telemetry.Span, elapsed time.Duration) {
+	st := ev.Stats
+	if ev.Err != nil {
+		e.m.errors.Add(1)
+	} else {
+		e.m.diffs.Add(1)
+		e.m.edits.Add(uint64(st.Edits))
+		e.m.sourceNodes.Add(uint64(st.SourceSize))
+		e.m.targetNodes.Add(uint64(st.TargetSize))
+		e.m.wallNanos.Add(uint64(st.Wall.Nanoseconds()))
+		e.h.latency.Record(st.Wall.Nanoseconds())
+		if !st.Identical {
+			// A short-circuited pair ran no truediff step.
+			for ph, d := range st.Phases {
+				e.h.phases[ph].Record(d.Nanoseconds())
+			}
 		}
+		e.h.edits.Record(int64(st.Edits))
+		e.h.nodes.Record(int64(st.SourceSize))
+		e.h.nodes.Record(int64(st.TargetSize))
+		e.h.reuse.Record(int64(st.ReuseRatio * 1000))
+		e.h.editsChanged.Record(int64(st.EditsPerChangedNode * 1000))
+		e.h.scriptTree.Record(int64(st.ScriptTreeRatio * 1000))
+		e.m.changedNodes.Add(uint64(st.ChangedNodes))
+		if st.Baselined {
+			e.m.baselinedDiffs.Add(1)
+			e.m.baselineEdits.Add(uint64(st.Edits))
+			e.m.baselineMinimal.Add(uint64(st.MinimalEdits))
+		}
+	}
+	e.slo.Observe(elapsed, ev.Err == nil)
+
+	if e.cfg.SlowDiffThreshold > 0 && ev.Err == nil && st.Wall >= e.cfg.SlowDiffThreshold {
+		e.m.slowDiffs.Add(1)
+		logger := e.cfg.Logger
+		if logger == nil {
+			logger = slog.Default()
+		}
+		logEvent(logger, slog.LevelWarn, "slow diff", ev,
+			slog.Duration("threshold", e.cfg.SlowDiffThreshold))
 	}
 	if e.cfg.Logger != nil {
 		if ev.Err != nil {
-			e.logEvent(slog.LevelError, "diff failed", ev)
-		} else if ev.Stats.Fallback {
-			e.logEvent(slog.LevelWarn, "diff served by fallback", ev)
+			logEvent(e.cfg.Logger, slog.LevelError, "diff failed", ev)
+		} else if st.Fallback {
+			logEvent(e.cfg.Logger, slog.LevelWarn, "diff served by fallback", ev)
 		}
 	}
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(ev)
 	}
-	return pr
+
+	if span != nil {
+		if ev.Label != "" {
+			span.SetAttr("pair", ev.Label)
+		}
+		span.SetAttr("source_nodes", st.SourceSize)
+		span.SetAttr("target_nodes", st.TargetSize)
+		span.SetAttr("edits", st.Edits)
+		if st.Identical {
+			span.SetAttr("identical", true)
+		}
+		if st.Fallback {
+			span.SetAttr("fallback", true)
+		}
+		if ev.Err != nil {
+			span.SetAttr("err", ev.Err.Error())
+		}
+		span.End()
+	}
 }
 
 // logEvent emits one structured record for ev, carrying the pair label,
 // trace correlation IDs, and the diff's headline numbers.
-func (e *Engine) logEvent(level slog.Level, msg string, ev DiffEvent, extra ...slog.Attr) {
+func logEvent(logger *slog.Logger, level slog.Level, msg string, ev DiffEvent, extra ...slog.Attr) {
 	attrs := make([]slog.Attr, 0, 8+len(extra))
 	if ev.Label != "" {
 		attrs = append(attrs, slog.String("pair", ev.Label))
@@ -815,12 +767,5 @@ func (e *Engine) logEvent(level slog.Level, msg string, ev DiffEvent, extra ...s
 		attrs = append(attrs, slog.String("err", ev.Err.Error()))
 	}
 	attrs = append(attrs, extra...)
-	e.cfg.Logger.LogAttrs(context.Background(), level, msg, attrs...)
-}
-
-func labelOr(s, fallback string) string {
-	if s == "" {
-		return fallback
-	}
-	return s
+	logger.LogAttrs(context.Background(), level, msg, attrs...)
 }

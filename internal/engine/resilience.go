@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/derrors"
 	"repro/internal/truechange"
@@ -59,34 +58,25 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return derrors.ErrDiffPanic }
 
-// checkpoint builds the cooperative-cancellation hook for one diff, or nil
-// when nothing could interrupt it (no cancellable context, no per-diff
-// timeout, no fault injector) so the differ keeps its unchecked fast path.
-// The deadline is fixed when the diff starts: DiffTimeout bounds each diff
-// individually, not the batch.
+// checkpoint builds the cooperative-cancellation hook for one diff:
+// truediff.CtxCheckpoint over ctx and Config.DiffTimeout, wrapped to hit
+// FaultSiteCheckpoint first when a fault injector is armed. It is nil when
+// nothing could interrupt the diff, so the differ keeps its unchecked fast
+// path.
 func (e *Engine) checkpoint(ctx context.Context) truediff.Checkpoint {
-	done := ctx.Done()
+	cp := truediff.CtxCheckpoint(ctx, e.cfg.DiffTimeout)
 	inj := e.cfg.Faults
-	var deadline time.Time
-	if e.cfg.DiffTimeout > 0 {
-		deadline = time.Now().Add(e.cfg.DiffTimeout)
-	}
-	if done == nil && deadline.IsZero() && inj == nil {
-		return nil
+	if inj == nil {
+		return cp
 	}
 	return func() error {
 		if err := inj.Hit(FaultSiteCheckpoint); err != nil {
 			return err
 		}
-		select {
-		case <-done: // never ready when done is nil
-			return context.Cause(ctx)
-		default:
+		if cp == nil {
+			return nil
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fmt.Errorf("engine: %w (limit %v)", derrors.ErrDiffTimeout, e.cfg.DiffTimeout)
-		}
-		return nil
+		return cp()
 	}
 }
 
@@ -105,7 +95,7 @@ func (e *Engine) runDiff(ctx context.Context, p Pair, alloc *uri.Allocator, s *t
 	if ferr := e.cfg.Faults.Hit(FaultSiteDiff); ferr != nil {
 		return nil, fmt.Errorf("engine: %w", ferr)
 	}
-	return e.differ.DiffScratchProfiled(ctx, p.Source, p.Target, alloc, s, e.checkpoint(ctx))
+	return e.differ.DiffScratch(ctx, p.Source, p.Target, alloc, s, e.checkpoint(ctx))
 }
 
 // classify counts a failed diff into the failure-mode counters. It runs

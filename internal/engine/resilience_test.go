@@ -75,10 +75,10 @@ func TestDiffTimeout(t *testing.T) {
 		Site: FaultSiteCheckpoint, Kind: faultinject.Delay, Delay: 20 * time.Millisecond, Times: 1,
 	})
 	e := New(exp.Schema(), Config{
-		Workers:         1,
-		DiffTimeout:     time.Millisecond,
-		CheckpointEvery: 1,
-		Faults:          inj,
+		Workers:     1,
+		DiffTimeout: time.Millisecond,
+		Diff:        truediff.Options{CheckpointEvery: 1},
+		Faults:      inj,
 	})
 	_, err := e.Diff(context.Background(), tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
 	if !errors.Is(err, derrors.ErrDiffTimeout) {
@@ -100,11 +100,11 @@ func TestFallbackRootReplace(t *testing.T) {
 		faultinject.Fault{Site: FaultSiteCheckpoint, Kind: faultinject.Delay, Delay: 20 * time.Millisecond, After: 2, Times: 1},
 	)
 	e := New(exp.Schema(), Config{
-		Workers:         1,
-		Fallback:        FallbackRootReplace,
-		DiffTimeout:     5 * time.Millisecond,
-		CheckpointEvery: 1,
-		Faults:          inj,
+		Workers:     1,
+		Fallback:    FallbackRootReplace,
+		DiffTimeout: 5 * time.Millisecond,
+		Diff:        truediff.Options{CheckpointEvery: 1},
+		Faults:      inj,
 	})
 	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
 	if err != nil {
@@ -153,7 +153,7 @@ func TestFallbackRootReplace(t *testing.T) {
 func TestFallbackDoesNotRescueCancellation(t *testing.T) {
 	tps := makePairs(t, 1)
 	e := New(exp.Schema(), Config{
-		Workers: 1, Fallback: FallbackRootReplace, CheckpointEvery: 1,
+		Workers: 1, Fallback: FallbackRootReplace, Diff: truediff.Options{CheckpointEvery: 1},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -186,7 +186,7 @@ func TestInjectedErrorFailsPairWithoutFallback(t *testing.T) {
 // Err, never both, never neither (no zero-value PairResult slips through).
 func TestMidBatchCancellationAccounting(t *testing.T) {
 	tps := makePairs(t, 64)
-	e := New(exp.Schema(), Config{Workers: 2, CheckpointEvery: 16})
+	e := New(exp.Schema(), Config{Workers: 2, Diff: truediff.Options{CheckpointEvery: 16}})
 	ctx, cancel := context.WithCancel(context.Background())
 
 	var once sync.Once
@@ -247,10 +247,10 @@ func TestNilContextNormalized(t *testing.T) {
 func TestResilientBatchMatchesSequential(t *testing.T) {
 	tps := makePairs(t, 12)
 	e := New(exp.Schema(), Config{
-		Workers:         4,
-		DiffTimeout:     time.Minute,
-		CheckpointEvery: 8,
-		Fallback:        FallbackRootReplace,
+		Workers:     4,
+		DiffTimeout: time.Minute,
+		Diff:        truediff.Options{CheckpointEvery: 8},
+		Fallback:    FallbackRootReplace,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

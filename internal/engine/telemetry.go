@@ -4,11 +4,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DiffEvent is the per-diff notification delivered to Config.Observer and
-// Config.SlowDiffLog: the pair's label, the trace context the diff ran
-// under (the engine.diff span when tracing is on, else the pair's own),
-// its full DiffStats (wall time, per-phase breakdown, sizes, edit count,
-// intern flags), and the error of a failed diff.
+// DiffEvent is the record of one engine diff, built once per diff and read
+// by all of its accounting: metrics, the SLO window, spans, logs, and
+// Config.Observer. It carries the pair's label, the trace context the diff
+// ran under (the engine.diff span when tracing is on, else the pair's
+// own), its full DiffStats (wall time, per-phase breakdown, sizes, edit
+// count, intern flags), and the error of a failed diff.
 type DiffEvent struct {
 	Label string
 	Trace telemetry.SpanContext

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -195,21 +197,21 @@ func TestObserverSeesEveryDiff(t *testing.T) {
 }
 
 // TestSlowDiffLogging: with a 1ns threshold every real diff is slow — the
-// custom sink sees them all and SlowDiffs counts them — while an identical
-// short-circuited pair (wall 0) is never slow.
+// logger receives one "slow diff" record each and SlowDiffs counts them —
+// while an identical short-circuited pair (wall 0) is never slow.
 func TestSlowDiffLogging(t *testing.T) {
 	tps := makePairs(t, 6)
-	var slow eventLog
+	var buf bytes.Buffer
 	e := New(exp.Schema(), Config{
 		Workers:           2,
 		SlowDiffThreshold: time.Nanosecond,
-		SlowDiffLog:       slow.add,
+		Logger:            slog.New(slog.NewTextHandler(&buf, nil)),
 	})
 	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
 		t.Fatalf("DiffBatch: %v", err)
 	}
-	if got := len(slow.all()); got != len(tps) {
-		t.Fatalf("slow log saw %d events, want %d", got, len(tps))
+	if got := strings.Count(buf.String(), `msg="slow diff"`); got != len(tps) {
+		t.Fatalf("logger saw %d slow-diff records, want %d:\n%s", got, len(tps), buf.String())
 	}
 	if s := e.Snapshot(); s.SlowDiffs != uint64(len(tps)) {
 		t.Fatalf("SlowDiffs = %d, want %d", s.SlowDiffs, len(tps))

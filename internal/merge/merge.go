@@ -225,11 +225,12 @@ func Trees(ctx context.Context, sch *sig.Schema, base, ours, theirs *tree.Node, 
 		}
 	}
 	d := truediff.NewWithOptions(sch, opt.Diff)
-	ra, err := d.DiffCtx(ctx, base, ours, alloc)
+	cp := truediff.CtxCheckpoint(ctx, 0)
+	ra, err := d.DiffScratch(ctx, base, ours, alloc, truediff.NewScratch(), cp)
 	if err != nil {
 		return nil, fmt.Errorf("merge: diff base→ours: %w", err)
 	}
-	rb, err := d.DiffCtx(ctx, base, theirs, alloc)
+	rb, err := d.DiffScratch(ctx, base, theirs, alloc, truediff.NewScratch(), cp)
 	if err != nil {
 		return nil, fmt.Errorf("merge: diff base→theirs: %w", err)
 	}

@@ -15,7 +15,7 @@ import (
 // request across processes — structdiff.ServiceClient injects the header,
 // diffserve extracts and continues the trace, and spans nest through the
 // coalescing batcher, the engine worker, and the four truediff phases (the
-// phase spans are synthesized from the existing Tracer contract, see
+// phase spans are synthesized from the Tracer contract, see
 // PhaseSpans) — so client-observed latency decomposes into queue wait,
 // batch window, worker execution, and phase times.
 //
@@ -297,9 +297,7 @@ func (r *SpanRecorder) Reset() {
 // PhaseSpans adapts the Tracer contract into phase spans: every Phase
 // event becomes one completed span named "truediff.<phase>" under parent,
 // back-dated by the reported duration so consecutive phases tile the
-// parent span. BeginDiff and EndDiff are ignored (the engine's own
-// "engine.diff" span already brackets the diff). The returned Tracer is
-// concurrency-safe if the sink is.
+// parent span. The returned Tracer is concurrency-safe if the sink is.
 func PhaseSpans(sink SpanSink, parent SpanContext) Tracer {
 	return phaseSpanTracer{sink: sink, parent: parent}
 }
@@ -309,53 +307,10 @@ type phaseSpanTracer struct {
 	parent SpanContext
 }
 
-func (t phaseSpanTracer) BeginDiff(sourceNodes, targetNodes int) {}
-
 func (t phaseSpanTracer) Phase(p Phase, d time.Duration) {
 	now := time.Now()
 	s := StartSpanAt(t.sink, t.parent, "truediff."+p.String(), now.Add(-d))
 	s.EndAt(now)
-}
-
-func (t phaseSpanTracer) EndDiff(edits int, wall time.Duration) {}
-
-// MultiTracer fans every event out to each tracer, in order. Nil tracers
-// are skipped; with fewer than two non-nil tracers the survivor (or nil)
-// is returned unwrapped.
-func MultiTracer(tracers ...Tracer) Tracer {
-	kept := tracers[:0:0]
-	for _, tr := range tracers {
-		if tr != nil {
-			kept = append(kept, tr)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return multiTracer(kept)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) BeginDiff(sourceNodes, targetNodes int) {
-	for _, tr := range m {
-		tr.BeginDiff(sourceNodes, targetNodes)
-	}
-}
-
-func (m multiTracer) Phase(p Phase, d time.Duration) {
-	for _, tr := range m {
-		tr.Phase(p, d)
-	}
-}
-
-func (m multiTracer) EndDiff(edits int, wall time.Duration) {
-	for _, tr := range m {
-		tr.EndDiff(edits, wall)
-	}
 }
 
 // --- context propagation ---
@@ -367,10 +322,10 @@ const (
 	spanCtxKey
 )
 
-// ContextWithTracer attaches a per-diff Tracer to ctx. The differ merges
-// it with its configured Options.Tracer, which is how request-scoped phase
-// spans reach a differ shared by every request (the engine attaches a
-// PhaseSpans tracer per pair).
+// ContextWithTracer attaches a per-diff Tracer to ctx: a diff run under
+// ctx reports its phases to tr. It is the only route phase events leave a
+// diff by, which is how request-scoped phase spans reach a differ shared
+// by every request (the engine attaches a PhaseSpans tracer per pair).
 func ContextWithTracer(ctx context.Context, tr Tracer) context.Context {
 	return context.WithValue(ctx, tracerCtxKey, tr)
 }

@@ -148,14 +148,12 @@ func TestPhaseSpans(t *testing.T) {
 	rec := NewSpanRecorder()
 	parent := NewSpanContext()
 	tr := PhaseSpans(rec, parent)
-	tr.BeginDiff(10, 12)
 	tr.Phase(PhasePrepare, 5*time.Millisecond)
 	tr.Phase(PhaseEmit, 2*time.Millisecond)
-	tr.EndDiff(4, 8*time.Millisecond)
 
 	spans := rec.Spans()
 	if len(spans) != 2 {
-		t.Fatalf("recorded %d spans, want 2 (Begin/EndDiff must not emit)", len(spans))
+		t.Fatalf("recorded %d spans, want 2", len(spans))
 	}
 	if spans[0].Name != "truediff.prepare" || spans[1].Name != "truediff.emit" {
 		t.Fatalf("span names = %q, %q", spans[0].Name, spans[1].Name)
@@ -170,43 +168,6 @@ func TestPhaseSpans(t *testing.T) {
 	}
 }
 
-func TestMultiTracer(t *testing.T) {
-	if MultiTracer() != nil || MultiTracer(nil, nil) != nil {
-		t.Fatal("MultiTracer of nothing should be nil")
-	}
-	var calls []string
-	mk := func(name string) Tracer {
-		return TracerFuncs{
-			OnBegin: func(s, d int) { calls = append(calls, name+".begin") },
-			OnPhase: func(p Phase, d time.Duration) { calls = append(calls, name+".phase") },
-			OnEnd:   func(e int, w time.Duration) { calls = append(calls, name+".end") },
-		}
-	}
-	a := mk("a")
-	if got := MultiTracer(nil, a); got == nil {
-		t.Fatal("single survivor should be returned, got nil")
-	} else {
-		got.BeginDiff(1, 2)
-		if len(calls) != 1 || calls[0] != "a.begin" {
-			t.Fatalf("single survivor must be unwrapped; calls = %v", calls)
-		}
-	}
-	calls = nil
-	m := MultiTracer(a, nil, mk("b"))
-	m.BeginDiff(1, 2)
-	m.Phase(PhaseShares, time.Millisecond)
-	m.EndDiff(0, time.Millisecond)
-	want := []string{"a.begin", "b.begin", "a.phase", "b.phase", "a.end", "b.end"}
-	if len(calls) != len(want) {
-		t.Fatalf("calls = %v, want %v", calls, want)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("calls[%d] = %q, want %q", i, calls[i], want[i])
-		}
-	}
-}
-
 func TestContextPropagation(t *testing.T) {
 	if TracerFromContext(nil) != nil {
 		t.Error("TracerFromContext(nil) != nil")
@@ -218,7 +179,7 @@ func TestContextPropagation(t *testing.T) {
 	if TracerFromContext(ctx) != nil || SpanContextFromContext(ctx).Valid() {
 		t.Error("empty context carries trace state")
 	}
-	tr := TracerFuncs{}
+	tr := PhaseSpans(NewSpanRecorder(), NewSpanContext())
 	sc := NewSpanContext()
 	ctx = ContextWithTracer(ctx, tr)
 	ctx = ContextWithSpanContext(ctx, sc)

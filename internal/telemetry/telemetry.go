@@ -1,19 +1,19 @@
 // Package telemetry is the observability layer of the diff stack: lock-free
-// log-bucketed histograms, a Tracer interface carrying span events for the
-// four truediff phases, a Prometheus/expvar/pprof HTTP exposition handler,
+// log-bucketed histograms, a Tracer interface carrying the four truediff
+// phases of a diff, a Prometheus/expvar/pprof HTTP exposition handler,
 // and a JSONL trace sink for offline analysis.
 //
 // The package depends on the standard library only and is deliberately
 // allocation-light on the hot path: recording a value into a Histogram is
-// three atomic adds, and a nil Tracer costs a handful of monotonic clock
-// reads per diff. Everything heavier (text exposition, JSON encoding,
+// three atomic adds, and a diff without a Tracer costs a handful of
+// monotonic clock reads. Everything heavier (text exposition, JSON encoding,
 // quantile estimation) happens on the reading side.
 //
 // The layering is strict: telemetry knows nothing about trees, schemas, or
-// engines. internal/truediff reports phase durations through the Tracer and
-// scratch-local PhaseTimes; internal/engine merges those into engine-level
-// histograms and exposes everything through the Gatherer interface that
-// Handler serves.
+// engines. internal/truediff reports phase durations through the Tracer its
+// context carries and scratch-local PhaseTimes; internal/engine merges those
+// into engine-level histograms and exposes everything through the Gatherer
+// interface that Handler serves.
 package telemetry
 
 import "time"
@@ -69,47 +69,16 @@ func (t PhaseTimes) Total() time.Duration {
 	return sum
 }
 
-// Tracer receives span events for every diff. For each diff the sequence
-// is: BeginDiff, then Phase exactly once per phase in Phase order, then
-// EndDiff. A diff that fails validation emits no events at all.
+// Tracer receives the phase events of every diff whose context carries it
+// (ContextWithTracer): one Phase call per phase, in Phase order, once the
+// diff has passed validation. A diff that fails validation emits no events;
+// a diff aborted by its cancellation checkpoint emits the phases that
+// completed.
 //
 // Implementations must be cheap: the differ calls them synchronously on
-// the hot path. When one Tracer observes diffs from several goroutines
-// (the engine with Workers > 1) it must also be concurrency-safe, and
-// events of different diffs interleave; per-diff ordering still holds
-// within each goroutine.
+// the hot path. A Tracer shared by several goroutines must be
+// concurrency-safe.
 type Tracer interface {
-	// BeginDiff opens a diff span; the arguments are the input tree sizes.
-	BeginDiff(sourceNodes, targetNodes int)
 	// Phase reports one completed phase and its duration.
 	Phase(p Phase, d time.Duration)
-	// EndDiff closes the span with the script's compound edit count and
-	// the diff's total wall time.
-	EndDiff(edits int, wall time.Duration)
-}
-
-// TracerFuncs adapts up to three functions into a Tracer; nil fields are
-// skipped. The zero value is a valid no-op Tracer.
-type TracerFuncs struct {
-	OnBegin func(sourceNodes, targetNodes int)
-	OnPhase func(p Phase, d time.Duration)
-	OnEnd   func(edits int, wall time.Duration)
-}
-
-func (t TracerFuncs) BeginDiff(sourceNodes, targetNodes int) {
-	if t.OnBegin != nil {
-		t.OnBegin(sourceNodes, targetNodes)
-	}
-}
-
-func (t TracerFuncs) Phase(p Phase, d time.Duration) {
-	if t.OnPhase != nil {
-		t.OnPhase(p, d)
-	}
-}
-
-func (t TracerFuncs) EndDiff(edits int, wall time.Duration) {
-	if t.OnEnd != nil {
-		t.OnEnd(edits, wall)
-	}
 }

@@ -110,6 +110,27 @@ func TestSExprDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestSExprDepthBound: the decoder accepts a tree nested exactly
+// MaxSExprDepth levels deep and rejects one a level deeper, which would
+// otherwise recurse until the stack overflows.
+func TestSExprDepthBound(t *testing.T) {
+	sch := testSchema()
+	chain := func(depth int) string {
+		return strings.Repeat("(Add ", depth-1) + "(Num 0)" + strings.Repeat(" (Num 0))", depth-1)
+	}
+	n, err := DecodeSExpr(chain(MaxSExprDepth), sch, uri.NewAllocator())
+	if err != nil {
+		t.Fatalf("decode at the bound: %v", err)
+	}
+	if got := n.Height() + 1; got != MaxSExprDepth { // a leaf has height 0
+		t.Fatalf("decoded %d levels, want %d", got, MaxSExprDepth)
+	}
+	_, err = DecodeSExpr(chain(MaxSExprDepth+1), sch, uri.NewAllocator())
+	if err == nil || !strings.Contains(err.Error(), "deeper than") {
+		t.Fatalf("decode past the bound = %v, want a depth error", err)
+	}
+}
+
 func TestEncodeDOT(t *testing.T) {
 	sch := testSchema()
 	alloc := uri.NewAllocator()

@@ -55,39 +55,19 @@ type Options struct {
 	// instead of replacing the node. The paper's traversal requires tag
 	// and literals to coincide; this is an ablation.
 	UpdateOnLitMismatch bool
-	// Tracer, when non-nil, receives span events for every diff: BeginDiff,
-	// one Phase event per truediff step in order, EndDiff. Phase durations
-	// are recorded into the Scratch regardless (see Scratch.PhaseTimes), so
-	// a nil Tracer costs only the monotonic clock reads. A Tracer shared by
-	// concurrent goroutines (the engine with Workers > 1) must be
-	// concurrency-safe. A diff aborted by a Checkpoint leaves its span
-	// unterminated: BeginDiff and the phases that completed are emitted,
-	// EndDiff is not.
-	Tracer telemetry.Tracer
-	// CheckpointEvery is the number of nodes a checked diff (see
-	// DiffScratchChecked) processes between polls of its Checkpoint. Zero
-	// or negative selects DefaultCheckpointEvery. Smaller values abort
-	// pathological diffs sooner at the cost of more polls.
+	// CheckpointEvery is the number of nodes a diff with a Checkpoint (see
+	// DiffScratch) processes between polls of it. Zero or negative selects
+	// DefaultCheckpointEvery. Smaller values abort pathological diffs
+	// sooner at the cost of more polls.
 	CheckpointEvery int
-	// Explain, when non-nil, receives a structured Explanation of every
-	// diff: one provenance record per emitted edit (index-aligned with the
-	// script) describing which equivalence class matched, whether the
-	// preferred (exact) or structural candidate won, at which height, how
-	// many candidates were considered, and why losing subtrees were loaded
-	// or unloaded instead of reused. Like Tracer, a nil Explain keeps the
-	// hot path untouched (one pointer check per diff and per edit); a sink
-	// shared by concurrent goroutines must be concurrency-safe. A
-	// per-invocation sink can be carried by the context instead, see
-	// ContextWithExplain.
-	Explain ExplainSink
 	// ProfileLabels turns on profiler-visible phase attribution: each diff
 	// becomes a runtime/trace task ("truediff.diff") and each of the four
 	// phases runs under a pprof label (phase=prepare|shares|select|emit)
 	// and a runtime/trace region ("truediff/<phase>"), so CPU profiles and
 	// execution traces decompose by phase. Costs two pprof.Do calls plus a
 	// trace task per diff; off (zero value) the hot path is untouched. Use
-	// DiffScratchProfiled (or the engine, which forwards its batch context)
-	// to supply the context the labels propagate from.
+	// DiffScratch (or the engine, which forwards its batch context) to
+	// supply the context the labels propagate from.
 	ProfileLabels bool
 }
 
@@ -104,26 +84,40 @@ const DefaultCheckpointEvery = 1024
 // poll, a deadline comparison).
 type Checkpoint func() error
 
-// CtxCheckpoint adapts a context into a Checkpoint that aborts the diff
-// once the context is done, reporting the cancellation cause. A nil or
-// never-cancellable context (Done() == nil, e.g. context.Background())
-// yields a nil Checkpoint, keeping the unchecked fast path.
-func CtxCheckpoint(ctx context.Context) Checkpoint {
-	if ctx == nil || ctx.Done() == nil {
+// CtxCheckpoint builds the cancellation hook of one diff: it aborts the
+// diff once ctx is done, reporting the cancellation cause, or once timeout
+// (when positive) has passed since the call, with an error matching
+// derrors.ErrDiffTimeout. The deadline is fixed here, so call it when the
+// diff starts. It returns nil when nothing can interrupt the diff (a nil or
+// never-cancellable ctx, such as context.Background(), and no timeout),
+// which keeps the unchecked fast path.
+func CtxCheckpoint(ctx context.Context, timeout time.Duration) Checkpoint {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	if done == nil && deadline.IsZero() {
 		return nil
 	}
 	return func() error {
 		select {
-		case <-ctx.Done():
+		case <-done: // never ready when done is nil
 			return context.Cause(ctx)
 		default:
-			return nil
 		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return fmt.Errorf("%w (limit %v)", derrors.ErrDiffTimeout, timeout)
+		}
+		return nil
 	}
 }
 
 // diffAbort carries a Checkpoint error up the diffing recursion; it is the
-// only panic value DiffScratchChecked recovers, everything else propagates.
+// only panic value DiffScratch recovers, everything else propagates.
 type diffAbort struct{ err error }
 
 // Differ computes truechange edit scripts between trees of one schema.
@@ -207,43 +201,27 @@ func (s *Scratch) Reset() {
 // The source and target trees must be distinct structures: no *tree.Node
 // may occur in both. Diff does not mutate either tree.
 func (d *Differ) Diff(source, target *tree.Node, alloc *uri.Allocator) (*Result, error) {
-	return d.DiffScratchChecked(source, target, alloc, NewScratch(), nil)
-}
-
-// DiffCtx is Diff with cooperative cancellation: the diff polls the
-// context every Options.CheckpointEvery nodes and aborts mid-phase once it
-// is done, returning the cancellation cause. With a never-cancellable
-// context this is exactly Diff.
-func (d *Differ) DiffCtx(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator) (*Result, error) {
-	return d.DiffScratchProfiled(ctx, source, target, alloc, NewScratch(), CtxCheckpoint(ctx))
+	return d.DiffScratch(context.Background(), source, target, alloc, NewScratch(), nil)
 }
 
 // DiffScratch is Diff drawing its working state from s, which the caller
-// may recycle across any number of diffs (the scratch is reset on entry).
-// s must not be used by two goroutines at once.
-func (d *Differ) DiffScratch(source, target *tree.Node, alloc *uri.Allocator, s *Scratch) (*Result, error) {
-	return d.DiffScratchChecked(source, target, alloc, s, nil)
-}
-
-// DiffScratchChecked is DiffScratch with a cooperative abort hook: cp (when
-// non-nil) is polled every Options.CheckpointEvery processed nodes across
-// all four phases — schema validation walks, share assignment, candidate
-// selection, and edit emission — and its error, if any, aborts the diff
-// immediately and is returned wrapped. The scratch is safe to recycle after
-// an abort (it is reset on entry to every run); the partially built script
-// is discarded.
-func (d *Differ) DiffScratchChecked(source, target *tree.Node, alloc *uri.Allocator, s *Scratch, cp Checkpoint) (*Result, error) {
-	return d.DiffScratchProfiled(context.Background(), source, target, alloc, s, cp)
-}
-
-// DiffScratchProfiled is DiffScratchChecked carrying the context that
-// profiler labels and trace regions propagate from when
-// Options.ProfileLabels is set: the diff becomes a runtime/trace task and
-// each phase runs under pprof.Do with a phase label, nested inside any
-// labels already on ctx (the engine adds pair and worker). With
-// ProfileLabels unset, ctx is ignored and this is exactly
-// DiffScratchChecked. A nil ctx is treated as context.Background().
-func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator, s *Scratch, cp Checkpoint) (res *Result, err error) {
+// may recycle across any number of diffs (the scratch is reset on entry,
+// also after an abort). s must not be used by two goroutines at once.
+//
+// ctx carries the diff's per-diff hooks: a telemetry.Tracer attached with
+// telemetry.ContextWithTracer receives the four phases, an ExplainSink
+// attached with ContextWithExplain receives the Explanation, and with
+// Options.ProfileLabels the diff's profiler labels nest inside any labels
+// ctx already carries (the engine adds pair and worker). A nil ctx is
+// treated as context.Background(). ctx is not polled for cancellation;
+// cp is.
+//
+// cp, when non-nil, is polled every Options.CheckpointEvery processed
+// nodes across all four phases — schema validation walks, share
+// assignment, candidate selection, and edit emission — and its error, if
+// any, aborts the diff immediately and is returned wrapped; the partially
+// built script is discarded. CtxCheckpoint builds one from ctx.
+func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator, s *Scratch, cp Checkpoint) (res *Result, err error) {
 	if source == nil || target == nil {
 		return nil, fmt.Errorf("truediff: %w", derrors.ErrNilTree)
 	}
@@ -253,8 +231,8 @@ func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.N
 		every = DefaultCheckpointEvery
 	}
 	r := &run{sch: d.sch, opts: d.opts, s: s, cp: cp, cpEvery: every, cpLeft: every}
-	ctxSink := ExplainFromContext(ctx)
-	if d.opts.Explain != nil || ctxSink != nil {
+	sink := ExplainFromContext(ctx)
+	if sink != nil {
 		r.explain = newExplainState()
 	}
 	defer func() {
@@ -290,17 +268,9 @@ func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.N
 		return nil, prepErr
 	}
 	r.alloc = alloc
-	// A diff that passed validation emits the full span: BeginDiff, one
-	// Phase per step in order, EndDiff. Failed validation emits nothing.
-	// A request-scoped tracer carried by ctx (the engine attaches one per
-	// pair to synthesize phase spans) merges with the configured tracer.
-	tr := d.opts.Tracer
-	if ct := telemetry.TracerFromContext(ctx); ct != nil {
-		tr = telemetry.MultiTracer(tr, ct)
-	}
-	if tr != nil {
-		tr.BeginDiff(source.Size(), target.Size())
-	}
+	// A diff that passed validation reports one Phase per step in order;
+	// failed validation reports nothing.
+	tr := telemetry.TracerFromContext(ctx)
 	var mark time.Time
 	s.phase(tr, telemetry.PhasePrepare, began, &mark)
 	inPhase(telemetry.PhaseShares, func() { r.assignShares(source, target) }) // step 2
@@ -312,20 +282,10 @@ func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.N
 		patched = r.computeEdits(source, target, truechange.RootRef, sig.RootLink)
 	})
 	s.phase(tr, telemetry.PhaseEmit, mark, &mark)
-	res = &Result{Script: s.buf.Script(), Patched: patched}
-	if tr != nil {
-		tr.EndDiff(res.Script.EditCount(), mark.Sub(began))
+	if sink != nil {
+		sink.ExplainDiff(r.explain.finish(source, target))
 	}
-	if r.explain != nil {
-		ex := r.explain.finish(source, target)
-		if d.opts.Explain != nil {
-			d.opts.Explain.ExplainDiff(ex)
-		}
-		if ctxSink != nil {
-			ctxSink.ExplainDiff(ex)
-		}
-	}
-	return res, nil
+	return &Result{Script: s.buf.Script(), Patched: patched}, nil
 }
 
 // phase closes one phase span: it records the duration since start into
@@ -409,7 +369,7 @@ type run struct {
 
 // tick counts one processed node and, every cpEvery nodes of a checked
 // run, polls the checkpoint. A checkpoint error unwinds the diffing
-// recursion via diffAbort, which DiffScratchChecked recovers and returns.
+// recursion via diffAbort, which DiffScratch recovers and returns.
 func (r *run) tick() {
 	if r.cp == nil {
 		return

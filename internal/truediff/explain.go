@@ -44,9 +44,6 @@ const (
 	// ReasonLitUpdate: an Update reconciling the literals of a reused
 	// (structurally equivalent) subtree with the target's literals.
 	ReasonLitUpdate Reason = "literal-update"
-	// ReasonRootReplace: part of a degradation script (RootReplace) that
-	// rebuilds the whole tree without reuse.
-	ReasonRootReplace Reason = "root-replace"
 )
 
 // EditProvenance records why one edit of a script was emitted and which
@@ -125,11 +122,10 @@ type Explanation struct {
 	Edits []EditProvenance `json:"edits"`
 }
 
-// ExplainSink receives the Explanation of every diff run by a Differ whose
-// Options.Explain is set (or whose context carries a sink, see
-// ContextWithExplain). Like a Tracer, a sink shared by concurrent
-// goroutines must be concurrency-safe; a nil sink costs one pointer check
-// per diff and one per emitted edit.
+// ExplainSink receives the Explanation of every diff whose context carries
+// it (see ContextWithExplain). Like a Tracer, a sink shared by concurrent
+// goroutines must be concurrency-safe; a diff without a sink pays one
+// pointer check per diff and one per emitted edit.
 type ExplainSink interface {
 	ExplainDiff(*Explanation)
 }
@@ -148,8 +144,8 @@ func (c *ExplainCollector) ExplainDiff(e *Explanation) { c.Last = e }
 type explainCtxKey struct{}
 
 // ContextWithExplain returns a context carrying sink; a diff run with that
-// context (DiffScratchProfiled, DiffCtx, or the engine's per-pair context)
-// delivers its Explanation to the sink in addition to Options.Explain.
+// context (DiffScratch, or the engine's per-pair context) delivers its
+// Explanation to the sink. It is the only route provenance leaves a diff by.
 func ContextWithExplain(ctx context.Context, sink ExplainSink) context.Context {
 	return context.WithValue(ctx, explainCtxKey{}, sink)
 }
@@ -207,9 +203,6 @@ type explainState struct {
 	provNeg []EditProvenance
 	provPos []EditProvenance
 	revoked int
-	// forced, when non-empty, overrides every recorded reason — used by
-	// RootReplace, whose script performs no candidate selection at all.
-	forced Reason
 }
 
 func newExplainState() *explainState {
@@ -263,10 +256,6 @@ func (x *explainState) revoke(dst *tree.Node) {
 func (x *explainState) record(e truechange.Edit, p EditProvenance) {
 	p.Op = opName(e)
 	p.Node = editNode(e).String()
-	if x.forced != "" {
-		p.Reason = x.forced
-		p.Detail = "degradation script rebuilds the tree without reuse"
-	}
 	if e.Negative() {
 		x.provNeg = append(x.provNeg, p)
 	} else {

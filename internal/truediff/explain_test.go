@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/tree"
 	"repro/internal/truechange"
 	"repro/internal/uri"
 )
@@ -37,6 +38,12 @@ func checkAligned(t *testing.T, ex *Explanation, script *truechange.Script) {
 	}
 }
 
+// diffExplained runs d over the pair with col on the context, the route
+// provenance leaves a diff by.
+func diffExplained(d *Differ, src, dst *tree.Node, alloc *uri.Allocator, col *ExplainCollector) (*Result, error) {
+	return d.DiffScratch(ContextWithExplain(context.Background(), col), src, dst, alloc, NewScratch(), nil)
+}
+
 func TestExplainAlignsWithScript(t *testing.T) {
 	for _, opts := range []Options{
 		{},
@@ -51,9 +58,8 @@ func TestExplainAlignsWithScript(t *testing.T) {
 				src := g.Tree(80)
 				dst := g.MutateN(src, 5)
 				col := &ExplainCollector{}
-				opts.Explain = col
 				d := NewWithOptions(g.Schema(), opts)
-				res, err := d.Diff(src, dst, g.Alloc())
+				res, err := diffExplained(d, src, dst, g.Alloc(), col)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,8 +79,7 @@ func TestExplainPaperIntroExample(t *testing.T) {
 		b.MustN(exp.Mul, b.MustN(exp.Var, "c"), b.MustN(exp.Sub, b.MustN(exp.Var, "a"), b.MustN(exp.Var, "b"))))
 
 	col := &ExplainCollector{}
-	d := NewWithOptions(b.Schema(), Options{Explain: col})
-	res, err := d.Diff(src, dst, b.Alloc())
+	res, err := diffExplained(New(b.Schema()), src, dst, b.Alloc(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,31 +123,13 @@ func TestExplainDoesNotPerturbScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := &ExplainCollector{}
-	explained := NewWithOptions(g.Schema(), Options{Explain: col})
-	resExpl, err := explained.Diff(src, dst, mkAlloc())
+	resExpl, err := diffExplained(plain, src, dst, mkAlloc(), &ExplainCollector{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resPlain.Script.String() != resExpl.Script.String() {
 		t.Fatal("enabling Explain changed the emitted script")
 	}
-}
-
-func TestExplainContextSink(t *testing.T) {
-	g := exp.NewGen(5)
-	src := g.Tree(40)
-	dst := g.MutateN(src, 3)
-	opt := &ExplainCollector{}
-	ctxCol := &ExplainCollector{}
-	d := NewWithOptions(g.Schema(), Options{Explain: opt})
-	ctx := ContextWithExplain(context.Background(), ctxCol)
-	res, err := d.DiffCtx(ctx, src, dst, g.Alloc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAligned(t, opt.Last, res.Script)
-	checkAligned(t, ctxCol.Last, res.Script)
 }
 
 func TestExplainDeterministicAcrossRuns(t *testing.T) {
@@ -158,8 +145,7 @@ func TestExplainDeterministicAcrossRuns(t *testing.T) {
 		alloc := uri.NewAllocator()
 		alloc.Reserve(base)
 		col := &ExplainCollector{}
-		ctx := ContextWithExplain(context.Background(), col)
-		if _, err := d.DiffScratchProfiled(ctx, src, dst, alloc, NewScratch(), nil); err != nil {
+		if _, err := diffExplained(d, src, dst, alloc, col); err != nil {
 			t.Fatal(err)
 		}
 		buf, err := json.Marshal(col.Last)
@@ -174,24 +160,6 @@ func TestExplainDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestRootReplaceExplain(t *testing.T) {
-	g := exp.NewGen(9)
-	src := g.Tree(20)
-	dst := g.Tree(20)
-	col := &ExplainCollector{}
-	d := NewWithOptions(g.Schema(), Options{Explain: col})
-	res, err := d.RootReplace(src, dst, g.Alloc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAligned(t, col.Last, res.Script)
-	for _, p := range col.Last.Edits {
-		if p.Reason != ReasonRootReplace {
-			t.Fatalf("root-replace record has reason %s: %+v", p.Reason, p)
-		}
-	}
-}
-
 func TestExplainUnloadReasons(t *testing.T) {
 	// Replace a subtree wholesale: the discarded nodes must carry a
 	// no-demand or lost-race classification, never an empty reason.
@@ -199,8 +167,7 @@ func TestExplainUnloadReasons(t *testing.T) {
 	src := g.Tree(60)
 	dst := g.MutateN(src, 8)
 	col := &ExplainCollector{}
-	d := NewWithOptions(g.Schema(), Options{Explain: col})
-	res, err := d.Diff(src, dst, g.Alloc())
+	res, err := diffExplained(New(g.Schema()), src, dst, g.Alloc(), col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestProfileLabelsNestOnCallerContext(t *testing.T) {
 
 	d := NewWithOptions(b.Schema(), Options{ProfileLabels: true})
 	pprof.Do(context.Background(), pprof.Labels("pair", "outer"), func(ctx context.Context) {
-		if _, err := d.DiffCtx(ctx, src, dst, b.Alloc()); err != nil {
+		if _, err := d.DiffScratch(ctx, src, dst, b.Alloc(), NewScratch(), nil); err != nil {
 			t.Fatalf("diff: %v", err)
 		}
 	})
@@ -153,7 +153,7 @@ func TestCPUProfileCarriesPhaseLabels(t *testing.T) {
 	// A few hundred milliseconds of diffing yields dozens of samples at
 	// the default 100 Hz rate.
 	for i := 0; i < 20000; i++ {
-		if _, err := d.DiffScratchChecked(src, dst, b.Alloc(), scratch, nil); err != nil {
+		if _, err := d.DiffScratch(context.Background(), src, dst, b.Alloc(), scratch, nil); err != nil {
 			pprof.StopCPUProfile()
 			t.Fatalf("diff: %v", err)
 		}

@@ -29,9 +29,9 @@ func TestCheckpointAbortsMidDiff(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := d.DiffScratchChecked(src, dst, nil, NewScratch(), cp)
+	res, err := d.DiffScratch(context.Background(), src, dst, nil, NewScratch(), cp)
 	if res != nil || err == nil {
-		t.Fatalf("DiffScratchChecked = (%v, %v), want abort", res, err)
+		t.Fatalf("DiffScratch = (%v, %v), want abort", res, err)
 	}
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("abort error %v does not wrap the checkpoint error", err)
@@ -46,7 +46,7 @@ func TestCheckpointNilIsUnchecked(t *testing.T) {
 	src := b.MustN(exp.Add, b.MustN(exp.Num, int64(1)), b.MustN(exp.Num, int64(2)))
 	dst := b.MustN(exp.Add, b.MustN(exp.Num, int64(2)), b.MustN(exp.Num, int64(1)))
 	d := New(exp.Schema())
-	got, err := d.DiffScratchChecked(src, dst, nil, NewScratch(), nil)
+	got, err := d.DiffScratch(context.Background(), src, dst, nil, NewScratch(), nil)
 	if err != nil {
 		t.Fatalf("nil checkpoint diff failed: %v", err)
 	}
@@ -71,12 +71,12 @@ func TestScratchReusableAfterAbort(t *testing.T) {
 	s := NewScratch()
 
 	abort := errors.New("abort")
-	if _, err := d.DiffScratchChecked(src, dst, nil, s, func() error { return abort }); !errors.Is(err, abort) {
+	if _, err := d.DiffScratch(context.Background(), src, dst, nil, s, func() error { return abort }); !errors.Is(err, abort) {
 		t.Fatalf("expected abort, got %v", err)
 	}
 
 	// The same scratch must produce a correct script afterwards.
-	res, err := d.DiffScratch(src, dst, nil, s)
+	res, err := d.DiffScratch(context.Background(), src, dst, nil, s, nil)
 	if err != nil {
 		t.Fatalf("diff after abort: %v", err)
 	}
@@ -105,18 +105,22 @@ func TestDiffCtxCancellation(t *testing.T) {
 	}
 	d := NewWithOptions(exp.Schema(), Options{CheckpointEvery: 1})
 
+	diffCtx := func(ctx context.Context) error {
+		_, err := d.DiffScratch(ctx, src, dst, nil, NewScratch(), CtxCheckpoint(ctx, 0))
+		return err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the first poll must abort
-	if _, err := d.DiffCtx(ctx, src, dst, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DiffCtx on cancelled ctx = %v, want context.Canceled", err)
+	if err := diffCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("diff on cancelled ctx = %v, want context.Canceled", err)
 	}
 
 	// A background context keeps the unchecked fast path and succeeds.
-	if _, err := d.DiffCtx(context.Background(), src, dst, nil); err != nil {
-		t.Fatalf("DiffCtx on background ctx failed: %v", err)
+	if err := diffCtx(context.Background()); err != nil {
+		t.Fatalf("diff on background ctx failed: %v", err)
 	}
-	if cp := CtxCheckpoint(context.Background()); cp != nil {
-		t.Fatal("CtxCheckpoint(Background) should be nil (unchecked fast path)")
+	if cp := CtxCheckpoint(context.Background(), 0); cp != nil {
+		t.Fatal("CtxCheckpoint(Background, 0) should be nil (unchecked fast path)")
 	}
 }
 

@@ -38,22 +38,9 @@ func (d *Differ) RootReplace(source, target *tree.Node, alloc *uri.Allocator) (*
 		return nil, err
 	}
 	r := &run{sch: d.sch, opts: d.opts, s: NewScratch(), alloc: alloc}
-	if d.opts.Explain != nil {
-		r.explain = newExplainState()
-		r.explain.forced = ReasonRootReplace
-	}
-	detach := truechange.Detach{Node: ref(source), Link: sig.RootLink, Parent: truechange.RootRef}
-	r.s.buf.Add(detach)
-	if r.explain != nil {
-		r.explain.record(detach, EditProvenance{})
-	}
+	r.s.buf.Add(truechange.Detach{Node: ref(source), Link: sig.RootLink, Parent: truechange.RootRef})
 	r.unloadUnassigned(source) // empty assignment: unloads every node
 	t := r.loadUnassigned(target)
-	attach := truechange.Attach{Node: ref(t), Link: sig.RootLink, Parent: truechange.RootRef}
-	r.s.buf.Add(attach)
-	if r.explain != nil {
-		r.explain.record(attach, EditProvenance{})
-		d.opts.Explain.ExplainDiff(r.explain.finish(source, target))
-	}
+	r.s.buf.Add(truechange.Attach{Node: ref(t), Link: sig.RootLink, Parent: truechange.RootRef})
 	return &Result{Script: r.s.buf.Script(), Patched: t}, nil
 }

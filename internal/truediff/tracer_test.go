@@ -1,6 +1,7 @@
 package truediff
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -11,40 +12,29 @@ import (
 	"repro/internal/uri"
 )
 
-// traceEvent is one recorded tracer callback.
-type traceEvent struct {
-	kind  string // "begin", "phase", "end"
+// phaseEvent is one recorded tracer callback.
+type phaseEvent struct {
 	phase telemetry.Phase
-	src   int // begin: source size
-	dst   int // begin: target size
-	edits int // end: edit count
 	wall  time.Duration
 }
 
 // recordingTracer appends every callback to events. It is deliberately
 // not concurrency-safe: these tests drive one diff at a time.
 type recordingTracer struct {
-	events []traceEvent
-}
-
-func (r *recordingTracer) BeginDiff(src, dst int) {
-	r.events = append(r.events, traceEvent{kind: "begin", src: src, dst: dst})
+	events []phaseEvent
 }
 
 func (r *recordingTracer) Phase(p telemetry.Phase, d time.Duration) {
-	r.events = append(r.events, traceEvent{kind: "phase", phase: p, wall: d})
+	r.events = append(r.events, phaseEvent{phase: p, wall: d})
 }
 
-func (r *recordingTracer) EndDiff(edits int, wall time.Duration) {
-	r.events = append(r.events, traceEvent{kind: "end", edits: edits, wall: wall})
-}
-
-// TestTracerOrdering pins the tracer event contract: every diff emits
-// BeginDiff, then each of the four phases exactly once in Phase order,
-// then EndDiff — and nothing else.
+// TestTracerOrdering pins the tracer event contract: a diff whose context
+// carries a tracer reports each of the four phases exactly once in Phase
+// order, and nothing else.
 func TestTracerOrdering(t *testing.T) {
 	rec := &recordingTracer{}
-	d := NewWithOptions(exp.Schema(), Options{Tracer: rec})
+	ctx := telemetry.ContextWithTracer(context.Background(), rec)
+	d := New(exp.Schema())
 	s := NewScratch()
 
 	const diffs = 5
@@ -57,41 +47,25 @@ func TestTracerOrdering(t *testing.T) {
 		dst := tree.Clone(after, alloc, tree.SHA256)
 
 		start := len(rec.events)
-		res, err := d.DiffScratch(src, dst, alloc, s)
-		if err != nil {
+		if _, err := d.DiffScratch(ctx, src, dst, alloc, s, nil); err != nil {
 			t.Fatalf("diff %d: %v", i, err)
 		}
 		span := rec.events[start:]
-		if len(span) != 2+telemetry.NumPhases {
-			t.Fatalf("diff %d emitted %d events, want %d: %+v", i, len(span), 2+telemetry.NumPhases, span)
+		if len(span) != telemetry.NumPhases {
+			t.Fatalf("diff %d emitted %d events, want %d: %+v", i, len(span), telemetry.NumPhases, span)
 		}
-		if span[0].kind != "begin" || span[0].src != src.Size() || span[0].dst != dst.Size() {
-			t.Errorf("diff %d: first event = %+v, want begin with sizes %d/%d", i, span[0], src.Size(), dst.Size())
-		}
-		for p := 0; p < telemetry.NumPhases; p++ {
-			ev := span[1+p]
-			if ev.kind != "phase" || ev.phase != telemetry.Phase(p) {
-				t.Errorf("diff %d event %d = %+v, want phase %v", i, 1+p, ev, telemetry.Phase(p))
-			}
-		}
-		last := span[len(span)-1]
-		if last.kind != "end" || last.edits != res.Script.EditCount() {
-			t.Errorf("diff %d: last event = %+v, want end with %d edits", i, last, res.Script.EditCount())
-		}
-
-		// The scratch's phase times must match what the tracer saw and be
-		// bounded by the diff's wall time.
+		// The scratch's phase times must match what the tracer saw.
 		times := s.PhaseTimes()
 		for p := 0; p < telemetry.NumPhases; p++ {
-			if times[p] != span[1+p].wall {
-				t.Errorf("diff %d phase %v: scratch %v != tracer %v", i, telemetry.Phase(p), times[p], span[1+p].wall)
+			if span[p].phase != telemetry.Phase(p) {
+				t.Errorf("diff %d event %d = %+v, want phase %v", i, p, span[p], telemetry.Phase(p))
+			}
+			if times[p] != span[p].wall {
+				t.Errorf("diff %d phase %v: scratch %v != tracer %v", i, telemetry.Phase(p), times[p], span[p].wall)
 			}
 		}
-		if times.Total() > last.wall {
-			t.Errorf("diff %d: phase total %v exceeds wall %v", i, times.Total(), last.wall)
-		}
 	}
-	if want := diffs * (2 + telemetry.NumPhases); len(rec.events) != want {
+	if want := diffs * telemetry.NumPhases; len(rec.events) != want {
 		t.Fatalf("total events = %d, want %d", len(rec.events), want)
 	}
 }
@@ -100,17 +74,16 @@ func TestTracerOrdering(t *testing.T) {
 // runs (nil trees, schema mismatches) emit no tracer events at all.
 func TestTracerSilentOnFailedValidation(t *testing.T) {
 	rec := &recordingTracer{}
+	ctx := telemetry.ContextWithTracer(context.Background(), rec)
 	b := exp.NewBuilder()
 	n := b.MustN(exp.Num, int64(1))
 
 	// Nil tree.
-	d := NewWithOptions(exp.Schema(), Options{Tracer: rec})
-	if _, err := d.Diff(nil, n, b.Alloc()); err == nil {
+	if _, err := New(exp.Schema()).DiffScratch(ctx, nil, n, b.Alloc(), NewScratch(), nil); err == nil {
 		t.Fatal("nil-source diff succeeded")
 	}
 	// Schema mismatch: a differ over an empty schema rejects exp trees.
-	d2 := NewWithOptions(sig.NewSchema("empty"), Options{Tracer: rec})
-	if _, err := d2.Diff(n, n, b.Alloc()); err == nil {
+	if _, err := New(sig.NewSchema("empty")).DiffScratch(ctx, n, n, b.Alloc(), NewScratch(), nil); err == nil {
 		t.Fatal("schema-mismatch diff succeeded")
 	}
 	if len(rec.events) != 0 {
@@ -130,7 +103,7 @@ func TestScratchPhaseTimesReset(t *testing.T) {
 	src := tree.Clone(before, alloc, tree.SHA256)
 	dst := tree.Clone(after, alloc, tree.SHA256)
 
-	if _, err := d.DiffScratch(src, dst, alloc, s); err != nil {
+	if _, err := d.DiffScratch(context.Background(), src, dst, alloc, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.PhaseTimes().Total() == 0 {

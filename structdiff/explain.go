@@ -21,7 +21,7 @@ type (
 	// which height, how many candidates were considered, and why losing
 	// subtrees were loaded or unloaded instead of reused.
 	EditProvenance = truediff.EditProvenance
-	// ExplainSink receives explanations (see DiffOptions.Explain);
+	// ExplainSink receives explanations (see WithExplain);
 	// ExplainCollector is the trivial keep-last sink.
 	ExplainSink      = truediff.ExplainSink
 	ExplainCollector = truediff.ExplainCollector
@@ -89,9 +89,9 @@ func ExplainContext(ctx context.Context, src, dst *Node, opts ...Option) (*Expla
 		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(cfg.spans, span.Context()))
 	}
 	col := &ExplainCollector{}
-	cfg.diff.Explain = col
 	d := truediff.NewWithOptions(cfg.sch, cfg.diff)
-	res, err := d.DiffScratchProfiled(ctx, src, dst, cfg.alloc, truediff.NewScratch(), ctxCheckpoint(ctx, cfg.timeout))
+	res, err := d.DiffScratch(truediff.ContextWithExplain(ctx, col), src, dst, cfg.alloc,
+		truediff.NewScratch(), truediff.CtxCheckpoint(ctx, cfg.timeout))
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,20 +12,10 @@ import (
 	"repro/structdiff/langs/exp"
 )
 
-// countingTracer counts span events; it must be concurrency-safe because
-// the matrix runs engines with Workers > 1.
-type countingTracer struct {
-	begins, phases, ends atomic.Int64
-}
-
-func (c *countingTracer) BeginDiff(sourceNodes, targetNodes int)    { c.begins.Add(1) }
-func (c *countingTracer) Phase(p structdiff.Phase, d time.Duration) { c.phases.Add(1) }
-func (c *countingTracer) EndDiff(edits int, wall time.Duration)     { c.ends.Add(1) }
-
 // TestOptionMatrix exercises the facade's engine options as a full cross
-// product — tracer × fallback × per-diff timeout (including zero and
-// invalid negative values) × fault injection — and checks each cell
-// against the documented outcome:
+// product — tracing (WithSpans, the tracer axis) × fallback × per-diff
+// timeout (including zero and invalid negative values) × fault injection —
+// and checks each cell against the documented outcome:
 //
 //   - no fault: every pair succeeds, whatever the other options;
 //   - an injected Error fault is an ordinary diff failure: never rescued
@@ -36,8 +26,10 @@ func (c *countingTracer) EndDiff(edits int, wall time.Duration)     { c.ends.Add
 //     deadline: then the pair times out (ErrDiffTimeout) under
 //     FallbackNone and is rescued under FallbackRootReplace;
 //   - zero and negative timeouts disable the deadline rather than erroring;
-//   - an armed tracer sees balanced BeginDiff/EndDiff spans on clean runs
-//     and never more ends than begins on failing ones.
+//   - with tracing on, every pair gets one "engine.diff" span, failed
+//     ones included; clean runs add the four phase spans per pair, and no
+//     run adds more (an aborted diff reports only the phases it finished,
+//     a fallback script none).
 func TestOptionMatrix(t *testing.T) {
 	const nPairs = 3
 
@@ -126,10 +118,10 @@ func TestOptionMatrix(t *testing.T) {
 							structdiff.WithDiffTimeout(to.d),
 							structdiff.WithCheckpointEvery(1),
 						}
-						var tr *countingTracer
+						var rec *structdiff.SpanRecorder
 						if trc.name == "tracer=on" {
-							tr = &countingTracer{}
-							opts = append(opts, structdiff.WithTracer(tr))
+							rec = structdiff.NewSpanRecorder()
+							opts = append(opts, structdiff.WithSpans(rec))
 						}
 						if ft.fault != nil {
 							opts = append(opts,
@@ -179,14 +171,24 @@ func TestOptionMatrix(t *testing.T) {
 								}
 							}
 						}
-						if tr != nil {
-							begins, ends := tr.begins.Load(), tr.ends.Load()
-							if want == wantOK && (begins != nPairs || ends != nPairs) {
-								t.Fatalf("tracer saw %d begins / %d ends, want %d/%d",
-									begins, ends, nPairs, nPairs)
+						if rec != nil {
+							diffs, phases := 0, 0
+							for _, sp := range rec.Spans() {
+								switch {
+								case sp.Name == "engine.diff":
+									diffs++
+								case strings.HasPrefix(sp.Name, "truediff."):
+									phases++
+								}
 							}
-							if ends > begins {
-								t.Fatalf("tracer saw more ends (%d) than begins (%d)", ends, begins)
+							if diffs != nPairs {
+								t.Fatalf("recorded %d engine.diff spans, want %d", diffs, nPairs)
+							}
+							if want == wantOK && phases != structdiff.NumPhases*nPairs {
+								t.Fatalf("recorded %d phase spans, want %d", phases, structdiff.NumPhases*nPairs)
+							}
+							if phases > structdiff.NumPhases*nPairs {
+								t.Fatalf("recorded %d phase spans for %d pairs", phases, nPairs)
 							}
 						}
 					})
@@ -207,7 +209,7 @@ func TestOptionsInvalidValues(t *testing.T) {
 		structdiff.WithDiffTimeout(-time.Hour), // negative: disabled
 		structdiff.WithCheckpointEvery(-5),     // negative: default cadence
 		structdiff.WithWorkers(-3),             // negative: GOMAXPROCS
-		structdiff.WithTracer(nil),             // nil tracer: no tracing
+		structdiff.WithSpans(nil),              // nil sink: no tracing
 		structdiff.WithFaultInjection(nil),     // nil injector: no faults
 		structdiff.WithSlowDiffThreshold(-1),   // negative: disabled
 	)

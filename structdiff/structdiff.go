@@ -55,13 +55,11 @@ type config struct {
 	workers  int
 	observer func(DiffEvent)
 	slow     time.Duration
-	slowLog  func(DiffEvent)
 	timeout  time.Duration
 	fallback FallbackMode
 	faults   *faultinject.Injector
 	spans    telemetry.SpanSink
 	logger   *slog.Logger
-	slo      telemetry.SLOConfig
 	merge    merge.Policy
 	explain  bool
 	qbase    int
@@ -106,14 +104,6 @@ func WithHashKind(k HashKind) Option { return func(c *config) { c.hash = k } }
 // one per CPU).
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithTracer attaches a telemetry tracer: every diff emits BeginDiff, one
-// Phase event per truediff step (prepare, shares, select, emit) in order,
-// and EndDiff. It applies to Diff, NewDiffer, and NewEngine; with an
-// engine running Workers > 1 the tracer observes diffs from several
-// goroutines at once, so it must be concurrency-safe. See
-// docs/OBSERVABILITY.md.
-func WithTracer(t Tracer) Option { return func(c *config) { c.diff.Tracer = t } }
-
 // WithObserver registers a per-diff callback on an Engine: after every
 // diff (successful, failed, or short-circuited) the observer receives a
 // DiffEvent with the pair's label, stats (including the per-phase
@@ -123,13 +113,9 @@ func WithObserver(fn func(DiffEvent)) Option { return func(c *config) { c.observ
 
 // WithSlowDiffThreshold enables slow-diff logging on an Engine: completed
 // diffs whose wall time meets or exceeds d are counted (Snapshot.SlowDiffs)
-// and reported — through log, the logger's default destination, unless a
-// custom sink is given via WithSlowDiffLog. Engine entry points only.
+// and logged through log/slog at warn level — to the WithLogger logger, or
+// slog.Default() without one. Engine entry points only.
 func WithSlowDiffThreshold(d time.Duration) Option { return func(c *config) { c.slow = d } }
-
-// WithSlowDiffLog overrides where slow diffs are reported (default: the
-// standard library logger). Only meaningful with WithSlowDiffThreshold.
-func WithSlowDiffLog(fn func(DiffEvent)) Option { return func(c *config) { c.slowLog = fn } }
 
 // WithDiffTimeout bounds each individual diff an Engine runs: a diff still
 // running when its deadline passes aborts at the next cancellation
@@ -176,18 +162,11 @@ func WithProfileLabels() Option { return func(c *config) { c.diff.ProfileLabels 
 func WithSpans(sink SpanSink) Option { return func(c *config) { c.spans = sink } }
 
 // WithLogger routes an Engine's structured diagnostics — slow diffs,
-// failures, fallback rescues — through a log/slog logger instead of the
-// standard library's plain logger. Records carry the pair label, timing,
-// sizes, and trace_id/span_id correlation when tracing is on. Engine
-// entry points only.
+// failures, fallback rescues — through a log/slog logger. Records carry
+// the pair label, timing, sizes, and trace_id/span_id correlation when
+// tracing is on. Without it, failures and fallbacks are not logged and
+// slow diffs go to slog.Default(). Engine entry points only.
 func WithLogger(l *slog.Logger) Option { return func(c *config) { c.logger = l } }
-
-// WithSLO overrides an Engine's rolling-window service-level objectives
-// (window length, latency objective, availability and attainment targets;
-// zero fields take the defaults documented on SLOConfig). The evaluation
-// surfaces in Snapshot.SLO, Snapshot.String(), and the structdiff_slo_*
-// gauges. Engine entry points only.
-func WithSLO(cfg SLOConfig) Option { return func(c *config) { c.slo = cfg } }
 
 // WithFaultInjection arms deterministic fault injection on an Engine: the
 // injector's faults fire at the engine's sites (FaultSiteDiff on every
@@ -229,7 +208,7 @@ func DiffContext(ctx context.Context, src, dst *Node, opts ...Option) (*Result, 
 		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(cfg.spans, span.Context()))
 	}
 	d := truediff.NewWithOptions(cfg.sch, cfg.diff)
-	return d.DiffScratchProfiled(ctx, src, dst, cfg.alloc, truediff.NewScratch(), ctxCheckpoint(ctx, cfg.timeout))
+	return d.DiffScratch(ctx, src, dst, cfg.alloc, truediff.NewScratch(), truediff.CtxCheckpoint(ctx, cfg.timeout))
 }
 
 // WithTraceContext returns a context carrying sc as the parent for spans
@@ -244,33 +223,6 @@ func WithTraceContext(ctx context.Context, sc SpanContext) context.Context {
 // invalid SpanContext when none is set).
 func TraceContextFrom(ctx context.Context) SpanContext {
 	return telemetry.SpanContextFromContext(ctx)
-}
-
-// ctxCheckpoint builds the cooperative-cancellation hook for one facade
-// diff, or nil when nothing could interrupt it (no cancellable context, no
-// per-diff timeout) so the differ keeps its unchecked fast path. Mirrors
-// the engine's per-pair checkpoint: the deadline is fixed when the diff
-// starts and surfaces as ErrDiffTimeout.
-func ctxCheckpoint(ctx context.Context, timeout time.Duration) truediff.Checkpoint {
-	done := ctx.Done()
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if done == nil && deadline.IsZero() {
-		return nil
-	}
-	return func() error {
-		select {
-		case <-done: // never ready when done is nil
-			return context.Cause(ctx)
-		default:
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fmt.Errorf("structdiff: %w (limit %v)", ErrDiffTimeout, timeout)
-		}
-		return nil
-	}
 }
 
 // InitialScript returns a well-typed initializing edit script that builds
@@ -392,13 +344,11 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 		Hash:              cfg.hash,
 		Observer:          cfg.observer,
 		SlowDiffThreshold: cfg.slow,
-		SlowDiffLog:       cfg.slowLog,
 		DiffTimeout:       cfg.timeout,
 		Fallback:          cfg.fallback,
 		Faults:            cfg.faults,
 		Spans:             cfg.spans,
 		Logger:            cfg.logger,
-		SLO:               cfg.slo,
 		Explain:           cfg.explain,
 		QualityBaseline:   cfg.qbase,
 	}), nil

@@ -33,7 +33,7 @@ type (
 	FlightEntry    = telemetry.FlightEntry
 	FlightSnapshot = telemetry.FlightSnapshot
 	// SLO evaluates rolling-window service-level objectives (availability,
-	// latency attainment, burn rates); SLOConfig configures it (WithSLO),
+	// latency attainment, burn rates); SLOConfig configures it (NewSLO),
 	// SLOSnapshot is its point-in-time evaluation (Snapshot.SLO).
 	SLO         = telemetry.SLO
 	SLOConfig   = telemetry.SLOConfig

@@ -1,8 +1,12 @@
 package structdiff_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"testing"
+	"time"
 
 	"repro/structdiff"
 	"repro/structdiff/langs/exp"
@@ -60,15 +64,18 @@ func TestDiffContextNoSpansNoTrace(t *testing.T) {
 	}
 }
 
-// TestEngineFacadeObservability: the facade's WithSpans/WithLogger/WithSLO
-// options reach the engine.
+// TestEngineFacadeObservability: the facade's WithSpans, WithLogger and
+// WithSlowDiffThreshold options reach the engine.
 func TestEngineFacadeObservability(t *testing.T) {
 	g := exp.NewGen(7)
 	before := g.Tree(40)
 	after := g.MutateN(before, 2)
 	rec := structdiff.NewSpanRecorder()
+	var logs bytes.Buffer
 	e, err := structdiff.NewEngine(g.Schema(),
-		structdiff.WithWorkers(1), structdiff.WithSpans(rec))
+		structdiff.WithWorkers(1), structdiff.WithSpans(rec),
+		structdiff.WithLogger(slog.New(slog.NewJSONHandler(&logs, nil))),
+		structdiff.WithSlowDiffThreshold(time.Nanosecond)) // every real diff is slow
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -87,5 +94,19 @@ func TestEngineFacadeObservability(t *testing.T) {
 	}
 	if snap := e.Snapshot(); snap.SLO.Requests != 1 {
 		t.Errorf("SLO window counted %d requests, want 1", snap.SLO.Requests)
+	}
+	var slow []map[string]any
+	dec := json.NewDecoder(&logs)
+	for dec.More() {
+		var r map[string]any
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("log output is not JSON lines: %v", err)
+		}
+		if r["msg"] == "slow diff" {
+			slow = append(slow, r)
+		}
+	}
+	if len(slow) != 1 || slow[0]["pair"] != "facade" {
+		t.Fatalf("slow-diff records = %v, want one for pair \"facade\"", slow)
 	}
 }

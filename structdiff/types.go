@@ -244,8 +244,8 @@ type (
 	// Snapshot is a point-in-time view of an engine's cumulative metrics;
 	// Snapshot.Sub derives per-batch deltas.
 	Snapshot = engine.Snapshot
-	// DiffEvent is the per-diff notification delivered to WithObserver and
-	// WithSlowDiffLog callbacks.
+	// DiffEvent is the per-diff notification delivered to WithObserver
+	// callbacks.
 	DiffEvent = engine.DiffEvent
 	// FallbackMode selects the engine's graceful-degradation policy (see
 	// WithFallback); PanicError is the typed error of a recovered per-diff
@@ -298,10 +298,6 @@ func NewFaultInjector(seed int64, faults ...Fault) *FaultInjector {
 // --- Telemetry (internal/telemetry) -------------------------------------
 
 type (
-	// Tracer receives span events for every diff (see WithTracer);
-	// TracerFuncs adapts plain functions into one.
-	Tracer      = telemetry.Tracer
-	TracerFuncs = telemetry.TracerFuncs
 	// Phase identifies one of the four truediff steps; PhaseTimes holds
 	// one diff's per-phase durations.
 	Phase      = telemetry.Phase
