@@ -451,7 +451,7 @@ func (s *Server) submit(ls *langService, p engine.Pair) (*job, *httpError) {
 // hexRef is the wire name of an interned tree: the hex of its exact
 // (structure+literals) content digest, which is URI-independent, so
 // client- and server-side copies of one tree agree on it.
-func hexRef(n *tree.Node) string { return hex.EncodeToString([]byte(n.ExactHash())) }
+func hexRef(n *tree.Node) string { return hex.EncodeToString(n.AppendExactHash(nil)) }
 
 // resolveTree turns a TreeInput into an engine-interned tree: a Ref is a
 // table lookup (miss → unknown_ref, the client's cue to re-send the

@@ -167,10 +167,10 @@ type histograms struct {
 // pair) is safe.
 type treeStore struct {
 	mu sync.RWMutex
-	m  map[string]*tree.Node
+	m  map[tree.ExactKey]*tree.Node
 }
 
-func (s *treeStore) get(key string) *tree.Node {
+func (s *treeStore) get(key tree.ExactKey) *tree.Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.m[key]
@@ -178,11 +178,11 @@ func (s *treeStore) get(key string) *tree.Node {
 
 // put interns n under key, keeping the first tree stored: a racing duplicate
 // ingest returns the canonical tree so later pointer comparisons hold.
-func (s *treeStore) put(key string, n *tree.Node) *tree.Node {
+func (s *treeStore) put(key tree.ExactKey, n *tree.Node) *tree.Node {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
-		s.m = make(map[string]*tree.Node)
+		s.m = make(map[tree.ExactKey]*tree.Node)
 	}
 	if old := s.m[key]; old != nil {
 		return old

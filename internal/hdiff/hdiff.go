@@ -114,12 +114,12 @@ func DefaultOptions() Options { return Options{MinHeight: 0} }
 
 // Diff computes the patch transforming src into dst.
 func Diff(src, dst *tree.Node, opts Options) *Patch {
-	srcCount := make(map[string]int)
-	dstCount := make(map[string]int)
+	srcCount := make(map[tree.ExactKey]int)
+	dstCount := make(map[tree.ExactKey]int)
 	tree.Walk(src, func(n *tree.Node) { srcCount[n.ExactHash()]++ })
 	tree.Walk(dst, func(n *tree.Node) { dstCount[n.ExactHash()]++ })
 
-	vars := make(map[string]int) // hash -> metavar id
+	vars := make(map[tree.ExactKey]int) // hash -> metavar id
 	next := 0
 	shareable := func(n *tree.Node) (int, bool) {
 		if n.Height() < opts.MinHeight {

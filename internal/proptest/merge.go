@@ -190,9 +190,9 @@ func (r *TripleRun) Next() Triple {
 	tr := genTriple(r.Gen, r.rng, size, mutsOurs, mutsTheirs)
 	tr.Iter = r.triples
 	r.triples++
-	r.fold(tr.Base.ExactHash())
-	r.fold(tr.Ours.ExactHash())
-	r.fold(tr.Theirs.ExactHash())
+	r.fold(string(tr.Base.AppendExactHash(nil)))
+	r.fold(string(tr.Ours.AppendExactHash(nil)))
+	r.fold(string(tr.Theirs.AppendExactHash(nil)))
 	return tr
 }
 

@@ -138,8 +138,8 @@ func (r *Run) Next() Pair {
 	p := r.Gen.Pair(r.rng, size, muts)
 	p.Iter = r.pairs
 	r.pairs++
-	r.fold(p.Source.ExactHash())
-	r.fold(p.Target.ExactHash())
+	r.fold(string(p.Source.AppendExactHash(nil)))
+	r.fold(string(p.Target.AppendExactHash(nil)))
 	return p
 }
 

@@ -42,10 +42,14 @@ func TestLitEqual(t *testing.T) {
 func TestLitEqualAgreesWithHash(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1),
 		0, math.Copysign(0, -1), 1, 1.5}
-	hash := func(v float64) string {
-		w := newHasher(SHA256)
+	hash := func(v float64) Digest {
+		w := hashers.Get().(*hasher)
+		defer hashers.Put(w)
+		w.buf = w.buf[:0]
 		w.lit(v)
-		return w.sum()
+		var d Digest
+		w.sum(&d, SHA256)
+		return d
 	}
 	for _, a := range vals {
 		for _, b := range vals {

@@ -23,31 +23,21 @@ import "repro/internal/uri"
 // reassembles patched trees — each patched subtree is content-identical to
 // its target counterpart — which makes rehashing provably redundant there.
 // The URI is reserved in alloc so future allocations cannot collide.
+//
+// The result's schema record is like's when every kid carries that record
+// too, and nil otherwise.
 func Rebuilt(like *Node, alloc *uri.Allocator, u uri.URI, kids []*Node) *Node {
 	alloc.Reserve(u)
-	return &Node{
-		Tag:        like.Tag,
-		URI:        u,
-		Kids:       kids,
-		Lits:       append([]any(nil), like.Lits...),
-		height:     like.height,
-		size:       like.size,
-		structHash: like.structHash,
-		litHash:    like.litHash,
-	}
+	n := *like
+	n.URI = u
+	n.Kids = kids
+	n.Lits = append([]any(nil), like.Lits...)
+	n.sch = subtreeSchema(like.sch, kids)
+	return &n
 }
 
-// HashedWith reports whether n carries digests of the given kind. A node
-// does not record the algorithm its digests were computed with, but the two
-// kinds have distinct digest sizes (32 bytes for SHA-256, 8 for FNV-64), so
-// the length identifies the kind unambiguously.
-func HashedWith(n *Node, kind HashKind) bool {
-	want := 8
-	if kind == SHA256 {
-		want = 32
-	}
-	return len(n.structHash) == want && len(n.litHash) == want
-}
+// HashedWith reports whether n carries digests of the given kind.
+func HashedWith(n *Node, kind HashKind) bool { return n.hashed && n.kind == kind }
 
 // CloneKeepDigests deep-copies the tree with fresh URIs from alloc, copying
 // the existing digests instead of recomputing them. Digests are functions of
@@ -60,14 +50,9 @@ func CloneKeepDigests(n *Node, alloc *uri.Allocator) *Node {
 	for i, k := range n.Kids {
 		kids[i] = CloneKeepDigests(k, alloc)
 	}
-	return &Node{
-		Tag:        n.Tag,
-		URI:        alloc.Fresh(),
-		Kids:       kids,
-		Lits:       append([]any(nil), n.Lits...),
-		height:     n.height,
-		size:       n.size,
-		structHash: n.structHash,
-		litHash:    n.litHash,
-	}
+	c := *n
+	c.URI = alloc.Fresh()
+	c.Kids = kids
+	c.Lits = append([]any(nil), n.Lits...)
+	return &c
 }

@@ -25,9 +25,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/sig"
 	"repro/internal/uri"
@@ -47,6 +49,16 @@ const (
 	FNV64
 )
 
+// Digest is a subtree digest. A SHA-256 digest fills all 32 bytes; an
+// FNV-64 digest fills the first 8, little-endian, and leaves the rest zero.
+// Digests are values, so comparing them or keying a map on them allocates
+// nothing.
+type Digest [32]byte
+
+// ExactKey identifies a tree up to equality: two trees share an ExactKey
+// iff they are structurally and literally equivalent.
+type ExactKey struct{ Struct, Lit Digest }
+
 // Node is an immutable tree node. Kids and Lits are ordered exactly as in
 // the tag's signature. Do not mutate a Node after construction; build a new
 // tree instead (the mutable representation lives in package mtree).
@@ -56,10 +68,18 @@ type Node struct {
 	Kids []*Node
 	Lits []any
 
-	height     int
-	size       int
-	structHash string
-	litHash    string
+	// sch is the schema the whole subtree was validated against, or nil
+	// when no single schema covers it (kids built against another schema,
+	// or a node assembled without New).
+	sch *sig.Schema
+	// height and size are 32-bit so that a node stays within 160 bytes.
+	height     int32
+	size       int32
+	structHash Digest
+	litHash    Digest
+	// kind is the algorithm of the digests, meaningful only when hashed.
+	kind   HashKind
+	hashed bool
 }
 
 // New validates and constructs a node. kids must match the tag's kid links
@@ -109,9 +129,23 @@ func NewHashed(sch *sig.Schema, alloc *uri.Allocator, tag sig.Tag, kids []*Node,
 		URI:  alloc.Fresh(),
 		Kids: append([]*Node(nil), kids...),
 		Lits: append([]any(nil), lits...),
+		sch:  subtreeSchema(sch, kids),
 	}
-	n.finish(kind)
+	w := hashers.Get().(*hasher)
+	n.finish(w, kind)
+	hashers.Put(w)
 	return n, nil
+}
+
+// subtreeSchema is the schema record of a node validated against sch: sch
+// when every kid carries it too, and nil otherwise.
+func subtreeSchema(sch *sig.Schema, kids []*Node) *sig.Schema {
+	for _, k := range kids {
+		if k.sch != sch {
+			return nil
+		}
+	}
+	return sch
 }
 
 // NewWithURI is NewHashed but uses the given URI instead of allocating a
@@ -128,10 +162,11 @@ func NewWithURI(sch *sig.Schema, alloc *uri.Allocator, u uri.URI, tag sig.Tag, k
 	return n, nil
 }
 
-// finish computes the cached height, size, and hashes of a node whose Tag,
-// Kids, and Lits are already set. Kids must already be finished.
-func (n *Node) finish(kind HashKind) {
-	h, sz := 0, 1
+// finish computes the cached height, size, and digests of a node whose Tag,
+// Kids, and Lits are already set, using w's reusable state. Kids must
+// already be finished.
+func (n *Node) finish(w *hasher, kind HashKind) {
+	h, sz := int32(0), int32(1)
 	for _, k := range n.Kids {
 		if k.height+1 > h {
 			h = k.height + 1
@@ -139,25 +174,53 @@ func (n *Node) finish(kind HashKind) {
 		sz += k.size
 	}
 	n.height, n.size = h, sz
-	n.structHash = hashStructure(n, kind)
-	n.litHash = hashLiterals(n, kind)
+	n.kind, n.hashed = kind, true
+	w.structure(n)
+	w.sum(&n.structHash, kind)
+	w.literals(n)
+	w.sum(&n.litHash, kind)
 }
 
 // Height returns the node's height: 0 for leaves.
-func (n *Node) Height() int { return n.height }
+func (n *Node) Height() int { return int(n.height) }
 
 // Size returns the number of nodes in the subtree rooted at n.
-func (n *Node) Size() int { return n.size }
+func (n *Node) Size() int { return int(n.size) }
 
-// StructHash returns the structure-equivalence hash (ignores literals).
-func (n *Node) StructHash() string { return n.structHash }
+// Schema returns the schema n's whole subtree was validated against, or nil
+// when no single schema covers it. New records it when every kid carries
+// the same schema; the differ skips its schema walk when it matches.
+func (n *Node) Schema() *sig.Schema { return n.sch }
 
-// LitHash returns the literal-equivalence hash (ignores tags).
-func (n *Node) LitHash() string { return n.litHash }
+// StructHash returns the structure-equivalence digest (ignores literals).
+func (n *Node) StructHash() Digest { return n.structHash }
+
+// LitHash returns the literal-equivalence digest (ignores tags).
+func (n *Node) LitHash() Digest { return n.litHash }
 
 // ExactHash returns a key under which two trees collide iff they are equal
 // (structurally and literally equivalent).
-func (n *Node) ExactHash() string { return n.structHash + n.litHash }
+func (n *Node) ExactHash() ExactKey { return ExactKey{n.structHash, n.litHash} }
+
+// AppendExactHash appends n's structure digest and then its literal digest
+// to b, each at its algorithm's length: 32 bytes for SHA-256, 8 for FNV-64.
+// Hex-encoded, these bytes name interned trees on the diffserve wire.
+func (n *Node) AppendExactHash(b []byte) []byte {
+	l := n.digestLen()
+	return append(append(b, n.structHash[:l]...), n.litHash[:l]...)
+}
+
+// digestLen is how many bytes of n's digests are meaningful: none for a
+// node assembled without hashing.
+func (n *Node) digestLen() int {
+	switch {
+	case !n.hashed:
+		return 0
+	case n.kind == SHA256:
+		return sha256.Size
+	}
+	return 8
+}
 
 // StructurallyEquivalent reports whether n and m have the same shape
 // modulo literal values (paper: n ≃ m).
@@ -167,111 +230,96 @@ func StructurallyEquivalent(n, m *Node) bool { return n.structHash == m.structHa
 // modulo tags.
 func LiterallyEquivalent(n, m *Node) bool { return n.litHash == m.litHash }
 
-// hashStructure computes H(tag, kids' structure hashes).
-func hashStructure(n *Node, kind HashKind) string {
-	w := newHasher(kind)
-	w.str(string(n.Tag))
-	for _, k := range n.Kids {
-		w.str(k.structHash)
-	}
-	return w.sum()
+// hasher is the reusable state of digest computation: a message buffer and
+// one state per algorithm. Each digest is H over a length-prefixed message
+// assembled in buf, so strings and kid digests reach the hash without a
+// per-node conversion or allocation.
+type hasher struct {
+	buf []byte
+	sha hash.Hash
+	fnv hash.Hash64
 }
 
-// hashLiterals computes H(lits, kids' literal hashes).
-func hashLiterals(n *Node, kind HashKind) string {
-	w := newHasher(kind)
+// hashers recycles hasher states across goroutines; New is called from
+// concurrent decoders, so the state cannot be a package variable.
+var hashers = sync.Pool{New: func() any {
+	return &hasher{sha: sha256.New(), fnv: fnv.New64a()}
+}}
+
+// structure assembles the structure message: the tag, then the kids'
+// structure digests.
+func (w *hasher) structure(n *Node) {
+	w.buf = w.buf[:0]
+	w.str(string(n.Tag))
+	for _, k := range n.Kids {
+		w.bytes(k.structHash[:k.digestLen()])
+	}
+}
+
+// literals assembles the literal message: the literals, then the kids'
+// literal digests.
+func (w *hasher) literals(n *Node) {
+	w.buf = w.buf[:0]
 	for _, l := range n.Lits {
 		w.lit(l)
 	}
 	for _, k := range n.Kids {
-		w.str(k.litHash)
+		w.bytes(k.litHash[:k.digestLen()])
 	}
-	return w.sum()
 }
 
-// hasher is a tiny length-prefixed writer over either hash algorithm.
-type hasher struct {
-	sha  bool
-	s    [32]byte
-	shaW interface {
-		Write([]byte) (int, error)
-		Sum([]byte) []byte
-	}
-	fnvW interface {
-		Write([]byte) (int, error)
-		Sum64() uint64
-	}
-	buf [10]byte
-}
-
-func newHasher(kind HashKind) *hasher {
-	h := &hasher{}
+// sum hashes the assembled message into d.
+func (w *hasher) sum(d *Digest, kind HashKind) {
 	if kind == SHA256 {
-		h.sha = true
-		h.shaW = sha256.New()
-	} else {
-		h.fnvW = fnv.New64a()
+		w.sha.Reset()
+		w.sha.Write(w.buf)
+		w.sha.Sum(d[:0])
+		return
 	}
-	return h
+	w.fnv.Reset()
+	w.fnv.Write(w.buf)
+	*d = Digest{}
+	binary.LittleEndian.PutUint64(d[:8], w.fnv.Sum64())
 }
 
-func (h *hasher) write(b []byte) {
-	if h.sha {
-		h.shaW.Write(b)
-	} else {
-		h.fnvW.Write(b)
-	}
+func (w *hasher) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+
+func (w *hasher) str(s string) {
+	w.u64(uint64(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
-func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:8], v)
-	h.write(h.buf[:8])
+func (w *hasher) bytes(b []byte) {
+	w.u64(uint64(len(b)))
+	w.buf = append(w.buf, b...)
 }
 
-func (h *hasher) str(s string) {
-	h.u64(uint64(len(s)))
-	h.write([]byte(s))
-}
-
-// lit hashes a literal value with a type discriminator so that, e.g., the
+// lit appends a literal value with a type discriminator so that, e.g., the
 // string "1" and the integer 1 hash differently.
-func (h *hasher) lit(v any) {
+func (w *hasher) lit(v any) {
 	switch x := v.(type) {
 	case string:
-		h.buf[9] = 's'
-		h.write(h.buf[9:10])
-		h.str(x)
+		w.buf = append(w.buf, 's')
+		w.str(x)
 	case int64:
-		h.buf[9] = 'i'
-		h.write(h.buf[9:10])
-		h.u64(uint64(x))
+		w.buf = append(w.buf, 'i')
+		w.u64(uint64(x))
 	case float64:
-		h.buf[9] = 'f'
-		h.write(h.buf[9:10])
-		h.u64(math.Float64bits(x))
+		w.buf = append(w.buf, 'f')
+		w.u64(math.Float64bits(x))
 	case bool:
-		h.buf[9] = 'b'
-		h.write(h.buf[9:10])
+		w.buf = append(w.buf, 'b')
 		if x {
-			h.u64(1)
+			w.u64(1)
 		} else {
-			h.u64(0)
+			w.u64(0)
 		}
 	default:
 		// Construction validates literal types, so this is unreachable for
 		// nodes built through New; hash the formatted value defensively.
-		h.buf[9] = '?'
-		h.write(h.buf[9:10])
-		h.str(fmt.Sprint(v))
+		w.buf = append(w.buf, '?')
+		w.str(fmt.Sprint(v))
 	}
-}
-
-func (h *hasher) sum() string {
-	if h.sha {
-		return string(h.shaW.Sum(h.s[:0]))
-	}
-	binary.LittleEndian.PutUint64(h.s[:8], h.fnvW.Sum64())
-	return string(h.s[:8])
 }
 
 // Walk visits the subtree rooted at n in preorder, including n itself.
@@ -291,7 +339,7 @@ func WalkPost(n *Node, f func(*Node)) {
 }
 
 // Count returns the number of nodes in the tree (same as n.Size()).
-func Count(n *Node) int { return n.size }
+func Count(n *Node) int { return int(n.size) }
 
 // Equal reports deep structural and literal equality, ignoring URIs. It
 // compares hashes first and falls back to a full traversal only when the
@@ -344,17 +392,24 @@ func LitEqual(a, b any) bool {
 // recomputing hashes with the given algorithm. It is used by benchmarks to
 // reconstruct trees before each diff so hashing cost is measured.
 func Clone(n *Node, alloc *uri.Allocator, kind HashKind) *Node {
+	w := hashers.Get().(*hasher)
+	defer hashers.Put(w)
+	return clone(n, alloc, kind, w)
+}
+
+func clone(n *Node, alloc *uri.Allocator, kind HashKind, w *hasher) *Node {
 	kids := make([]*Node, len(n.Kids))
 	for i, k := range n.Kids {
-		kids[i] = Clone(k, alloc, kind)
+		kids[i] = clone(k, alloc, kind, w)
 	}
 	c := &Node{
 		Tag:  n.Tag,
 		URI:  alloc.Fresh(),
 		Kids: kids,
 		Lits: append([]any(nil), n.Lits...),
+		sch:  n.sch,
 	}
-	c.finish(kind)
+	c.finish(w, kind)
 	return c
 }
 

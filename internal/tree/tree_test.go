@@ -178,8 +178,8 @@ func TestFNVHashingAgreesOnEquivalences(t *testing.T) {
 	if LiterallyEquivalent(t1, t2) {
 		t.Error("FNV: literal equivalence should fail here")
 	}
-	if len(t1.StructHash()) != 8 {
-		t.Errorf("FNV hash length = %d, want 8", len(t1.StructHash()))
+	if !HashedWith(t1, FNV64) || HashedWith(t1, SHA256) {
+		t.Error("FNV: tree does not record that it was hashed with FNV-64")
 	}
 }
 

@@ -233,7 +233,7 @@ func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, all
 	r := &run{sch: d.sch, opts: d.opts, s: s, cp: cp, cpEvery: every, cpLeft: every}
 	sink := ExplainFromContext(ctx)
 	if sink != nil {
-		r.explain = newExplainState()
+		r.explain = newExplainState(d.opts.Equiv == ExactOnly)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -248,8 +248,10 @@ func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, all
 	defer endTask()
 
 	// Step 1 happened at tree construction: every node carries its
-	// structure and literal hashes; the per-diff residue (allocator
-	// derivation, schema validation, scratch reset) is the prepare phase.
+	// structure and literal digests and the schema it was validated
+	// against; the per-diff residue (allocator derivation, the schema check,
+	// O(1) for trees built against the differ's schema, and the scratch
+	// reset) is the prepare phase.
 	var prepErr error
 	inPhase(telemetry.PhasePrepare, func() {
 		if alloc == nil {
@@ -301,10 +303,16 @@ func (s *Scratch) phase(tr telemetry.Tracer, p telemetry.Phase, start time.Time,
 }
 
 // checkSchema verifies every tag of the tree is declared in the differ's
-// schema, so trees built against a different schema fail cleanly. A non-nil
-// r threads the run's checkpoint through the validation walk, so even the
-// prepare phase of a checked diff honours cancellation.
+// schema, so trees built against a different schema fail cleanly. A tree
+// whose schema record is the differ's schema was validated against it
+// node by node when it was built, and schemas only grow, so the check is
+// O(1) for it; any other tree is walked. A non-nil r threads the run's
+// checkpoint through the walk, so even the prepare phase of a checked diff
+// honours cancellation.
 func (d *Differ) checkSchema(t *tree.Node, r *run) error {
+	if t.Schema() == d.sch {
+		return nil
+	}
 	var bad sig.Tag
 	tree.Walk(t, func(n *tree.Node) {
 		if r != nil {
@@ -384,16 +392,17 @@ func (r *run) tick() {
 	}
 }
 
-// candidateKey returns the key under which subtrees share a reuse class.
-func (r *run) candidateKey(n *tree.Node) string {
+// candidateKey returns the key under which subtrees share a reuse class:
+// the structure digest, with the literal digest too under ExactOnly.
+func (r *run) candidateKey(n *tree.Node) tree.ExactKey {
 	if r.opts.Equiv == ExactOnly {
 		return n.ExactHash()
 	}
-	return n.StructHash()
+	return tree.ExactKey{Struct: n.StructHash()}
 }
 
 // preferKey returns the key used to select preferred (exact) candidates.
-func (r *run) preferKey(n *tree.Node) string { return n.LitHash() }
+func (r *run) preferKey(n *tree.Node) tree.Digest { return n.LitHash() }
 
 // assign records a symmetric subtree assignment.
 func (r *run) assign(src, dst *tree.Node) {
@@ -704,7 +713,7 @@ func (r *run) detachProvenance(src, dst *tree.Node) EditProvenance {
 		p.Reason = ReasonSourceClaimed
 		partner := r.s.assigned[src]
 		p.Detail = fmt.Sprintf("acquired by target %s subtree at height %d", partner.Tag, partner.Height())
-		p.fill(r.explain.decisions[partner])
+		r.explain.fill(&p, r.explain.decisions[partner])
 	case src.Tag != dst.Tag:
 		p.Reason = ReasonTagMismatch
 		p.Detail = fmt.Sprintf("%s≠%s", src.Tag, dst.Tag)
@@ -713,7 +722,7 @@ func (r *run) detachProvenance(src, dst *tree.Node) EditProvenance {
 		// different source candidate during selection.
 		p.Reason = ReasonMove
 		p.Detail = "target position filled by a selected candidate"
-		p.fill(r.explain.decisions[dst])
+		r.explain.fill(&p, r.explain.decisions[dst])
 	default:
 		p.Reason = ReasonLitMismatch
 		p.Detail = "tags agree, literals differ"
@@ -732,7 +741,7 @@ func (r *run) attachProvenance(dst *tree.Node) EditProvenance {
 		p.Reason = ReasonFreshSubtree
 		p.Detail = "no candidate covered the whole subtree"
 	}
-	p.fill(r.explain.decisions[dst])
+	r.explain.fill(&p, r.explain.decisions[dst])
 	return p
 }
 
@@ -827,7 +836,7 @@ func (r *run) unloadUnassigned(src *tree.Node) {
 	un := truechange.Unload{Node: ref(src), Kids: r.kidArgs(src), Lits: r.litArgs(src)}
 	r.s.buf.Add(un)
 	if x := r.explain; x != nil {
-		p := EditProvenance{CandidateKey: shortKey(r.candidateKey(src)), Height: src.Height()}
+		p := EditProvenance{CandidateKey: x.shortKey(r.candidateKey(src)), Height: src.Height()}
 		if demand := x.demand[r.candidateKey(src)]; demand > 0 {
 			p.Reason = ReasonLostRace
 			p.Detail = fmt.Sprintf("class demanded by %d target subtree(s), satisfied by other candidates", demand)
@@ -860,14 +869,14 @@ func (r *run) loadUnassigned(dst *tree.Node) *tree.Node {
 	if x := r.explain; x != nil {
 		p := EditProvenance{Reason: ReasonNoCandidate}
 		if d := x.decisions[dst]; d != nil {
-			p.fill(d)
+			x.fill(&p, d)
 			if d.considered > 0 {
 				p.Detail = fmt.Sprintf("class exhausted after scanning %d candidate(s)", d.considered)
 			} else {
 				p.Detail = "equivalence class offered no source candidate"
 			}
 		} else {
-			p.CandidateKey = shortKey(r.candidateKey(dst))
+			p.CandidateKey = x.shortKey(r.candidateKey(dst))
 			p.Height = dst.Height()
 			p.Detail = "no source subtree in this equivalence class"
 		}

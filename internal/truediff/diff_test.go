@@ -2,11 +2,14 @@ package truediff
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/derrors"
 	"repro/internal/exp"
 	"repro/internal/mtree"
+	"repro/internal/sig"
 	"repro/internal/tree"
 	"repro/internal/truechange"
 	"repro/internal/uri"
@@ -462,6 +465,33 @@ func TestDiffNilAndAllocDefaults(t *testing.T) {
 			seen[l.Node.URI] = true
 		}
 	}
+}
+
+// The schema check skips its walk only for trees whose schema record is the
+// differ's schema. A tree built against another schema, or assembled by
+// hand without a record, is walked, so an undeclared tag anywhere in it
+// still fails the diff.
+func TestSchemaCheckWalksUnrecordedTrees(t *testing.T) {
+	b := exp.NewBuilder()
+	d := New(b.Schema())
+	good := b.MustN(exp.Add, b.MustN(exp.Num, 1), b.MustN(exp.Var, "x"))
+
+	foreign := sig.NewSchema("foreign")
+	foreign.MustDeclare(sig.Sig{Tag: "Foo", Result: exp.Exp})
+	foo := tree.NewBuilder(foreign, b.Alloc()).MustN("Foo")
+	handmade := &tree.Node{Tag: exp.Add, URI: b.Alloc().Fresh(), Kids: []*tree.Node{
+		b.MustN(exp.Num, 2), {Tag: "Foo", URI: b.Alloc().Fresh()}}}
+	for name, bad := range map[string]*tree.Node{"foreign schema": foo, "hand-assembled": handmade} {
+		for _, pair := range [][2]*tree.Node{{good, bad}, {bad, good}} {
+			if _, err := d.Diff(pair[0], pair[1], b.Alloc()); !errors.Is(err, derrors.ErrSchemaMismatch) {
+				t.Errorf("%s: err = %v, want ErrSchemaMismatch", name, err)
+			}
+		}
+	}
+	// Another instance of the same schema declares every tag, so its trees
+	// pass the walk.
+	twin := exp.NewBuilder()
+	diffAndVerify(t, d, good, twin.MustN(exp.Num, 3), b.Alloc())
 }
 
 // TestInverseScriptsRestoreOriginal: applying a diff's script and then the

@@ -2,6 +2,7 @@ package truediff
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 
 	"repro/internal/tree"
@@ -61,7 +62,8 @@ type EditProvenance struct {
 	// Detail is a human-readable elaboration of the reason.
 	Detail string `json:"detail,omitempty"`
 	// CandidateKey is the (truncated) equivalence-class key the decision was
-	// made under: the structural hash, or the exact hash under ExactOnly.
+	// made under: the structural hash, or under ExactOnly the structural
+	// hash followed by the literal hash, half as many digits of each.
 	CandidateKey string `json:"candidate_key,omitempty"`
 	// PreferKey is the (truncated) literal hash used to prefer exact copies.
 	PreferKey string `json:"prefer_key,omitempty"`
@@ -163,20 +165,24 @@ func ExplainFromContext(ctx context.Context) ExplainSink {
 // enough to correlate decisions within one diff, short enough to read.
 const keyDigits = 12
 
-// shortKey renders a (binary) hash key as truncated hex.
-func shortKey(key string) string {
-	s := fmt.Sprintf("%x", key)
-	if len(s) > keyDigits {
-		s = s[:keyDigits]
+// shortDigest renders a digest as its first keyDigits hex digits.
+func shortDigest(d tree.Digest) string { return hex.EncodeToString(d[:keyDigits/2]) }
+
+// shortKey renders a candidate key as keyDigits hex digits. An exact key
+// (ExactOnly) shows half as many digits of each of its two digests, so
+// classes that differ only in literals print differently.
+func (x *explainState) shortKey(key tree.ExactKey) string {
+	if !x.exact {
+		return shortDigest(key.Struct)
 	}
-	return s
+	return hex.EncodeToString(key.Struct[:keyDigits/4]) + hex.EncodeToString(key.Lit[:keyDigits/4])
 }
 
 // selDecision records the selection outcome for one target subtree: how its
 // candidate class was probed and whether a candidate was acquired.
 type selDecision struct {
-	key        string // candidate key (raw, not truncated)
-	prefer     string // preference key (raw)
+	key        tree.ExactKey // candidate key (raw, not truncated)
+	prefer     tree.Digest   // preference key (raw)
 	height     int
 	considered int  // candidates scanned across both passes
 	available  int  // class size at first lookup
@@ -190,13 +196,15 @@ type selDecision struct {
 // when an ExplainSink is installed; every hook in the hot path is guarded
 // by a single nil check.
 type explainState struct {
+	// exact reports that candidate keys are exact keys (ExactOnly).
+	exact bool
 	// decisions maps each target subtree that went through candidate
 	// lookup (or was preemptively assigned) to its selection outcome.
 	decisions map[*tree.Node]*selDecision
 	// demand counts, per candidate key, how many distinct target subtrees
 	// looked the class up during step 3 — the signal distinguishing
 	// "no demand" from "lost the race" when explaining Unloads.
-	demand map[string]int
+	demand map[tree.ExactKey]int
 	// provNeg and provPos mirror the edit buffer's negative/positive
 	// halves, so the final Explanation aligns index by index with the
 	// script (negative edits are ordered before positive ones).
@@ -205,10 +213,11 @@ type explainState struct {
 	revoked int
 }
 
-func newExplainState() *explainState {
+func newExplainState(exact bool) *explainState {
 	return &explainState{
+		exact:     exact,
 		decisions: make(map[*tree.Node]*selDecision),
-		demand:    make(map[string]int),
+		demand:    make(map[tree.ExactKey]int),
 	}
 }
 
@@ -263,13 +272,13 @@ func (x *explainState) record(e truechange.Edit, p EditProvenance) {
 	}
 }
 
-// fill copies a selection decision into the provenance record.
-func (p *EditProvenance) fill(d *selDecision) {
+// fill copies the selection decision d into the provenance record p.
+func (x *explainState) fill(p *EditProvenance, d *selDecision) {
 	if d == nil {
 		return
 	}
-	p.CandidateKey = shortKey(d.key)
-	p.PreferKey = shortKey(d.prefer)
+	p.CandidateKey = x.shortKey(d.key)
+	p.PreferKey = shortDigest(d.prefer)
 	p.Height = d.height
 	p.Preferred = d.preferred
 	p.Preemptive = d.preemptive

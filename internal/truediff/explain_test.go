@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -179,5 +180,36 @@ func TestExplainUnloadReasons(t *testing.T) {
 		if p.Op == "load" && p.Reason != ReasonNoCandidate {
 			t.Fatalf("load record has reason %s: %+v", p.Reason, p)
 		}
+	}
+}
+
+// Under ExactOnly a class is a structure digest plus a literal digest, so
+// classes that differ only in literals must print different keys; the Num
+// leaves here are four such classes.
+func TestExplainExactKeysDistinguishLiterals(t *testing.T) {
+	b := exp.NewBuilder()
+	src := b.MustN(exp.Sub, b.MustN(exp.Num, 1), b.MustN(exp.Num, 2))
+	dst := b.MustN(exp.Add, b.MustN(exp.Num, 3), b.MustN(exp.Num, 4))
+	col := &ExplainCollector{}
+	res, err := diffExplained(NewWithOptions(b.Schema(), Options{Equiv: ExactOnly}), src, dst, b.Alloc(), col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAligned(t, col.Last, res.Script)
+	keys := map[string]string{}
+	for _, p := range col.Last.Edits {
+		if (p.Op != "load" && p.Op != "unload") || !strings.HasPrefix(p.Node, string(exp.Num)) {
+			continue
+		}
+		if p.CandidateKey == "" {
+			t.Fatalf("%s carries no candidate key", p)
+		}
+		if other, dup := keys[p.CandidateKey]; dup {
+			t.Fatalf("%s and %s print the same class %s", other, p.Node, p.CandidateKey)
+		}
+		keys[p.CandidateKey] = p.Node
+	}
+	if len(keys) != 4 {
+		t.Fatalf("got %d Num load/unload records, want 4: %v", len(keys), keys)
 	}
 }

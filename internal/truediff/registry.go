@@ -26,8 +26,6 @@ import "repro/internal/tree"
 // candidate-key value) that are still available for reuse, plus an index by
 // preference key for selecting exact copies first (paper §4.2–4.3).
 type share struct {
-	key string
-
 	// queue holds available trees in registration order; entries are
 	// deleted lazily (removed stays authoritative). Registration order
 	// makes candidate selection deterministic.
@@ -36,20 +34,19 @@ type share struct {
 	member map[*tree.Node]bool
 	// byPrefer indexes available trees by preference key (literal hash),
 	// also with lazy deletion.
-	byPrefer map[string][]*tree.Node
+	byPrefer map[tree.Digest][]*tree.Node
 }
 
-func newShare(key string) *share {
+func newShare() *share {
 	return &share{
-		key:      key,
 		member:   make(map[*tree.Node]bool),
-		byPrefer: make(map[string][]*tree.Node),
+		byPrefer: make(map[tree.Digest][]*tree.Node),
 	}
 }
 
 // registerAvailable marks the source subtree n as an available resource of
 // this share. Registering the same node twice is a no-op.
-func (s *share) registerAvailable(n *tree.Node, prefKey string) {
+func (s *share) registerAvailable(n *tree.Node, prefKey tree.Digest) {
 	if s.member[n] {
 		return
 	}
@@ -67,7 +64,7 @@ func (s *share) removeAvailable(n *tree.Node) {
 // or returns nil. The acquired tree is removed from the share. The second
 // result is how many queue entries were scanned (including stale ones),
 // feeding the explain layer's "candidates considered" provenance.
-func (s *share) takePreferred(prefKey string) (*tree.Node, int) {
+func (s *share) takePreferred(prefKey tree.Digest) (*tree.Node, int) {
 	q := s.byPrefer[prefKey]
 	scanned := 0
 	for len(q) > 0 {
@@ -107,7 +104,6 @@ func (s *share) takeAny() (*tree.Node, int) {
 // recycle empties the share for reuse by a later diff, keeping the
 // allocated maps (and the queue's backing array) alive.
 func (s *share) recycle() {
-	s.key = ""
 	clear(s.member)
 	clear(s.byPrefer)
 	clear(s.queue)
@@ -120,12 +116,12 @@ func (s *share) recycle() {
 // behaviour). A registry is recyclable: reset returns its shares to a free
 // list so repeated diffs through one Scratch amortize the map allocations.
 type registry struct {
-	shares map[string]*share
+	shares map[tree.ExactKey]*share
 	free   []*share
 }
 
 func newRegistry() registry {
-	return registry{shares: make(map[string]*share)}
+	return registry{shares: make(map[tree.ExactKey]*share)}
 }
 
 // reset prepares the registry for the next diff, recycling every share.
@@ -139,16 +135,15 @@ func (r *registry) reset() {
 
 // shareFor returns the share for candidate key, creating it on first use
 // (drawing recycled shares from the free list when available).
-func (r *registry) shareFor(key string) *share {
+func (r *registry) shareFor(key tree.ExactKey) *share {
 	s, ok := r.shares[key]
 	if !ok {
 		if n := len(r.free); n > 0 {
 			s = r.free[n-1]
 			r.free[n-1] = nil
 			r.free = r.free[:n-1]
-			s.key = key
 		} else {
-			s = newShare(key)
+			s = newShare()
 		}
 		r.shares[key] = s
 	}
@@ -156,6 +151,6 @@ func (r *registry) shareFor(key string) *share {
 }
 
 // lookup returns the share for key, or nil if no subtree produced it.
-func (r *registry) lookup(key string) *share {
+func (r *registry) lookup(key tree.ExactKey) *share {
 	return r.shares[key]
 }

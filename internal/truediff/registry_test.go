@@ -14,7 +14,7 @@ func TestShareRegisterAndTake(t *testing.T) {
 	n2 := b.MustN(exp.Num, 2)
 	n3 := b.MustN(exp.Num, 1)
 
-	s := newShare("k")
+	s := newShare()
 	s.registerAvailable(n1, n1.LitHash())
 	s.registerAvailable(n2, n2.LitHash())
 	s.registerAvailable(n3, n3.LitHash())
@@ -44,7 +44,7 @@ func TestShareRemoveAvailable(t *testing.T) {
 	b := exp.NewBuilder()
 	n1 := b.MustN(exp.Num, 7)
 	n2 := b.MustN(exp.Num, 7)
-	s := newShare("k")
+	s := newShare()
 	s.registerAvailable(n1, n1.LitHash())
 	s.registerAvailable(n2, n2.LitHash())
 	s.removeAvailable(n1)
@@ -61,7 +61,7 @@ func TestShareReregistration(t *testing.T) {
 	// of preemptive assignments); lazy deletion must not hide it.
 	b := exp.NewBuilder()
 	n := b.MustN(exp.Var, "x")
-	s := newShare("k")
+	s := newShare()
 	s.registerAvailable(n, n.LitHash())
 	s.removeAvailable(n)
 	s.registerAvailable(n, n.LitHash())
@@ -71,17 +71,18 @@ func TestShareReregistration(t *testing.T) {
 }
 
 func TestRegistryShareIdentity(t *testing.T) {
+	key := func(b byte) tree.ExactKey { return tree.ExactKey{Struct: tree.Digest{b}} }
 	r := newRegistry()
-	a := r.shareFor("h1")
-	b := r.shareFor("h1")
-	c := r.shareFor("h2")
+	a := r.shareFor(key(1))
+	b := r.shareFor(key(1))
+	c := r.shareFor(key(2))
 	if a != b {
 		t.Error("same key must return the same share")
 	}
 	if a == c {
 		t.Error("different keys must return different shares")
 	}
-	if r.lookup("h1") != a || r.lookup("h3") != nil {
+	if r.lookup(key(1)) != a || r.lookup(key(3)) != nil {
 		t.Error("lookup wrong")
 	}
 }

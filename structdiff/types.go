@@ -28,6 +28,11 @@ type (
 	Builder = tree.Builder
 	// HashKind selects the subtree hash algorithm.
 	HashKind = tree.HashKind
+	// Digest is a subtree digest, as Node.StructHash and Node.LitHash
+	// return it.
+	Digest = tree.Digest
+	// ExactKey identifies a tree up to equality (Node.ExactHash).
+	ExactKey = tree.ExactKey
 	// URI identifies a node stably across edits.
 	URI = uri.URI
 	// Allocator hands out fresh URIs.
