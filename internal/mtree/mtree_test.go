@@ -172,6 +172,9 @@ func TestPatchFailures(t *testing.T) {
 		{"attach unknown link", truechange.Attach{Node: nref("Var", 3), Link: "zz", Parent: nref("Sub", 2)}},
 		{"load duplicate uri", truechange.Load{Node: nref("Num", 1)}},
 		{"load unknown kid", truechange.Load{Node: nref("Add", 50), Kids: []truechange.KidArg{{Link: "e1", URI: 98}, {Link: "e2", URI: 99}}}},
+		{"load missing link", truechange.Load{Node: nref("Add", 50), Kids: []truechange.KidArg{{Link: "e1", URI: 1}}}},
+		{"load repeated link", truechange.Load{Node: nref("Add", 50), Kids: []truechange.KidArg{{Link: "e1", URI: 1}, {Link: "e1", URI: 2}}}},
+		{"load unknown link", truechange.Load{Node: nref("Add", 50), Kids: []truechange.KidArg{{Link: "e1", URI: 1}, {Link: "zz", URI: 2}}}},
 		{"unload unknown", truechange.Unload{Node: nref("Num", 99)}},
 		{"update unknown node", truechange.Update{Node: nref("Var", 99), New: []truechange.LitArg{{Link: "name", Value: "x"}}}},
 		{"update unknown literal", truechange.Update{Node: nref("Var", 3), New: []truechange.LitArg{{Link: "zz", Value: "x"}}}},
@@ -201,8 +204,8 @@ func TestCheckNodeDefinition33(t *testing.T) {
 
 	// Empty an inner slot: ill-typed without S, well-typed with the slot
 	// recorded (condition 3a of Definition 3.3).
-	sub := top.Kids["e1"]
-	sub.Kids["e2"] = nil
+	sub := top.Kids[0]
+	sub.Kids[1] = nil
 	if _, err := mt.CheckNode(top, nil); err == nil {
 		t.Error("tree with unrecorded empty slot should be ill-typed")
 	}
@@ -217,7 +220,7 @@ func TestCheckNodeDefinition33(t *testing.T) {
 	}
 
 	// Bad literal value.
-	sub.Kids["e2"] = &MNode{Tag: "Num", URI: 77, Kids: map[sig.Link]*MNode{}, Lits: map[sig.Link]any{"n": "oops"}}
+	sub.Kids[1] = &MNode{Tag: "Num", URI: 77, Lits: []any{"oops"}}
 	if _, err := mt.CheckNode(top, nil); err == nil {
 		t.Error("ill-typed literal should be rejected")
 	}
@@ -251,8 +254,8 @@ func TestCheckTreeDefinition34(t *testing.T) {
 	// Detach a subtree: the open tree is well-typed relative to the
 	// matching state, and ill-typed relative to the closed state.
 	top := mt.Top()
-	detached := top.Kids["e1"]
-	top.Kids["e1"] = nil
+	detached := top.Kids[0]
+	top.Kids[0] = nil
 	open := truechange.ClosedState()
 	open.Roots[detached.URI] = "Exp"
 	open.Slots[truechange.Slot{URI: top.URI, Link: "e1"}] = "Exp"
@@ -274,7 +277,7 @@ func TestCheckClosedDetectsStrayIndexEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt.index[999] = &MNode{Tag: "Num", URI: 999, Kids: map[sig.Link]*MNode{}, Lits: map[sig.Link]any{"n": int64(1)}}
+	mt.index[999] = &MNode{Tag: "Num", URI: 999, Lits: []any{int64(1)}}
 	err = mt.CheckClosed()
 	if err == nil || !strings.Contains(err.Error(), "unreachable") {
 		t.Errorf("stray index entry should be reported, got %v", err)

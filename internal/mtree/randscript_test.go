@@ -68,11 +68,11 @@ func runRandomEdits(t *testing.T, seed int64, steps int) {
 func (e *randEditor) attachedEdges() []truechange.Detach {
 	var out []truechange.Detach
 	for _, n := range e.allNodes() {
-		for link, kid := range n.Kids {
+		for i, kid := range n.Kids {
 			if kid != nil {
 				out = append(out, truechange.Detach{
 					Node:   truechange.NodeRef{Tag: kid.Tag, URI: kid.URI},
-					Link:   link,
+					Link:   e.sch.Lookup(n.Tag).Kids[i].Link,
 					Parent: truechange.NodeRef{Tag: n.Tag, URI: n.URI},
 				})
 			}
@@ -160,8 +160,8 @@ func (e *randEditor) randomEdit() truechange.Edit {
 				ok := true
 				var kids []truechange.KidArg
 				g := e.sch.Lookup(n.Tag)
-				for _, spec := range g.Kids {
-					kid := n.Kids[spec.Link]
+				for i, spec := range g.Kids {
+					kid := n.Kids[i]
 					if kid == nil {
 						ok = false // unload requires a full node (no holes)
 						break
@@ -172,8 +172,8 @@ func (e *randEditor) randomEdit() truechange.Edit {
 					continue
 				}
 				var lits []truechange.LitArg
-				for _, spec := range g.Lits {
-					lits = append(lits, truechange.LitArg{Link: spec.Link, Value: n.Lits[spec.Link]})
+				for i, spec := range g.Lits {
+					lits = append(lits, truechange.LitArg{Link: spec.Link, Value: n.Lits[i]})
 				}
 				return truechange.Unload{
 					Node: truechange.NodeRef{Tag: n.Tag, URI: r},
@@ -191,8 +191,8 @@ func (e *randEditor) randomEdit() truechange.Edit {
 					continue
 				}
 				var old, now []truechange.LitArg
-				for _, spec := range g.Lits {
-					old = append(old, truechange.LitArg{Link: spec.Link, Value: n.Lits[spec.Link]})
+				for i, spec := range g.Lits {
+					old = append(old, truechange.LitArg{Link: spec.Link, Value: n.Lits[i]})
 					var v any
 					if spec.Type == sig.IntLit {
 						v = int64(e.rng.Intn(1000))

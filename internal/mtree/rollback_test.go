@@ -28,26 +28,17 @@ func dump(mt *MTree) string {
 	var b strings.Builder
 	for _, u := range uris {
 		n := mt.index[u]
+		g := mt.sch.Lookup(n.Tag)
 		fmt.Fprintf(&b, "%s %s", u, n.Tag)
-		links := make([]string, 0, len(n.Kids))
-		for l := range n.Kids {
-			links = append(links, string(l))
-		}
-		sort.Strings(links)
-		for _, l := range links {
-			if k := n.Kids[sig.Link(l)]; k == nil {
-				fmt.Fprintf(&b, " %s=∅", l)
+		for i, k := range n.Kids {
+			if k == nil {
+				fmt.Fprintf(&b, " %s=∅", g.Kids[i].Link)
 			} else {
-				fmt.Fprintf(&b, " %s=%s", l, k.URI)
+				fmt.Fprintf(&b, " %s=%s", g.Kids[i].Link, k.URI)
 			}
 		}
-		lits := make([]string, 0, len(n.Lits))
-		for l := range n.Lits {
-			lits = append(lits, string(l))
-		}
-		sort.Strings(lits)
-		for _, l := range lits {
-			fmt.Fprintf(&b, " %s=%#v", l, n.Lits[sig.Link(l)])
+		for i, v := range n.Lits {
+			fmt.Fprintf(&b, " %s=%#v", g.Lits[i].Link, v)
 		}
 		b.WriteString("\n")
 	}
@@ -159,8 +150,8 @@ func TestPatchRollbackOnOccupiedAttach(t *testing.T) {
 	}
 	before := dump(mt)
 	add := mt.Top()
-	e1 := add.Kids["e1"]
-	numURI := add.Kids["e2"].URI
+	e1 := add.Kids[0]
+	numURI := add.Kids[1].URI
 
 	// Detach e1, then try to attach it over the still-occupied e2 slot.
 	script := &truechange.Script{Edits: []truechange.Edit{
@@ -182,10 +173,10 @@ func TestPatchRollbackOnOccupiedAttach(t *testing.T) {
 	if after := dump(mt); after != before {
 		t.Fatalf("rollback did not restore the tree:\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
-	if got := mt.Top().Kids["e1"]; got == nil || got.URI != e1.URI {
+	if got := mt.Top().Kids[0]; got == nil || got.URI != e1.URI {
 		t.Fatalf("slot e1 holds %v after rollback, want the detached node %s", got, e1.URI)
 	}
-	if got := mt.Top().Kids["e2"]; got == nil || got.URI != numURI {
+	if got := mt.Top().Kids[1]; got == nil || got.URI != numURI {
 		t.Fatalf("slot e2 holds %v after rollback, want the original occupant %s", got, numURI)
 	}
 }
@@ -237,9 +228,9 @@ func TestPatchFaultInjection(t *testing.T) {
 	top := mt.Top()
 	var link sig.Link
 	var kid *MNode
-	for l, k := range top.Kids {
+	for i, k := range top.Kids {
 		if k != nil {
-			link, kid = l, k
+			link, kid = g.Schema().Lookup(top.Tag).Kids[i].Link, k
 			break
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/derrors"
 	"repro/internal/sig"
-	"repro/internal/tree"
 	"repro/internal/truechange"
 	"repro/internal/uri"
 )
@@ -31,12 +30,8 @@ func (mt *MTree) CheckNode(n *MNode, slots map[truechange.Slot]sig.Sort) (sig.So
 		return "", fmt.Errorf("mtree: node %s has %d literals, signature of %s expects %d",
 			n.URI, len(n.Lits), n.Tag, len(g.Lits))
 	}
-	for _, spec := range g.Lits {
-		v, ok := n.Lits[spec.Link]
-		if !ok {
-			return "", fmt.Errorf("mtree: node %s lacks literal %q", n.URI, spec.Link)
-		}
-		if !spec.Type.Admits(v) {
+	for i, spec := range g.Lits {
+		if v := n.Lits[i]; !spec.Type.Admits(v) {
 			return "", fmt.Errorf("mtree: node %s literal %q: %#v does not conform to %s",
 				n.URI, spec.Link, v, spec.Type)
 		}
@@ -45,11 +40,8 @@ func (mt *MTree) CheckNode(n *MNode, slots map[truechange.Slot]sig.Sort) (sig.So
 		return "", fmt.Errorf("mtree: node %s has %d kid links, signature of %s expects %d",
 			n.URI, len(n.Kids), n.Tag, len(g.Kids))
 	}
-	for _, spec := range g.Kids {
-		k, ok := n.Kids[spec.Link]
-		if !ok {
-			return "", fmt.Errorf("mtree: node %s lacks link %q", n.URI, spec.Link)
-		}
+	for i, spec := range g.Kids {
+		k := n.Kids[i]
 		if k == nil {
 			slot := truechange.Slot{URI: n.URI, Link: spec.Link}
 			slotSort, recorded := slots[slot]
@@ -83,7 +75,7 @@ func (mt *MTree) CheckTree(st *truechange.State) error {
 		if p == nil {
 			return fmt.Errorf("mtree: slot %s names an unindexed node", slot)
 		}
-		if _, ok := p.Kids[slot.Link]; !ok {
+		if mt.kidIndex(p, slot.Link) < 0 {
 			return fmt.Errorf("mtree: slot %s: node has no such link", slot)
 		}
 	}
@@ -107,17 +99,18 @@ func (mt *MTree) CheckTree(st *truechange.State) error {
 // attached tree under the pre-defined root, no empty slots anywhere
 // (Σ, ε ⊢ t.root : Root).
 func (mt *MTree) CheckClosed() error {
-	st := truechange.ClosedState()
-	if err := mt.CheckTree(st); err != nil {
-		return err
-	}
-	// CheckTree validates the root against empty S, which already rejects
-	// any nil slot below it. Additionally ensure the index holds no stray
-	// detached roots: every indexed node must be reachable from the root.
+	// Walk from the root first: a URI reached twice means a node attached
+	// in two places or in a cycle, which an ill-typed script can build.
+	// That is no tree, and typing a cycle would never end.
 	reach := make(map[uri.URI]bool, len(mt.index))
+	var twice *MNode
 	var walk func(n *MNode)
 	walk = func(n *MNode) {
-		if n == nil || reach[n.URI] {
+		if n == nil || twice != nil {
+			return
+		}
+		if reach[n.URI] {
+			twice = n
 			return
 		}
 		reach[n.URI] = true
@@ -126,6 +119,15 @@ func (mt *MTree) CheckClosed() error {
 		}
 	}
 	walk(mt.root)
+	if twice != nil {
+		return fmt.Errorf("mtree: node %s is reached twice from the root", twice.URI)
+	}
+	// CheckTree validates the root against empty S, which already rejects
+	// any nil slot below it. Additionally ensure the index holds no stray
+	// detached roots: every indexed node must be reachable from the root.
+	if err := mt.CheckTree(truechange.ClosedState()); err != nil {
+		return err
+	}
 	for u := range mt.index {
 		if !reach[u] {
 			return fmt.Errorf("mtree: indexed node %s is unreachable from the root", u)
@@ -163,10 +165,11 @@ func (mt *MTree) complyEdit(e truechange.Edit) error {
 		if p.Tag != ed.Parent.Tag {
 			return fmt.Errorf("detach: parent %s has tag %s, edit claims %s", ed.Parent.URI, p.Tag, ed.Parent.Tag)
 		}
-		n, ok := p.Kids[ed.Link]
-		if !ok {
+		i := mt.kidIndex(p, ed.Link)
+		if i < 0 {
 			return fmt.Errorf("detach: parent %s has no link %q", ed.Parent, ed.Link)
 		}
+		n := p.Kids[i]
 		if n == nil {
 			return fmt.Errorf("detach: slot %s.%s already empty", ed.Parent, ed.Link)
 		}
@@ -198,23 +201,8 @@ func (mt *MTree) complyEdit(e truechange.Edit) error {
 		if n.Tag != ed.Node.Tag {
 			return fmt.Errorf("unload: node %s has tag %s, edit claims %s", ed.Node.URI, n.Tag, ed.Node.Tag)
 		}
-		for _, k := range ed.Kids {
-			kid, ok := n.Kids[k.Link]
-			if !ok {
-				return fmt.Errorf("unload: node %s has no link %q", ed.Node, k.Link)
-			}
-			if kid == nil || kid.URI != k.URI {
-				return fmt.Errorf("unload: node %s link %q does not hold %s", ed.Node, k.Link, k.URI)
-			}
-		}
-		for _, l := range ed.Lits {
-			v, ok := n.Lits[l.Link]
-			if !ok {
-				return fmt.Errorf("unload: node %s has no literal %q", ed.Node, l.Link)
-			}
-			if !tree.LitEqual(v, l.Value) {
-				return fmt.Errorf("unload: node %s literal %q is %#v, edit claims %#v", ed.Node, l.Link, v, l.Value)
-			}
+		if err := mt.holds(n, ed.Kids, ed.Lits); err != nil {
+			return fmt.Errorf("unload: %w", err)
 		}
 		return nil
 
@@ -226,14 +214,8 @@ func (mt *MTree) complyEdit(e truechange.Edit) error {
 		if n.Tag != ed.Node.Tag {
 			return fmt.Errorf("update: node %s has tag %s, edit claims %s", ed.Node.URI, n.Tag, ed.Node.Tag)
 		}
-		for _, l := range ed.Old {
-			v, ok := n.Lits[l.Link]
-			if !ok {
-				return fmt.Errorf("update: node %s has no literal %q", ed.Node, l.Link)
-			}
-			if !tree.LitEqual(v, l.Value) {
-				return fmt.Errorf("update: node %s literal %q is %#v, edit claims old value %#v", ed.Node, l.Link, v, l.Value)
-			}
+		if err := mt.holdsLits(n, ed.Old); err != nil {
+			return fmt.Errorf("update: %w", err)
 		}
 		return nil
 
@@ -242,29 +224,29 @@ func (mt *MTree) complyEdit(e truechange.Edit) error {
 	}
 }
 
-// cloneShallow deep-copies the tree structure (nodes, maps) without copying
-// literal values, which are immutable.
+// cloneShallow copies the tree structure — nodes, kid slots and index —
+// into arenas, sharing literal slices with the receiver: Update installs a
+// new slice instead of writing into one, so the copy never changes the
+// receiver's literals.
 func (mt *MTree) cloneShallow() *MTree {
 	c := &MTree{sch: mt.sch, index: make(map[uri.URI]*MNode, len(mt.index))}
+	nodes := make([]MNode, 0, len(mt.index))
+	slots := 0
+	for _, n := range mt.index {
+		slots += len(n.Kids)
+	}
+	arena := make([]*MNode, slots)
 	for u, n := range mt.index {
-		cn := &MNode{
-			Tag:  n.Tag,
-			URI:  n.URI,
-			Kids: make(map[sig.Link]*MNode, len(n.Kids)),
-			Lits: make(map[sig.Link]any, len(n.Lits)),
-		}
-		for l, v := range n.Lits {
-			cn.Lits[l] = v
-		}
-		c.index[u] = cn
+		k := len(n.Kids)
+		nodes = append(nodes, MNode{Tag: n.Tag, URI: n.URI, Kids: arena[:k:k], Lits: n.Lits, src: n.src})
+		arena = arena[k:]
+		c.index[u] = &nodes[len(nodes)-1]
 	}
 	for u, n := range mt.index {
 		cn := c.index[u]
-		for l, k := range n.Kids {
-			if k == nil {
-				cn.Kids[l] = nil
-			} else {
-				cn.Kids[l] = c.index[k.URI]
+		for i, k := range n.Kids {
+			if k != nil {
+				cn.Kids[i] = c.index[k.URI]
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/mtree"
 	"repro/internal/sig"
+	"repro/internal/tree"
 	"repro/internal/truechange"
 
 	"repro/structdiff"
@@ -90,6 +91,21 @@ func CheckPair(sch *sig.Schema, p Pair, salt int64, opts ...structdiff.Option) (
 	if res.Patched.ExactHash() != p.Target.ExactHash() {
 		return script, propErr(PropConvergence, "Result.Patched differs from target (exact-hash mismatch)")
 	}
+	// structdiff.Patch and truediff's step 4 build the patched tree
+	// independently; they must build the very same nodes, on the pair and
+	// on its FNV-64 clones.
+	if err := checkPatched(p.Source, res, o); err != nil {
+		return script, err
+	}
+	alloc := structdiff.NewAllocator()
+	fsrc, fdst := structdiff.Clone(p.Source, alloc, structdiff.FNV64), structdiff.Clone(p.Target, alloc, structdiff.FNV64)
+	fres, err := structdiff.Diff(fsrc, fdst, o...)
+	if err != nil {
+		return script, propErr(PropConvergence, "diff of the FNV-64 clones failed: %w", err)
+	}
+	if err := checkPatched(fsrc, fres, o); err != nil {
+		return script, err
+	}
 
 	// Property 3 — empty self-diff: diffing a tree against itself yields
 	// the empty script.
@@ -120,6 +136,19 @@ func CheckPair(sch *sig.Schema, p Pair, salt int64, opts ...structdiff.Option) (
 		return script, err
 	}
 	return script, nil
+}
+
+// checkPatched asserts that structdiff.Patch of the diff's script builds
+// Result.Patched node by node: tags, literals, URIs and both digests.
+func checkPatched(src *tree.Node, res *structdiff.Result, o []structdiff.Option) error {
+	patched, err := structdiff.Patch(src, res.Script, o...)
+	if err != nil {
+		return propErr(PropConvergence, "structdiff.Patch failed: %w", err)
+	}
+	if msg := tree.Mismatch(patched, res.Patched); msg != "" {
+		return propErr(PropConvergence, "structdiff.Patch differs from Result.Patched: %s", msg)
+	}
+	return nil
 }
 
 // checkInvert asserts Patch(s); Patch(Invert(s)) restores the source tree

@@ -92,41 +92,74 @@ func New(sch *sig.Schema, alloc *uri.Allocator, tag sig.Tag, kids []*Node, lits 
 
 // NewHashed is New with an explicit hash algorithm.
 func NewHashed(sch *sig.Schema, alloc *uri.Allocator, tag sig.Tag, kids []*Node, lits []any, kind HashKind) (*Node, error) {
+	if err := validate(sch, tag, kids, lits); err != nil {
+		return nil, err
+	}
+	return build(sch, alloc.Fresh(), tag, kids, lits, kind), nil
+}
+
+// NewWithURI is NewHashed but uses the given URI instead of allocating a
+// fresh one, and reserves it in alloc so future allocations cannot collide.
+// It is used when reconstructing immutable trees from mutable ones while
+// preserving node identities.
+func NewWithURI(sch *sig.Schema, alloc *uri.Allocator, u uri.URI, tag sig.Tag, kids []*Node, lits []any, kind HashKind) (*Node, error) {
+	if err := validate(sch, tag, kids, lits); err != nil {
+		return nil, err
+	}
+	alloc.Reserve(u)
+	return build(sch, u, tag, kids, lits, kind), nil
+}
+
+// ValidateNode checks n's own tag, kids and literals against sch exactly as
+// New checks its arguments; it does not descend into the kids. A tree whose
+// Schema record is sch passed this check at every node when it was built.
+func ValidateNode(sch *sig.Schema, n *Node) error { return validate(sch, n.Tag, n.Kids, n.Lits) }
+
+// validate checks a node's tag, kids and literals against sch: the tag is
+// declared and not the pre-defined root, and the kids and literals match
+// its signature in number, sort (up to subtyping) and base type.
+func validate(sch *sig.Schema, tag sig.Tag, kids []*Node, lits []any) error {
 	g := sch.Lookup(tag)
 	if g == nil {
-		return nil, fmt.Errorf("tree: undeclared tag %s", tag)
+		return fmt.Errorf("tree: undeclared tag %s", tag)
 	}
 	if tag == sig.RootTag {
-		return nil, fmt.Errorf("tree: cannot construct the pre-defined root tag")
+		return fmt.Errorf("tree: cannot construct the pre-defined root tag")
 	}
 	if len(kids) != len(g.Kids) {
-		return nil, fmt.Errorf("tree: tag %s expects %d kids, got %d", tag, len(g.Kids), len(kids))
+		return fmt.Errorf("tree: tag %s expects %d kids, got %d", tag, len(g.Kids), len(kids))
 	}
 	if len(lits) != len(g.Lits) {
-		return nil, fmt.Errorf("tree: tag %s expects %d literals, got %d", tag, len(g.Lits), len(lits))
+		return fmt.Errorf("tree: tag %s expects %d literals, got %d", tag, len(g.Lits), len(lits))
 	}
 	for i, k := range kids {
 		if k == nil {
-			return nil, fmt.Errorf("tree: tag %s kid %q is nil", tag, g.Kids[i].Link)
+			return fmt.Errorf("tree: tag %s kid %q is nil", tag, g.Kids[i].Link)
 		}
 		ks, ok := sch.ResultSort(k.Tag)
 		if !ok {
-			return nil, fmt.Errorf("tree: kid tag %s undeclared", k.Tag)
+			return fmt.Errorf("tree: kid tag %s undeclared", k.Tag)
 		}
 		if !sch.IsSubsort(ks, g.Kids[i].Sort) {
-			return nil, fmt.Errorf("tree: tag %s kid %q: sort %s is not a subsort of %s",
+			return fmt.Errorf("tree: tag %s kid %q: sort %s is not a subsort of %s",
 				tag, g.Kids[i].Link, ks, g.Kids[i].Sort)
 		}
 	}
 	for i, l := range lits {
 		if !g.Lits[i].Type.Admits(l) {
-			return nil, fmt.Errorf("tree: tag %s literal %q: value %v (%T) does not conform to %s",
+			return fmt.Errorf("tree: tag %s literal %q: value %v (%T) does not conform to %s",
 				tag, g.Lits[i].Link, l, l, g.Lits[i].Type)
 		}
 	}
+	return nil
+}
+
+// build constructs and hashes a node validated against sch, copying kids
+// and lits so the caller's slices stay its own.
+func build(sch *sig.Schema, u uri.URI, tag sig.Tag, kids []*Node, lits []any, kind HashKind) *Node {
 	n := &Node{
 		Tag:  tag,
-		URI:  alloc.Fresh(),
+		URI:  u,
 		Kids: append([]*Node(nil), kids...),
 		Lits: append([]any(nil), lits...),
 		sch:  subtreeSchema(sch, kids),
@@ -134,7 +167,7 @@ func NewHashed(sch *sig.Schema, alloc *uri.Allocator, tag sig.Tag, kids []*Node,
 	w := hashers.Get().(*hasher)
 	n.finish(w, kind)
 	hashers.Put(w)
-	return n, nil
+	return n
 }
 
 // subtreeSchema is the schema record of a node validated against sch: sch
@@ -146,20 +179,6 @@ func subtreeSchema(sch *sig.Schema, kids []*Node) *sig.Schema {
 		}
 	}
 	return sch
-}
-
-// NewWithURI is NewHashed but uses the given URI instead of allocating a
-// fresh one, and reserves it in alloc so future allocations cannot collide.
-// It is used when reconstructing immutable trees from mutable ones while
-// preserving node identities.
-func NewWithURI(sch *sig.Schema, alloc *uri.Allocator, u uri.URI, tag sig.Tag, kids []*Node, lits []any, kind HashKind) (*Node, error) {
-	n, err := NewHashed(sch, alloc, tag, kids, lits, kind)
-	if err != nil {
-		return nil, err
-	}
-	n.URI = u
-	alloc.Reserve(u)
-	return n, nil
 }
 
 // finish computes the cached height, size, and digests of a node whose Tag,
@@ -221,6 +240,10 @@ func (n *Node) digestLen() int {
 	}
 	return 8
 }
+
+// HashKind returns the algorithm of n's digests. It is meaningful only when
+// n carries digests at all, which HashedWith also checks.
+func (n *Node) HashKind() HashKind { return n.kind }
 
 // StructurallyEquivalent reports whether n and m have the same shape
 // modulo literal values (paper: n ≃ m).
@@ -369,6 +392,38 @@ func deepEqual(a, b *Node) bool {
 		}
 	}
 	return true
+}
+
+// Mismatch walks a and b in lockstep and describes the first node whose
+// tag, URI, arity, literals or digests (their kind included) differ, or
+// returns "" when the two trees agree node by node. Unlike Equal it
+// compares URIs, so it tells whether two constructions of a tree built the
+// very same nodes.
+func Mismatch(a, b *Node) string {
+	switch {
+	case a == nil || b == nil:
+		if a != b {
+			return "one tree is nil"
+		}
+		return ""
+	case a.Tag != b.Tag || a.URI != b.URI:
+		return fmt.Sprintf("node %s%s, want %s%s", a.Tag, a.URI, b.Tag, b.URI)
+	case len(a.Kids) != len(b.Kids) || len(a.Lits) != len(b.Lits):
+		return fmt.Sprintf("%s%s: arity differs", b.Tag, b.URI)
+	case a.hashed != b.hashed || a.kind != b.kind || a.structHash != b.structHash || a.litHash != b.litHash:
+		return fmt.Sprintf("%s%s: digests differ", b.Tag, b.URI)
+	}
+	for i := range b.Lits {
+		if !LitEqual(a.Lits[i], b.Lits[i]) {
+			return fmt.Sprintf("%s%s: literal %d is %#v, want %#v", b.Tag, b.URI, i, a.Lits[i], b.Lits[i])
+		}
+	}
+	for i := range b.Kids {
+		if msg := Mismatch(a.Kids[i], b.Kids[i]); msg != "" {
+			return msg
+		}
+	}
+	return ""
 }
 
 // LitEqual reports equality of two literal values under the semantics the

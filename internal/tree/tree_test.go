@@ -268,6 +268,30 @@ func TestNewWithURIPreservesAndReserves(t *testing.T) {
 	}
 }
 
+// TestNewWithURITakesNoFreshURI: NewWithURI validates and hashes without
+// drawing a fresh URI; it only reserves the URI it is given.
+func TestNewWithURITakesNoFreshURI(t *testing.T) {
+	sch := testSchema()
+	alloc := uri.NewAllocator()
+	alloc.Reserve(20)
+	n, err := NewWithURI(sch, alloc, 5, "Num", nil, []any{int64(1)}, SHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.URI != 5 || alloc.Peek() != 20 {
+		t.Errorf("NewWithURI(5) gave URI %s and left Peek at %d, want #5 and 20", n.URI, alloc.Peek())
+	}
+	if _, err := NewWithURI(sch, alloc, 30, "Add", []*Node{n, n}, nil, SHA256); err != nil {
+		t.Fatal(err)
+	}
+	if alloc.Peek() != 30 {
+		t.Errorf("NewWithURI(30) left Peek at %d, want 30", alloc.Peek())
+	}
+	if _, err := NewWithURI(sch, alloc, 40, "Num", nil, []any{"not an int"}, SHA256); err == nil || alloc.Peek() != 30 {
+		t.Errorf("an invalid node: err = %v, Peek %d; want an error and Peek 30", err, alloc.Peek())
+	}
+}
+
 // Property: for random pairs of values, structural equivalence is decided
 // purely by shape and literal equivalence purely by literals.
 func TestQuickHashProperties(t *testing.T) {

@@ -248,9 +248,11 @@ func DiffWithMatching(src, dst *Node, matches []MatchPair, opts ...Option) (*Res
 }
 
 // Patch applies the edit script to the tree and returns the patched tree.
-// The input tree is not mutated. WithSchema is required; WithAllocator
-// supplies URIs for the rebuilt tree (defaulting to a fresh allocator that
-// learns the tree's URIs).
+// The input tree is not mutated: the result shares every subtree the
+// script left unchanged and rebuilds the changed nodes and their
+// ancestors, hashed with the input's digest kind. WithSchema is required;
+// an allocator given WithAllocator is advanced past the input's URIs and
+// the result's, and no further.
 //
 // The script must comply with the tree (Definition 3.5 of the paper): an
 // edit that does not — wrong URIs, tags, links, stale literal values —
@@ -258,17 +260,20 @@ func DiffWithMatching(src, dst *Node, matches []MatchPair, opts ...Option) (*Res
 // carrying the offending edit's index and kind), and scripts from Diff
 // always comply with Diff's source tree. Patching is transactional: the
 // script applies in full or not at all, so a failure never leaks a
-// half-patched state (here that is invisible — the input tree is copied —
-// but the same guarantee holds for in-place patching via PatchAtomic).
+// half-patched state (here that is invisible — untouched subtrees are
+// shared and changed nodes are rebuilt — but the same guarantee holds for
+// in-place patching via PatchAtomic).
 func Patch(t *Node, s *Script, opts ...Option) (*Node, error) {
 	return PatchContext(context.Background(), t, s, opts...)
 }
 
-// PatchContext is the context-first form of Patch. Patching a truechange
-// script is O(change), not O(tree), so unlike diffing it has no mid-run
-// checkpoints: ctx is observed on entry (a cancelled context fails before
-// any edit applies, preserving transactionality) and a nil ctx is treated
-// as context.Background(), under which PatchContext is exactly Patch.
+// PatchContext is the context-first form of Patch. Patching costs one
+// O(n) pass that indexes the tree, with no allocation per node, plus
+// O(change) for the edits and the rebuilt spine, so unlike diffing it has
+// no mid-run checkpoints: ctx is observed on entry (a cancelled context
+// fails before any edit applies, preserving transactionality) and a nil
+// ctx is treated as context.Background(), under which PatchContext is
+// exactly Patch.
 func PatchContext(ctx context.Context, t *Node, s *Script, opts ...Option) (*Node, error) {
 	cfg := newConfig(opts)
 	if cfg.sch == nil {
@@ -294,7 +299,6 @@ func PatchContext(ctx context.Context, t *Node, s *Script, opts ...Option) (*Nod
 	alloc := cfg.alloc
 	if alloc == nil {
 		alloc = uri.NewAllocator()
-		tree.Walk(t, func(n *Node) { alloc.Reserve(n.URI) })
 	}
 	return mt.ToTree(alloc)
 }

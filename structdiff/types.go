@@ -81,7 +81,7 @@ func HashedWith(n *Node, kind HashKind) bool { return tree.HashedWith(n, kind) }
 func Walk(n *Node, f func(*Node))     { tree.Walk(n, f) }
 func WalkPost(n *Node, f func(*Node)) { tree.WalkPost(n, f) }
 
-// TreesEqual reports deep equality of trees including URIs.
+// TreesEqual reports deep equality of trees, ignoring URIs.
 func TreesEqual(a, b *Node) bool { return tree.Equal(a, b) }
 
 // StructurallyEquivalent reports equality up to literals and URIs;
