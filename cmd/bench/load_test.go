@@ -8,7 +8,7 @@ import (
 
 // TestLoadTraceEndToEnd runs the self-contained load test with tracing on
 // and verifies that requests produce complete traces: one trace ID
-// spanning the client RPC, the server request, the coalescing queue, the
+// spanning the client RPC, the server request, the dispatch queue, the
 // engine, and the four truediff phases.
 func TestLoadTraceEndToEnd(t *testing.T) {
 	rec := telemetry.NewSpanRecorder()

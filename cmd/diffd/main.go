@@ -1,8 +1,9 @@
 // Command diffd serves structural diffing as a network service: an
 // HTTP/JSON daemon around the batch engine, one engine per served
-// language, with request coalescing, per-tenant admission control, queue
-// backpressure (429 + Retry-After when saturated), and graceful drain on
-// SIGINT/SIGTERM.
+// language, dispatching each request to a free worker (requests that
+// queue while every worker is busy share the next engine batch),
+// per-tenant admission control, queue backpressure (429 + Retry-After
+// when saturated), and graceful drain on SIGINT/SIGTERM.
 //
 //	diffd                              # serve every language on :8347
 //	diffd -addr :9000 -langs exp       # one language, custom port
@@ -13,7 +14,7 @@
 // Endpoints (wire schema and a curl session in docs/SERVICE.md):
 //
 //	POST /v1/diff      one pair (S-exprs or refs), versioned JSON
-//	POST /v1/batch     many pairs, one engine batch
+//	POST /v1/batch     many pairs, each queued as its own job
 //	GET  /v1/snapshot  per-language engine counters
 //	GET  /metrics      Prometheus text exposition (service + engines)
 //	GET  /debug/diffz  flight recorder: recent + slowest diffs (JSON/HTML)
@@ -67,10 +68,9 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8347", "listen address")
 		langs         = flag.String("langs", "", "comma-separated languages to serve (default: all registered)")
-		workers       = flag.Int("workers", 0, "worker goroutines per language engine (0 = GOMAXPROCS)")
+		workers       = flag.Int("workers", 0, "worker goroutines and dispatch loops per language engine (0 = GOMAXPROCS)")
 		diffTimeout   = flag.Duration("diff-timeout", 5*time.Second, "per-diff deadline (0 disables)")
-		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long to hold a request for coalescing companions")
-		batchMax      = flag.Int("batch-max", 64, "max requests coalesced into one engine batch")
+		batchMax      = flag.Int("batch-max", 64, "max queued requests dispatched as one engine batch")
 		maxQueue      = flag.Int("max-queue", 256, "per-language admission queue bound (saturation threshold)")
 		tenantLimit   = flag.Int("tenant-limit", 32, "per-tenant concurrent request cap (X-Diffd-Tenant header; -1 disables)")
 		slow          = flag.Duration("slow", 0, "log diffs at or above this wall time (0 disables)")
@@ -110,7 +110,6 @@ func main() {
 	cfg := diffserve.Config{
 		Workers:           *workers,
 		DiffTimeout:       *diffTimeout,
-		BatchWindow:       *batchWindow,
 		BatchMax:          *batchMax,
 		MaxQueue:          *maxQueue,
 		TenantLimit:       *tenantLimit,

@@ -3,6 +3,7 @@ package diffserve
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/derrors"
@@ -10,34 +11,33 @@ import (
 	"repro/internal/telemetry"
 )
 
-// job is one diff request queued for coalescing: the pair to diff and a
+// job is one diff request waiting for dispatch: the pair to diff and a
 // one-slot channel its result is delivered on. The slot means delivery
 // never blocks, so a caller that gave up (request context cancelled) does
-// not wedge the batcher. enqueued timestamps admission so the queue span
-// covers the wait from submit to flush.
+// not wedge a dispatch loop. enqueued timestamps admission so the queue
+// span covers the wait from submit to dispatch.
 type job struct {
-	pair        engine.Pair
-	wantPatched bool
-	enqueued    time.Time
-	done        chan engine.PairResult
+	pair     engine.Pair
+	enqueued time.Time
+	done     chan engine.PairResult
 }
 
-// batcher coalesces concurrently arriving jobs into engine DiffBatch
-// calls: the first job to arrive opens a window; jobs arriving within
-// Config.BatchWindow join it, up to Config.BatchMax; then the whole window
-// runs as one batch, amortizing worker fan-out and letting the engine's
-// cross-diff caches see related requests together. A lone request pays at
-// most one window of added latency.
+// batcher dispatches jobs to the engine by group commit: each of its
+// dispatch loops takes the next job as soon as it is free, folds in
+// whatever else is already queued (up to max) without waiting, and runs
+// the lot as one engine batch. A request that finds a loop free is
+// dispatched at once; jobs that arrive while every loop is busy share the
+// next batch. Nothing is held back on a timer: a diff is a pure function
+// of its two trees, so there is nothing to gain by waiting for company.
 type batcher struct {
-	eng    *engine.Engine
-	window time.Duration
-	max    int
+	eng *engine.Engine
+	max int
 
 	// jobs is the admission queue: its capacity is the backpressure bound
 	// (Config.MaxQueue); the server sheds when a non-blocking send fails.
 	jobs chan *job
-	// stopped is closed when run exits (after the queue is closed and
-	// every remaining job has been answered).
+	// stopped is closed when the last dispatch loop exits (after the
+	// queue is closed and every remaining job has been answered).
 	stopped chan struct{}
 
 	// draining, when set (by Server.Drain, before closing jobs), makes the
@@ -50,14 +50,15 @@ type batcher struct {
 	onBatch func(size int)
 	onDone  func()
 	// spans, when non-nil, records one "diffserve.queue" span per job at
-	// flush time covering its wait in the coalescing window.
+	// dispatch covering its wait since admission.
 	spans telemetry.SpanSink
 }
 
-func newBatcher(eng *engine.Engine, window time.Duration, max, queue int, draining func() bool, onBatch func(int), onDone func(), spans telemetry.SpanSink) *batcher {
+// newBatcher starts the given number of dispatch loops, all reading one
+// admission queue of capacity queue.
+func newBatcher(eng *engine.Engine, loops, max, queue int, draining func() bool, onBatch func(int), onDone func(), spans telemetry.SpanSink) *batcher {
 	b := &batcher{
 		eng:      eng,
-		window:   window,
 		max:      max,
 		jobs:     make(chan *job, queue),
 		stopped:  make(chan struct{}),
@@ -66,40 +67,47 @@ func newBatcher(eng *engine.Engine, window time.Duration, max, queue int, draini
 		onDone:   onDone,
 		spans:    spans,
 	}
-	go b.run()
+	var wg sync.WaitGroup
+	wg.Add(loops)
+	for range loops {
+		go func() {
+			defer wg.Done()
+			b.run()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(b.stopped)
+	}()
 	return b
 }
 
+// run is one dispatch loop: it blocks only for the first job of a batch.
 func (b *batcher) run() {
-	defer close(b.stopped)
+	batch := make([]*job, 0, b.max)
 	for first := range b.jobs {
-		if b.draining() {
-			b.fail(first, drainingError())
-			continue
-		}
-		batch := []*job{first}
-		timer := time.NewTimer(b.window)
-	collect:
+		batch = append(batch[:0], first)
+	fill:
 		for len(batch) < b.max {
 			select {
 			case j, ok := <-b.jobs:
 				if !ok {
-					break collect
+					break fill
 				}
 				batch = append(batch, j)
-			case <-timer.C:
-				break collect
+			default:
+				break fill
 			}
 		}
-		timer.Stop()
 		b.flush(batch)
 	}
 }
 
-// flush runs one coalesced window as an engine batch. The batch runs under
-// context.Background(), not any single request's context: the window is
-// shared, so one caller hanging up must not abort its neighbours' diffs.
-// Per-pair deadlines still apply through the engine's DiffTimeout.
+// flush runs one batch on the engine. The batch runs under
+// context.Background(), not any single request's context: its jobs come
+// from different callers, so one caller hanging up must not abort its
+// neighbours' diffs. Per-pair deadlines still apply through the engine's
+// DiffTimeout.
 func (b *batcher) flush(batch []*job) {
 	if b.draining() {
 		for _, j := range batch {
@@ -111,7 +119,7 @@ func (b *batcher) flush(batch []*job) {
 	now := time.Now()
 	for i, j := range batch {
 		// The queue span back-dates to admission, closing as the batch is
-		// handed to the engine: it measures coalescing-window wait.
+		// handed to the engine: it measures the wait for a free loop.
 		sp := telemetry.StartSpanAt(b.spans, j.pair.Trace, "diffserve.queue", j.enqueued)
 		sp.SetAttr("batch_size", len(batch))
 		sp.EndAt(now)

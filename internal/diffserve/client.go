@@ -36,12 +36,12 @@ import (
 // safe for concurrent use.
 //
 // The client is also where the network resilience layer lives (see
-// retry.go): WithRetry arms transparent retries of transient failures,
+// retry.go): WithRetry arms transparent retries of transient failures and
 // WithBreaker a per-endpoint circuit breaker that fails fast while the
-// service is down, and WithHedge tail-latency hedging. All three are off
-// by default and cost nothing when off — every request is idempotent
-// (diffs are pure functions of digest-identified trees), which is what
-// makes aggressive retrying and hedging safe.
+// service is down. Both are off by default and cost nothing when off —
+// every request is idempotent (diffs are pure functions of
+// digest-identified trees), which is what makes aggressive retrying
+// safe.
 type Client struct {
 	base   string
 	lang   string
@@ -51,7 +51,6 @@ type Client struct {
 	spans  telemetry.SpanSink
 
 	retry *retrier
-	hedge *hedger
 	brCfg *BreakerConfig
 	m     clientMetrics
 
@@ -89,15 +88,6 @@ func WithRetry(pol RetryPolicy) ClientOption {
 // defaults documented on BreakerConfig.
 func WithBreaker(cfg BreakerConfig) ClientOption {
 	return func(c *Client) { cc := cfg.withDefaults(); c.brCfg = &cc }
-}
-
-// WithHedge arms request hedging for tail latency: an attempt still
-// unanswered after the hedge delay (by default the rolling p95 of
-// observed attempt latency) is raced against a second copy of the same
-// idempotent request; the first response wins and the loser is cancelled.
-// The zero config selects the defaults documented on HedgeConfig.
-func WithHedge(cfg HedgeConfig) ClientOption {
-	return func(c *Client) { c.hedge = newHedger(cfg) }
 }
 
 // WithTenant sets the X-Diffd-Tenant header, the identity the server's
@@ -379,8 +369,8 @@ func (c *Client) Close() error {
 // --- transport ---
 
 // post runs one logical request through the resilience pipeline: circuit
-// breaker → retry loop → (optionally hedged) HTTP attempt → decode. The
-// response is unmarshalled into out only after the winning attempt's body
+// breaker → retry loop → HTTP attempt → decode. The response is
+// unmarshalled into out only after the successful attempt's body
 // has been read in full, so a truncated or corrupted body is a typed,
 // retryable transport error — never a half-decoded response.
 func (c *Client) post(ctx context.Context, path string, tc telemetry.SpanContext, body, out any) error {
@@ -420,11 +410,9 @@ func (c *Client) roundTrip(ctx context.Context, path string, tc telemetry.SpanCo
 			}
 		}
 		start := time.Now()
-		body, err := c.hedgedAttempt(ctx, path, tc, raw)
-		elapsed := time.Since(start)
-		br.observe(elapsed, err == nil)
+		body, err := c.attempt(ctx, path, tc, raw)
+		br.observe(time.Since(start), err == nil)
 		if err == nil {
-			c.hedge.observe(elapsed)
 			return body, nil
 		}
 		lastErr = err
@@ -453,60 +441,6 @@ func (c *Client) breakerFor(path string) *breaker {
 		c.breakers[path] = b
 	}
 	return b
-}
-
-// hedgedAttempt runs one retry-loop attempt. Without hedging it is a
-// plain attempt. With hedging, an attempt still unanswered after the
-// hedge delay is raced against up to HedgeConfig.Max additional copies:
-// the first success wins and cancels the rest; if every launched copy
-// fails, the first failure is reported (the retry loop takes it from
-// there).
-func (c *Client) hedgedAttempt(ctx context.Context, path string, tc telemetry.SpanContext, raw []byte) ([]byte, error) {
-	if c.hedge == nil {
-		return c.attempt(ctx, path, tc, raw)
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel() // the loser (if any) is cancelled here
-
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	results := make(chan outcome, c.hedge.cfg.Max+1)
-	launch := func() {
-		go func() {
-			body, err := c.attempt(actx, path, tc, raw)
-			results <- outcome{body, err}
-		}()
-	}
-	launch()
-	launched := 1
-
-	timer := time.NewTimer(c.hedge.delay())
-	defer timer.Stop()
-	var firstErr error
-	for done := 0; done < launched; {
-		select {
-		case r := <-results:
-			done++
-			if r.err == nil {
-				return r.body, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		case <-timer.C:
-			if launched <= c.hedge.cfg.Max {
-				c.m.hedges.Add(1)
-				launch()
-				launched++
-				timer.Reset(c.hedge.delay())
-			}
-		case <-ctx.Done():
-			return nil, fmt.Errorf("diffserve: %w", context.Cause(ctx))
-		}
-	}
-	return nil, firstErr
 }
 
 // attempt performs exactly one HTTP exchange and classifies its outcome:

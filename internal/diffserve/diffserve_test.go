@@ -284,8 +284,8 @@ func TestSaturationSheds(t *testing.T) {
 	})
 	srv, hs := testServer(t, Config{
 		Langs: []string{"exp"}, Workers: 1,
-		MaxQueue: 1, BatchWindow: time.Millisecond,
-		Faults: inj,
+		MaxQueue: 1,
+		Faults:   inj,
 	})
 	c := NewClient(hs.URL, "exp", exp.Schema())
 	defer c.Close()
@@ -348,7 +348,7 @@ func TestTenantLimit(t *testing.T) {
 	})
 	srv, hs := testServer(t, Config{
 		Langs: []string{"exp"}, Workers: 1, TenantLimit: 1,
-		BatchWindow: time.Millisecond, Faults: inj,
+		Faults: inj,
 	})
 	greedy := NewClient(hs.URL, "exp", exp.Schema(), WithTenant("greedy"))
 	defer greedy.Close()
@@ -398,7 +398,7 @@ func TestGracefulDrain(t *testing.T) {
 	})
 	srv, hs := testServer(t, Config{
 		Langs: []string{"exp"}, Workers: 2,
-		BatchWindow: 5 * time.Millisecond, Faults: inj,
+		Faults: inj,
 	})
 	c := NewClient(hs.URL, "exp", exp.Schema())
 	defer c.Close()
@@ -525,30 +525,120 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-// TestCoalescing: requests arriving within one window run as one engine
-// batch.
-func TestCoalescing(t *testing.T) {
-	srv, hs := testServer(t, Config{
-		Langs: []string{"exp"}, Workers: 2,
-		BatchWindow: 50 * time.Millisecond, BatchMax: 8,
+// waitFor polls cond until it holds, failing the test with what after 2s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDispatchFreeWorker: a request that finds a dispatch loop free runs
+// at once, even while the other loop is wedged on a slow diff.
+func TestDispatchFreeWorker(t *testing.T) {
+	inj := faultinject.New(1, faultinject.Fault{
+		Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: 2 * time.Second, Times: 1,
 	})
+	_, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 2, Faults: inj})
+	c := NewClient(hs.URL, "exp", exp.Schema())
+	defer c.Close()
+
+	wedged := make(chan error, 1)
+	go func() {
+		src, dst := genPair(300, 50)
+		_, err := c.Diff(context.Background(), src, dst, nil)
+		wedged <- err
+	}()
+	waitFor(t, "the first diff is wedged", func() bool { return inj.Fired(engine.FaultSiteDiff) == 1 })
+
+	src, dst := genPair(301, 50)
+	start := time.Now()
+	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
+		t.Fatalf("second Diff: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("second Diff took %v with a worker free; want it dispatched at once", d)
+	}
+	if err := <-wedged; err != nil {
+		t.Fatalf("wedged Diff: %v", err)
+	}
+}
+
+// TestDispatchGroupsQueuedJobs: jobs that queue while every dispatch loop
+// is busy run together as the next engine batch.
+func TestDispatchGroupsQueuedJobs(t *testing.T) {
+	inj := faultinject.New(1, faultinject.Fault{
+		Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: time.Second, Times: 1,
+	})
+	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1, Faults: inj})
 	c := NewClient(hs.URL, "exp", exp.Schema())
 	defer c.Close()
 
 	const n = 4
-	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	diff := func(i int) {
+		src, dst := genPair(int64(310+i), 50)
+		_, err := c.Diff(context.Background(), src, dst, nil)
+		errs <- err
+	}
+	go diff(0)
+	waitFor(t, "the first diff is wedged", func() bool { return inj.Fired(engine.FaultSiteDiff) == 1 })
+	for i := 1; i < n; i++ {
+		go diff(i)
+	}
+	waitFor(t, "every job is pending behind the wedged one", func() bool { return srv.m.pending.Load() == n })
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			src, dst := genPair(int64(300+i), 50)
-			if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
-				t.Errorf("Diff %d: %v", i, err)
+		if err := <-errs; err != nil {
+			t.Errorf("Diff: %v", err)
+		}
+	}
+	if batches, diffs := srv.m.batches.Load(), srv.langs["exp"].eng.Snapshot().Diffs; batches != 2 || diffs != n {
+		t.Errorf("%d diffs ran in %d batches, want %d in 2 (the wedged job, then the three queued behind it)", diffs, batches, n)
+	}
+}
+
+// TestBacklogCountsEachJobOnce: admission counts a job once, whether it
+// waits in the queue or inside an engine batch. With the one worker
+// wedged on the first of a three-pair batch request, a fourth job still
+// fits under a MaxQueue of 4.
+func TestBacklogCountsEachJobOnce(t *testing.T) {
+	inj := faultinject.New(1, faultinject.Fault{
+		Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: 500 * time.Millisecond, Times: 1,
+	})
+	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1, MaxQueue: 4, Faults: inj})
+	c := NewClient(hs.URL, "exp", exp.Schema())
+	defer c.Close()
+
+	pairs := make([]engine.Pair, 3)
+	for i := range pairs {
+		src, dst := genPair(int64(320+i), 20)
+		pairs[i] = engine.Pair{Source: src, Target: dst}
+	}
+	batchDone := make(chan struct{})
+	go func() {
+		defer close(batchDone)
+		results, err := c.DiffBatch(context.Background(), pairs)
+		if err != nil {
+			t.Errorf("DiffBatch: %v", err)
+			return
+		}
+		for i, r := range results {
+			if r.Err != nil {
+				t.Errorf("pair %d: %v", i, r.Err)
 			}
-		}(i)
+		}
+	}()
+	waitFor(t, "three jobs are pending behind a wedged diff", func() bool {
+		return srv.m.pending.Load() == 3 && inj.Fired(engine.FaultSiteDiff) == 1
+	})
+
+	src, dst := genPair(323, 20)
+	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
+		t.Errorf("fourth job with three admitted and MaxQueue 4: %v", err)
 	}
-	wg.Wait()
-	if batches, diffs := srv.m.batches.Load(), srv.langs["exp"].eng.Snapshot().Diffs; batches >= diffs && diffs > 1 {
-		t.Errorf("no coalescing: %d batches for %d diffs", batches, diffs)
-	}
+	<-batchDone
 }

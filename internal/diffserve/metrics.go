@@ -18,14 +18,14 @@ type svcMetrics struct {
 	sheds        atomic.Uint64 // 429: tenant limit or queue backpressure
 	drainRejects atomic.Uint64 // 503: refused because draining
 
-	// pending gauges jobs accepted into a coalescing queue but not yet
-	// answered; together with the engines' QueueDepth it is the admission
-	// controller's saturation signal.
+	// pending gauges jobs accepted into a dispatch queue but not yet
+	// answered, each counted once whether queued or in an engine batch;
+	// it is the admission controller's saturation signal.
 	pending atomic.Int64
 
 	latency   telemetry.Histogram // request wall time, ns (diff+batch only)
 	batches   atomic.Uint64
-	batchSize telemetry.Histogram // jobs per coalesced engine batch
+	batchSize telemetry.Histogram // jobs per dispatched engine batch
 }
 
 // GatherMetrics implements telemetry.Gatherer for the whole service:
@@ -45,10 +45,10 @@ func (s *Server) GatherMetrics() []telemetry.Metric {
 		counter("diffserve_drain_rejects_total", "Requests refused with 503 because the server is draining.", s.m.drainRejects.Load()),
 		{
 			Name: "diffserve_pending_jobs", Kind: telemetry.KindGauge,
-			Help:  "Jobs accepted into a coalescing queue but not yet answered.",
+			Help:  "Jobs accepted into a dispatch queue but not yet answered.",
 			Value: float64(s.m.pending.Load()),
 		},
-		counter("diffserve_batches_total", "Coalesced engine batches dispatched.", s.m.batches.Load()),
+		counter("diffserve_batches_total", "Engine batches dispatched.", s.m.batches.Load()),
 		{
 			Name: "diffserve_request_duration_seconds", Kind: telemetry.KindHistogram,
 			Help: "Request wall time from admission to response, diff and batch endpoints.",
@@ -56,7 +56,7 @@ func (s *Server) GatherMetrics() []telemetry.Metric {
 		},
 		{
 			Name: "diffserve_batch_size_jobs", Kind: telemetry.KindHistogram,
-			Help: "Jobs per coalesced engine batch.",
+			Help: "Jobs per dispatched engine batch.",
 			Hist: s.m.batchSize.Snapshot(),
 		},
 	}

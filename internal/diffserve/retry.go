@@ -15,15 +15,14 @@ import (
 )
 
 // This file is the client side of the network resilience layer: the retry
-// policy, the per-endpoint circuit breaker, and request hedging. All three
-// are safe to apply aggressively because the service is idempotent by
-// construction — a diff is a pure function of two digest-identified trees,
-// so replaying a request (or racing two copies of it) can never produce a
-// different answer, only the same one sooner.
+// policy and the per-endpoint circuit breaker. Both are safe to apply
+// aggressively because the service is idempotent by construction — a diff
+// is a pure function of two digest-identified trees, so replaying a
+// request can never produce a different answer, only the same one later.
 //
 // Everything here is opt-in and zero-overhead when off: a client built
-// without WithRetry/WithBreaker/WithHedge takes the single-attempt fast
-// path through roundTrip with one nil check per feature.
+// without WithRetry/WithBreaker takes the single-attempt fast path through
+// roundTrip with one nil check per feature.
 
 // --- retry policy ---------------------------------------------------------
 
@@ -308,89 +307,13 @@ func (b *breaker) State() int32 {
 	return b.state
 }
 
-// --- hedging --------------------------------------------------------------
-
-// HedgeConfig parameterizes hedged requests: when an attempt has not
-// answered after the hedge delay, a second copy of the (idempotent)
-// request is raced against it; the first response wins and the loser is
-// cancelled. Hedging trades duplicate work on the server for tail
-// latency on the client.
-type HedgeConfig struct {
-	// Delay is how long to wait before hedging. Zero derives the delay
-	// from the client's rolling attempt-latency window: the p95, clamped
-	// to [MinDelay, MaxDelay] — the canonical "hedge after the tail
-	// begins" setting.
-	Delay time.Duration
-	// MinDelay and MaxDelay clamp the derived delay (and provide the
-	// cold-start delay while the window is empty: MaxDelay). Defaults
-	// 10ms and 2s.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-	// Max bounds how many hedges (extra in-flight copies beyond the
-	// first) one attempt may launch. Values below 1 select 1.
-	Max int
-}
-
-func (c HedgeConfig) withDefaults() HedgeConfig {
-	if c.MinDelay <= 0 {
-		c.MinDelay = 10 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Second
-	}
-	if c.MaxDelay < c.MinDelay {
-		c.MaxDelay = c.MinDelay
-	}
-	if c.Max < 1 {
-		c.Max = 1
-	}
-	return c
-}
-
-// hedger carries a client's hedging state: the config plus the rolling
-// attempt-latency window the delay derives from.
-type hedger struct {
-	cfg HedgeConfig
-	lat *telemetry.SLO
-}
-
-func newHedger(cfg HedgeConfig) *hedger {
-	cfg = cfg.withDefaults()
-	return &hedger{
-		cfg: cfg,
-		lat: telemetry.NewSLO(telemetry.SLOConfig{Window: time.Minute, Slots: 30}),
-	}
-}
-
-// observe feeds one completed attempt's latency into the window.
-func (h *hedger) observe(d time.Duration) {
-	if h != nil {
-		h.lat.Observe(d, true)
-	}
-}
-
-// delay computes when to hedge: the configured fixed delay, or the
-// windowed p95 clamped to [MinDelay, MaxDelay]; with no history yet the
-// clamp ceiling applies (hedge conservatively until the tail is known).
-func (h *hedger) delay() time.Duration {
-	if h.cfg.Delay > 0 {
-		return h.cfg.Delay
-	}
-	p95 := h.lat.Snapshot().P95
-	if p95 <= 0 {
-		return h.cfg.MaxDelay
-	}
-	return min(max(p95, h.cfg.MinDelay), h.cfg.MaxDelay)
-}
-
 // --- client telemetry -----------------------------------------------------
 
 // clientMetrics counts the resilience layer's decisions, exposed by
 // Client.GatherMetrics as diffserve_client_* series.
 type clientMetrics struct {
-	attempts     atomic.Uint64 // HTTP attempts sent (first tries, retries, hedges)
+	attempts     atomic.Uint64 // HTTP attempts sent (first tries and retries)
 	retries      atomic.Uint64 // sequential re-attempts after a retryable failure
-	hedges       atomic.Uint64 // speculative parallel copies launched
 	breakerOpens atomic.Uint64 // closed/half-open → open transitions
 	breakerFast  atomic.Uint64 // calls failed fast by an open breaker
 	resends      atomic.Uint64 // unknown_ref recoveries (full-tree re-sends)
@@ -401,7 +324,6 @@ type clientMetrics struct {
 type ClientSnapshot struct {
 	Attempts     uint64
 	Retries      uint64
-	Hedges       uint64
 	BreakerOpens uint64
 	BreakerFast  uint64
 	Resends      uint64
@@ -412,7 +334,6 @@ func (c *Client) ClientSnapshot() ClientSnapshot {
 	return ClientSnapshot{
 		Attempts:     c.m.attempts.Load(),
 		Retries:      c.m.retries.Load(),
-		Hedges:       c.m.hedges.Load(),
 		BreakerOpens: c.m.breakerOpens.Load(),
 		BreakerFast:  c.m.breakerFast.Load(),
 		Resends:      c.m.resends.Load(),
@@ -427,9 +348,8 @@ func (c *Client) GatherMetrics() []telemetry.Metric {
 		return telemetry.Metric{Name: name, Help: help, Kind: telemetry.KindCounter, Value: float64(v)}
 	}
 	ms := []telemetry.Metric{
-		counter("diffserve_client_attempts_total", "HTTP attempts sent (first tries, retries, and hedges).", c.m.attempts.Load()),
+		counter("diffserve_client_attempts_total", "HTTP attempts sent (first tries and retries).", c.m.attempts.Load()),
 		counter("diffserve_client_retries_total", "Requests re-attempted after a retryable failure.", c.m.retries.Load()),
-		counter("diffserve_client_hedges_total", "Speculative hedge attempts launched.", c.m.hedges.Load()),
 		counter("diffserve_client_breaker_opens_total", "Circuit breaker transitions to open.", c.m.breakerOpens.Load()),
 		counter("diffserve_client_breaker_fastfails_total", "Calls failed fast by an open circuit breaker.", c.m.breakerFast.Load()),
 		counter("diffserve_client_resends_total", "unknown_ref recoveries: requests re-sent with full trees.", c.m.resends.Load()),

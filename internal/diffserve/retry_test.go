@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,6 +148,27 @@ func TestServerRetryAfterClamp(t *testing.T) {
 	}
 }
 
+// TestRetryAfterCountsDefaultWorkers: a server left to pick its own
+// worker count advises the same Retry-After as one configured with that
+// count, GOMAXPROCS.
+func TestRetryAfterCountsDefaultWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	advice := func(workers int) time.Duration {
+		srv, _ := testServer(t, Config{Langs: []string{"exp"}, Workers: workers})
+		for i := 0; i < 200; i++ {
+			srv.slo.Observe(400*time.Millisecond, true)
+		}
+		return srv.retryAfter(40)
+	}
+	auto, four, one := advice(0), advice(4), advice(1)
+	if auto != four {
+		t.Fatalf("retryAfter with Workers 0 = %v, with Workers 4 = %v under GOMAXPROCS 4; want equal", auto, four)
+	}
+	if one <= four {
+		t.Fatalf("retryAfter with 1 worker = %v, with 4 = %v; want the single worker's advice longer, or the clamp hides the comparison above", one, four)
+	}
+}
+
 // --- circuit breaker state machine ---
 
 func TestBreakerStateMachine(t *testing.T) {
@@ -207,31 +229,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	if b.State() != breakerClosed {
 		t.Fatal("stale failures re-tripped a freshly closed breaker")
-	}
-}
-
-// --- hedger delay derivation ---
-
-func TestHedgerDelay(t *testing.T) {
-	h := newHedger(HedgeConfig{Delay: 123 * time.Millisecond})
-	if got := h.delay(); got != 123*time.Millisecond {
-		t.Fatalf("fixed delay = %v, want 123ms", got)
-	}
-	h = newHedger(HedgeConfig{MinDelay: 20 * time.Millisecond, MaxDelay: 100 * time.Millisecond})
-	if got := h.delay(); got != 100*time.Millisecond {
-		t.Fatalf("cold-start delay = %v, want the 100ms MaxDelay ceiling", got)
-	}
-	for i := 0; i < 100; i++ {
-		h.observe(5 * time.Millisecond)
-	}
-	if got := h.delay(); got < 20*time.Millisecond || got > 100*time.Millisecond {
-		t.Fatalf("derived delay = %v, want clamped to [20ms, 100ms]", got)
-	}
-	for i := 0; i < 1000; i++ {
-		h.observe(10 * time.Second)
-	}
-	if got := h.delay(); got != 100*time.Millisecond {
-		t.Fatalf("delay under a 10s p95 = %v, want the 100ms cap", got)
 	}
 }
 
@@ -318,10 +315,10 @@ func TestBreakerFailsFastAgainstDeadService(t *testing.T) {
 	}
 }
 
-// TestHedgeRescuesStalledRequest blackholes the first /v1/diff request at
-// a front proxy; the hedge fires after 30ms, wins against the stalled
-// attempt, and the call succeeds without any retry.
-func TestHedgeRescuesStalledRequest(t *testing.T) {
+// TestRetryRescuesStalledRequest blackholes the first /v1/diff request at
+// a front proxy; the per-attempt timeout abandons it after 100ms and one
+// retry completes the call.
+func TestRetryRescuesStalledRequest(t *testing.T) {
 	srv, _ := testServer(t, Config{Langs: []string{"exp"}, Workers: 2})
 	var n atomic.Int32
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -330,31 +327,30 @@ func TestHedgeRescuesStalledRequest(t *testing.T) {
 			// client disconnect (and cancels r.Context()) once the request
 			// body is consumed.
 			_, _ = io.Copy(io.Discard, r.Body)
-			<-r.Context().Done() // stall until the hedging layer cancels the loser
+			<-r.Context().Done() // stall until the client abandons the attempt
 			panic(http.ErrAbortHandler)
 		}
 		srv.ServeHTTP(w, r)
 	}))
 	defer front.Close()
 
-	c := NewClient(front.URL, "exp", exp.Schema(), WithHedge(HedgeConfig{Delay: 30 * time.Millisecond, Max: 1}))
+	c := NewClient(front.URL, "exp", exp.Schema(), WithRetry(RetryPolicy{
+		MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+		PerAttemptTimeout: 100 * time.Millisecond, Seed: 1,
+	}))
 	defer c.Close()
 	src, dst := genPair(3, 30)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	res, err := c.Diff(ctx, src, dst, uri.NewAllocator())
 	if err != nil {
-		t.Fatalf("hedged Diff: %v", err)
+		t.Fatalf("retried Diff: %v", err)
 	}
 	if res.Patched == nil || res.Patched.ExactHash() != dst.ExactHash() {
-		t.Fatal("hedged Diff returned a wrong or missing patched tree")
+		t.Fatal("retried Diff returned a wrong or missing patched tree")
 	}
-	snap := c.ClientSnapshot()
-	if snap.Hedges != 1 {
-		t.Fatalf("hedges = %d, want exactly 1", snap.Hedges)
-	}
-	if snap.Retries != 0 {
-		t.Fatalf("retries = %d, want 0 (the hedge, not a retry, rescued the call)", snap.Retries)
+	if snap := c.ClientSnapshot(); snap.Retries != 1 {
+		t.Fatalf("retries = %d, want exactly 1", snap.Retries)
 	}
 }
 
@@ -370,7 +366,7 @@ func TestResilienceOffIsZeroConfig(t *testing.T) {
 		t.Fatalf("Diff: %v", err)
 	}
 	snap := c.ClientSnapshot()
-	if snap.Attempts != 1 || snap.Retries != 0 || snap.Hedges != 0 || snap.BreakerOpens != 0 {
+	if snap.Attempts != 1 || snap.Retries != 0 || snap.BreakerOpens != 0 {
 		t.Fatalf("bare client snapshot = %+v, want 1 attempt and nothing else", snap)
 	}
 	for _, m := range c.GatherMetrics() {
@@ -386,7 +382,6 @@ func TestClientMetricsExposition(t *testing.T) {
 	want := []string{
 		"diffserve_client_attempts_total",
 		"diffserve_client_retries_total",
-		"diffserve_client_hedges_total",
 		"diffserve_client_breaker_opens_total",
 		"diffserve_client_breaker_fastfails_total",
 		"diffserve_client_resends_total",

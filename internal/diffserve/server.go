@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,8 @@ type Config struct {
 	// Langs selects the languages to serve (names from Languages()). Empty
 	// serves all registered languages.
 	Langs []string
-	// Workers is each language engine's worker-pool size; zero selects
-	// GOMAXPROCS.
+	// Workers is each language engine's worker-pool size and its number
+	// of dispatch loops; zero or negative selects GOMAXPROCS.
 	Workers int
 	// DiffTimeout bounds each individual diff (engine.Config.DiffTimeout);
 	// an overrunning diff fails alone with a timeout error while the rest
@@ -43,17 +44,14 @@ type Config struct {
 	// script (stats flag Fallback set) instead of an error.
 	DisableFallback bool
 
-	// BatchWindow is how long the coalescer holds the first request of a
-	// window for companions before dispatching (default 2ms — the latency
-	// a lone request pays for batching). BatchMax caps a window's size
-	// (default 64).
-	BatchWindow time.Duration
-	BatchMax    int
+	// BatchMax caps how many queued jobs one dispatch folds into a single
+	// engine batch (default 64).
+	BatchMax int
 
 	// MaxQueue bounds each language's admission queue; it is also the
-	// saturation threshold: a request that would make pending jobs plus
-	// the engine's QueueDepth reach MaxQueue is shed with 429 and a
-	// Retry-After estimated from observed diff latency. Default 256.
+	// saturation threshold: a request that would take the pending jobs
+	// past MaxQueue is shed with 429 and a Retry-After estimated from
+	// observed request latency. Default 256.
 	MaxQueue int
 	// TenantLimit caps one tenant's concurrently admitted requests
 	// (identified by the X-Diffd-Tenant header; absent means the shared
@@ -103,8 +101,8 @@ func (c Config) withDefaults() Config {
 	if len(c.Langs) == 0 {
 		c.Langs = Languages()
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
@@ -125,7 +123,7 @@ func (c Config) withDefaults() Config {
 }
 
 // langService is one served language: its schema, its engine (own worker
-// pool, intern store, URI space), its coalescing batcher, and the ref
+// pool, intern store, URI space), its dispatching batcher, and the ref
 // table mapping hex content digests to interned trees.
 type langService struct {
 	name string
@@ -138,8 +136,8 @@ type langService struct {
 }
 
 // Server is the diff service: an http.Handler exposing the engine over
-// versioned JSON, with coalescing, admission control, and graceful drain.
-// Create one with NewServer; it is ready immediately.
+// versioned JSON, with group-commit dispatch, admission control, and
+// graceful drain. Create one with NewServer; it is ready immediately.
 type Server struct {
 	cfg       Config
 	mux       *http.ServeMux
@@ -210,7 +208,7 @@ func NewServer(cfg Config) (*Server, error) {
 			eng:  engine.New(sch, ecfg),
 			refs: make(map[string]*tree.Node),
 		}
-		ls.b = newBatcher(ls.eng, cfg.BatchWindow, cfg.BatchMax, cfg.MaxQueue,
+		ls.b = newBatcher(ls.eng, cfg.Workers, cfg.BatchMax, cfg.MaxQueue,
 			s.draining.Load,
 			func(size int) { s.m.batches.Add(1); s.m.batchSize.Record(int64(size)) },
 			func() { s.m.pending.Add(-1) },
@@ -343,10 +341,11 @@ func (s *Server) observe(start time.Time, status int) {
 
 // admit runs the gatekeeping common to diff and batch requests: drain
 // refusal, the per-tenant concurrency cap, and queue backpressure against
-// pending jobs plus the engine's own QueueDepth. jobs is how many queue
-// slots the request wants (1 for a diff, len(pairs) for a batch). On
-// success the tenant slot is held; release it with the returned func.
-func (s *Server) admit(r *http.Request, ls *langService, jobs int) (release func(), herr *httpError) {
+// the pending jobs, which count every admitted job once, queued or in an
+// engine batch. jobs is how many queue slots the request wants (1 for a
+// diff, len(pairs) for a batch). On success the tenant slot is held;
+// release it with the returned func.
+func (s *Server) admit(r *http.Request, jobs int) (release func(), herr *httpError) {
 	if s.draining.Load() {
 		s.m.drainRejects.Add(1)
 		return nil, &httpError{
@@ -382,7 +381,7 @@ func (s *Server) admit(r *http.Request, ls *langService, jobs int) (release func
 	} else {
 		release = func() {}
 	}
-	backlog := int(s.m.pending.Load()) + int(ls.eng.Snapshot().QueueDepth)
+	backlog := int(s.m.pending.Load())
 	if backlog+jobs > s.cfg.MaxQueue {
 		release()
 		s.m.sheds.Add(1)
@@ -405,20 +404,16 @@ func (s *Server) admit(r *http.Request, ls *langService, jobs int) (release func
 // floor applies.
 func (s *Server) retryAfter(backlog int) time.Duration {
 	p95 := s.slo.Snapshot().P95
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	// Float arithmetic with an early cap: a pathological p95 (the top
 	// histogram bucket) times a deep backlog must saturate, not overflow.
-	est := time.Duration(min(float64(p95)*float64(backlog)/float64(workers), float64(30*time.Second)))
+	est := time.Duration(min(float64(p95)*float64(backlog)/float64(s.cfg.Workers), float64(30*time.Second)))
 	if est < time.Second {
 		est = time.Second
 	}
 	return est.Round(time.Second)
 }
 
-// submit queues one pair on the language's coalescer. It holds drainMu
+// submit queues one pair on the language's batcher. It holds drainMu
 // shared so Drain cannot close the queue mid-send; a full queue sheds.
 func (s *Server) submit(ls *langService, p engine.Pair) (*job, *httpError) {
 	s.drainMu.RLock()
@@ -518,7 +513,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.SetAttr("lang", req.Lang)
-	release, herr := s.admit(r, ls, 1)
+	release, herr := s.admit(r, 1)
 	if herr != nil {
 		status = herr.status
 		s.writeHTTPError(w, herr)
@@ -543,8 +538,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			case pr := <-j.done:
 				s.fillResult(&resp, pr, req.WantPatched)
 			case <-r.Context().Done():
-				// The job still runs (its window is shared); only this
-				// response is abandoned.
+				// The job still runs (it may share a batch with other
+				// callers' jobs); only this response is abandoned.
 				status = 499 // client closed request; observed, not written
 				s.m.clientErrors.Add(1)
 				return
@@ -588,7 +583,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	release, herr := s.admit(r, ls, len(req.Pairs))
+	release, herr := s.admit(r, len(req.Pairs))
 	if herr != nil {
 		status = herr.status
 		s.writeHTTPError(w, herr)
@@ -677,18 +672,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// saturated reports whether the aggregate backlog has crossed the
+// saturated reports whether the pending jobs have crossed the
 // readiness threshold (ReadyFraction of MaxQueue) — below the shed point
 // on purpose, so routing reacts before admission control must.
 func (s *Server) saturated() bool {
 	if s.cfg.ReadyFraction < 0 {
 		return false
 	}
-	backlog := int(s.m.pending.Load())
-	for _, name := range s.langNames {
-		backlog += int(s.langs[name].eng.Snapshot().QueueDepth)
-	}
-	return float64(backlog) >= s.cfg.ReadyFraction*float64(s.cfg.MaxQueue)
+	return float64(s.m.pending.Load()) >= s.cfg.ReadyFraction*float64(s.cfg.MaxQueue)
 }
 
 // decodeInto reads and validates the shared request prelude: body size

@@ -16,7 +16,7 @@ import (
 
 // TestServiceTraceEndToEnd: one traced Diff through the full stack yields
 // one trace containing the client RPC span, the server request span, the
-// coalescing-queue span, the engine span, and the four truediff phase
+// dispatch-queue span, the engine span, and the four truediff phase
 // spans — eight spans, correctly parented, sharing one trace ID that also
 // comes back in the response body.
 func TestServiceTraceEndToEnd(t *testing.T) {

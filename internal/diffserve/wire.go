@@ -1,12 +1,12 @@
 // Package diffserve turns the batch diffing engine into a shared network
 // service: an HTTP/JSON server (cmd/diffd is its daemon front end) that
-// accepts diff and batch requests, coalesces concurrent requests into
-// engine DiffBatch windows, enforces per-tenant concurrency limits with
-// queue backpressure driven by the engine's QueueDepth/Utilization gauges
-// (shedding with 429 + Retry-After when saturated), and drains gracefully
-// on shutdown — plus an HTTP client implementing the same DiffService
-// surface as the in-process engine, so callers need not care whether a
-// Diff runs locally or over the wire.
+// accepts diff and batch requests, dispatches each to a free worker (jobs
+// that queue while every worker is busy share the next engine batch),
+// enforces per-tenant concurrency limits with queue backpressure on its
+// pending jobs (shedding with 429 + Retry-After when saturated), and
+// drains gracefully on shutdown — plus an HTTP client implementing the
+// same DiffService surface as the in-process engine, so callers need not
+// care whether a Diff runs locally or over the wire.
 //
 // The wire format is versioned JSON (this file): every envelope — request,
 // response, script, stats, snapshot — carries a schema_version of the form
@@ -91,8 +91,8 @@ type BatchPair struct {
 }
 
 // BatchRequest is the body of POST /v1/batch: one language, many pairs,
-// diffed as a single engine batch (no coalescing window — the caller
-// already batched).
+// answered in one response. The server queues each pair as its own job,
+// so the pairs may run in different engine batches.
 type BatchRequest struct {
 	SchemaVersion string      `json:"schema_version"`
 	Lang          string      `json:"lang"`

@@ -14,10 +14,10 @@ import (
 // span model with W3C traceparent propagation. One trace follows a diff
 // request across processes — structdiff.ServiceClient injects the header,
 // diffserve extracts and continues the trace, and spans nest through the
-// coalescing batcher, the engine worker, and the four truediff phases (the
-// phase spans are synthesized from the Tracer contract, see
+// service's dispatch queue, the engine worker, and the four truediff
+// phases (the phase spans are synthesized from the Tracer contract, see
 // PhaseSpans) — so client-observed latency decomposes into queue wait,
-// batch window, worker execution, and phase times.
+// worker execution, and phase times.
 //
 // The design is allocation-light and off-by-default: StartSpan with a nil
 // sink returns a nil *Span, every Span method is nil-safe, and the only

@@ -213,7 +213,6 @@ func TestFacadeClientResilience(t *testing.T) {
 			FailureRatio: 0.5,
 			OpenFor:      time.Minute,
 		}),
-		structdiff.WithHedging(structdiff.HedgingConfig{Delay: time.Second}),
 	)
 	defer c.Close()
 

@@ -8,7 +8,7 @@ import (
 )
 
 // DiffService is the transport-agnostic diffing surface: everything a
-// high-throughput caller needs — single diffs, coalesced batches, metrics,
+// high-throughput caller needs — single diffs, batches, metrics,
 // lifecycle — without committing to where the work runs. Two
 // implementations ship with the package:
 //
@@ -49,7 +49,7 @@ type (
 	// content digests instead of full trees.
 	ServiceClient = diffserve.Client
 	// ServiceClientOption customizes a ServiceClient (tenant identity,
-	// HTTP client, retries, circuit breaking, hedging).
+	// HTTP client, retries, circuit breaking).
 	ServiceClientOption = diffserve.ClientOption
 	// RetryPolicy parameterizes WithRetryPolicy: attempt bound,
 	// full-jitter exponential backoff scale/cap, and an optional
@@ -58,15 +58,12 @@ type (
 	// CircuitBreakerConfig parameterizes WithCircuitBreaker: the rolling
 	// failure-rate window, volume floor, trip ratio, and cooldown.
 	CircuitBreakerConfig = diffserve.BreakerConfig
-	// HedgingConfig parameterizes WithHedging: the hedge delay (fixed or
-	// derived from the rolling attempt-latency p95) and the hedge bound.
-	HedgingConfig = diffserve.HedgeConfig
 	// ServiceClientSnapshot is a point-in-time copy of a ServiceClient's
-	// resilience counters (attempts, retries, hedges, breaker activity).
+	// resilience counters (attempts, retries, breaker activity).
 	ServiceClientSnapshot = diffserve.ClientSnapshot
 	// ServiceServer is the embeddable diff service: an http.Handler with
-	// request coalescing, admission control, and graceful drain (cmd/diffd
-	// wraps it in a daemon).
+	// group-commit dispatch, admission control, and graceful drain
+	// (cmd/diffd wraps it in a daemon).
 	ServiceServer = diffserve.Server
 	// ServiceConfig parameterizes a ServiceServer.
 	ServiceConfig = diffserve.Config
@@ -119,13 +116,6 @@ func WithRetryPolicy(pol RetryPolicy) ServiceClientOption { return diffserve.Wit
 func WithCircuitBreaker(cfg CircuitBreakerConfig) ServiceClientOption {
 	return diffserve.WithBreaker(cfg)
 }
-
-// WithHedging arms tail-latency hedging: an attempt still unanswered
-// after the hedge delay is raced against a second copy of the same
-// idempotent request; the first response wins and the loser is
-// cancelled. The zero config derives the delay from the rolling
-// attempt-latency p95, clamped to [10ms, 2s].
-func WithHedging(cfg HedgingConfig) ServiceClientOption { return diffserve.WithHedge(cfg) }
 
 // ServiceRetryAfter extracts the server's retry advice from a saturation
 // error (errors.Is(err, ErrServiceUnavailable)); zero when err carries
