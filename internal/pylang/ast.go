@@ -11,9 +11,15 @@ import (
 // Factory constructs Python AST nodes as typed trees. It wraps a schema and
 // a URI allocator; one factory typically serves one document (or one
 // synthetic repository), so URIs stay unique across versions.
+//
+// A factory also keeps its last successful parse, so that Parse reuses
+// every statement whose text is unchanged: its memory is one tree and one
+// source text beyond its allocator. Like its allocator, a factory is not
+// safe for concurrent use.
 type Factory struct {
 	sch   *sig.Schema
 	alloc *uri.Allocator
+	last  *index // the statements of the last successful parse, or nil
 }
 
 // NewFactory returns a factory over a fresh Python schema and allocator.
@@ -22,6 +28,8 @@ func NewFactory() *Factory {
 }
 
 // NewFactoryWith returns a factory over an existing schema and allocator.
+// The factory keeps its last parse for reuse and, like the allocator, is
+// not safe for concurrent use.
 func NewFactoryWith(sch *sig.Schema, alloc *uri.Allocator) *Factory {
 	return &Factory{sch: sch, alloc: alloc}
 }

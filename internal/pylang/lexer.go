@@ -49,12 +49,17 @@ func (k TokKind) String() string {
 	}
 }
 
-// Token is one lexical token with its source position (1-based).
+// Token is one lexical token with its source position: Line and Col are
+// 1-based, and Off is the byte offset of the token's first byte. INDENT and
+// DEDENT tokens sit at the start of the line that opens or closes the
+// block; DEDENTs closing blocks at the end of input, and EOF, sit at
+// len(src).
 type Token struct {
 	Kind TokKind
 	Text string // for strings: the decoded value
 	Line int
 	Col  int
+	Off  int
 }
 
 func (t Token) String() string {
@@ -78,6 +83,9 @@ var multiOps = []string{
 	"**", "//",
 }
 
+// multiOpStarts holds every first byte of a multi-character operator.
+const multiOpStarts = "*/=!<>-+%"
+
 const singleOps = "+-*/%()[]{}:,.<>=@;"
 
 // LexError reports a lexical error with its position.
@@ -94,7 +102,9 @@ func (e *LexError) Error() string {
 // continuation inside brackets, and indentation (INDENT/DEDENT tokens).
 // Tabs in indentation count as 8 columns, like CPython's tokenizer.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1, indents: []int{0}}
+	// Python source averages three to four bytes per token; sizing the
+	// slice once for three spares the appends' regrowth.
+	l := &lexer{src: src, line: 1, col: 1, indents: []int{0}, toks: make([]Token, 0, len(src)/3+8)}
 	if err := l.run(); err != nil {
 		return nil, err
 	}
@@ -142,8 +152,8 @@ func (l *lexer) advance() byte {
 	return c
 }
 
-func (l *lexer) emit(kind TokKind, text string, line, col int) {
-	l.toks = append(l.toks, Token{Kind: kind, Text: text, Line: line, Col: col})
+func (l *lexer) emit(kind TokKind, text string, line, col, off int) {
+	l.toks = append(l.toks, Token{Kind: kind, Text: text, Line: line, Col: col, Off: off})
 }
 
 func (l *lexer) run() error {
@@ -163,7 +173,7 @@ func (l *lexer) run() error {
 				continue // implicit line joining inside brackets
 			}
 			if l.started {
-				l.emit(TokNewline, "\n", l.line-1, l.col)
+				l.emit(TokNewline, "\n", l.line-1, l.col, l.pos-1)
 				l.started = false
 			}
 		case c == ' ' || c == '\t' || c == '\r':
@@ -196,19 +206,20 @@ func (l *lexer) run() error {
 		}
 	}
 	if l.started {
-		l.emit(TokNewline, "\n", l.line, l.col)
+		l.emit(TokNewline, "\n", l.line, l.col, l.pos)
 	}
 	for len(l.indents) > 1 {
 		l.indents = l.indents[:len(l.indents)-1]
-		l.emit(TokDedent, "", l.line, l.col)
+		l.emit(TokDedent, "", l.line, l.col, l.pos)
 	}
-	l.emit(TokEOF, "", l.line, l.col)
+	l.emit(TokEOF, "", l.line, l.col, l.pos)
 	return nil
 }
 
 // handleIndentation measures the leading whitespace of a fresh logical line
 // and emits INDENT/DEDENT tokens. It reports true if the line turned out to
-// be blank or a comment (and was consumed).
+// be blank or a comment (and was consumed). A line ending in CR LF is blank
+// when nothing but whitespace precedes the CR.
 func (l *lexer) handleIndentation() (bool, error) {
 	width := 0
 	start := l.pos
@@ -225,7 +236,7 @@ func (l *lexer) handleIndentation() (bool, error) {
 		}
 	}
 	c := l.peek()
-	if c == '\n' || c == '#' || l.pos >= len(l.src) {
+	if c == '\n' || c == '#' || (c == '\r' && l.peek2() == '\n') || l.pos >= len(l.src) {
 		// Blank or comment-only line: consume to end of line, no tokens.
 		for l.pos < len(l.src) && l.peek() != '\n' {
 			l.advance()
@@ -239,11 +250,11 @@ func (l *lexer) handleIndentation() (bool, error) {
 	switch {
 	case width > cur:
 		l.indents = append(l.indents, width)
-		l.emit(TokIndent, l.src[start:l.pos], l.line, 1)
+		l.emit(TokIndent, l.src[start:l.pos], l.line, 1, start)
 	case width < cur:
 		for len(l.indents) > 1 && l.indents[len(l.indents)-1] > width {
 			l.indents = l.indents[:len(l.indents)-1]
-			l.emit(TokDedent, "", l.line, 1)
+			l.emit(TokDedent, "", l.line, 1, start)
 		}
 		if l.indents[len(l.indents)-1] != width {
 			return false, l.errf("inconsistent dedent to width %d", width)
@@ -272,7 +283,7 @@ func (l *lexer) lexName() {
 	if keywords[word] {
 		kind = TokKeyword
 	}
-	l.emit(kind, word, line, col)
+	l.emit(kind, word, line, col, start)
 	l.started = true
 }
 
@@ -308,16 +319,16 @@ func (l *lexer) lexNumber() error {
 		return l.errf("invalid number literal %q", text+string(l.peek()))
 	}
 	if isFloat {
-		l.emit(TokFloat, text, line, col)
+		l.emit(TokFloat, text, line, col, start)
 	} else {
-		l.emit(TokInt, text, line, col)
+		l.emit(TokInt, text, line, col, start)
 	}
 	l.started = true
 	return nil
 }
 
 func (l *lexer) lexString() error {
-	line, col := l.line, l.col
+	line, col, start := l.line, l.col, l.pos
 	quote := l.advance()
 	triple := false
 	if l.peek() == quote && l.peek2() == quote {
@@ -325,13 +336,21 @@ func (l *lexer) lexString() error {
 		l.advance()
 		triple = true
 	}
+	// The value is a slice of the source until an escape needs decoding;
+	// from then on it is built in b.
+	body, end := l.pos, 0
 	var b strings.Builder
+	escaped := false
 	for {
 		if l.pos >= len(l.src) {
 			return l.errf("unterminated string")
 		}
 		c := l.peek()
 		if c == '\\' {
+			if !escaped {
+				b.WriteString(l.src[body:l.pos])
+				escaped = true
+			}
 			l.advance()
 			if l.pos >= len(l.src) {
 				return l.errf("unterminated escape")
@@ -361,10 +380,12 @@ func (l *lexer) lexString() error {
 			continue
 		}
 		if !triple && c == quote {
+			end = l.pos
 			l.advance()
 			break
 		}
 		if triple && c == quote && l.peek2() == quote && l.pos+2 < len(l.src) && l.src[l.pos+2] == quote {
+			end = l.pos
 			l.advance()
 			l.advance()
 			l.advance()
@@ -373,27 +394,36 @@ func (l *lexer) lexString() error {
 		if !triple && c == '\n' {
 			return l.errf("newline in string literal")
 		}
-		b.WriteByte(l.advance())
+		l.advance()
+		if escaped {
+			b.WriteByte(c)
+		}
 	}
-	l.emit(TokString, b.String(), line, col)
+	text := l.src[body:end]
+	if escaped {
+		text = b.String()
+	}
+	l.emit(TokString, text, line, col, start)
 	l.started = true
 	return nil
 }
 
 func (l *lexer) lexOp() error {
-	line, col := l.line, l.col
-	rest := l.src[l.pos:]
-	for _, op := range multiOps {
-		if strings.HasPrefix(rest, op) {
-			for range op {
-				l.advance()
+	line, col, start := l.line, l.col, l.pos
+	c := l.peek()
+	if strings.IndexByte(multiOpStarts, c) >= 0 {
+		rest := l.src[l.pos:]
+		for _, op := range multiOps {
+			if strings.HasPrefix(rest, op) {
+				for range op {
+					l.advance()
+				}
+				l.emit(TokOp, op, line, col, start)
+				l.started = true
+				return nil
 			}
-			l.emit(TokOp, op, line, col)
-			l.started = true
-			return nil
 		}
 	}
-	c := l.peek()
 	if strings.IndexByte(singleOps, c) < 0 && c != '!' {
 		return l.errf("unexpected character %q", string(c))
 	}
@@ -409,7 +439,7 @@ func (l *lexer) lexOp() error {
 			l.nesting--
 		}
 	}
-	l.emit(TokOp, string(c), line, col)
+	l.emit(TokOp, l.src[start:l.pos], line, col, start)
 	l.started = true
 	return nil
 }

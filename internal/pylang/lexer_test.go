@@ -234,6 +234,32 @@ func TestLexPositions(t *testing.T) {
 	if le, ok := lexErr.(*LexError); !ok || le.Line != 1 || le.Col != 5 {
 		t.Errorf("lex error position = %v", lexErr)
 	}
+
+	// Off is the byte offset of each token. INDENT and DEDENT sit at the
+	// start of the line that opens or closes the block; DEDENTs at the end
+	// of input, and EOF, sit at len(src).
+	for _, c := range []struct {
+		src  string
+		offs []int
+	}{
+		// a = 1 NL if b : NL INDENT c = 2 NL DEDENT d = 'x' NL EOF
+		{"a = 1\nif b:\n    c = 2\nd = 'x'\n", []int{0, 2, 4, 5, 6, 9, 10, 11, 12, 16, 18, 20, 21, 22, 22, 24, 26, 29, 30}},
+		// def f ( ) : NL INDENT return 1 NL DEDENT EOF, no final newline
+		{"def f():\n    return 1", []int{0, 4, 5, 6, 7, 8, 9, 13, 20, 21, 21, 21}},
+		// x = 1 NL y NL EOF, across a CRLF blank line and a comment line
+		{"x = 1\r\n\r\n# c\r\ny\r\n", []int{0, 2, 4, 6, 14, 16, 17}},
+	} {
+		toks := lexOK(t, c.src)
+		if len(toks) != len(c.offs) {
+			t.Errorf("%q: %d tokens, want %d: %v", c.src, len(toks), len(c.offs), toks)
+			continue
+		}
+		for i, tok := range toks {
+			if tok.Off != c.offs[i] {
+				t.Errorf("%q: token %d %s at offset %d, want %d", c.src, i, tok, tok.Off, c.offs[i])
+			}
+		}
+	}
 }
 
 func TestLexTabIndentation(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/tree"
+	"repro/internal/uri"
 )
 
 // ParseError reports a syntax error with its source position.
@@ -21,12 +22,21 @@ func (e *ParseError) Error() string {
 // through the factory. URIs are drawn from the factory's allocator, so
 // parsing successive versions of a document with one factory keeps URIs
 // unique across versions.
+//
+// Parsing is incremental, as tree-sitter's is: the factory keeps its last
+// successful parse, and every statement, at any nesting level, whose exact
+// text it parsed then is reused with its digests instead of being lexed
+// into nodes and hashed again. Only changed statements and the spines
+// above them are built. The result equals a fresh parse of src and still
+// carries a fresh URI on every node, so it shares no node and no URI with
+// any tree the factory returned before. A failed parse leaves the kept
+// parse as it was.
 func Parse(src string, f *Factory) (mod *tree.Node, err error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, f: f}
+	p := &parser{src: src, toks: toks, f: f, ix: f.last.next(src), mark: f.alloc.Peek()}
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(*ParseError); ok {
@@ -36,7 +46,12 @@ func Parse(src string, f *Factory) (mod *tree.Node, err error) {
 			panic(r)
 		}
 	}()
-	return p.module(), nil
+	mod = p.module()
+	f.last = p.ix
+	if !p.reused {
+		return mod, nil
+	}
+	return p.fresh(mod), nil
 }
 
 // ParseNew is Parse with a fresh factory; it returns the factory so the
@@ -48,9 +63,18 @@ func ParseNew(src string) (*tree.Node, *Factory, error) {
 }
 
 type parser struct {
+	src  string
 	toks []Token
 	pos  int
 	f    *Factory
+	// ix indexes this parse's statements; it replaces the factory's kept
+	// index once the parse succeeds.
+	ix *index
+	// mark is the allocator's last URI before this parse: every node of
+	// an earlier parse has a URI at or below it.
+	mark uri.URI
+	// reused records that some statement came from the kept index.
+	reused bool
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
@@ -96,7 +120,7 @@ func (p *parser) expectName() string {
 func (p *parser) module() *tree.Node {
 	var stmts []*tree.Node
 	for !p.at(TokEOF, "") {
-		stmts = append(stmts, p.stmt()...)
+		stmts = append(stmts, p.listStmt()...)
 	}
 	return p.f.Module(p.f.StmtList(stmts...))
 }
@@ -320,7 +344,7 @@ func (p *parser) exprStmt() []*tree.Node {
 			for i, tgt := range targets {
 				v := value
 				if i > 0 {
-					v = tree.Clone(value, p.f.Alloc(), tree.SHA256)
+					v = tree.CloneKeepDigests(value, p.f.Alloc())
 				}
 				out[i] = p.f.Assign(tgt, v)
 			}
@@ -343,7 +367,7 @@ func (p *parser) suite() *tree.Node {
 	p.expect(TokIndent, "")
 	var stmts []*tree.Node
 	for !p.at(TokDedent, "") && !p.at(TokEOF, "") {
-		stmts = append(stmts, p.stmt()...)
+		stmts = append(stmts, p.listStmt()...)
 	}
 	p.expect(TokDedent, "")
 	if len(stmts) == 0 {
@@ -401,12 +425,17 @@ func (p *parser) classDef() *tree.Node {
 // ifStmt desugars elif chains into nested If nodes in the orelse branch.
 func (p *parser) ifStmt() *tree.Node {
 	p.expect(TokKeyword, "if")
+	return p.ifClause()
+}
+
+// ifClause parses the rest of an if or elif clause after its keyword. It
+// only reads tokens: the boundary scan of the index reads them too.
+func (p *parser) ifClause() *tree.Node {
 	cond := p.test()
 	then := p.suite()
 	orelse := p.f.StmtList()
-	if p.at(TokKeyword, "elif") {
-		p.toks[p.pos].Text = "if" // reuse ifStmt for the chain
-		orelse = p.f.StmtList(p.ifStmt())
+	if p.accept(TokKeyword, "elif") {
+		orelse = p.f.StmtList(p.ifClause())
 	} else if p.accept(TokKeyword, "else") {
 		orelse = p.suite()
 	}

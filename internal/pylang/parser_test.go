@@ -327,6 +327,30 @@ func TestParseChainedAssignment(t *testing.T) {
 	}
 }
 
+// TestParseCRLF requires a module with CR LF line ends, blank lines
+// included, to parse to the same tags, literals and digests as its LF twin.
+func TestParseCRLF(t *testing.T) {
+	for _, lf := range []string{
+		"x = 1\n\ny = 2\n",
+		"def f():\n    return 1\n\nx = 2\n",
+		"class A:\n    \n    def f(self):\n        pass\n  \n    # c\n\n    x = 1\n",
+		sampleSource,
+	} {
+		crlf := strings.ReplaceAll(lf, "\n", "\r\n")
+		want, _, err := ParseNew(lf)
+		if err != nil {
+			t.Fatalf("%q: %v", lf, err)
+		}
+		got, _, err := ParseNew(crlf)
+		if err != nil {
+			t.Fatalf("%q: %v", crlf, err)
+		}
+		if !tree.Equal(got, want) || got.ExactHash() != want.ExactHash() {
+			t.Errorf("%q parses to\n%s\nbut its LF twin to\n%s", crlf, got, want)
+		}
+	}
+}
+
 func TestParseErrorPosition(t *testing.T) {
 	_, _, err := ParseNew("x = 1\ny = *\n")
 	pe, ok := err.(*ParseError)

@@ -166,6 +166,54 @@ func TestCloneAllocations(t *testing.T) {
 	}
 }
 
+// TestCloneKeepDigests pins the arena copy: two allocations per call
+// whatever the size, URIs in post-order, and digests, schema records and
+// literal slices carried over from the original.
+func TestCloneKeepDigests(t *testing.T) {
+	const size = 1001
+	src := genTree(newB(t), rand.New(rand.NewSource(3)), size)
+	alloc := uri.NewAllocator()
+	alloc.Reserve(5000)
+	if n := testing.AllocsPerRun(20, func() { CloneKeepDigests(src, alloc) }); n > 2 {
+		t.Errorf("CloneKeepDigests allocates %.0f times per call, want at most 2", n)
+	}
+	base := alloc.Peek()
+	c := CloneKeepDigests(src, alloc)
+	var orig, copies []*Node
+	WalkPost(src, func(n *Node) { orig = append(orig, n) })
+	WalkPost(c, func(n *Node) { copies = append(copies, n) })
+	if len(copies) != size {
+		t.Fatalf("copy has %d nodes, want %d", len(copies), size)
+	}
+	for i, m := range copies {
+		n := orig[i]
+		if m == n || m.URI != base+uri.URI(i+1) {
+			t.Fatalf("post-order node %d: URI %s, want fresh %s", i, m.URI, base+uri.URI(i+1))
+		}
+		if m.Tag != n.Tag || len(m.Kids) != len(n.Kids) || len(m.Lits) != len(n.Lits) {
+			t.Fatalf("post-order node %d: %s copied as %s", i, n, m)
+		}
+		if m.ExactHash() != n.ExactHash() || !HashedWith(m, n.HashKind()) || m.Schema() != n.Schema() ||
+			m.Size() != n.Size() || m.Height() != n.Height() {
+			t.Fatalf("post-order node %d: digests, schema record or shape not kept", i)
+		}
+		if len(n.Lits) > 0 && &m.Lits[0] != &n.Lits[0] {
+			t.Fatalf("post-order node %d: literal slice copied, want it shared", i)
+		}
+	}
+	if !Equal(c, src) {
+		t.Error("copy differs from the original")
+	}
+
+	// A hand-assembled tree records no size; its nodes overflow the arenas.
+	leaf := &Node{Tag: "Num", Lits: []any{int64(1)}}
+	hand := &Node{Tag: "Add", Kids: []*Node{leaf, leaf}}
+	hc := CloneKeepDigests(hand, alloc)
+	if hc.Kids[0] == hc.Kids[1] || hc.Kids[0] == leaf || hc.Kids[1].Lits[0] != int64(1) {
+		t.Error("copy of a hand-assembled tree is not a tree of fresh nodes")
+	}
+}
+
 // TestConcurrentConstruction builds the same trees on 8 goroutines, as
 // diffd's handlers decode requests concurrently, and requires every digest
 // to match a sequential build: the pooled hasher state is never shared.

@@ -14,7 +14,9 @@ import (
 // Schema returns a fresh schema declaring the Python subset.
 func Schema() *sig.Schema { return pylang.Schema() }
 
-// Factory builds Python trees against one schema and allocator.
+// Factory builds Python trees against one schema and allocator. It keeps
+// its last parse, so that Parse reuses every unchanged statement, and is
+// not safe for concurrent use.
 type Factory = pylang.Factory
 
 // NewFactory returns a factory over a fresh schema and allocator.
@@ -26,7 +28,10 @@ func NewFactoryWith(sch *sig.Schema, alloc *uri.Allocator) *Factory {
 	return pylang.NewFactoryWith(sch, alloc)
 }
 
-// Parse parses Python source into a module tree using the factory.
+// Parse parses Python source into a module tree using the factory. A
+// statement whose text the factory's last parse already read is reused
+// rather than parsed again; the result still equals a fresh parse and
+// carries fresh URIs.
 func Parse(src string, f *Factory) (*tree.Node, error) { return pylang.Parse(src, f) }
 
 // ParseNew parses Python source with a fresh factory and returns both.

@@ -71,7 +71,8 @@ func Clone(n *Node, alloc *Allocator, kind HashKind) *Node { return tree.Clone(n
 
 // CloneKeepDigests deep-copies a tree with fresh URIs, keeping its digests
 // verbatim (digests never depend on URIs). Valid only when the tree already
-// carries digests of the desired kind — check with HashedWith.
+// carries digests of the desired kind — check with HashedWith. The copy
+// comes from two arenas and shares each node's literal slice.
 func CloneKeepDigests(n *Node, alloc *Allocator) *Node { return tree.CloneKeepDigests(n, alloc) }
 
 // HashedWith reports whether a tree carries digests of the given kind.
