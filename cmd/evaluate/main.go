@@ -5,8 +5,13 @@
 //	evaluate -experiment fig5     # Figure 5: throughput box plots
 //	evaluate -experiment inca     # §6 incremental computing
 //	evaluate -experiment scaling  # Theorem 4.1 linear run time
+//	evaluate -experiment ablation # equivalence, selection order, hash kind
+//	evaluate -experiment matching # §7: scripts from Gumtree matching
 //	evaluate -experiment engine   # batch engine vs sequential replay
 //	evaluate -experiment all
+//
+// The engine replay exits 1 when an engine script disagrees with
+// sequential diffing, so a small run of it is a correctness smoke test.
 //
 // Observability (engine-backed experiments):
 //
@@ -136,6 +141,15 @@ func main() {
 		}()
 	}
 
+	// The engine replay's agreement verdict decides the exit status, so a
+	// smoke run fails when the engine and sequential diffing disagree.
+	agree := true
+	engineReplay := func() {
+		r := evaluation.RunEngineReplayOn(eng, engineCfg)
+		fmt.Println(r.Report())
+		agree = r.ScriptsAgree
+	}
+
 	needCorpus := *experiment == "fig4" || *experiment == "fig5" || *experiment == "all"
 	var results []evaluation.FileResult
 	if needCorpus {
@@ -161,7 +175,7 @@ func main() {
 	case "matching":
 		fmt.Println(evaluation.RunMatching(halfOpts).Report())
 	case "engine":
-		fmt.Println(evaluation.RunEngineReplayOn(eng, engineCfg).Report())
+		engineReplay()
 	case "all":
 		fmt.Println(evaluation.Fig4(results).Report())
 		fmt.Println(evaluation.Fig5(results).Report())
@@ -170,7 +184,7 @@ func main() {
 			evaluation.RunScaling([]int{100, 1000, 10000, 100000}, 3)))
 		fmt.Println(evaluation.AblationReport(evaluation.RunAblations(halfOpts)))
 		fmt.Println(evaluation.RunMatching(halfOpts).Report())
-		fmt.Println(evaluation.RunEngineReplayOn(eng, engineCfg).Report())
+		engineReplay()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		flag.Usage()
@@ -197,5 +211,8 @@ func main() {
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
+	}
+	if !agree {
+		os.Exit(1)
 	}
 }

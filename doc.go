@@ -8,5 +8,5 @@
 // incremental Datalog engine with the IncA driver (datalog, inca), and the
 // evaluation harness (evaluation). See README.md for the tour, DESIGN.md
 // for the system inventory, and EXPERIMENTS.md for paper-vs-measured
-// results. The benchmarks in bench_test.go regenerate every figure.
+// results. cmd/evaluate regenerates every figure.
 package repro

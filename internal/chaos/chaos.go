@@ -51,8 +51,8 @@ type Config struct {
 	// ErrorRate answers with a canned error instead of forwarding:
 	// alternating 503 and 429 (the 429 carries Retry-After: 1). When
 	// ErrorBurst > 1, one error decision extends to that many
-	// consecutive requests — a correlated outage, the shape that trips
-	// circuit breakers.
+	// consecutive requests — a correlated outage, the shape that
+	// exhausts a retry budget.
 	ErrorRate float64
 	// TruncateRate forwards the request but aborts mid-body: the full
 	// Content-Length is promised, about half the bytes arrive.

@@ -71,11 +71,4 @@ var (
 	// conflict the contended node URI or slot and the two competing edit
 	// groups.
 	ErrMergeConflict = errors.New("three-way merge has conflicts")
-
-	// ErrCircuitOpen reports a diff service call refused locally by the
-	// client's circuit breaker: the endpoint's recent failure rate tripped
-	// the breaker and calls fail fast without touching the network until
-	// the cooldown elapses and a half-open probe succeeds. The request was
-	// never sent.
-	ErrCircuitOpen = errors.New("circuit breaker is open")
 )

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -39,7 +40,6 @@ func chaosProxy(t *testing.T, target string, cfg chaos.Config) *chaos.Proxy {
 func typedError(err error) bool {
 	for _, sentinel := range []error{
 		derrors.ErrServiceUnavailable,
-		derrors.ErrCircuitOpen,
 		derrors.ErrDiffPanic,
 		derrors.ErrDiffTimeout,
 		derrors.ErrIllTyped,
@@ -311,24 +311,32 @@ func TestReadyzSplitsFromHealthz(t *testing.T) {
 	}
 }
 
-// TestReadyzSaturation flips /readyz on backlog alone: a tiny MaxQueue
-// with a low ReadyFraction goes unready once jobs pile up.
+// TestReadyzSaturation flips /readyz on backlog alone: a server goes
+// unready once the backlog reaches readyFraction of MaxQueue, below the
+// shed point, so readiness reacts first.
 func TestReadyzSaturation(t *testing.T) {
-	// ReadyFraction 0: any nonzero backlog is unready (the threshold is
-	// deliberately below the shed point, so readiness reacts first).
-	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1, MaxQueue: 4, ReadyFraction: 0.25})
+	const maxQueue = 10
+	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1, MaxQueue: maxQueue})
 	if srv.saturated() {
 		t.Fatal("idle server reports saturated")
 	}
-	// Fake a backlog through the pending gauge (the same signal admit uses).
-	srv.m.pending.Add(2)
-	defer srv.m.pending.Add(-2)
-	resp, err := hs.Client().Get(hs.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	readyz := func() int {
+		resp, err := hs.Client().Get(hs.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("/readyz with backlogged queue = %d, want 503", resp.StatusCode)
+	// Fake a backlog through the pending gauge (the same signal admit uses).
+	n := int64(math.Ceil(readyFraction * maxQueue))
+	srv.m.pending.Add(n - 1)
+	defer srv.m.pending.Add(-n)
+	if s := readyz(); s != 200 {
+		t.Fatalf("/readyz with %d of %d backlogged = %d, want 200", n-1, maxQueue, s)
+	}
+	srv.m.pending.Add(1)
+	if s := readyz(); s != 503 {
+		t.Fatalf("/readyz with %d of %d backlogged = %d, want 503", n, maxQueue, s)
 	}
 }

@@ -36,12 +36,11 @@ import (
 // safe for concurrent use.
 //
 // The client is also where the network resilience layer lives (see
-// retry.go): WithRetry arms transparent retries of transient failures and
-// WithBreaker a per-endpoint circuit breaker that fails fast while the
-// service is down. Both are off by default and cost nothing when off —
-// every request is idempotent (diffs are pure functions of
-// digest-identified trees), which is what makes aggressive retrying
-// safe.
+// retry.go): WithRetry arms bounded retries of transient failures under
+// the caller's context, the client's only failure policy. Retries are off
+// by default and cost nothing when off — every request is idempotent
+// (diffs are pure functions of digest-identified trees), which is what
+// makes retrying safe.
 type Client struct {
 	base   string
 	lang   string
@@ -51,11 +50,7 @@ type Client struct {
 	spans  telemetry.SpanSink
 
 	retry *retrier
-	brCfg *BreakerConfig
 	m     clientMetrics
-
-	brMu     sync.Mutex
-	breakers map[string]*breaker
 
 	refMu sync.Mutex
 	refs  map[string]bool
@@ -79,15 +74,6 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 // zero policy selects DefaultRetryPolicy.
 func WithRetry(pol RetryPolicy) ClientOption {
 	return func(c *Client) { c.retry = newRetrier(pol) }
-}
-
-// WithBreaker arms a per-endpoint circuit breaker: when an endpoint's
-// windowed failure rate trips the threshold, calls fail fast with an
-// error matching derrors.ErrCircuitOpen instead of piling onto a dead
-// service, until a half-open probe succeeds. The zero config selects the
-// defaults documented on BreakerConfig.
-func WithBreaker(cfg BreakerConfig) ClientOption {
-	return func(c *Client) { cc := cfg.withDefaults(); c.brCfg = &cc }
 }
 
 // WithTenant sets the X-Diffd-Tenant header, the identity the server's
@@ -148,12 +134,11 @@ func (c *Client) startSpan(ctx context.Context, name string) (*telemetry.Span, t
 // that language: it is used to decode patched trees locally.
 func NewClient(base, lang string, sch *sig.Schema, opts ...ClientOption) *Client {
 	c := &Client{
-		base:     base,
-		lang:     lang,
-		sch:      sch,
-		hc:       &http.Client{Transport: newTransport()},
-		refs:     make(map[string]bool),
-		breakers: make(map[string]*breaker),
+		base: base,
+		lang: lang,
+		sch:  sch,
+		hc:   &http.Client{Transport: newTransport()},
+		refs: make(map[string]bool),
 	}
 	for _, o := range opts {
 		o(c)
@@ -368,11 +353,11 @@ func (c *Client) Close() error {
 
 // --- transport ---
 
-// post runs one logical request through the resilience pipeline: circuit
-// breaker → retry loop → HTTP attempt → decode. The response is
-// unmarshalled into out only after the successful attempt's body
-// has been read in full, so a truncated or corrupted body is a typed,
-// retryable transport error — never a half-decoded response.
+// post runs one logical request through the resilience pipeline: retry
+// loop → HTTP attempt → decode. The response is unmarshalled into out
+// only after the successful attempt's body has been read in full, so a
+// truncated or corrupted body is a typed, retryable transport error —
+// never a half-decoded response.
 func (c *Client) post(ctx context.Context, path string, tc telemetry.SpanContext, body, out any) error {
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -390,10 +375,9 @@ func (c *Client) post(ctx context.Context, path string, tc telemetry.SpanContext
 
 // roundTrip is the retry loop around one endpoint call. With no
 // RetryPolicy armed it is a single attempt; with one, transient failures
-// are re-attempted under full-jitter backoff until the policy, the
-// breaker, or the caller's context says stop.
+// are re-attempted under full-jitter backoff until the policy or the
+// caller's context says stop.
 func (c *Client) roundTrip(ctx context.Context, path string, tc telemetry.SpanContext, raw []byte) ([]byte, error) {
-	br := c.breakerFor(path)
 	attempts := 1
 	if c.retry != nil {
 		attempts = c.retry.pol.MaxAttempts
@@ -403,15 +387,7 @@ func (c *Client) roundTrip(ctx context.Context, path string, tc telemetry.SpanCo
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("diffserve: %w", context.Cause(ctx))
 		}
-		if br != nil {
-			if err := br.allow(); err != nil {
-				c.m.breakerFast.Add(1)
-				return nil, err
-			}
-		}
-		start := time.Now()
 		body, err := c.attempt(ctx, path, tc, raw)
-		br.observe(time.Since(start), err == nil)
 		if err == nil {
 			return body, nil
 		}
@@ -425,22 +401,6 @@ func (c *Client) roundTrip(ctx context.Context, path string, tc telemetry.SpanCo
 		}
 		c.m.retries.Add(1)
 	}
-}
-
-// breakerFor returns the endpoint's breaker, creating it on first use;
-// nil when no breaker is armed.
-func (c *Client) breakerFor(path string) *breaker {
-	if c.brCfg == nil {
-		return nil
-	}
-	c.brMu.Lock()
-	defer c.brMu.Unlock()
-	b := c.breakers[path]
-	if b == nil {
-		b = newBreaker(*c.brCfg, &c.m.breakerOpens)
-		c.breakers[path] = b
-	}
-	return b
 }
 
 // attempt performs exactly one HTTP exchange and classifies its outcome:
@@ -495,8 +455,8 @@ func (c *Client) attempt(ctx context.Context, path string, tc telemetry.SpanCont
 }
 
 // maxResponseBytes bounds how much of a response the client will buffer —
-// a defensive mirror of the server's MaxBody default (trees travel both
-// ways, so the bounds match).
+// a defensive bound above the server's request cap, maxBody (trees travel
+// both ways).
 const maxResponseBytes = 64 << 20
 
 // errorFromResponse turns a >= 400 answer into a typed error: the wire

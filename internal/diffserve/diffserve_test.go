@@ -17,6 +17,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/faultinject"
+	"repro/internal/jsonlang"
+	"repro/internal/pylang"
+	"repro/internal/sig"
 	"repro/internal/tree"
 	"repro/internal/uri"
 )
@@ -146,6 +149,32 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestOneSchemaPerLanguage: each language has one shared schema, which the
+// service and every factory, builder and codec use, so a tree built by any
+// of them passes the differ's O(1) schema check under any other.
+func TestOneSchemaPerLanguage(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		schema func() *sig.Schema
+		built  *sig.Schema
+	}{
+		{"pylang", pylang.Schema, pylang.NewFactory().Schema()},
+		{"exp", exp.Schema, exp.NewBuilder().Schema()},
+		{"jsonlang", jsonlang.Schema, jsonlang.NewCodec().Schema()},
+	} {
+		sch := c.schema()
+		if c.schema() != sch {
+			t.Errorf("%s: two Schema calls return two instances", c.name)
+		}
+		if SchemaFor(c.name) != sch {
+			t.Errorf("%s: SchemaFor returns another instance than Schema", c.name)
+		}
+		if c.built != sch {
+			t.Errorf("%s: the language's factory, builder or codec holds another instance than Schema", c.name)
+		}
+	}
+}
+
 // TestWireVersionTolerance is the decode-tolerance contract: same-major
 // envelopes (any minor) decode, other majors are rejected before any edit
 // is parsed — on the script envelope and on the HTTP surface.
@@ -252,6 +281,58 @@ func TestDeeplyNestedSourceRejected(t *testing.T) {
 	src, dst := genPair(4, 60)
 	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
 		t.Fatalf("request after the nested one: %v", err)
+	}
+}
+
+// TestOversizedBodyRejected: a /v1/diff body one byte past maxBody is
+// answered 413 with a bad_request wire error and a closed connection, a
+// body of exactly maxBody bytes is served, and the server keeps serving.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1})
+	req, _ := json.Marshal(DiffRequest{
+		SchemaVersion: WireVersion,
+		Lang:          "exp",
+		Source:        TreeInput{SExpr: "(Num 1)"},
+		Target:        TreeInput{SExpr: "(Num 2)"},
+	})
+	// Leading whitespace keeps the padded body valid JSON, so the size is
+	// the only thing wrong with it.
+	post := func(size int) *http.Response {
+		t.Helper()
+		body := append(bytes.Repeat([]byte(" "), size-len(req)), req...)
+		resp, err := http.Post(hs.URL+"/v1/diff", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %d bytes: %v", size, err)
+		}
+		return resp
+	}
+
+	resp := post(maxBody + 1)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("decode error response: %v", err)
+	}
+	if er.Error.Kind != ErrKindBadRequest {
+		t.Errorf("oversized body: kind %q, want %q", er.Error.Kind, ErrKindBadRequest)
+	}
+	if !resp.Close {
+		t.Error("oversized body: the server kept the connection open")
+	}
+
+	atCap := post(maxBody)
+	atCap.Body.Close()
+	if atCap.StatusCode != http.StatusOK {
+		t.Fatalf("body of exactly maxBody bytes: status %d, want 200", atCap.StatusCode)
+	}
+	c := NewClient(hs.URL, "exp", exp.Schema())
+	defer c.Close()
+	src, dst := genPair(5, 60)
+	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
+		t.Fatalf("request after the oversized one: %v", err)
 	}
 }
 

@@ -169,69 +169,6 @@ func TestRetryAfterCountsDefaultWorkers(t *testing.T) {
 	}
 }
 
-// --- circuit breaker state machine ---
-
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	var opens atomic.Uint64
-	b := newBreaker(BreakerConfig{Window: time.Minute, MinRequests: 4, FailureRatio: 0.5, OpenFor: 5 * time.Second, Now: clock}, &opens)
-
-	// Below the volume floor nothing trips, however bad the ratio.
-	for i := 0; i < 3; i++ {
-		if err := b.allow(); err != nil {
-			t.Fatalf("closed breaker refused attempt %d: %v", i, err)
-		}
-		b.observe(time.Millisecond, false)
-	}
-	if b.State() != breakerClosed {
-		t.Fatal("breaker tripped below MinRequests")
-	}
-	// The 4th failure reaches the floor with a 100% failure ratio: open.
-	b.observe(time.Millisecond, false)
-	if b.State() != breakerOpen || opens.Load() != 1 {
-		t.Fatalf("state=%d opens=%d after 4 failures, want open/1", b.State(), opens.Load())
-	}
-	if err := b.allow(); !errors.Is(err, derrors.ErrCircuitOpen) {
-		t.Fatalf("open breaker allowed a call: %v", err)
-	}
-
-	// Cooldown elapses: exactly one half-open probe is admitted.
-	now = now.Add(6 * time.Second)
-	if err := b.allow(); err != nil {
-		t.Fatalf("half-open breaker refused the probe: %v", err)
-	}
-	if err := b.allow(); !errors.Is(err, derrors.ErrCircuitOpen) {
-		t.Fatalf("half-open breaker admitted a second concurrent call: %v", err)
-	}
-	// Probe failure re-opens.
-	b.observe(time.Millisecond, false)
-	if b.State() != breakerOpen || opens.Load() != 2 {
-		t.Fatalf("state=%d opens=%d after failed probe, want open/2", b.State(), opens.Load())
-	}
-
-	// Next cooldown: probe succeeds, circuit closes with a fresh window.
-	now = now.Add(6 * time.Second)
-	if err := b.allow(); err != nil {
-		t.Fatalf("half-open breaker refused the second probe: %v", err)
-	}
-	b.observe(time.Millisecond, true)
-	if b.State() != breakerClosed {
-		t.Fatal("successful probe did not close the circuit")
-	}
-	// Forgiveness: the pre-open failures are gone; three fresh failures sit
-	// below the volume floor again.
-	for i := 0; i < 3; i++ {
-		if err := b.allow(); err != nil {
-			t.Fatalf("reclosed breaker refused attempt %d: %v", i, err)
-		}
-		b.observe(time.Millisecond, false)
-	}
-	if b.State() != breakerClosed {
-		t.Fatal("stale failures re-tripped a freshly closed breaker")
-	}
-}
-
 // --- client-level behavior against a live server ---
 
 // TestDrainRetryBounded is the drain-retry interplay: a retrying client
@@ -262,56 +199,6 @@ func TestDrainRetryBounded(t *testing.T) {
 	snap := c.ClientSnapshot()
 	if snap.Attempts != 4 || snap.Retries != 3 {
 		t.Fatalf("snapshot = %+v, want exactly 4 attempts / 3 retries (bounded)", snap)
-	}
-}
-
-// TestBreakerFailsFastAgainstDeadService drives the client-level breaker:
-// repeated failures open it, after which calls fail locally with
-// ErrCircuitOpen and the attempt counter stops growing.
-func TestBreakerFailsFastAgainstDeadService(t *testing.T) {
-	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 2})
-	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-
-	c := NewClient(hs.URL, "exp", exp.Schema(),
-		WithRetry(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1}),
-		WithBreaker(BreakerConfig{Window: time.Minute, MinRequests: 4, FailureRatio: 0.5, OpenFor: time.Minute}))
-	defer c.Close()
-	src, dst := genPair(2, 20)
-	ctx := context.Background()
-
-	// Two calls × two attempts = four windowed failures: the breaker opens.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Diff(ctx, src, dst, nil); !errors.Is(err, derrors.ErrServiceUnavailable) {
-			t.Fatalf("call %d = %v, want ErrServiceUnavailable", i, err)
-		}
-	}
-	if _, err := c.Diff(ctx, src, dst, nil); !errors.Is(err, derrors.ErrCircuitOpen) {
-		t.Fatalf("call after 4 failures = %v, want ErrCircuitOpen", err)
-	}
-	snap := c.ClientSnapshot()
-	if snap.Attempts != 4 {
-		t.Fatalf("attempts = %d, want 4 (the fast-failed call must not reach the network)", snap.Attempts)
-	}
-	if snap.BreakerOpens != 1 || snap.BreakerFast == 0 {
-		t.Fatalf("snapshot = %+v, want 1 open and ≥1 fast-fail", snap)
-	}
-
-	// The state gauge exposes the open /v1/diff breaker.
-	found := false
-	for _, m := range c.GatherMetrics() {
-		if m.Name == "diffserve_client_breaker_state" && len(m.Labels) == 1 && m.Labels[0].Value == "/v1/diff" {
-			found = true
-			if m.Value != float64(breakerOpen) {
-				t.Fatalf("breaker_state{endpoint=/v1/diff} = %v, want %d (open)", m.Value, breakerOpen)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("GatherMetrics exposes no breaker_state gauge for /v1/diff")
 	}
 }
 
@@ -366,13 +253,8 @@ func TestResilienceOffIsZeroConfig(t *testing.T) {
 		t.Fatalf("Diff: %v", err)
 	}
 	snap := c.ClientSnapshot()
-	if snap.Attempts != 1 || snap.Retries != 0 || snap.BreakerOpens != 0 {
+	if snap.Attempts != 1 || snap.Retries != 0 || snap.Resends != 0 {
 		t.Fatalf("bare client snapshot = %+v, want 1 attempt and nothing else", snap)
-	}
-	for _, m := range c.GatherMetrics() {
-		if m.Name == "diffserve_client_breaker_state" {
-			t.Fatal("bare client exposes a breaker_state gauge with no breaker armed")
-		}
 	}
 }
 
@@ -382,14 +264,12 @@ func TestClientMetricsExposition(t *testing.T) {
 	want := []string{
 		"diffserve_client_attempts_total",
 		"diffserve_client_retries_total",
-		"diffserve_client_breaker_opens_total",
-		"diffserve_client_breaker_fastfails_total",
 		"diffserve_client_resends_total",
 	}
 	have := make(map[string]bool)
 	for _, m := range c.GatherMetrics() {
 		have[m.Name] = true
-		if m.Kind != telemetry.KindCounter && m.Name != "diffserve_client_breaker_state" {
+		if m.Kind != telemetry.KindCounter {
 			t.Errorf("%s has kind %v, want counter", m.Name, m.Kind)
 		}
 	}

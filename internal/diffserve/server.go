@@ -58,13 +58,6 @@ type Config struct {
 	// "anonymous" tenant). Excess is shed with 429. Default 32; negative
 	// disables the per-tenant cap.
 	TenantLimit int
-	// MaxBody bounds request bodies in bytes (default 32MiB).
-	MaxBody int64
-	// ReadyFraction is the backlog fraction of MaxQueue at or above which
-	// /readyz answers 503 (the load balancer's cue to route elsewhere)
-	// while /v1/* still serves: readiness degrades before shedding starts.
-	// Default 0.9; negative disables saturation-based unreadiness.
-	ReadyFraction float64
 
 	// SlowDiffThreshold enables the engines' slow-diff log; Trace, when
 	// non-nil, receives one JSONL record per diff, correlated with the
@@ -85,11 +78,6 @@ type Config struct {
 	// logs panics and slow diffs through slog.Default() and drops failure
 	// and fallback records.
 	Logger *slog.Logger
-	// FlightRecent and FlightSlowest size the /debug/diffz flight
-	// recorder: the last-N ring and the slowest-K retention set. Zero
-	// selects 128 and 16.
-	FlightRecent  int
-	FlightSlowest int
 	// SLO parameterizes the service's rolling-window objectives over HTTP
 	// requests (availability = non-5xx; latency objective on request wall
 	// time). Zero values select telemetry.SLOConfig defaults. The shed
@@ -113,14 +101,22 @@ func (c Config) withDefaults() Config {
 	if c.TenantLimit == 0 {
 		c.TenantLimit = 32
 	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 32 << 20
-	}
-	if c.ReadyFraction == 0 {
-		c.ReadyFraction = 0.9
-	}
 	return c
 }
+
+const (
+	// maxBody bounds request bodies in bytes; a larger body is answered
+	// 413.
+	maxBody = 32 << 20
+	// readyFraction is the backlog fraction of MaxQueue at or above which
+	// /readyz answers 503 (the load balancer's cue to route elsewhere)
+	// while /v1/* still serves: readiness degrades before shedding starts.
+	readyFraction = 0.9
+	// flightRecent and flightSlowest size the /debug/diffz flight
+	// recorder: the last-N ring and the slowest-K retention set.
+	flightRecent  = 128
+	flightSlowest = 16
+)
 
 // langService is one served language: its schema, its engine (own worker
 // pool, intern store, URI space), its dispatching batcher, and the ref
@@ -172,7 +168,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		langs:   make(map[string]*langService, len(cfg.Langs)),
 		tenants: make(map[string]int),
-		flight:  telemetry.NewFlightRecorder(cfg.FlightRecent, cfg.FlightSlowest),
+		flight:  telemetry.NewFlightRecorder(flightRecent, flightSlowest),
 		slo:     telemetry.NewSLO(cfg.SLO),
 	}
 
@@ -506,7 +502,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.observe(start, status) }()
 
 	var req DiffRequest
-	ls, herr := s.decodeInto(r, &req, func() (string, string) { return req.SchemaVersion, req.Lang })
+	ls, herr := s.decodeInto(w, r, &req, func() (string, string) { return req.SchemaVersion, req.Lang })
 	if herr != nil {
 		status = herr.status
 		s.writeHTTPError(w, herr)
@@ -567,7 +563,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.observe(start, status) }()
 
 	var req BatchRequest
-	ls, herr := s.decodeInto(r, &req, func() (string, string) { return req.SchemaVersion, req.Lang })
+	ls, herr := s.decodeInto(w, r, &req, func() (string, string) { return req.SchemaVersion, req.Lang })
 	if herr != nil {
 		status = herr.status
 		s.writeHTTPError(w, herr)
@@ -655,7 +651,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the routing signal: 503 while draining, in lame-duck,
-// or saturated past ReadyFraction of MaxQueue — in each case the right
+// or saturated past readyFraction of MaxQueue — in each case the right
 // move for a load balancer is to send traffic elsewhere, before this
 // server has to shed it with 429s. The body names the reason.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -673,20 +669,25 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // saturated reports whether the pending jobs have crossed the
-// readiness threshold (ReadyFraction of MaxQueue) — below the shed point
+// readiness threshold (readyFraction of MaxQueue) — below the shed point
 // on purpose, so routing reacts before admission control must.
 func (s *Server) saturated() bool {
-	if s.cfg.ReadyFraction < 0 {
-		return false
-	}
-	return float64(s.m.pending.Load()) >= s.cfg.ReadyFraction*float64(s.cfg.MaxQueue)
+	return float64(s.m.pending.Load()) >= readyFraction*float64(s.cfg.MaxQueue)
 }
 
 // decodeInto reads and validates the shared request prelude: body size
-// cap, JSON decode, schema version, language lookup.
-func (s *Server) decodeInto(r *http.Request, dst any, meta func() (version, lang string)) (*langService, *httpError) {
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBody)
+// cap, JSON decode, schema version, language lookup. A body past maxBody
+// is answered 413, and the server closes the connection after the answer.
+func (s *Server) decodeInto(w http.ResponseWriter, r *http.Request, dst any, meta func() (version, lang string)) (*langService, *httpError) {
+	body := http.MaxBytesReader(w, r.Body, maxBody)
 	if err := json.NewDecoder(body).Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, &httpError{
+				status: http.StatusRequestEntityTooLarge,
+				werr:   WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)},
+			}
+		}
 		return nil, &httpError{
 			status: http.StatusBadRequest,
 			werr:   WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("decode request: %v", err)},

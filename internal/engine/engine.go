@@ -47,9 +47,6 @@ type Config struct {
 	// Diff configures the underlying differ (equivalence mode, selection
 	// order, literal-mismatch handling).
 	Diff truediff.Options
-	// Hash selects the subtree hash used by Ingest. The zero value is
-	// tree.SHA256, the paper's choice.
-	Hash tree.HashKind
 
 	// Explain, when true, collects per-edit provenance for every diff: each
 	// successful PairResult carries a truediff.Explanation whose records are
@@ -280,11 +277,11 @@ func (e *Engine) workers() int {
 }
 
 // Ingest prepares a tree for diffing through this engine: it returns a copy
-// of root with fresh URIs, numbered in post-order, carrying digests of the
-// engine's hash kind. Digests never depend on URIs, so a root that already
-// carries digests of that kind (tree.HashedWith) is copied with them;
-// any other root is rehashed (tree.Clone). Either way the copy is the one
-// tree.Clone would have produced.
+// of root with fresh URIs, numbered in post-order, carrying SHA-256
+// digests. Digests never depend on URIs, so a root that already carries
+// SHA-256 digests (tree.HashedWith) is copied with them; any other root is
+// rehashed (tree.Clone). Either way the copy is the one tree.Clone would
+// have produced.
 //
 // With a non-nil alloc, the URIs come from alloc. Use this mode when the
 // caller owns the URI space (e.g. to keep URIs small and deterministic per
@@ -303,7 +300,7 @@ func (e *Engine) Ingest(root *tree.Node, alloc *uri.Allocator) *tree.Node {
 	if alloc != nil {
 		return e.clone(root, alloc)
 	}
-	if tree.HashedWith(root, e.cfg.Hash) {
+	if tree.HashedWith(root, tree.SHA256) {
 		if c := e.store.get(root.ExactHash()); c != nil {
 			e.m.storeHits.Add(1)
 			return c
@@ -317,13 +314,13 @@ func (e *Engine) Ingest(root *tree.Node, alloc *uri.Allocator) *tree.Node {
 }
 
 // clone copies root with fresh URIs from alloc, keeping its digests when
-// they are of the engine's hash kind and rehashing otherwise.
+// they are SHA-256 and rehashing otherwise.
 func (e *Engine) clone(root *tree.Node, alloc *uri.Allocator) *tree.Node {
 	var c *tree.Node
-	if tree.HashedWith(root, e.cfg.Hash) {
+	if tree.HashedWith(root, tree.SHA256) {
 		c = tree.CloneKeepDigests(root, alloc)
 	} else {
-		c = tree.Clone(root, alloc, e.cfg.Hash)
+		c = tree.Clone(root, alloc, tree.SHA256)
 	}
 	e.m.ingestedTrees.Add(1)
 	e.m.ingestedNodes.Add(uint64(c.Size()))

@@ -54,8 +54,8 @@ type EngineReplayResult struct {
 // with the given worker count — and returns timings, the script-agreement
 // verdict, and the engine's metrics snapshot.
 func RunEngineReplay(cfg Config, workers int) *EngineReplayResult {
-	// Schema validation is by tag name, so an engine over a fresh pylang
-	// schema accepts trees built by the corpus generator's own factory.
+	// pylang.Schema() is the shared instance the corpus generator's factory
+	// builds against, so the differ's schema check is a pointer comparison.
 	return RunEngineReplayOn(engine.New(pylang.Schema(), engine.Config{Workers: workers}), cfg)
 }
 

@@ -1,8 +1,7 @@
 // Package evaluation implements the paper's evaluation pipeline (§6) on
 // the synthetic corpus: conciseness (Figure 4), throughput (Figure 5), the
 // incremental-computing experiment, and the linear-scaling validation of
-// Theorem 4.1. The same runners back cmd/evaluate and the testing.B
-// benchmarks in bench_test.go.
+// Theorem 4.1. The same runners back cmd/evaluate.
 //
 // Methodology, mirroring the paper: every changed file is diffed by each
 // system Reps times keeping the fastest run; a warm-up batch precedes

@@ -6,6 +6,8 @@
 package exp
 
 import (
+	"sync"
+
 	"repro/internal/sig"
 	"repro/internal/tree"
 	"repro/internal/uri"
@@ -36,7 +38,12 @@ const (
 //	Mul(e1: Exp, e2: Exp)           → Exp
 //	Call(f: string, a: Exp)         → Exp
 //	Let(bound: Exp, body: Exp, x: string) → Exp
-func Schema() *sig.Schema {
+//
+// Every call returns the same instance, built on first use; it is shared,
+// so it must not be declared into.
+func Schema() *sig.Schema { return schema() }
+
+var schema = sync.OnceValue(func() *sig.Schema {
 	s := sig.NewSchema("exp")
 	s.MustDeclare(sig.Sig{Tag: Num, Lits: []sig.LitSpec{{Link: "n", Type: sig.IntLit}}, Result: Exp})
 	s.MustDeclare(sig.Sig{Tag: Var, Lits: []sig.LitSpec{{Link: "name", Type: sig.StringLit}}, Result: Exp})
@@ -60,10 +67,10 @@ func Schema() *sig.Schema {
 		Result: Exp,
 	})
 	return s
-}
+})
 
-// NewBuilder returns a tree builder over a fresh copy of the expression
-// schema and a fresh URI allocator.
+// NewBuilder returns a tree builder over the shared expression schema and
+// a fresh URI allocator.
 func NewBuilder() *tree.Builder {
 	return tree.NewBuilder(Schema(), uri.NewAllocator())
 }

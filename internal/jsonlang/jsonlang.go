@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/sig"
 	"repro/internal/tree"
@@ -43,8 +44,12 @@ const (
 	TagNull    sig.Tag = "Null"
 )
 
-// Schema returns the JSON document schema.
-func Schema() *sig.Schema {
+// Schema returns the JSON document schema. Every call returns the same
+// instance, built on first use; it is shared, so it must not be declared
+// into.
+func Schema() *sig.Schema { return schema() }
+
+var schema = sync.OnceValue(func() *sig.Schema {
 	s := sig.NewSchema("json")
 	kid := func(l sig.Link, srt sig.Sort) sig.KidSpec { return sig.KidSpec{Link: l, Sort: srt} }
 	s.MustDeclare(sig.Sig{Tag: TagObject, Kids: []sig.KidSpec{kid("members", SortMembers)}, Result: SortValue})
@@ -66,7 +71,7 @@ func Schema() *sig.Schema {
 	s.MustDeclare(sig.Sig{Tag: TagBool, Lits: []sig.LitSpec{{Link: "v", Type: sig.BoolLit}}, Result: SortValue})
 	s.MustDeclare(sig.Sig{Tag: TagNull, Result: SortValue})
 	return s
-}
+})
 
 // Codec converts between JSON text and typed trees over one schema and
 // allocator (so URIs stay unique across versions of a document).
@@ -75,7 +80,8 @@ type Codec struct {
 	alloc *uri.Allocator
 }
 
-// NewCodec returns a codec with a fresh schema and allocator.
+// NewCodec returns a codec over the shared JSON schema and a fresh
+// allocator.
 func NewCodec() *Codec {
 	return &Codec{sch: Schema(), alloc: uri.NewAllocator()}
 }

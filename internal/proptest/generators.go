@@ -79,8 +79,8 @@ type JSONGen struct {
 	alloc *uri.Allocator
 }
 
-// NewJSONGen returns a JSON document generator with a fresh schema and
-// allocator.
+// NewJSONGen returns a JSON document generator over the shared JSON schema
+// and a fresh allocator.
 func NewJSONGen() *JSONGen {
 	return &JSONGen{sch: jsonlang.Schema(), alloc: uri.NewAllocator()}
 }

@@ -22,7 +22,8 @@ type Factory struct {
 	last  *index // the statements of the last successful parse, or nil
 }
 
-// NewFactory returns a factory over a fresh Python schema and allocator.
+// NewFactory returns a factory over the shared Python schema and a fresh
+// allocator.
 func NewFactory() *Factory {
 	return &Factory{sch: Schema(), alloc: uri.NewAllocator()}
 }

@@ -11,7 +11,11 @@
 // into one import statement per name.
 package pylang
 
-import "repro/internal/sig"
+import (
+	"sync"
+
+	"repro/internal/sig"
+)
 
 // Sorts of the Python schema.
 const (
@@ -106,8 +110,12 @@ const (
 	TagKwStarArg sig.Tag = "KwStarArg"
 )
 
-// Schema returns the Python-subset schema.
-func Schema() *sig.Schema {
+// Schema returns the Python-subset schema. Every call returns the same
+// instance, built on first use; it is shared, so it must not be declared
+// into.
+func Schema() *sig.Schema { return schema() }
+
+var schema = sync.OnceValue(func() *sig.Schema {
 	s := sig.NewSchema("python")
 
 	kid := func(l sig.Link, srt sig.Sort) sig.KidSpec { return sig.KidSpec{Link: l, Sort: srt} }
@@ -262,7 +270,7 @@ func Schema() *sig.Schema {
 	s.MustDeclare(sig.Sig{Tag: TagKwStarArg, Kids: []sig.KidSpec{kid("value", SortExpr)}, Result: SortExpr})
 
 	return s
-}
+})
 
 // TagKV is the dictionary entry constructor.
 const TagKV sig.Tag = "KV"

@@ -9,7 +9,8 @@ import (
 // Handler returns the exposition endpoint for a Gatherer:
 //
 //	/metrics        Prometheus text format (version 0.0.4)
-//	/debug/vars     expvar JSON (the process-global expvar map)
+//	/debug/vars     expvar JSON (the process-global expvar map: cmdline
+//	                and memstats; the gatherer's series are at /metrics only)
 //	/debug/pprof/   net/http/pprof profiles (heap, cpu, goroutine, trace)
 //
 // Mount it on its own listener (the -metrics-addr flag of cmd/evaluate and
@@ -38,41 +39,4 @@ func Handler(g Gatherer) http.Handler {
 		_, _ = w.Write([]byte("structdiff telemetry\n\n/metrics\n/debug/vars\n/debug/pprof/\n"))
 	})
 	return mux
-}
-
-// PublishExpvar registers the gatherer's counter and gauge values under
-// name in the process-global expvar map (served at /debug/vars), so expvar
-// consumers see the same numbers as /metrics. Histograms are summarized to
-// count/mean/p50/p99. Publishing the same name twice is a no-op (expvar
-// panics on duplicates; this keeps the call idempotent for tests and
-// repeated setups).
-func PublishExpvar(name string, g Gatherer) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		out := make(map[string]any)
-		for _, m := range g.GatherMetrics() {
-			key := m.Name
-			for _, l := range m.Labels {
-				key += "." + l.Value
-			}
-			switch m.Kind {
-			case KindHistogram:
-				scale := m.Scale
-				if scale == 0 {
-					scale = 1
-				}
-				out[key] = map[string]any{
-					"count": m.Hist.Count,
-					"mean":  m.Hist.Mean() * scale,
-					"p50":   float64(m.Hist.Quantile(0.5)) * scale,
-					"p99":   float64(m.Hist.Quantile(0.99)) * scale,
-				}
-			default:
-				out[key] = m.Value
-			}
-		}
-		return out
-	}))
 }

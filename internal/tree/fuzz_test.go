@@ -46,7 +46,13 @@ func FuzzDecodeSExpr(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	sch := exp.Schema()
+	// A schema of its own: exp's shared instance must not be declared into.
+	sch := sig.NewSchema("exp+lits")
+	for _, tag := range exp.Schema().Tags() {
+		if tag != sig.RootTag {
+			sch.MustDeclare(*exp.Schema().Lookup(tag))
+		}
+	}
 	sch.MustDeclare(sig.Sig{Tag: "Flag", Lits: []sig.LitSpec{{Link: "b", Type: sig.BoolLit}}, Result: exp.Exp})
 	sch.MustDeclare(sig.Sig{Tag: "F", Lits: []sig.LitSpec{{Link: "v", Type: sig.FloatLit}}, Result: exp.Exp})
 	f.Fuzz(func(t *testing.T, src string) {

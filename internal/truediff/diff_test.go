@@ -490,7 +490,13 @@ func TestSchemaCheckWalksUnrecordedTrees(t *testing.T) {
 	}
 	// Another instance of the same schema declares every tag, so its trees
 	// pass the walk.
-	twin := exp.NewBuilder()
+	twinSch := sig.NewSchema("exp")
+	for _, tag := range exp.Schema().Tags() {
+		if tag != sig.RootTag {
+			twinSch.MustDeclare(*exp.Schema().Lookup(tag))
+		}
+	}
+	twin := tree.NewBuilder(twinSch, uri.NewAllocator())
 	diffAndVerify(t, d, good, twin.MustN(exp.Num, 3), b.Alloc())
 }
 

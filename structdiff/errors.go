@@ -50,10 +50,6 @@ var (
 	// incompatible ways under MergePolicyFail. The wrapping
 	// *MergeConflictError carries the full conflict list.
 	ErrMergeConflict = derrors.ErrMergeConflict
-	// ErrCircuitOpen reports a diff-service call refused locally by the
-	// client's circuit breaker (WithCircuitBreaker): the endpoint's recent
-	// failure rate tripped the breaker and the request was never sent.
-	ErrCircuitOpen = derrors.ErrCircuitOpen
 	// ErrFaultInjected reports a failure fired by a test-only fault
 	// injector (WithFaultInjection), never a production failure.
 	ErrFaultInjected = faultinject.ErrInjected

@@ -24,10 +24,12 @@ const (
 // Exp is the language's only sort.
 const Exp = exp.Exp
 
-// Schema returns a fresh schema declaring the expression language.
+// Schema returns the schema declaring the expression language. Every call
+// returns the same shared instance, which must not be declared into.
 func Schema() *sig.Schema { return exp.Schema() }
 
-// NewBuilder returns a tree builder over a fresh schema and allocator.
+// NewBuilder returns a tree builder over the shared schema and a fresh
+// allocator.
 func NewBuilder() *tree.Builder { return exp.NewBuilder() }
 
 // Gen deterministically generates and mutates random expression trees.

@@ -18,13 +18,14 @@ const (
 // SortValue is the sort of every JSON value.
 const SortValue = jsonlang.SortValue
 
-// Schema returns a fresh schema declaring the JSON language.
+// Schema returns the schema declaring the JSON language. Every call
+// returns the same shared instance, which must not be declared into.
 func Schema() *sig.Schema { return jsonlang.Schema() }
 
 // Codec parses and renders JSON against one schema and allocator.
 type Codec = jsonlang.Codec
 
-// NewCodec returns a codec over a fresh schema and allocator.
+// NewCodec returns a codec over the shared schema and a fresh allocator.
 func NewCodec() *Codec { return jsonlang.NewCodec() }
 
 // Render serializes a JSON tree back to JSON text.

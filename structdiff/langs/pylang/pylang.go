@@ -11,7 +11,8 @@ import (
 	"repro/internal/uri"
 )
 
-// Schema returns a fresh schema declaring the Python subset.
+// Schema returns the schema declaring the Python subset. Every call
+// returns the same shared instance, which must not be declared into.
 func Schema() *sig.Schema { return pylang.Schema() }
 
 // Factory builds Python trees against one schema and allocator. It keeps
@@ -19,7 +20,8 @@ func Schema() *sig.Schema { return pylang.Schema() }
 // not safe for concurrent use.
 type Factory = pylang.Factory
 
-// NewFactory returns a factory over a fresh schema and allocator.
+// NewFactory returns a factory over the shared schema and a fresh
+// allocator.
 func NewFactory() *Factory { return pylang.NewFactory() }
 
 // NewFactoryWith returns a factory over an existing schema and allocator,

@@ -182,11 +182,9 @@ func TestExpSchemaName(t *testing.T) {
 	}
 }
 
-// TestFacadeClientResilience drives the client-resilience options through
-// the public surface only: a retrying client converges on a drained
-// service with a typed ErrServiceUnavailable in bounded attempts, and a
-// breaker-armed client refuses further calls with ErrCircuitOpen once the
-// endpoint's failure rate trips.
+// TestFacadeClientResilience drives the client's retry policy through the
+// public surface only: a retrying client converges on a drained service
+// with a typed ErrServiceUnavailable in bounded attempts.
 func TestFacadeClientResilience(t *testing.T) {
 	src, dst, sch, _ := buildPair(t)
 	srv, err := structdiff.NewServiceServer(structdiff.ServiceConfig{
@@ -208,11 +206,6 @@ func TestFacadeClientResilience(t *testing.T) {
 			MaxBackoff:  5 * time.Millisecond,
 			Seed:        1,
 		}),
-		structdiff.WithCircuitBreaker(structdiff.CircuitBreakerConfig{
-			MinRequests:  3,
-			FailureRatio: 0.5,
-			OpenFor:      time.Minute,
-		}),
 	)
 	defer c.Close()
 
@@ -224,14 +217,5 @@ func TestFacadeClientResilience(t *testing.T) {
 	snap := c.ClientSnapshot()
 	if snap.Attempts != 3 || snap.Retries != 2 {
 		t.Fatalf("snapshot = %+v, want 3 attempts / 2 retries", snap)
-	}
-
-	// Three failures over a 3-request floor trip the breaker: the next
-	// call fails fast locally without touching the wire.
-	if _, err := c.Diff(context.Background(), src, dst, nil); !errors.Is(err, structdiff.ErrCircuitOpen) {
-		t.Fatalf("Diff with tripped breaker = %v, want ErrCircuitOpen", err)
-	}
-	if got := c.ClientSnapshot().Attempts; got != snap.Attempts {
-		t.Fatalf("breaker let an attempt through: %d attempts, want %d", got, snap.Attempts)
 	}
 }

@@ -49,17 +49,14 @@ type (
 	// content digests instead of full trees.
 	ServiceClient = diffserve.Client
 	// ServiceClientOption customizes a ServiceClient (tenant identity,
-	// HTTP client, retries, circuit breaking).
+	// spans, retries).
 	ServiceClientOption = diffserve.ClientOption
 	// RetryPolicy parameterizes WithRetryPolicy: attempt bound,
 	// full-jitter exponential backoff scale/cap, and an optional
 	// per-attempt timeout.
 	RetryPolicy = diffserve.RetryPolicy
-	// CircuitBreakerConfig parameterizes WithCircuitBreaker: the rolling
-	// failure-rate window, volume floor, trip ratio, and cooldown.
-	CircuitBreakerConfig = diffserve.BreakerConfig
 	// ServiceClientSnapshot is a point-in-time copy of a ServiceClient's
-	// resilience counters (attempts, retries, breaker activity).
+	// resilience counters (attempts, retries, ref re-sends).
 	ServiceClientSnapshot = diffserve.ClientSnapshot
 	// ServiceServer is the embeddable diff service: an http.Handler with
 	// group-commit dispatch, admission control, and graceful drain
@@ -107,15 +104,6 @@ func WithServiceSpans(sink SpanSink) ServiceClientOption { return diffserve.With
 // produce the same answer. The zero policy selects the defaults (4
 // attempts, 50ms base backoff doubling to a 5s cap).
 func WithRetryPolicy(pol RetryPolicy) ServiceClientOption { return diffserve.WithRetry(pol) }
-
-// WithCircuitBreaker arms a per-endpoint circuit breaker: when an
-// endpoint's windowed failure rate trips the configured ratio, calls
-// fail fast with ErrCircuitOpen instead of piling onto a dead service,
-// until a half-open probe succeeds. The zero config selects the defaults
-// (30s window, 10-request floor, 0.5 ratio, 5s cooldown).
-func WithCircuitBreaker(cfg CircuitBreakerConfig) ServiceClientOption {
-	return diffserve.WithBreaker(cfg)
-}
 
 // ServiceRetryAfter extracts the server's retry advice from a saturation
 // error (errors.Is(err, ErrServiceUnavailable)); zero when err carries

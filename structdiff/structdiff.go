@@ -38,7 +38,6 @@ import (
 	"repro/internal/mtree"
 	"repro/internal/sig"
 	"repro/internal/telemetry"
-	"repro/internal/tree"
 	"repro/internal/truediff"
 	"repro/internal/uri"
 )
@@ -51,7 +50,6 @@ type config struct {
 	sch      *sig.Schema
 	alloc    *uri.Allocator
 	diff     truediff.Options
-	hash     tree.HashKind
 	workers  int
 	observer func(DiffEvent)
 	slow     time.Duration
@@ -95,10 +93,6 @@ func WithSelectionOrder(o SelectionOrder) Option { return func(c *config) { c.di
 // across equal-tagged nodes whose literals differ, emitting updates
 // instead of replacing the subtree (an ablation of the paper's algorithm).
 func WithUpdateOnLitMismatch() Option { return func(c *config) { c.diff.UpdateOnLitMismatch = true } }
-
-// WithHashKind selects the subtree hash for trees ingested by an Engine
-// (default SHA256, the paper's choice).
-func WithHashKind(k HashKind) Option { return func(c *config) { c.hash = k } }
 
 // WithWorkers bounds the goroutines an Engine fans a batch over (default:
 // one per CPU).
@@ -334,9 +328,9 @@ func NewDiffer(sch *Schema, opts ...Option) *Differ {
 }
 
 // NewEngine returns a concurrent batch diffing engine for trees of the
-// schema, honouring WithWorkers, WithHashKind, and the diff
-// options. See the Engine type (internal/engine re-exported here) for the
-// batch API and Snapshot for its metrics.
+// schema, honouring WithWorkers and the diff options; it ingests with
+// SHA-256, the paper's hash. See the Engine type (internal/engine
+// re-exported here) for the batch API and Snapshot for its metrics.
 func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("structdiff: %w", ErrNoSchema)
@@ -345,7 +339,6 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 	return engine.New(sch, engine.Config{
 		Workers:           cfg.workers,
 		Diff:              cfg.diff,
-		Hash:              cfg.hash,
 		Observer:          cfg.observer,
 		SlowDiffThreshold: cfg.slow,
 		DiffTimeout:       cfg.timeout,

@@ -119,9 +119,7 @@ func TestDiffOptionsChangeBehaviour(t *testing.T) {
 func TestEngineThroughFacade(t *testing.T) {
 	g := exp.NewGen(7)
 	sch := g.Schema()
-	e, err := structdiff.NewEngine(sch,
-		structdiff.WithWorkers(4),
-		structdiff.WithHashKind(structdiff.SHA256))
+	e, err := structdiff.NewEngine(sch, structdiff.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
