@@ -209,7 +209,8 @@ func runLoad(cfg loadConfig) int {
 }
 
 // loadSpanNames is the span chain one traced in-process Diff produces:
-// client RPC → server request → dispatch queue → engine → four phases.
+// client RPC → server request → wait for a worker slot → engine → four
+// phases.
 var loadSpanNames = []string{
 	"diffserve.client.diff", "diffserve.request", "diffserve.queue", "engine.diff",
 	"truediff.prepare", "truediff.shares", "truediff.select", "truediff.emit",

@@ -1,9 +1,9 @@
 // Command diffd serves structural diffing as a network service: an
 // HTTP/JSON daemon around the batch engine, one engine per served
-// language, dispatching each request to a free worker (requests that
-// queue while every worker is busy share the next engine batch),
-// per-tenant admission control, queue backpressure (429 + Retry-After
-// when saturated), and graceful drain on SIGINT/SIGTERM.
+// language, running each request's diff on the request's own goroutine
+// once one of its language's -workers slots is free, with per-tenant
+// admission control, queue backpressure (429 + Retry-After when
+// saturated), and graceful drain on SIGINT/SIGTERM.
 //
 //	diffd                              # serve every language on :8347
 //	diffd -addr :9000 -langs exp       # one language, custom port
@@ -14,7 +14,7 @@
 // Endpoints (wire schema and a curl session in docs/SERVICE.md):
 //
 //	POST /v1/diff      one pair (S-exprs or refs), versioned JSON
-//	POST /v1/batch     many pairs, each queued as its own job
+//	POST /v1/batch     many pairs, each run as its own job
 //	GET  /v1/snapshot  per-language engine counters
 //	GET  /metrics      Prometheus text exposition (service + engines)
 //	GET  /debug/diffz  flight recorder: recent + slowest diffs (JSON/HTML)
@@ -23,10 +23,10 @@
 //
 // On SIGTERM the daemon first goes lame-duck for -drain-grace: /readyz
 // answers 503 (load balancers stop routing here) while requests still
-// serve. Then it drains: in-flight diffs complete, queued and new
+// serve. Then it drains: running diffs complete, waiting and new
 // requests are answered with a clean 503, and the process exits 0. The
-// drain is bounded by -drain-timeout; an expired bound still closes the
-// engines before exit.
+// wait for running diffs is bounded by -drain-timeout; on expiry diffd
+// exits without waiting for them.
 //
 // Exit status: 0 after a clean drain, 1 on a serve error, 2 on bad usage.
 package main
@@ -68,10 +68,9 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8347", "listen address")
 		langs         = flag.String("langs", "", "comma-separated languages to serve (default: all registered)")
-		workers       = flag.Int("workers", 0, "worker goroutines and dispatch loops per language engine (0 = GOMAXPROCS)")
+		workers       = flag.Int("workers", 0, "max diffs running at once per language (0 = GOMAXPROCS)")
 		diffTimeout   = flag.Duration("diff-timeout", 5*time.Second, "per-diff deadline (0 disables)")
-		batchMax      = flag.Int("batch-max", 64, "max queued requests dispatched as one engine batch")
-		maxQueue      = flag.Int("max-queue", 256, "per-language admission queue bound (saturation threshold)")
+		maxQueue      = flag.Int("max-queue", 256, "server-wide bound on pending jobs, waiting or running, across all languages (saturation threshold)")
 		tenantLimit   = flag.Int("tenant-limit", 32, "per-tenant concurrent request cap (X-Diffd-Tenant header; -1 disables)")
 		slow          = flag.Duration("slow", 0, "log diffs at or above this wall time (0 disables)")
 		tracePath     = flag.String("trace", "", "append one JSONL trace record per diff to this file")
@@ -110,7 +109,6 @@ func main() {
 	cfg := diffserve.Config{
 		Workers:           *workers,
 		DiffTimeout:       *diffTimeout,
-		BatchMax:          *batchMax,
 		MaxQueue:          *maxQueue,
 		TenantLimit:       *tenantLimit,
 		SlowDiffThreshold: *slow,
@@ -171,7 +169,7 @@ func main() {
 		logf("lame-duck for %v: /readyz now 503, still serving", *drainGrace)
 		time.Sleep(*drainGrace)
 	}
-	logf("draining (bound %v): in-flight diffs complete, new requests get 503", *drainTimeout)
+	logf("draining (bound %v): running diffs complete, waiting and new requests get 503", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Drain(dctx); err != nil {

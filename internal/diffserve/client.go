@@ -250,9 +250,10 @@ func (c *Client) toResult(resp *DiffResponse, alloc *uri.Allocator) (*truediff.R
 	return res, nil
 }
 
-// DiffBatch ships the whole batch in one request; the server diffs it as
-// one engine batch. Results are index-aligned with pairs; per-pair
-// failures land in the pair's Err, exactly as with engine.DiffBatch.
+// DiffBatch ships the whole batch in one request; the server runs each
+// pair as its own job, in parallel as its worker slots allow. Results are
+// index-aligned with pairs; per-pair failures land in the pair's Err,
+// exactly as with engine.DiffBatch.
 // Pair.Alloc is used to decode that pair's patched tree.
 func (c *Client) DiffBatch(ctx context.Context, pairs []engine.Pair) ([]engine.PairResult, error) {
 	resp, err := c.batchOnce(ctx, pairs, false)

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/pylang"
 	"repro/internal/sig"
 	"repro/internal/tree"
+	"repro/internal/truechange"
 	"repro/internal/uri"
 )
 
@@ -79,6 +82,82 @@ func TestDiffRoundTrip(t *testing.T) {
 	}
 	if got, want := res.Script.EditCount(), local.Script.EditCount(); got != want {
 		t.Errorf("service produced %d edits, local engine %d", got, want)
+	}
+}
+
+// TestSpecialFloatLiteralsOverTheWire: a script that updates a number
+// to −0, NaN or +Inf reaches the client with the literal bits an
+// in-process diff emits.
+func TestSpecialFloatLiteralsOverTheWire(t *testing.T) {
+	_, hs := testServer(t, Config{Langs: []string{"jsonlang"}, Workers: 1})
+	c := NewClient(hs.URL, "jsonlang", jsonlang.Schema())
+	defer c.Close()
+	eng := engine.New(jsonlang.Schema(), engine.Config{Workers: 1})
+	defer eng.Close()
+
+	codec := jsonlang.NewCodec()
+	parse := func(doc string) *tree.Node {
+		n, err := codec.Parse(doc)
+		if err != nil {
+			t.Fatalf("parse %s: %v", doc, err)
+		}
+		return n
+	}
+	// number builds the document {"a": v} for values JSON text cannot hold.
+	number := func(v float64) *tree.Node {
+		sch, alloc := codec.Schema(), codec.Alloc()
+		mk := func(tag sig.Tag, kids []*tree.Node, lits []any) *tree.Node {
+			n, err := tree.New(sch, alloc, tag, kids, lits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		num := mk(jsonlang.TagNumber, nil, []any{v})
+		member := mk(jsonlang.TagMember, []*tree.Node{num}, []any{"a"})
+		members := mk(jsonlang.TagMemCons, []*tree.Node{member, mk(jsonlang.TagMemNil, nil, nil)}, nil)
+		return mk(jsonlang.TagObject, []*tree.Node{members}, nil)
+	}
+	floatBits := func(s *truechange.Script) []uint64 {
+		var out []uint64
+		for _, e := range s.Edits {
+			var lits []truechange.LitArg
+			switch ed := e.(type) {
+			case truechange.Load:
+				lits = ed.Lits
+			case truechange.Unload:
+				lits = ed.Lits
+			case truechange.Update:
+				lits = append(append(lits, ed.Old...), ed.New...)
+			}
+			for _, l := range lits {
+				if f, ok := l.Value.(float64); ok {
+					out = append(out, math.Float64bits(f))
+				}
+			}
+		}
+		return out
+	}
+
+	src := parse(`{"a":1.5}`)
+	for name, dst := range map[string]*tree.Node{
+		"-0":   parse(`{"a":-0.0}`),
+		"NaN":  number(math.NaN()),
+		"+Inf": number(math.Inf(1)),
+	} {
+		res, err := c.Diff(context.Background(), src, dst, nil)
+		if err != nil {
+			t.Errorf("%s: Diff: %v", name, err)
+			continue
+		}
+		local, err := eng.Diff(context.Background(), src, dst, codec.Alloc())
+		if err != nil {
+			t.Fatalf("%s: local Diff: %v", name, err)
+		}
+		got, want := floatBits(res.Script), floatBits(local.Script)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%s: float literal bits over the wire %x, in process %x", name, got, want)
+		}
 	}
 }
 
@@ -618,8 +697,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestDispatchFreeWorker: a request that finds a dispatch loop free runs
-// at once, even while the other loop is wedged on a slow diff.
+// TestDispatchFreeWorker: a request that finds a worker slot free runs at
+// once, even while the other slot is wedged on a slow diff.
 func TestDispatchFreeWorker(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Fault{
 		Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: 2 * time.Second, Times: 1,
@@ -649,43 +728,49 @@ func TestDispatchFreeWorker(t *testing.T) {
 	}
 }
 
-// TestDispatchGroupsQueuedJobs: jobs that queue while every dispatch loop
-// is busy run together as the next engine batch.
-func TestDispatchGroupsQueuedJobs(t *testing.T) {
+// TestHungUpWaiterNeverRuns: a job whose caller hangs up while it waits
+// for a worker slot is abandoned, not diffed later for nobody.
+func TestHungUpWaiterNeverRuns(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Fault{
-		Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: time.Second, Times: 1,
+		Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: 500 * time.Millisecond, Times: 1,
 	})
 	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1, Faults: inj})
 	c := NewClient(hs.URL, "exp", exp.Schema())
 	defer c.Close()
 
-	const n = 4
-	errs := make(chan error, n)
-	diff := func(i int) {
-		src, dst := genPair(int64(310+i), 50)
+	wedged := make(chan error, 1)
+	go func() {
+		src, dst := genPair(330, 50)
 		_, err := c.Diff(context.Background(), src, dst, nil)
-		errs <- err
-	}
-	go diff(0)
+		wedged <- err
+	}()
 	waitFor(t, "the first diff is wedged", func() bool { return inj.Fired(engine.FaultSiteDiff) == 1 })
-	for i := 1; i < n; i++ {
-		go diff(i)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		src, dst := genPair(331, 50)
+		_, err := c.Diff(ctx, src, dst, nil)
+		waiter <- err
+	}()
+	waitFor(t, "the second job waits behind the wedged one", func() bool { return srv.m.pending.Load() == 2 })
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Errorf("hung-up Diff: err = %v, want context.Canceled", err)
 	}
-	waitFor(t, "every job is pending behind the wedged one", func() bool { return srv.m.pending.Load() == n })
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Errorf("Diff: %v", err)
-		}
+	if err := <-wedged; err != nil {
+		t.Fatalf("wedged Diff: %v", err)
 	}
-	if batches, diffs := srv.m.batches.Load(), srv.langs["exp"].eng.Snapshot().Diffs; batches != 2 || diffs != n {
-		t.Errorf("%d diffs ran in %d batches, want %d in 2 (the wedged job, then the three queued behind it)", diffs, batches, n)
+	waitFor(t, "no job is pending", func() bool { return srv.m.pending.Load() == 0 })
+	if n := srv.langs["exp"].eng.Snapshot().Diffs; n != 1 {
+		t.Errorf("engine ran %d diffs, want 1 (the hung-up job must not run)", n)
 	}
 }
 
 // TestBacklogCountsEachJobOnce: admission counts a job once, whether it
-// waits in the queue or inside an engine batch. With the one worker
-// wedged on the first of a three-pair batch request, a fourth job still
-// fits under a MaxQueue of 4.
+// waits for a worker slot or runs. With the one worker wedged on the
+// first of a three-pair batch request, a fourth job still fits under a
+// MaxQueue of 4.
 func TestBacklogCountsEachJobOnce(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Fault{
 		Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: 500 * time.Millisecond, Times: 1,

@@ -7,9 +7,9 @@ import (
 )
 
 // svcMetrics holds the service-level counters, one layer above the
-// per-engine counters: HTTP outcomes, shed decisions, queue occupancy, and
-// the request-latency and batch-size distributions. All atomics, matching
-// the engine's lock-free convention.
+// per-engine counters: HTTP outcomes, shed decisions, pending jobs, and
+// the request-latency distribution. All atomics, matching the engine's
+// lock-free convention.
 type svcMetrics struct {
 	requests     atomic.Uint64
 	ok           atomic.Uint64
@@ -18,14 +18,12 @@ type svcMetrics struct {
 	sheds        atomic.Uint64 // 429: tenant limit or queue backpressure
 	drainRejects atomic.Uint64 // 503: refused because draining
 
-	// pending gauges jobs accepted into a dispatch queue but not yet
-	// answered, each counted once whether queued or in an engine batch;
-	// it is the admission controller's saturation signal.
+	// pending gauges admitted jobs not yet answered, server-wide, each
+	// counted once whether it waits for a worker slot or runs; it is the
+	// admission controller's saturation signal.
 	pending atomic.Int64
 
-	latency   telemetry.Histogram // request wall time, ns (diff+batch only)
-	batches   atomic.Uint64
-	batchSize telemetry.Histogram // jobs per dispatched engine batch
+	latency telemetry.Histogram // request wall time, ns (diff+batch only)
 }
 
 // GatherMetrics implements telemetry.Gatherer for the whole service:
@@ -45,19 +43,13 @@ func (s *Server) GatherMetrics() []telemetry.Metric {
 		counter("diffserve_drain_rejects_total", "Requests refused with 503 because the server is draining.", s.m.drainRejects.Load()),
 		{
 			Name: "diffserve_pending_jobs", Kind: telemetry.KindGauge,
-			Help:  "Jobs accepted into a dispatch queue but not yet answered.",
+			Help:  "Admitted jobs not yet answered, waiting for a worker or running.",
 			Value: float64(s.m.pending.Load()),
 		},
-		counter("diffserve_batches_total", "Engine batches dispatched.", s.m.batches.Load()),
 		{
 			Name: "diffserve_request_duration_seconds", Kind: telemetry.KindHistogram,
 			Help: "Request wall time from admission to response, diff and batch endpoints.",
 			Hist: s.m.latency.Snapshot(), Scale: 1e-9,
-		},
-		{
-			Name: "diffserve_batch_size_jobs", Kind: telemetry.KindHistogram,
-			Help: "Jobs per dispatched engine batch.",
-			Hist: s.m.batchSize.Snapshot(),
 		},
 	}
 	ms = append(ms, telemetry.SLOMetrics("diffserve_slo_", s.slo.Snapshot())...)

@@ -31,12 +31,12 @@ type Config struct {
 	// Langs selects the languages to serve (names from Languages()). Empty
 	// serves all registered languages.
 	Langs []string
-	// Workers is each language engine's worker-pool size and its number
-	// of dispatch loops; zero or negative selects GOMAXPROCS.
+	// Workers bounds how many diffs run at once per language; zero or
+	// negative selects GOMAXPROCS.
 	Workers int
 	// DiffTimeout bounds each individual diff (engine.Config.DiffTimeout);
-	// an overrunning diff fails alone with a timeout error while the rest
-	// of its batch completes. Zero disables the bound.
+	// an overrunning diff fails alone with a timeout error. Zero disables
+	// the bound.
 	DiffTimeout time.Duration
 	// DisableFallback turns off graceful degradation. By default the
 	// service runs engines with FallbackRootReplace: a pair that panics or
@@ -44,14 +44,10 @@ type Config struct {
 	// script (stats flag Fallback set) instead of an error.
 	DisableFallback bool
 
-	// BatchMax caps how many queued jobs one dispatch folds into a single
-	// engine batch (default 64).
-	BatchMax int
-
-	// MaxQueue bounds each language's admission queue; it is also the
-	// saturation threshold: a request that would take the pending jobs
-	// past MaxQueue is shed with 429 and a Retry-After estimated from
-	// observed request latency. Default 256.
+	// MaxQueue bounds the pending jobs, server-wide across every served
+	// language: a request that would take them past MaxQueue is shed with
+	// 429 and a Retry-After estimated from observed request latency.
+	// Default 256.
 	MaxQueue int
 	// TenantLimit caps one tenant's concurrently admitted requests
 	// (identified by the X-Diffd-Tenant header; absent means the shared
@@ -92,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
 	}
@@ -119,21 +112,24 @@ const (
 )
 
 // langService is one served language: its schema, its engine (own worker
-// pool, intern store, URI space), its dispatching batcher, and the ref
-// table mapping hex content digests to interned trees.
+// pool, intern store, URI space), its worker slots, and the ref table
+// mapping hex content digests to interned trees.
 type langService struct {
 	name string
 	sch  *sig.Schema
 	eng  *engine.Engine
-	b    *batcher
+	// slots holds one token per running diff, so at most Workers diffs
+	// run at once.
+	slots chan struct{}
 
 	refMu sync.RWMutex
 	refs  map[string]*tree.Node
 }
 
 // Server is the diff service: an http.Handler exposing the engine over
-// versioned JSON, with group-commit dispatch, admission control, and
-// graceful drain. Create one with NewServer; it is ready immediately.
+// versioned JSON, with admission control and graceful drain. Each job runs
+// on its own request goroutine once a worker slot of its language is
+// free. Create one with NewServer; it is ready immediately.
 type Server struct {
 	cfg       Config
 	mux       *http.ServeMux
@@ -141,12 +137,12 @@ type Server struct {
 	langNames []string
 	m         svcMetrics
 
-	// draining flips once, in Drain; drainMu orders job submission
-	// against queue closure (submitters hold it shared, Drain holds it
-	// exclusively while closing the queues, so a send on a closed channel
-	// cannot happen).
+	// draining flips once, in Drain, which then closes drained to answer
+	// every job still waiting for a slot, and closed once the engines
+	// are closed.
 	draining atomic.Bool
-	drainMu  sync.RWMutex
+	drained  chan struct{}
+	closed   chan struct{}
 
 	// lameduck flips in Lameduck: /readyz answers 503 (stop routing here)
 	// while /v1/* keeps serving — the grace period before Drain in which
@@ -168,6 +164,8 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		langs:   make(map[string]*langService, len(cfg.Langs)),
 		tenants: make(map[string]int),
+		drained: make(chan struct{}),
+		closed:  make(chan struct{}),
 		flight:  telemetry.NewFlightRecorder(flightRecent, flightSlowest),
 		slo:     telemetry.NewSLO(cfg.SLO),
 	}
@@ -198,19 +196,13 @@ func NewServer(cfg Config) (*Server, error) {
 				_ = tw.Write(rec)
 			}
 		}
-		ls := &langService{
-			name: name,
-			sch:  sch,
-			eng:  engine.New(sch, ecfg),
-			refs: make(map[string]*tree.Node),
+		s.langs[name] = &langService{
+			name:  name,
+			sch:   sch,
+			eng:   engine.New(sch, ecfg),
+			slots: make(chan struct{}, cfg.Workers),
+			refs:  make(map[string]*tree.Node),
 		}
-		ls.b = newBatcher(ls.eng, cfg.Workers, cfg.BatchMax, cfg.MaxQueue,
-			s.draining.Load,
-			func(size int) { s.m.batches.Add(1); s.m.batchSize.Record(int64(size)) },
-			func() { s.m.pending.Add(-1) },
-			cfg.Spans,
-		)
-		s.langs[name] = ls
 		s.langNames = append(s.langNames, name)
 	}
 
@@ -259,39 +251,31 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // ordering that turns a restart into zero shed requests. Idempotent.
 func (s *Server) Lameduck() { s.lameduck.Store(true) }
 
-// Drain shuts the service down gracefully: new and queued-but-unstarted
-// requests are answered with a clean draining error (HTTP 503), batches
-// already handed to an engine run to completion, and the engines are
-// closed (releasing their intern stores) once their batchers stop. The
-// context bounds how long Drain waits for in-flight work; on expiry the
-// engines are still closed (Close itself waits for active batches, so an
-// expired ctx only skips the orderly queue flush). Drain is idempotent;
-// concurrent calls all block until the first finishes.
+// Drain shuts the service down gracefully: new requests and jobs still
+// waiting for a worker slot are answered with a clean draining error (HTTP
+// 503), diffs already running complete, and the engines are closed,
+// releasing their intern stores. A job that takes its slot after its
+// engine closed fails with kind draining too. ctx bounds only how
+// long Drain waits for the running diffs, each of which DiffTimeout also
+// bounds: on expiry Drain returns the context's error, and the engines
+// still close as soon as their last diff ends. Drain is idempotent;
+// concurrent calls all wait for the same engine close.
 func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
-	if !s.draining.CompareAndSwap(false, true) {
-		s.drainMu.Unlock()
+	if s.draining.CompareAndSwap(false, true) {
+		close(s.drained)
+		go func() {
+			for _, name := range s.langNames {
+				_ = s.langs[name].eng.Close() // waits for running diffs; always nil
+			}
+			close(s.closed)
+		}()
+	}
+	select {
+	case <-s.closed:
 		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("diffserve: drain: %w", context.Cause(ctx))
 	}
-	for _, name := range s.langNames {
-		close(s.langs[name].b.jobs)
-	}
-	s.drainMu.Unlock()
-
-	var err error
-	for _, name := range s.langNames {
-		select {
-		case <-s.langs[name].b.stopped:
-		case <-ctx.Done():
-			err = fmt.Errorf("diffserve: drain: %w", context.Cause(ctx))
-		}
-	}
-	for _, name := range s.langNames {
-		if cerr := s.langs[name].eng.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
 }
 
 // Snapshot returns every language engine's counters.
@@ -337,17 +321,13 @@ func (s *Server) observe(start time.Time, status int) {
 
 // admit runs the gatekeeping common to diff and batch requests: drain
 // refusal, the per-tenant concurrency cap, and queue backpressure against
-// the pending jobs, which count every admitted job once, queued or in an
-// engine batch. jobs is how many queue slots the request wants (1 for a
-// diff, len(pairs) for a batch). On success the tenant slot is held;
-// release it with the returned func.
+// the pending jobs, which count every admitted job once, waiting or
+// running. jobs is how many jobs the request brings (1 for a diff,
+// len(pairs) for a batch). On success the tenant slot is held; release it
+// with the returned func.
 func (s *Server) admit(r *http.Request, jobs int) (release func(), herr *httpError) {
 	if s.draining.Load() {
-		s.m.drainRejects.Add(1)
-		return nil, &httpError{
-			status: http.StatusServiceUnavailable,
-			werr:   WireError{Kind: ErrKindDraining, Message: "server is draining"},
-		}
+		return nil, s.drainReject()
 	}
 	tenant := r.Header.Get("X-Diffd-Tenant")
 	if tenant == "" {
@@ -409,32 +389,50 @@ func (s *Server) retryAfter(backlog int) time.Duration {
 	return est.Round(time.Second)
 }
 
-// submit queues one pair on the language's batcher. It holds drainMu
-// shared so Drain cannot close the queue mid-send; a full queue sheds.
-func (s *Server) submit(ls *langService, p engine.Pair) (*job, *httpError) {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining.Load() {
-		s.m.drainRejects.Add(1)
-		return nil, &httpError{
-			status: http.StatusServiceUnavailable,
-			werr:   WireError{Kind: ErrKindDraining, Message: "server is draining"},
-		}
+// drainReject counts and builds the answer to work refused by a drain.
+func (s *Server) drainReject() *httpError {
+	s.m.drainRejects.Add(1)
+	return &httpError{
+		status: http.StatusServiceUnavailable,
+		werr:   WireError{Kind: ErrKindDraining, Message: "server is draining"},
 	}
-	j := &job{pair: p, enqueued: time.Now(), done: make(chan engine.PairResult, 1)}
-	select {
-	case ls.b.jobs <- j:
-		s.m.pending.Add(1)
-		return j, nil
-	default:
+}
+
+// run diffs one job on the calling goroutine. The job counts as pending
+// until it is answered, and is shed once the pending jobs pass MaxQueue.
+// It then waits for a worker slot of its language, the drain, or the end
+// of ctx, whichever comes first; a job abandoned with ctx never runs. A
+// job that took its slot runs under context.Background(), not ctx: once
+// started, a diff completes (bounded by DiffTimeout) whether or not its
+// caller is still listening.
+func (s *Server) run(ctx context.Context, ls *langService, p engine.Pair) (engine.PairResult, *httpError) {
+	pending := s.m.pending.Add(1)
+	defer s.m.pending.Add(-1)
+	if pending > int64(s.cfg.MaxQueue) {
 		s.m.sheds.Add(1)
-		return nil, &httpError{
+		return engine.PairResult{}, &httpError{
 			status:     http.StatusTooManyRequests,
 			retryAfter: s.retryAfter(s.cfg.MaxQueue),
 			werr: WireError{Kind: ErrKindSaturated,
 				Message: fmt.Sprintf("queue full (limit %d)", s.cfg.MaxQueue)},
 		}
 	}
+	admitted := time.Now()
+	select {
+	case ls.slots <- struct{}{}:
+	case <-s.drained:
+		return engine.PairResult{}, s.drainReject()
+	case <-ctx.Done():
+		return engine.PairResult{Err: ctx.Err()}, nil
+	}
+	defer func() { <-ls.slots }()
+	// The queue span covers the wait from admission for a free slot.
+	telemetry.StartSpanAt(s.cfg.Spans, p.Trace, "diffserve.queue", admitted).End()
+	results, err := ls.eng.DiffBatch(context.Background(), []engine.Pair{p})
+	if err != nil {
+		return engine.PairResult{Err: err}, nil
+	}
+	return results[0], nil
 }
 
 // --- tree resolution ---
@@ -524,21 +522,15 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		dst, resp.TargetRef, herr = s.resolveTree(ls, req.Target, "target")
 		if herr == nil {
 			resp.SourceRef = srcRef
-			j, serr := s.submit(ls, engine.Pair{Source: src, Target: dst, Label: req.Label, Trace: rctx})
-			if serr != nil {
-				status = serr.status
-				s.writeHTTPError(w, serr)
-				return
-			}
-			select {
-			case pr := <-j.done:
-				s.fillResult(&resp, pr, req.WantPatched)
-			case <-r.Context().Done():
-				// The job still runs (it may share a batch with other
-				// callers' jobs); only this response is abandoned.
+			var pr engine.PairResult
+			pr, herr = s.run(r.Context(), ls, engine.Pair{Source: src, Target: dst, Label: req.Label, Trace: rctx})
+			if r.Context().Err() != nil {
 				status = 499 // client closed request; observed, not written
 				s.m.clientErrors.Add(1)
 				return
+			}
+			if herr == nil {
+				s.fillResult(&resp, pr, req.WantPatched)
 			}
 		}
 	}
@@ -587,9 +579,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// Each pair runs as its own job on its own goroutine, so the pairs
+	// run in parallel as worker slots allow.
 	resp := BatchResponse{SchemaVersion: WireVersion, TraceID: rctx.Trace.String()}
 	resp.Results = make([]DiffResponse, len(req.Pairs))
-	jobs := make([]*job, len(req.Pairs))
+	var wg sync.WaitGroup
 	for i := range req.Pairs {
 		bp := &req.Pairs[i]
 		out := &resp.Results[i]
@@ -609,25 +603,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if label == "" {
 			label = fmt.Sprintf("batch#%d", i)
 		}
-		j, serr := s.submit(ls, engine.Pair{Source: src, Target: dst, Label: label, Trace: rctx})
-		if serr != nil {
-			out.Error = &serr.werr
-			continue
-		}
-		jobs[i] = j
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pr, herr := s.run(r.Context(), ls, engine.Pair{Source: src, Target: dst, Label: label, Trace: rctx})
+			if herr != nil {
+				out.Error = &herr.werr
+				return
+			}
+			s.fillResult(out, pr, bp.WantPatched)
+		}()
 	}
-	for i, j := range jobs {
-		if j == nil {
-			continue
-		}
-		select {
-		case pr := <-j.done:
-			s.fillResult(&resp.Results[i], pr, req.Pairs[i].WantPatched)
-		case <-r.Context().Done():
-			status = 499 // client closed request; observed, not written
-			s.m.clientErrors.Add(1)
-			return
-		}
+	wg.Wait()
+	if r.Context().Err() != nil {
+		status = 499 // client closed request; observed, not written
+		s.m.clientErrors.Add(1)
+		return
 	}
 	s.countStatus(http.StatusOK)
 	writeJSON(w, http.StatusOK, resp)

@@ -1,10 +1,10 @@
 // Package diffserve turns the batch diffing engine into a shared network
 // service: an HTTP/JSON server (cmd/diffd is its daemon front end) that
-// accepts diff and batch requests, dispatches each to a free worker (jobs
-// that queue while every worker is busy share the next engine batch),
-// enforces per-tenant concurrency limits with queue backpressure on its
-// pending jobs (shedding with 429 + Retry-After when saturated), and
-// drains gracefully on shutdown — plus an HTTP client implementing the
+// accepts diff and batch requests, runs each job on its own request
+// goroutine once one of its language's worker slots is free, enforces
+// per-tenant concurrency limits with queue backpressure on its pending
+// jobs (shedding with 429 + Retry-After when saturated), and drains
+// gracefully on shutdown — plus an HTTP client implementing the
 // same DiffService surface as the in-process engine, so callers need not
 // care whether a Diff runs locally or over the wire.
 //
@@ -32,8 +32,10 @@ import (
 
 // WireVersion is the schema version stamped on every envelope this build
 // writes. The major component is the compatibility contract; the minor
-// counts additive revisions.
-const WireVersion = "1.0"
+// counts additive revisions. 1.1 added the script literal kind "fbits",
+// which carries NaN and ±Inf as the hex of their IEEE 754 bits; a 1.0
+// decoder rejects it as an unknown kind instead of misreading it.
+const WireVersion = "1.1"
 
 // wireMajor is the major version this build's decoders accept.
 const wireMajor = 1
@@ -91,8 +93,8 @@ type BatchPair struct {
 }
 
 // BatchRequest is the body of POST /v1/batch: one language, many pairs,
-// answered in one response. The server queues each pair as its own job,
-// so the pairs may run in different engine batches.
+// answered in one response. The server runs each pair as its own job,
+// so the pairs run in parallel as worker slots allow.
 type BatchRequest struct {
 	SchemaVersion string      `json:"schema_version"`
 	Lang          string      `json:"lang"`

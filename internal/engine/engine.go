@@ -25,6 +25,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/derrors"
@@ -431,13 +432,15 @@ func (e *Engine) Diff(ctx context.Context, source, target *tree.Node, alloc *uri
 }
 
 // DiffBatch diffs every pair, fanning the work over the engine's worker
-// pool, and returns one result per pair, index-aligned with pairs. A failed
-// pair carries its error in its slot; DiffBatch itself only returns an
-// error when ctx is cancelled, in which case pairs that never ran have
-// their Err set to the context error, and pairs that were mid-diff abort
-// at their next cancellation checkpoint with the context's cause in their
-// slot. Every pair therefore ends with exactly one of Result or Err set.
-// A nil ctx is treated as context.Background(), matching Diff.
+// pool, and returns one result per pair, index-aligned with pairs. The
+// calling goroutine is one of the workers, so a batch of one pair starts
+// no goroutine. A failed pair carries its error in its slot; DiffBatch
+// itself only returns an error when ctx is cancelled, in which case pairs
+// that no worker claimed have their Err set to the context error, and
+// pairs that were mid-diff abort at their next cancellation checkpoint
+// with the context's cause in their slot. Every pair therefore ends with
+// exactly one of Result or Err set. A nil ctx is treated as
+// context.Background(), matching Diff.
 func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -452,60 +455,52 @@ func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, err
 		return results, ctx.Err()
 	}
 
-	workers := e.workers()
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	// The queue-depth gauge counts pairs submitted but not yet picked up by
-	// a worker; every exit path below drains it back to its prior level.
+	workers := min(e.workers(), len(pairs))
+	// The queue-depth gauge counts pairs submitted but not yet claimed by a
+	// worker; every exit path below drains it back to its prior level.
 	e.m.queueDepth.Add(int64(len(pairs)))
 	started := time.Now()
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// Each slot of results is written by exactly one worker, so no
-			// further synchronization is needed beyond wg.Wait.
-			drain := func(ctx context.Context) {
-				for i := range idx {
-					e.m.queueDepth.Add(-1)
-					results[i] = e.diffOne(ctx, pairs[i])
-				}
+	// Workers claim pair indices in order from next until none is left or
+	// ctx is done. Each slot of results is written by exactly one worker,
+	// so no further synchronization is needed beyond wg.Wait.
+	var next atomic.Int64
+	claim := func(ctx context.Context) {
+		for ctx.Err() == nil {
+			i := next.Add(1) - 1
+			if i >= int64(len(pairs)) {
+				return
 			}
-			if e.cfg.Diff.ProfileLabels {
-				pprof.Do(ctx, pprof.Labels(PprofWorkerLabel, strconv.Itoa(w)), drain)
-			} else {
-				drain(ctx)
-			}
-		}(w)
-	}
-
-	cancelled := false
-feed:
-	for i := range pairs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			cancelled = true
-			break feed
+			e.m.queueDepth.Add(-1)
+			results[i] = e.diffOne(ctx, pairs[i])
 		}
 	}
-	close(idx)
+	work := func(w int) {
+		if e.cfg.Diff.ProfileLabels {
+			pprof.Do(ctx, pprof.Labels(PprofWorkerLabel, strconv.Itoa(w)), claim)
+		} else {
+			claim(ctx)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
 	// Capacity is what the pool could have diffed this batch (elapsed time
 	// across every worker); Snapshot.Utilization divides busy time by it.
 	e.m.capacityNanos.Add(uint64(time.Since(started).Nanoseconds()) * uint64(workers))
 
-	if cancelled {
+	if claimed := next.Load(); claimed < int64(len(pairs)) {
 		err := fmt.Errorf("engine: batch cancelled: %w", context.Cause(ctx))
-		for i := range results {
-			if results[i].Result == nil && results[i].Err == nil {
-				results[i].Err = err
-				e.m.queueDepth.Add(-1) // never dequeued by a worker
-			}
+		for i := claimed; i < int64(len(pairs)); i++ {
+			results[i].Err = err
 		}
+		e.m.queueDepth.Add(claimed - int64(len(pairs))) // never claimed by a worker
 		return results, err
 	}
 	return results, nil

@@ -1,6 +1,7 @@
 package proptest
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -24,6 +25,7 @@ const (
 	PropRollback    = "fault-rollback"    // failed patches roll back exactly and re-apply cleanly
 	PropOrdering    = "edit-ordering"     // all negative edits precede all positive edits
 	PropInvert      = "invert-round-trip" // Patch(s); Patch(Invert(s)) is an exact no-op, including NaN/±Inf literals
+	PropCodec       = "codec-round-trip"  // the JSON wire codec carries every script with bit-identical literals
 )
 
 // PropertyError tags an oracle failure with the violated property.
@@ -39,7 +41,7 @@ func propErr(prop, format string, args ...any) error {
 	return &PropertyError{Property: prop, Err: fmt.Errorf(format, args...)}
 }
 
-// CheckPair runs the full six-property oracle on one generated pair
+// CheckPair runs the full seven-property oracle on one generated pair
 // through the public structdiff facade. salt deterministically picks the
 // edit index the rollback property injects its fault at. It returns the
 // emitted script (also on most failures, for reporting and seeding) and
@@ -135,7 +137,30 @@ func CheckPair(sch *sig.Schema, p Pair, salt int64, opts ...structdiff.Option) (
 	if err := checkInvert(sch, p, script); err != nil {
 		return script, err
 	}
+
+	// Property 7 — codec round trip: the script survives its JSON wire
+	// format with every literal bit-identical, NaN, ±Inf and −0 included.
+	if err := checkCodec(script); err != nil {
+		return script, err
+	}
 	return script, nil
+}
+
+// checkCodec asserts that json.Marshal then Unmarshal gives back the
+// script, literals compared by bit pattern.
+func checkCodec(s *truechange.Script) error {
+	enc, err := json.Marshal(s)
+	if err != nil {
+		return propErr(PropCodec, "encode failed: %w", err)
+	}
+	var back truechange.Script
+	if err := json.Unmarshal(enc, &back); err != nil {
+		return propErr(PropCodec, "decode failed: %w\nencoded: %s", err, enc)
+	}
+	if !truechange.EqualEdits(s.Edits, back.Edits) {
+		return propErr(PropCodec, "round trip changed the script:\nsent: %s\ngot:  %s", s, &back)
+	}
+	return nil
 }
 
 // checkPatched asserts that structdiff.Patch of the diff's script builds

@@ -72,7 +72,7 @@ func reportFailure(t *testing.T, gen Generator, cfg Config, p Pair, salt int64, 
 
 // TestProperties is the harness's main entry point: for every generator it
 // runs cfg.Iters generated pairs (500 in fast mode, 5000 with
-// -proptest.long) through the six-property oracle via the public
+// -proptest.long) through the seven-property oracle via the public
 // structdiff facade. The run seed is logged so any failure replays
 // exactly.
 func TestProperties(t *testing.T) {

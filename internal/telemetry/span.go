@@ -14,7 +14,7 @@ import (
 // span model with W3C traceparent propagation. One trace follows a diff
 // request across processes — structdiff.ServiceClient injects the header,
 // diffserve extracts and continues the trace, and spans nest through the
-// service's dispatch queue, the engine worker, and the four truediff
+// service's wait for a worker slot, the engine diff, and the four truediff
 // phases (the phase spans are synthesized from the Tracer contract, see
 // PhaseSpans) — so client-observed latency decomposes into queue wait,
 // worker execution, and phase times.

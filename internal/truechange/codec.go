@@ -3,6 +3,8 @@ package truechange
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/sig"
 	"repro/internal/uri"
@@ -13,9 +15,11 @@ import (
 // processing of the patch"): because truechange patches only mention
 // changed nodes, the serialized patch stays proportional to the change.
 //
-// Literal values survive the round trip with their types: int64 and
-// float64 are distinguished by a type tag, since encoding/json would
-// otherwise decode both as float64.
+// Literal values survive the round trip with their types and bits: int64
+// and float64 are distinguished by a type tag, since encoding/json would
+// otherwise decode both as float64. A float travels as a JSON number,
+// −0 included ("f":-0), and NaN or ±Inf, which JSON numbers cannot
+// express, as the hex of its IEEE 754 bits under kind "fbits".
 
 // wireEdit is the serialized form of one edit.
 type wireEdit struct {
@@ -37,12 +41,14 @@ type wireKid struct {
 }
 
 type wireLit struct {
-	Link string  `json:"link"`
-	Kind string  `json:"kind"` // s | i | f | b
-	S    string  `json:"s,omitempty"`
-	I    int64   `json:"i,omitempty"`
-	F    float64 `json:"f,omitempty"`
-	B    bool    `json:"b,omitempty"`
+	Link string `json:"link"`
+	Kind string `json:"kind"` // s | i | f | b | fbits
+	S    string `json:"s,omitempty"`
+	I    int64  `json:"i,omitempty"`
+	// F is nil only for +0, so −0 keeps its sign on the wire.
+	F    *float64 `json:"f,omitempty"`
+	B    bool     `json:"b,omitempty"`
+	Bits string   `json:"bits,omitempty"`
 }
 
 func toWireLit(l LitArg) (wireLit, error) {
@@ -53,7 +59,14 @@ func toWireLit(l LitArg) (wireLit, error) {
 	case int64:
 		w.Kind, w.I = "i", v
 	case float64:
-		w.Kind, w.F = "f", v
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			w.Kind, w.Bits = "fbits", strconv.FormatUint(math.Float64bits(v), 16)
+		case math.Float64bits(v) == 0:
+			w.Kind = "f"
+		default:
+			w.Kind, w.F = "f", &v
+		}
 	case bool:
 		w.Kind, w.B = "b", v
 	default:
@@ -70,7 +83,16 @@ func fromWireLit(w wireLit) (LitArg, error) {
 	case "i":
 		l.Value = w.I
 	case "f":
-		l.Value = w.F
+		l.Value = 0.0
+		if w.F != nil {
+			l.Value = *w.F
+		}
+	case "fbits":
+		bits, err := strconv.ParseUint(w.Bits, 16, 64)
+		if err != nil {
+			return l, fmt.Errorf("truechange: malformed float bits %q", w.Bits)
+		}
+		l.Value = math.Float64frombits(bits)
 	case "b":
 		l.Value = w.B
 	default:

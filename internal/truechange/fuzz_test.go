@@ -3,7 +3,6 @@ package truechange
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 )
 
@@ -27,7 +26,8 @@ func fuzzSeedScript() *Script {
 // checks the codec invariants on everything it accepts:
 //
 //   - decode → encode → decode is a fixed point (the second decode yields
-//     a deeply equal script, and re-encoding is byte-stable), and
+//     the same script, literals compared by bit pattern, and re-encoding
+//     is byte-stable), and
 //   - the codec never panics, whatever the input.
 //
 // Together these guarantee transmitted patches survive store-and-forward
@@ -42,6 +42,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte(`[{"op":"detach","tag":"A","uri":1,"link":"l","ptag":"B","puri":2}]`))
 	f.Add([]byte(`[{"op":"load","tag":"A","uri":1,"lits":[{"link":"l","kind":"f","f":3.5}]}]`))
 	f.Add([]byte(`[{"op":"update","tag":"A","uri":1,"old":[{"link":"l","kind":"b","b":true}]}]`))
+	f.Add([]byte(`[{"op":"update","tag":"A","uri":1,"new":[{"link":"l","kind":"f","f":-0}]}]`))
+	f.Add([]byte(`[{"op":"load","tag":"A","uri":1,"lits":[{"link":"l","kind":"fbits","bits":"7ff8000000000001"},{"link":"m","kind":"fbits","bits":"fff0000000000000"}]}]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Script
@@ -56,7 +58,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err := json.Unmarshal(enc, &s2); err != nil {
 			t.Fatalf("re-encoded script failed to decode: %v\nencoded: %s", err, enc)
 		}
-		if !reflect.DeepEqual(s.Edits, s2.Edits) {
+		if !EqualEdits(s.Edits, s2.Edits) {
 			t.Fatalf("round trip changed the script:\nfirst:  %#v\nsecond: %#v", s.Edits, s2.Edits)
 		}
 		enc2, err := json.Marshal(&s2)

@@ -1,6 +1,8 @@
 package truechange
 
 import (
+	"slices"
+
 	"repro/internal/sig"
 	"repro/internal/tree"
 	"repro/internal/uri"
@@ -74,6 +76,27 @@ func fuseUpdates(edits []Edit) []Edit {
 		out = append(out, fused)
 	}
 	return out
+}
+
+// EqualEdits reports whether a and b hold the same edits in the same
+// order, comparing literals by bit pattern (tree.LitEqual): NaN equals
+// itself and −0 differs from +0.
+func EqualEdits(a, b []Edit) bool {
+	return slices.EqualFunc(a, b, func(x, y Edit) bool {
+		switch x := x.(type) {
+		case Load:
+			y, ok := y.(Load)
+			return ok && x.Node == y.Node && slices.Equal(x.Kids, y.Kids) && litArgsEqual(x.Lits, y.Lits)
+		case Unload:
+			y, ok := y.(Unload)
+			return ok && x.Node == y.Node && slices.Equal(x.Kids, y.Kids) && litArgsEqual(x.Lits, y.Lits)
+		case Update:
+			y, ok := y.(Update)
+			return ok && x.Node == y.Node && litArgsEqual(x.Old, y.Old) && litArgsEqual(x.New, y.New)
+		default: // Detach and Attach hold comparable fields only
+			return x == y
+		}
+	})
 }
 
 func litArgsEqual(a, b []LitArg) bool {

@@ -58,8 +58,9 @@ type (
 	// ServiceClientSnapshot is a point-in-time copy of a ServiceClient's
 	// resilience counters (attempts, retries, ref re-sends).
 	ServiceClientSnapshot = diffserve.ClientSnapshot
-	// ServiceServer is the embeddable diff service: an http.Handler with
-	// group-commit dispatch, admission control, and graceful drain
+	// ServiceServer is the embeddable diff service: an http.Handler that
+	// diffs each request on its own goroutine once a worker slot of its
+	// language is free, with admission control and graceful drain
 	// (cmd/diffd wraps it in a daemon).
 	ServiceServer = diffserve.Server
 	// ServiceConfig parameterizes a ServiceServer.
