@@ -184,49 +184,14 @@ func (c *Client) forgetRefs() {
 // independent, which is the one visible difference from an in-process
 // engine).
 func (c *Client) Diff(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator) (*truediff.Result, error) {
-	if source == nil || target == nil {
-		return nil, fmt.Errorf("diffserve: %w", derrors.ErrNilTree)
-	}
-	resp, err := c.diffOnce(ctx, source, target, false)
+	out, err := c.diff(ctx, []engine.Pair{{Source: source, Target: target, Alloc: alloc}}, false)
 	if err != nil {
-		if wireKind(err) == ErrKindUnknownRef {
-			// The server lost our refs (restart). Re-send with full trees —
-			// but only if the caller is still waiting: a dead context must
-			// not spawn a second request.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, fmt.Errorf("diffserve: %w", context.Cause(ctx))
-			}
-			c.forgetRefs()
-			c.m.resends.Add(1)
-			resp, err = c.diffOnce(ctx, source, target, true)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return c.toResult(resp, alloc)
-}
-
-func (c *Client) diffOnce(ctx context.Context, source, target *tree.Node, force bool) (*DiffResponse, error) {
-	span, tc := c.startSpan(ctx, "diffserve.client.diff")
-	defer span.End()
-	req := DiffRequest{
-		SchemaVersion: WireVersion,
-		Lang:          c.lang,
-		Source:        c.treeInput(source, force),
-		Target:        c.treeInput(target, force),
-		WantPatched:   true,
-	}
-	var resp DiffResponse
-	if err := c.post(ctx, "/v1/diff", tc, req, &resp); err != nil {
-		span.SetAttr("err", err.Error())
 		return nil, err
 	}
-	if resp.Error != nil {
-		return nil, wireErr(*resp.Error)
+	if out[0].Err != nil {
+		return nil, out[0].Err
 	}
-	c.learnRefs(resp.SourceRef, resp.TargetRef)
-	return &resp, nil
+	return out[0].Result, nil
 }
 
 func (c *Client) toResult(resp *DiffResponse, alloc *uri.Allocator) (*truediff.Result, error) {
@@ -256,36 +221,48 @@ func (c *Client) toResult(resp *DiffResponse, alloc *uri.Allocator) (*truediff.R
 // exactly as with engine.DiffBatch.
 // Pair.Alloc is used to decode that pair's patched tree.
 func (c *Client) DiffBatch(ctx context.Context, pairs []engine.Pair) ([]engine.PairResult, error) {
-	resp, err := c.batchOnce(ctx, pairs, false)
-	if err != nil {
-		return nil, err
-	}
-	retry := false
-	for i := range resp.Results {
-		if e := resp.Results[i].Error; e != nil && e.Kind == ErrKindUnknownRef {
-			retry = true
-			break
+	return c.diff(ctx, pairs, true)
+}
+
+// diff is the one call path of Diff and DiffBatch: it sends the pairs —
+// one to /v1/diff, or any number to /v1/batch when batch is set — and
+// converts the answers into index-aligned results. If the server has lost
+// a ref the client sent, for the request or for any pair (a restart), it
+// resends every tree in full once, but only while the caller is still
+// waiting: a dead context must not spawn a second request.
+func (c *Client) diff(ctx context.Context, pairs []engine.Pair, batch bool) ([]engine.PairResult, error) {
+	for i, p := range pairs {
+		if p.Source == nil || p.Target == nil {
+			if !batch {
+				return nil, fmt.Errorf("diffserve: %w", derrors.ErrNilTree)
+			}
+			return nil, fmt.Errorf("diffserve: pair %d: %w", i, derrors.ErrNilTree)
 		}
 	}
-	if retry {
-		// Same contract as Diff's unknown_ref recovery: never re-send on a
-		// context the caller has already abandoned, and account for the
-		// recovery in the client counters.
+	resps, err := c.send(ctx, pairs, batch, false)
+	lost := wireKind(err) == ErrKindUnknownRef
+	for i := range resps {
+		if e := resps[i].Error; e != nil && e.Kind == ErrKindUnknownRef {
+			lost = true
+		}
+	}
+	if lost {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("diffserve: %w", context.Cause(ctx))
 		}
 		c.forgetRefs()
 		c.m.resends.Add(1)
-		if resp, err = c.batchOnce(ctx, pairs, true); err != nil {
-			return nil, err
-		}
+		resps, err = c.send(ctx, pairs, batch, true)
 	}
-	if len(resp.Results) != len(pairs) {
-		return nil, fmt.Errorf("diffserve: batch returned %d results for %d pairs", len(resp.Results), len(pairs))
+	if err != nil {
+		return nil, err
+	}
+	if len(resps) != len(pairs) {
+		return nil, fmt.Errorf("diffserve: batch returned %d results for %d pairs", len(resps), len(pairs))
 	}
 	out := make([]engine.PairResult, len(pairs))
-	for i := range resp.Results {
-		r := &resp.Results[i]
+	for i := range resps {
+		r := &resps[i]
 		if r.Error != nil {
 			out[i].Err = wireErr(*r.Error)
 			continue
@@ -306,16 +283,20 @@ func (c *Client) DiffBatch(ctx context.Context, pairs []engine.Pair) ([]engine.P
 	return out, nil
 }
 
-func (c *Client) batchOnce(ctx context.Context, pairs []engine.Pair, force bool) (*BatchResponse, error) {
-	span, tc := c.startSpan(ctx, "diffserve.client.batch")
+// send makes one request for the pairs, with every tree in full when force
+// is set, and returns the answers, one per pair. A /v1/diff answers its
+// one pair's failure with an error status, which send returns as the
+// request's error.
+func (c *Client) send(ctx context.Context, pairs []engine.Pair, batch, force bool) ([]DiffResponse, error) {
+	name, path := "diffserve.client.diff", "/v1/diff"
+	if batch {
+		name, path = "diffserve.client.batch", "/v1/batch"
+	}
+	span, tc := c.startSpan(ctx, name)
 	defer span.End()
-	span.SetAttr("pairs", len(pairs))
-	req := BatchRequest{SchemaVersion: WireVersion, Lang: c.lang, Pairs: make([]BatchPair, len(pairs))}
+	in := make([]BatchPair, len(pairs))
 	for i, p := range pairs {
-		if p.Source == nil || p.Target == nil {
-			return nil, fmt.Errorf("diffserve: pair %d: %w", i, derrors.ErrNilTree)
-		}
-		req.Pairs[i] = BatchPair{
+		in[i] = BatchPair{
 			Source:      c.treeInput(p.Source, force),
 			Target:      c.treeInput(p.Target, force),
 			Label:       p.Label,
@@ -323,11 +304,20 @@ func (c *Client) batchOnce(ctx context.Context, pairs []engine.Pair, force bool)
 		}
 	}
 	var resp BatchResponse
-	if err := c.post(ctx, "/v1/batch", tc, req, &resp); err != nil {
+	var err error
+	if batch {
+		span.SetAttr("pairs", len(pairs))
+		err = c.post(ctx, path, tc, BatchRequest{SchemaVersion: WireVersion, Lang: c.lang, Pairs: in}, &resp)
+	} else {
+		resp.Results = make([]DiffResponse, 1)
+		err = c.post(ctx, path, tc, DiffRequest{SchemaVersion: WireVersion, Lang: c.lang,
+			Source: in[0].Source, Target: in[0].Target, Label: in[0].Label, WantPatched: true}, &resp.Results[0])
+	}
+	if err != nil {
 		span.SetAttr("err", err.Error())
 		return nil, err
 	}
-	return &resp, nil
+	return resp.Results, nil
 }
 
 // Snapshot fetches the server-side engine counters for the client's
@@ -336,11 +326,9 @@ func (c *Client) batchOnce(ctx context.Context, pairs []engine.Pair, force bool)
 func (c *Client) Snapshot() engine.Snapshot {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	body, err := c.attempt(ctx, "/v1/snapshot", telemetry.SpanContext{}, nil)
 	var resp SnapshotResponse
-	if err := c.get(ctx, "/v1/snapshot", &resp); err != nil {
-		return engine.Snapshot{}
-	}
-	if err := CheckWireVersion(resp.SchemaVersion); err != nil {
+	if err != nil || json.Unmarshal(body, &resp) != nil || CheckWireVersion(resp.SchemaVersion) != nil {
 		return engine.Snapshot{}
 	}
 	return resp.Langs[c.lang]
@@ -388,6 +376,7 @@ func (c *Client) roundTrip(ctx context.Context, path string, tc telemetry.SpanCo
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("diffserve: %w", context.Cause(ctx))
 		}
+		c.m.attempts.Add(1)
 		body, err := c.attempt(ctx, path, tc, raw)
 		if err == nil {
 			return body, nil
@@ -404,7 +393,8 @@ func (c *Client) roundTrip(ctx context.Context, path string, tc telemetry.SpanCo
 	}
 }
 
-// attempt performs exactly one HTTP exchange and classifies its outcome:
+// attempt performs exactly one HTTP exchange, a POST of raw or a GET when
+// raw is nil, and classifies its outcome:
 //
 //   - a transport failure, per-attempt timeout, truncated body, or
 //     undecodable error answer is wrapped in ErrServiceUnavailable
@@ -414,18 +404,23 @@ func (c *Client) roundTrip(ctx context.Context, path string, tc telemetry.SpanCo
 //
 // On success it returns the fully read response body.
 func (c *Client) attempt(ctx context.Context, path string, tc telemetry.SpanContext, raw []byte) ([]byte, error) {
-	c.m.attempts.Add(1)
 	actx := ctx
 	if c.retry != nil && c.retry.pol.PerAttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, c.retry.pol.PerAttemptTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(raw))
+	method := http.MethodGet
+	if raw != nil {
+		method = http.MethodPost
+	}
+	req, err := http.NewRequestWithContext(actx, method, c.base+path, bytes.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("diffserve: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if raw != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if tc.Valid() {
 		req.Header.Set("traceparent", tc.Traceparent())
 	}
@@ -497,29 +492,6 @@ func retryAfterHeader(h string) time.Duration {
 		return 0
 	}
 	return time.Duration(secs) * time.Second
-}
-
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return fmt.Errorf("diffserve: %w", err)
-	}
-	if c.tenant != "" {
-		req.Header.Set("X-Diffd-Tenant", c.tenant)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("diffserve: %w: %v", derrors.ErrServiceUnavailable, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return errorFromResponse(resp, body)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("diffserve: decode response: %w", err)
-	}
-	return nil
 }
 
 // --- error mapping ---

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -171,18 +172,17 @@ func TestRefReuseAndRecovery(t *testing.T) {
 		t.Fatalf("first Diff: %v", err)
 	}
 	// The client learned both refs; the same trees now travel as refs and
-	// hit the server's intern store instead of re-decoding.
+	// resolve from the server's ref table instead of being decoded again.
 	in := c.treeInput(src, false)
 	if in.Ref == "" || in.SExpr != "" {
 		t.Fatalf("after first diff, source should be sent by ref, got %+v", in)
 	}
-	before := srv.langs["exp"].eng.Snapshot()
+	before := srv.refTrees()
 	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
 		t.Fatalf("ref Diff: %v", err)
 	}
-	delta := srv.langs["exp"].eng.Snapshot().Sub(before)
-	if delta.IngestedTrees != 0 {
-		t.Errorf("ref-only diff ingested %d trees, want 0", delta.IngestedTrees)
+	if got := srv.refTrees(); got != before {
+		t.Errorf("ref-only diff grew the ref table from %d to %d trees", before, got)
 	}
 
 	// A client whose refs the server never saw (fresh server = restart)
@@ -491,6 +491,9 @@ func TestSaturationSheds(t *testing.T) {
 	if er.Error.Kind != ErrKindSaturated {
 		t.Errorf("shed kind = %q, want %q", er.Error.Kind, ErrKindSaturated)
 	}
+	if secs, _ := strconv.Atoi(resp.Header.Get("Retry-After")); er.Error.RetryAfterMS != int64(secs)*1000 {
+		t.Errorf("body retry_after_ms = %d, want the Retry-After header's %ds", er.Error.RetryAfterMS, secs)
+	}
 	if errors.Is(wireErr(er.Error), derrors.ErrServiceUnavailable) == false {
 		t.Error("saturated wire error does not map to ErrServiceUnavailable")
 	}
@@ -605,7 +608,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Counters reconcile: the engine finished exactly the diffs that were
 	// dispatched (completed requests), its queue is empty, nothing is
-	// pending, and the intern store was released by Close.
+	// pending, and the drain emptied the ref table.
 	s := srv.langs["exp"].eng.Snapshot()
 	if s.QueueDepth != 0 {
 		t.Errorf("QueueDepth after drain = %d, want 0", s.QueueDepth)
@@ -616,8 +619,8 @@ func TestGracefulDrain(t *testing.T) {
 	if s.Diffs != uint64(completed) {
 		t.Errorf("engine completed %d diffs, but %d requests succeeded", s.Diffs, completed)
 	}
-	if s.StoreEntries != 0 {
-		t.Errorf("intern store holds %d trees after drain, want 0", s.StoreEntries)
+	if n := srv.refTrees(); n != 0 {
+		t.Errorf("ref table holds %d trees after drain, want 0", n)
 	}
 	if !srv.Draining() {
 		t.Error("server does not report draining")
@@ -807,4 +810,124 @@ func TestBacklogCountsEachJobOnce(t *testing.T) {
 		t.Errorf("fourth job with three admitted and MaxQueue 4: %v", err)
 	}
 	<-batchDone
+}
+
+// TestOversizedBatchRefused: a batch of more pairs than MaxQueue could
+// never be admitted, so it is refused with 413 bad_request and no retry
+// advice, and a retrying client gives up after its first attempt.
+func TestOversizedBatchRefused(t *testing.T) {
+	_, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1, MaxQueue: 2})
+	pairs := make([]engine.Pair, 3)
+	for i := range pairs {
+		src, dst := genPair(int64(340+i), 20)
+		pairs[i] = engine.Pair{Source: src, Target: dst}
+	}
+
+	req := BatchRequest{SchemaVersion: WireVersion, Lang: "exp"}
+	for _, p := range pairs {
+		req.Pairs = append(req.Pairs, BatchPair{
+			Source: TreeInput{SExpr: tree.EncodeSExpr(p.Source)},
+			Target: TreeInput{SExpr: tree.EncodeSExpr(p.Target)},
+		})
+	}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(hs.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("3-pair batch with MaxQueue 2: status %d, want 413", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("oversized batch carries Retry-After %q, want none", ra)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("decode error response: %v", err)
+	}
+	if er.Error.Kind != ErrKindBadRequest {
+		t.Errorf("oversized batch: kind %q, want %q", er.Error.Kind, ErrKindBadRequest)
+	}
+
+	c := NewClient(hs.URL, "exp", exp.Schema(),
+		WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Seed: 1}))
+	defer c.Close()
+	if _, err := c.DiffBatch(context.Background(), pairs); wireKind(err) != ErrKindBadRequest {
+		t.Errorf("DiffBatch of an oversized batch: err = %v, want kind %q", err, ErrKindBadRequest)
+	}
+	if n := c.ClientSnapshot().Attempts; n != 1 {
+		t.Errorf("retrying client made %d attempts at an oversized batch, want 1", n)
+	}
+}
+
+// metric reads one of the server's own (unlabelled) metrics.
+func metric(t *testing.T, srv *Server, name string) float64 {
+	t.Helper()
+	for _, m := range srv.GatherMetrics() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	t.Fatalf("metric %s is not gathered", name)
+	return 0
+}
+
+// TestDrainRefusalKeepsAvailability: a request refused by the drain is
+// counted once, as a drain reject, and does not spend the SLO's error
+// budget.
+func TestDrainRefusalKeepsAvailability(t *testing.T) {
+	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1})
+	c := NewClient(hs.URL, "exp", exp.Schema())
+	defer c.Close()
+	src, dst := genPair(350, 30)
+	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if _, err := c.Diff(context.Background(), src, dst, nil); !errors.Is(err, derrors.ErrServiceUnavailable) {
+		t.Fatalf("Diff after Drain: err = %v, want ErrServiceUnavailable", err)
+	}
+	if a := srv.slo.Snapshot().Availability; a != 1 {
+		t.Errorf("availability after one served diff and one drain refusal = %.3f, want 1", a)
+	}
+	if n := metric(t, srv, "diffserve_drain_rejects_total"); n != 1 {
+		t.Errorf("diffserve_drain_rejects_total = %v, want 1", n)
+	}
+}
+
+// TestDrainReleasesTrees: Drain empties the ref table, so a drained
+// server keeps none of the trees it was sent.
+func TestDrainReleasesTrees(t *testing.T) {
+	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1})
+	c := NewClient(hs.URL, "exp", exp.Schema())
+	defer c.Close()
+	src, dst := genPair(360, 30)
+	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	held := func() int {
+		ls := srv.langs["exp"]
+		ls.refMu.RLock()
+		defer ls.refMu.RUnlock()
+		return len(ls.refs)
+	}
+	if n := held(); n != 2 {
+		t.Fatalf("ref table holds %d trees after one diff, want 2", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if n := held(); n != 0 {
+		t.Errorf("ref table holds %d trees after Drain, want 0", n)
+	}
+	if g := metric(t, srv, "diffserve_ref_trees"); g != 0 {
+		t.Errorf("diffserve_ref_trees after Drain = %v, want 0", g)
+	}
 }

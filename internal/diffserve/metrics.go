@@ -9,7 +9,8 @@ import (
 // svcMetrics holds the service-level counters, one layer above the
 // per-engine counters: HTTP outcomes, shed decisions, pending jobs, and
 // the request-latency distribution. All atomics, matching the engine's
-// lock-free convention.
+// lock-free convention. Server.finish counts each answered request in
+// exactly one outcome counter.
 type svcMetrics struct {
 	requests     atomic.Uint64
 	ok           atomic.Uint64
@@ -18,9 +19,9 @@ type svcMetrics struct {
 	sheds        atomic.Uint64 // 429: tenant limit or queue backpressure
 	drainRejects atomic.Uint64 // 503: refused because draining
 
-	// pending gauges admitted jobs not yet answered, server-wide, each
-	// counted once whether it waits for a worker slot or runs; it is the
-	// admission controller's saturation signal.
+	// pending gauges admitted jobs whose request is not yet answered,
+	// server-wide, each counted once whether it waits for a worker slot,
+	// runs or is done; it is the admission controller's saturation signal.
 	pending atomic.Int64
 
 	latency telemetry.Histogram // request wall time, ns (diff+batch only)
@@ -43,8 +44,13 @@ func (s *Server) GatherMetrics() []telemetry.Metric {
 		counter("diffserve_drain_rejects_total", "Requests refused with 503 because the server is draining.", s.m.drainRejects.Load()),
 		{
 			Name: "diffserve_pending_jobs", Kind: telemetry.KindGauge,
-			Help:  "Admitted jobs not yet answered, waiting for a worker or running.",
+			Help:  "Admitted jobs whose request is not yet answered.",
 			Value: float64(s.m.pending.Load()),
+		},
+		{
+			Name: "diffserve_ref_trees", Kind: telemetry.KindGauge,
+			Help:  "Uploaded trees the ref tables hold, over every language.",
+			Value: float64(s.refTrees()),
 		},
 		{
 			Name: "diffserve_request_duration_seconds", Kind: telemetry.KindHistogram,

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -46,8 +45,9 @@ type Config struct {
 
 	// MaxQueue bounds the pending jobs, server-wide across every served
 	// language: a request that would take them past MaxQueue is shed with
-	// 429 and a Retry-After estimated from observed request latency.
-	// Default 256.
+	// 429 and a Retry-After estimated from observed request latency, and a
+	// batch of more than MaxQueue pairs, which could never be admitted, is
+	// refused with 413. Default 256.
 	MaxQueue int
 	// TenantLimit caps one tenant's concurrently admitted requests
 	// (identified by the X-Diffd-Tenant header; absent means the shared
@@ -74,10 +74,11 @@ type Config struct {
 	// logs panics and slow diffs through slog.Default() and drops failure
 	// and fallback records.
 	Logger *slog.Logger
-	// SLO parameterizes the service's rolling-window objectives over HTTP
-	// requests (availability = non-5xx; latency objective on request wall
-	// time). Zero values select telemetry.SLOConfig defaults. The shed
-	// Retry-After estimate derives from this window's p95.
+	// SLO parameterizes the service's rolling-window objectives over diff
+	// and batch requests (availability = answers below 500, with sheds and
+	// drain refusals counted as available; latency objective on request
+	// wall time). Zero values select telemetry.SLOConfig defaults. The
+	// shed Retry-After estimate derives from this window's p95.
 	SLO telemetry.SLOConfig
 }
 
@@ -112,8 +113,8 @@ const (
 )
 
 // langService is one served language: its schema, its engine (own worker
-// pool, intern store, URI space), its worker slots, and the ref table
-// mapping hex content digests to interned trees.
+// pool and URI space), its worker slots, and the ref table mapping hex
+// content digests to uploaded trees, the one copy of each the server keeps.
 type langService struct {
 	name string
 	sch  *sig.Schema
@@ -233,8 +234,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				slog.String("path", r.URL.Path),
 				slog.Any("panic", v))
 			s.m.serverErrors.Add(1)
-			writeError(w, http.StatusInternalServerError, WireError{
-				Kind: ErrKindInternal, Message: fmt.Sprintf("internal error: %v", v),
+			writeHTTPError(w, &httpError{
+				status: http.StatusInternalServerError,
+				werr:   WireError{Kind: ErrKindInternal, Message: fmt.Sprintf("internal error: %v", v)},
 			})
 		}
 	}()
@@ -253,19 +255,25 @@ func (s *Server) Lameduck() { s.lameduck.Store(true) }
 
 // Drain shuts the service down gracefully: new requests and jobs still
 // waiting for a worker slot are answered with a clean draining error (HTTP
-// 503), diffs already running complete, and the engines are closed,
-// releasing their intern stores. A job that takes its slot after its
-// engine closed fails with kind draining too. ctx bounds only how
-// long Drain waits for the running diffs, each of which DiffTimeout also
-// bounds: on expiry Drain returns the context's error, and the engines
-// still close as soon as their last diff ends. Drain is idempotent;
-// concurrent calls all wait for the same engine close.
+// 503), diffs already running complete, the engines are closed, and the
+// ref tables are emptied, releasing every uploaded tree. A job that takes
+// its slot after its engine closed fails with kind draining too. ctx
+// bounds only how long Drain waits for the running diffs, each of which
+// DiffTimeout also bounds: on expiry Drain returns the context's error,
+// and the engines still close as soon as their last diff ends. Drain is
+// idempotent; concurrent calls all wait for the same engine close.
 func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drained)
 		go func() {
 			for _, name := range s.langNames {
-				_ = s.langs[name].eng.Close() // waits for running diffs; always nil
+				ls := s.langs[name]
+				_ = ls.eng.Close() // waits for running diffs; always nil
+				// clear, not nil: a request admitted before the drain may
+				// still be resolving its trees.
+				ls.refMu.Lock()
+				clear(ls.refs)
+				ls.refMu.Unlock()
 			}
 			close(s.closed)
 		}()
@@ -285,6 +293,18 @@ func (s *Server) Snapshot() map[string]engine.Snapshot {
 		out[name] = ls.eng.Snapshot()
 	}
 	return out
+}
+
+// refTrees counts the uploaded trees the ref tables hold, over every
+// served language.
+func (s *Server) refTrees() int {
+	n := 0
+	for _, ls := range s.langs {
+		ls.refMu.RLock()
+		n += len(ls.refs)
+		ls.refMu.RUnlock()
+	}
+	return n
 }
 
 // traceContext establishes the distributed-trace context a request runs
@@ -308,26 +328,44 @@ func (s *Server) traceContext(r *http.Request, name string) (*telemetry.Span, te
 	return nil, telemetry.NewSpanContext()
 }
 
-// observe finishes one request's service-level accounting: the latency
-// histogram and the SLO window (5xx counts against availability; shed and
-// drain answers are deliberate load management, not failures).
-func (s *Server) observe(start time.Time, status int) {
+// finish accounts for one diff or batch request once it is answered: the
+// latency histogram, the SLO window, and exactly one outcome counter,
+// chosen by the answer's status and error kind. Sheds and drain refusals
+// are deliberate load management, not failures, so the SLO counts them as
+// available. status 0 means the handler panicked before answering;
+// ServeHTTP's recovery answers and counts that.
+func (s *Server) finish(start time.Time, status int, kind string) {
 	d := time.Since(start)
 	s.m.latency.Record(d.Nanoseconds())
-	s.slo.Observe(d, status < http.StatusInternalServerError)
+	s.slo.Observe(d, status != 0 && (status < http.StatusInternalServerError || kind == ErrKindDraining))
+	switch {
+	case status == 0:
+	case kind == ErrKindSaturated:
+		s.m.sheds.Add(1)
+	case kind == ErrKindDraining:
+		s.m.drainRejects.Add(1)
+	case status < 400:
+		s.m.ok.Add(1)
+	case status < 500:
+		s.m.clientErrors.Add(1)
+	default:
+		s.m.serverErrors.Add(1)
+	}
 }
 
 // --- admission control ---
 
-// admit runs the gatekeeping common to diff and batch requests: drain
-// refusal, the per-tenant concurrency cap, and queue backpressure against
-// the pending jobs, which count every admitted job once, waiting or
-// running. jobs is how many jobs the request brings (1 for a diff,
-// len(pairs) for a batch). On success the tenant slot is held; release it
-// with the returned func.
+// admit decides once for all of a request's jobs: drain refusal, the
+// per-tenant concurrency cap, and queue backpressure against the pending
+// jobs, which count every admitted job once, waiting or running, until
+// its request is answered. On success the tenant slot and the jobs are
+// held; the returned func gives both back.
 func (s *Server) admit(r *http.Request, jobs int) (release func(), herr *httpError) {
 	if s.draining.Load() {
-		return nil, s.drainReject()
+		return nil, &httpError{
+			status: http.StatusServiceUnavailable,
+			werr:   WireError{Kind: ErrKindDraining, Message: errDraining.Error()},
+		}
 	}
 	tenant := r.Header.Get("X-Diffd-Tenant")
 	if tenant == "" {
@@ -337,38 +375,37 @@ func (s *Server) admit(r *http.Request, jobs int) (release func(), herr *httpErr
 		s.tenantMu.Lock()
 		if s.tenants[tenant] >= s.cfg.TenantLimit {
 			s.tenantMu.Unlock()
-			s.m.sheds.Add(1)
-			return nil, &httpError{
-				status:     http.StatusTooManyRequests,
-				retryAfter: s.retryAfter(1),
-				werr: WireError{Kind: ErrKindSaturated,
-					Message: fmt.Sprintf("tenant %q is at its concurrency limit (%d)", tenant, s.cfg.TenantLimit)},
-			}
+			return nil, s.shed(1, fmt.Sprintf("tenant %q is at its concurrency limit (%d)", tenant, s.cfg.TenantLimit))
 		}
 		s.tenants[tenant]++
 		s.tenantMu.Unlock()
-		release = func() {
+	}
+	release = func() {
+		s.m.pending.Add(-int64(jobs))
+		if s.cfg.TenantLimit > 0 {
 			s.tenantMu.Lock()
 			if s.tenants[tenant]--; s.tenants[tenant] <= 0 {
 				delete(s.tenants, tenant)
 			}
 			s.tenantMu.Unlock()
 		}
-	} else {
-		release = func() {}
 	}
-	backlog := int(s.m.pending.Load())
-	if backlog+jobs > s.cfg.MaxQueue {
+	if pending := int(s.m.pending.Add(int64(jobs))); pending > s.cfg.MaxQueue {
 		release()
-		s.m.sheds.Add(1)
-		return nil, &httpError{
-			status:     http.StatusTooManyRequests,
-			retryAfter: s.retryAfter(backlog),
-			werr: WireError{Kind: ErrKindSaturated,
-				Message: fmt.Sprintf("queue full (%d backlogged, limit %d)", backlog, s.cfg.MaxQueue)},
-		}
+		backlog := pending - jobs
+		return nil, s.shed(backlog, fmt.Sprintf("queue full (%d backlogged, limit %d)", backlog, s.cfg.MaxQueue))
 	}
 	return release, nil
+}
+
+// shed builds a 429 saturated answer carrying the retry advice for a
+// backlog of the given size.
+func (s *Server) shed(backlog int, msg string) *httpError {
+	return &httpError{
+		status: http.StatusTooManyRequests,
+		werr: WireError{Kind: ErrKindSaturated, Message: msg,
+			RetryAfterMS: s.retryAfter(backlog).Milliseconds()},
+	}
 }
 
 // retryAfter estimates when a shed caller should come back: the backlog
@@ -389,239 +426,194 @@ func (s *Server) retryAfter(backlog int) time.Duration {
 	return est.Round(time.Second)
 }
 
-// drainReject counts and builds the answer to work refused by a drain.
-func (s *Server) drainReject() *httpError {
-	s.m.drainRejects.Add(1)
-	return &httpError{
-		status: http.StatusServiceUnavailable,
-		werr:   WireError{Kind: ErrKindDraining, Message: "server is draining"},
-	}
-}
+// errDraining refuses a job still waiting for a worker slot when the drain
+// begins, and names the refusal of requests arriving after it.
+var errDraining = fmt.Errorf("server is draining: %w", derrors.ErrServiceUnavailable)
 
-// run diffs one job on the calling goroutine. The job counts as pending
-// until it is answered, and is shed once the pending jobs pass MaxQueue.
-// It then waits for a worker slot of its language, the drain, or the end
-// of ctx, whichever comes first; a job abandoned with ctx never runs. A
-// job that took its slot runs under context.Background(), not ctx: once
-// started, a diff completes (bounded by DiffTimeout) whether or not its
-// caller is still listening.
-func (s *Server) run(ctx context.Context, ls *langService, p engine.Pair) (engine.PairResult, *httpError) {
-	pending := s.m.pending.Add(1)
-	defer s.m.pending.Add(-1)
-	if pending > int64(s.cfg.MaxQueue) {
-		s.m.sheds.Add(1)
-		return engine.PairResult{}, &httpError{
-			status:     http.StatusTooManyRequests,
-			retryAfter: s.retryAfter(s.cfg.MaxQueue),
-			werr: WireError{Kind: ErrKindSaturated,
-				Message: fmt.Sprintf("queue full (limit %d)", s.cfg.MaxQueue)},
-		}
-	}
+// run diffs one admitted job on the calling goroutine once a worker slot
+// of its language is free. It gives up on the drain or the end of ctx,
+// whichever comes first; a job abandoned with ctx never runs. A job that
+// took its slot runs under context.Background(), not ctx: once started, a
+// diff completes (bounded by DiffTimeout) whether or not its caller is
+// still listening.
+func (s *Server) run(ctx context.Context, ls *langService, p engine.Pair) engine.PairResult {
 	admitted := time.Now()
 	select {
 	case ls.slots <- struct{}{}:
 	case <-s.drained:
-		return engine.PairResult{}, s.drainReject()
+		return engine.PairResult{Err: errDraining}
 	case <-ctx.Done():
-		return engine.PairResult{Err: ctx.Err()}, nil
+		return engine.PairResult{Err: ctx.Err()}
 	}
 	defer func() { <-ls.slots }()
 	// The queue span covers the wait from admission for a free slot.
 	telemetry.StartSpanAt(s.cfg.Spans, p.Trace, "diffserve.queue", admitted).End()
 	results, err := ls.eng.DiffBatch(context.Background(), []engine.Pair{p})
 	if err != nil {
-		return engine.PairResult{Err: err}, nil
+		return engine.PairResult{Err: err}
 	}
-	return results[0], nil
+	return results[0]
 }
 
 // --- tree resolution ---
 
-// hexRef is the wire name of an interned tree: the hex of its exact
+// hexRef is the wire name of an uploaded tree: the hex of its exact
 // (structure+literals) content digest, which is URI-independent, so
 // client- and server-side copies of one tree agree on it.
 func hexRef(n *tree.Node) string { return hex.EncodeToString(n.AppendExactHash(nil)) }
 
-// resolveTree turns a TreeInput into an engine-interned tree: a Ref is a
-// table lookup (miss → unknown_ref, the client's cue to re-send the
-// S-expression), an S-expression is decoded against the language schema
-// and interned via nil-alloc Ingest, which dedupes content-identical trees
-// and registers the canonical copy under its ref for later requests.
-func (s *Server) resolveTree(ls *langService, in TreeInput, what string) (*tree.Node, string, *httpError) {
+// resolveTree turns a TreeInput into a tree: a Ref is a table lookup (miss
+// → unknown_ref, the client's cue to re-send the S-expression), and an
+// S-expression is decoded against the language schema and stored under
+// its ref for later requests. The first tree stored under a ref wins, so
+// equal uploads resolve to one pointer and the engine's identical-pair
+// short-circuit fires. Each tree is numbered by an allocator of its own:
+// the engine draws a diff's load URIs past both trees (Pair.Alloc is nil),
+// and truediff never emits a target URI, so overlapping numberings are
+// harmless.
+func (s *Server) resolveTree(ls *langService, in TreeInput, what string) (*tree.Node, string, *WireError) {
 	if in.Ref != "" {
 		ls.refMu.RLock()
 		n := ls.refs[in.Ref]
 		ls.refMu.RUnlock()
 		if n == nil {
-			return nil, "", &httpError{
-				status: http.StatusNotFound,
-				werr:   WireError{Kind: ErrKindUnknownRef, Message: fmt.Sprintf("%s: unknown ref %q", what, in.Ref)},
-			}
+			return nil, "", &WireError{Kind: ErrKindUnknownRef, Message: fmt.Sprintf("%s: unknown ref %q", what, in.Ref)}
 		}
 		return n, in.Ref, nil
 	}
 	if in.SExpr == "" {
-		return nil, "", &httpError{
-			status: http.StatusBadRequest,
-			werr:   WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("%s: neither sexpr nor ref given", what)},
-		}
+		return nil, "", &WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("%s: neither sexpr nor ref given", what)}
 	}
 	n, err := tree.DecodeSExpr(in.SExpr, ls.sch, uri.NewAllocator())
 	if err != nil {
-		return nil, "", &httpError{
-			status: http.StatusBadRequest,
-			werr:   WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("%s: %v", what, err)},
-		}
+		return nil, "", &WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("%s: %v", what, err)}
 	}
-	c := ls.eng.Ingest(n, nil)
-	ref := hexRef(c)
+	ref := hexRef(n)
 	ls.refMu.Lock()
-	ls.refs[ref] = c
+	if old := ls.refs[ref]; old != nil {
+		n = old
+	} else {
+		ls.refs[ref] = n
+	}
 	ls.refMu.Unlock()
-	return c, ref, nil
+	return n, ref, nil
 }
 
 // --- handlers ---
 
-// httpError is a request failure ready to write: HTTP status, typed wire
-// error, optional Retry-After.
+// httpError is a request failure ready to write: HTTP status and typed
+// wire error.
 type httpError struct {
-	status     int
-	retryAfter time.Duration
-	werr       WireError
+	status int
+	werr   WireError
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.requests.Add(1)
-	span, rctx := s.traceContext(r, "diffserve.request")
-	defer span.End()
-	status := http.StatusOK
-	defer func() { s.observe(start, status) }()
-
 	var req DiffRequest
-	ls, herr := s.decodeInto(w, r, &req, func() (string, string) { return req.SchemaVersion, req.Lang })
-	if herr != nil {
-		status = herr.status
-		s.writeHTTPError(w, herr)
-		return
-	}
-	span.SetAttr("lang", req.Lang)
-	release, herr := s.admit(r, 1)
-	if herr != nil {
-		status = herr.status
-		s.writeHTTPError(w, herr)
-		return
-	}
-	defer release()
-
-	resp := DiffResponse{SchemaVersion: WireVersion, TraceID: rctx.Trace.String()}
-	src, srcRef, herr := s.resolveTree(ls, req.Source, "source")
-	if herr == nil {
-		var dst *tree.Node
-		dst, resp.TargetRef, herr = s.resolveTree(ls, req.Target, "target")
-		if herr == nil {
-			resp.SourceRef = srcRef
-			var pr engine.PairResult
-			pr, herr = s.run(r.Context(), ls, engine.Pair{Source: src, Target: dst, Label: req.Label, Trace: rctx})
-			if r.Context().Err() != nil {
-				status = 499 // client closed request; observed, not written
-				s.m.clientErrors.Add(1)
-				return
-			}
-			if herr == nil {
-				s.fillResult(&resp, pr, req.WantPatched)
-			}
-		}
-	}
-	if herr != nil {
-		status = herr.status
-		s.writeHTTPError(w, herr)
-		return
-	}
-	if resp.Error != nil {
-		status = errStatus(resp.Error.Kind)
-	}
-	s.countStatus(status)
-	writeJSON(w, status, resp)
+	s.serve(w, r, false, &req, func() (string, string, []BatchPair) {
+		return req.SchemaVersion, req.Lang, []BatchPair{{
+			Source: req.Source, Target: req.Target, Label: req.Label, WantPatched: req.WantPatched,
+		}}
+	})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req BatchRequest
+	s.serve(w, r, true, &req, func() (string, string, []BatchPair) {
+		return req.SchemaVersion, req.Lang, req.Pairs
+	})
+}
+
+// serve runs every diff request, in order: the request span, decode,
+// admission, tree resolution, the diffs, the answer and its accounting.
+// body is the request's envelope and meta reads it once decoded. A batch
+// is answered 200 with one result per pair; a /v1/diff is a batch of one,
+// answered with its one result under that result's status.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, batch bool, body any, meta func() (version, lang string, pairs []BatchPair)) {
 	start := time.Now()
 	s.m.requests.Add(1)
 	span, rctx := s.traceContext(r, "diffserve.request")
 	defer span.End()
-	status := http.StatusOK
-	defer func() { s.observe(start, status) }()
+	var status int
+	var kind string
+	defer func() { s.finish(start, status, kind) }()
+	fail := func(herr *httpError) {
+		status, kind = herr.status, herr.werr.Kind
+		writeHTTPError(w, herr)
+	}
 
-	var req BatchRequest
-	ls, herr := s.decodeInto(w, r, &req, func() (string, string) { return req.SchemaVersion, req.Lang })
+	ls, pairs, herr := s.decode(w, r, body, meta)
 	if herr != nil {
-		status = herr.status
-		s.writeHTTPError(w, herr)
+		fail(herr)
 		return
 	}
-	span.SetAttr("lang", req.Lang)
-	span.SetAttr("pairs", len(req.Pairs))
-	if len(req.Pairs) == 0 {
-		status = http.StatusBadRequest
-		s.writeHTTPError(w, &httpError{
-			status: http.StatusBadRequest,
-			werr:   WireError{Kind: ErrKindBadRequest, Message: "batch has no pairs"},
-		})
-		return
+	span.SetAttr("lang", ls.name)
+	if batch {
+		span.SetAttr("pairs", len(pairs))
 	}
-	release, herr := s.admit(r, len(req.Pairs))
+	release, herr := s.admit(r, len(pairs))
 	if herr != nil {
-		status = herr.status
-		s.writeHTTPError(w, herr)
+		fail(herr)
 		return
 	}
 	defer release()
 
-	// Each pair runs as its own job on its own goroutine, so the pairs
-	// run in parallel as worker slots allow.
-	resp := BatchResponse{SchemaVersion: WireVersion, TraceID: rctx.Trace.String()}
-	resp.Results = make([]DiffResponse, len(req.Pairs))
+	// Each pair runs as its own job: the last on this goroutine, every
+	// other on a goroutine of its own, so a batch's pairs run in parallel
+	// as worker slots allow and a single diff starts no goroutine.
+	results := make([]DiffResponse, len(pairs))
 	var wg sync.WaitGroup
-	for i := range req.Pairs {
-		bp := &req.Pairs[i]
-		out := &resp.Results[i]
+	for i := range pairs {
+		bp, out := &pairs[i], &results[i]
 		out.SchemaVersion = WireVersion
-		src, srcRef, herr := s.resolveTree(ls, bp.Source, fmt.Sprintf("pair %d source", i))
-		if herr != nil {
-			out.Error = &herr.werr
+		what, label := "", bp.Label
+		if batch {
+			what = fmt.Sprintf("pair %d ", i)
+			if label == "" {
+				label = fmt.Sprintf("batch#%d", i)
+			}
+		}
+		src, srcRef, werr := s.resolveTree(ls, bp.Source, what+"source")
+		if werr != nil {
+			out.Error = werr
 			continue
 		}
-		dst, dstRef, herr := s.resolveTree(ls, bp.Target, fmt.Sprintf("pair %d target", i))
-		if herr != nil {
-			out.Error = &herr.werr
+		dst, dstRef, werr := s.resolveTree(ls, bp.Target, what+"target")
+		if werr != nil {
+			out.Error = werr
 			continue
 		}
 		out.SourceRef, out.TargetRef = srcRef, dstRef
-		label := bp.Label
-		if label == "" {
-			label = fmt.Sprintf("batch#%d", i)
+		job := func() {
+			pr := s.run(r.Context(), ls, engine.Pair{Source: src, Target: dst, Label: label, Trace: rctx})
+			s.fillResult(out, pr, bp.WantPatched)
+		}
+		if i == len(pairs)-1 {
+			job()
+			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr, herr := s.run(r.Context(), ls, engine.Pair{Source: src, Target: dst, Label: label, Trace: rctx})
-			if herr != nil {
-				out.Error = &herr.werr
-				return
-			}
-			s.fillResult(out, pr, bp.WantPatched)
+			job()
 		}()
 	}
 	wg.Wait()
 	if r.Context().Err() != nil {
 		status = 499 // client closed request; observed, not written
-		s.m.clientErrors.Add(1)
 		return
 	}
-	s.countStatus(http.StatusOK)
-	writeJSON(w, http.StatusOK, resp)
+	status = http.StatusOK
+	if batch {
+		writeJSON(w, status, BatchResponse{SchemaVersion: WireVersion, TraceID: rctx.Trace.String(), Results: results})
+		return
+	}
+	resp := &results[0]
+	resp.TraceID = rctx.Trace.String()
+	if resp.Error != nil {
+		status, kind = errStatus(resp.Error.Kind), resp.Error.Kind
+	}
+	writeJSON(w, status, resp)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -666,39 +658,41 @@ func (s *Server) saturated() bool {
 	return float64(s.m.pending.Load()) >= readyFraction*float64(s.cfg.MaxQueue)
 }
 
-// decodeInto reads and validates the shared request prelude: body size
-// cap, JSON decode, schema version, language lookup. A body past maxBody
-// is answered 413, and the server closes the connection after the answer.
-func (s *Server) decodeInto(w http.ResponseWriter, r *http.Request, dst any, meta func() (version, lang string)) (*langService, *httpError) {
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
+// decode reads and validates a diff request: body size cap, JSON decode,
+// schema version, language lookup, and a pair count the server can admit.
+// A body past maxBody is answered 413, and the server closes the
+// connection after the answer; a batch of more pairs than MaxQueue is
+// answered 413 too, without retry advice, because no wait would let it in.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, body any, meta func() (version, lang string, pairs []BatchPair)) (*langService, []BatchPair, *httpError) {
+	badRequest := func(status int, msg string) *httpError {
+		return &httpError{status: status, werr: WireError{Kind: ErrKindBadRequest, Message: msg}}
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return nil, &httpError{
-				status: http.StatusRequestEntityTooLarge,
-				werr:   WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)},
-			}
+			return nil, nil, badRequest(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 		}
-		return nil, &httpError{
-			status: http.StatusBadRequest,
-			werr:   WireError{Kind: ErrKindBadRequest, Message: fmt.Sprintf("decode request: %v", err)},
-		}
+		return nil, nil, badRequest(http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 	}
-	version, lang := meta()
+	version, lang, pairs := meta()
 	if err := CheckWireVersion(version); err != nil {
-		return nil, &httpError{
-			status: http.StatusBadRequest,
-			werr:   WireError{Kind: ErrKindBadRequest, Message: err.Error()},
-		}
+		return nil, nil, badRequest(http.StatusBadRequest, err.Error())
 	}
 	ls := s.langs[lang]
 	if ls == nil {
-		return nil, &httpError{
+		return nil, nil, &httpError{
 			status: http.StatusNotFound,
 			werr:   WireError{Kind: ErrKindUnknownLang, Message: fmt.Sprintf("unknown lang %q (serving %v)", lang, s.langNames)},
 		}
 	}
-	return ls, nil
+	switch {
+	case len(pairs) == 0:
+		return nil, nil, badRequest(http.StatusBadRequest, "batch has no pairs")
+	case len(pairs) > s.cfg.MaxQueue:
+		return nil, nil, badRequest(http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d pairs exceeds the server's queue bound of %d jobs", len(pairs), s.cfg.MaxQueue))
+	}
+	return ls, pairs, nil
 }
 
 // fillResult converts one engine PairResult into the wire response slot:
@@ -741,14 +735,14 @@ func errKind(err error) string {
 	}
 }
 
-// errStatus maps a wire error kind of a per-pair failure to the HTTP
-// status of a single-diff response.
+// errStatus maps the wire error kind of a failed pair to the HTTP status
+// of a single-diff response.
 func errStatus(kind string) int {
 	switch kind {
-	case ErrKindBadRequest, ErrKindUnknownLang, ErrKindUnknownRef:
+	case ErrKindBadRequest:
 		return http.StatusBadRequest
-	case ErrKindSaturated:
-		return http.StatusTooManyRequests
+	case ErrKindUnknownLang, ErrKindUnknownRef:
+		return http.StatusNotFound
 	case ErrKindDraining:
 		return http.StatusServiceUnavailable
 	case ErrKindTimeout:
@@ -758,33 +752,13 @@ func errStatus(kind string) int {
 	}
 }
 
-func (s *Server) countStatus(status int) {
-	switch {
-	case status < 400:
-		s.m.ok.Add(1)
-	case status < 500:
-		s.m.clientErrors.Add(1)
-	default:
-		s.m.serverErrors.Add(1)
+// writeHTTPError answers with the wire error, and with a Retry-After
+// header, in whole seconds, when the error carries retry advice.
+func writeHTTPError(w http.ResponseWriter, herr *httpError) {
+	if ms := herr.werr.RetryAfterMS; ms > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt((ms+999)/1000, 10))
 	}
-}
-
-func (s *Server) writeHTTPError(w http.ResponseWriter, herr *httpError) {
-	// Sheds and drain rejects are counted where they are decided; count
-	// the rest by class here.
-	switch herr.werr.Kind {
-	case ErrKindSaturated, ErrKindDraining:
-	default:
-		s.countStatus(herr.status)
-	}
-	if herr.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(herr.retryAfter.Seconds()))))
-	}
-	writeError(w, herr.status, herr.werr)
-}
-
-func writeError(w http.ResponseWriter, status int, werr WireError) {
-	writeJSON(w, status, ErrorResponse{SchemaVersion: WireVersion, Error: werr})
+	writeJSON(w, herr.status, ErrorResponse{SchemaVersion: WireVersion, Error: herr.werr})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -214,8 +214,10 @@ type WireError struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
-// DiffResponse is the body of a successful POST /v1/diff, and one element
-// of a batch response (where Error may be set instead of Script/Stats).
+// DiffResponse is the body of a POST /v1/diff answer that got past
+// decoding and admission, and one element of a batch response. Error is
+// set instead of Script/Stats when the pair failed; a /v1/diff then
+// answers with the error's status.
 type DiffResponse struct {
 	SchemaVersion string      `json:"schema_version"`
 	TraceID       string      `json:"trace_id,omitempty"`
@@ -240,7 +242,9 @@ type BatchResponse struct {
 	Results       []DiffResponse `json:"results"`
 }
 
-// ErrorResponse is the body of every non-2xx response.
+// ErrorResponse is the body of a non-2xx answer to a request refused as a
+// whole: a bad envelope, a shed, a drain refusal. A DiffResponse carrying
+// an error has the same keys.
 type ErrorResponse struct {
 	SchemaVersion string    `json:"schema_version"`
 	Error         WireError `json:"error"`

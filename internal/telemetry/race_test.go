@@ -63,7 +63,7 @@ func TestHistogramConcurrentRecordSnapshotMerge(t *testing.T) {
 }
 
 func TestSLOConcurrentObserveSnapshotGather(t *testing.T) {
-	s := NewSLO(SLOConfig{Window: 100 * time.Millisecond, Slots: 4})
+	s := NewSLO(SLOConfig{Window: 100 * time.Millisecond})
 	const writers, per = 8, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -8,55 +8,42 @@ import (
 )
 
 // SLOConfig parameterizes rolling-window service-level-objective
-// accounting. The zero value selects the defaults noted on each field.
+// accounting. The zero value selects the defaults noted on each field. The
+// rest is fixed: a 99.9% availability target, a 95% latency-attainment
+// target, and a short burn-rate window of Window/12.
 type SLOConfig struct {
 	// Window is the long (objective) window the availability and latency
 	// attainment are computed over. Default 1h.
 	Window time.Duration
-	// ShortWindow is the fast burn-rate window (the classic multi-window
-	// alert pairs a short and a long burn rate). Default Window/12, the
-	// 5m/1h pairing at the default Window.
-	ShortWindow time.Duration
-	// Slots is how many ring slots the window is divided into; more slots
-	// mean finer expiry granularity at slightly more Snapshot work.
-	// Default 60 (1m slots at the default Window).
-	Slots int
 	// LatencyObjective is the per-request latency target: a successful
 	// request at or under it counts toward latency attainment. Default
 	// 250ms.
 	LatencyObjective time.Duration
-	// AvailabilityTarget is the availability objective in [0,1); the burn
-	// rate divides the window's error ratio by the implied error budget
-	// 1−target. Default 0.999.
-	AvailabilityTarget float64
-	// LatencyTarget is the attainment objective for LatencyObjective, in
-	// [0,1]. Default 0.95.
-	LatencyTarget float64
 	// Now overrides the clock, for tests. Nil uses time.Now.
 	Now func() time.Time
 }
+
+const (
+	// sloSlots is how many ring slots the window is divided into: 1m
+	// slots at the default 1h window.
+	sloSlots = 60
+	// sloShortSlots is how many of the newest slots make up the fast
+	// burn-rate window (the classic multi-window alert pairs a short and
+	// a long burn rate): Window/12, the 5m/1h pairing at the default.
+	sloShortSlots = sloSlots / 12
+	// availabilityTarget is the availability objective; the burn rate
+	// divides the window's error ratio by the error budget 1−target.
+	availabilityTarget = 0.999
+	// latencyTarget is the attainment objective for LatencyObjective.
+	latencyTarget = 0.95
+)
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Window <= 0 {
 		c.Window = time.Hour
 	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = c.Window / 12
-	}
-	if c.ShortWindow > c.Window {
-		c.ShortWindow = c.Window
-	}
-	if c.Slots <= 0 {
-		c.Slots = 60
-	}
 	if c.LatencyObjective <= 0 {
 		c.LatencyObjective = 250 * time.Millisecond
-	}
-	if c.AvailabilityTarget <= 0 || c.AvailabilityTarget >= 1 {
-		c.AvailabilityTarget = 0.999
-	}
-	if c.LatencyTarget <= 0 || c.LatencyTarget > 1 {
-		c.LatencyTarget = 0.95
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -97,8 +84,8 @@ func NewSLO(cfg SLOConfig) *SLO {
 	cfg = cfg.withDefaults()
 	s := &SLO{
 		cfg:     cfg,
-		slotDur: cfg.Window / time.Duration(cfg.Slots),
-		slots:   make([]sloSlot, cfg.Slots),
+		slotDur: cfg.Window / sloSlots,
+		slots:   make([]sloSlot, sloSlots),
 	}
 	if s.slotDur <= 0 {
 		s.slotDur = time.Nanosecond
@@ -155,11 +142,11 @@ func (s *SLO) Observe(latency time.Duration, ok bool) {
 // rolling window. All fields are plain values, so snapshots render
 // deterministically (String is golden-testable).
 type SLOSnapshot struct {
-	// Window and ShortWindow echo the configuration.
+	// Window and ShortWindow echo the windows.
 	Window      time.Duration
 	ShortWindow time.Duration
 	// LatencyObjective, AvailabilityTarget, LatencyTarget echo the
-	// configured objectives.
+	// objectives.
 	LatencyObjective   time.Duration
 	AvailabilityTarget float64
 	LatencyTarget      float64
@@ -203,19 +190,15 @@ func (s *SLO) Snapshot() SLOSnapshot {
 	}
 	now := s.cfg.Now()
 	cur := s.epochOf(now)
-	oldest := cur - int64(len(s.slots)) + 1
-	shortSlots := int64(s.cfg.ShortWindow / s.slotDur)
-	if shortSlots <= 0 {
-		shortSlots = 1
-	}
-	shortOldest := cur - shortSlots + 1
+	oldest := cur - sloSlots + 1
+	shortOldest := cur - sloShortSlots + 1
 
 	snap := SLOSnapshot{
 		Window:             s.cfg.Window,
-		ShortWindow:        s.cfg.ShortWindow,
+		ShortWindow:        sloShortSlots * s.slotDur,
 		LatencyObjective:   s.cfg.LatencyObjective,
-		AvailabilityTarget: s.cfg.AvailabilityTarget,
-		LatencyTarget:      s.cfg.LatencyTarget,
+		AvailabilityTarget: availabilityTarget,
+		LatencyTarget:      latencyTarget,
 	}
 	var shortReq, shortErr uint64
 	for i := range s.slots {
@@ -243,7 +226,7 @@ func (s *SLO) Snapshot() SLOSnapshot {
 	if ok := snap.Requests - snap.Errors; ok > 0 {
 		snap.LatencyAttainment = float64(snap.LatencyOK) / float64(ok)
 	}
-	budget := 1 - s.cfg.AvailabilityTarget
+	budget := 1 - availabilityTarget
 	if snap.Requests > 0 {
 		snap.BurnLong = (float64(snap.Errors) / float64(snap.Requests)) / budget
 	}

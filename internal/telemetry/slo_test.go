@@ -17,15 +17,16 @@ func newFakeClock() *fakeClock {
 }
 
 func TestSLODefaults(t *testing.T) {
-	cfg := SLOConfig{}.withDefaults()
-	if cfg.Window != time.Hour || cfg.ShortWindow != 5*time.Minute {
-		t.Errorf("window defaults = %v/%v, want 1h/5m", cfg.Window, cfg.ShortWindow)
+	s := NewSLO(SLOConfig{})
+	snap := s.Snapshot()
+	if snap.Window != time.Hour || snap.ShortWindow != 5*time.Minute {
+		t.Errorf("window defaults = %v/%v, want 1h/5m", snap.Window, snap.ShortWindow)
 	}
-	if cfg.Slots != 60 || cfg.LatencyObjective != 250*time.Millisecond {
-		t.Errorf("slots/objective = %d/%v", cfg.Slots, cfg.LatencyObjective)
+	if len(s.slots) != 60 || snap.LatencyObjective != 250*time.Millisecond {
+		t.Errorf("slots/objective = %d/%v", len(s.slots), snap.LatencyObjective)
 	}
-	if cfg.AvailabilityTarget != 0.999 || cfg.LatencyTarget != 0.95 {
-		t.Errorf("targets = %v/%v", cfg.AvailabilityTarget, cfg.LatencyTarget)
+	if snap.AvailabilityTarget != 0.999 || snap.LatencyTarget != 0.95 {
+		t.Errorf("targets = %v/%v", snap.AvailabilityTarget, snap.LatencyTarget)
 	}
 }
 
@@ -52,10 +53,9 @@ func TestSLOIdleIsHealthy(t *testing.T) {
 func TestSLOCountsAndBurn(t *testing.T) {
 	clk := newFakeClock()
 	s := NewSLO(SLOConfig{
-		Window:             time.Hour,
-		LatencyObjective:   100 * time.Millisecond,
-		AvailabilityTarget: 0.99, // budget 1%
-		Now:                clk.now,
+		Window:           time.Hour,
+		LatencyObjective: 100 * time.Millisecond,
+		Now:              clk.now,
 	})
 	// 90 fast successes, 5 slow successes, 5 errors.
 	for i := 0; i < 90; i++ {
@@ -78,10 +78,10 @@ func TestSLOCountsAndBurn(t *testing.T) {
 	if math.Abs(snap.LatencyAttainment-90.0/95.0) > 1e-9 {
 		t.Errorf("attainment = %v, want %v", snap.LatencyAttainment, 90.0/95.0)
 	}
-	// Error ratio 5% against a 1% budget: burning 5x, on both windows
-	// (all traffic landed in the newest slot).
-	if math.Abs(snap.BurnLong-5) > 1e-9 || math.Abs(snap.BurnShort-5) > 1e-9 {
-		t.Errorf("burn = %v/%v, want 5/5", snap.BurnShort, snap.BurnLong)
+	// Error ratio 5% against the 0.1% budget of the 99.9% target: burning
+	// 50x, on both windows (all traffic landed in the newest slot).
+	if math.Abs(snap.BurnLong-50) > 1e-9 || math.Abs(snap.BurnShort-50) > 1e-9 {
+		t.Errorf("burn = %v/%v, want 50/50", snap.BurnShort, snap.BurnLong)
 	}
 	// Ranks 96..100 are the 500ms observations, so p99 lands in their
 	// bucket while p95 stays in the 50ms error bucket.
@@ -96,9 +96,8 @@ func TestSLOCountsAndBurn(t *testing.T) {
 func TestSLOShortWindowExpiry(t *testing.T) {
 	clk := newFakeClock()
 	s := NewSLO(SLOConfig{
-		Window:             time.Hour, // 1m slots, 5m short window
-		AvailabilityTarget: 0.99,
-		Now:                clk.now,
+		Window: time.Hour, // 1m slots, 5m short window
+		Now:    clk.now,
 	})
 	// Errors land now; after 10 minutes they are outside the short window
 	// but still inside the long one.
