@@ -28,12 +28,11 @@ import (
 // Snapshot, Close. Code written against that interface runs unchanged
 // against a local engine or a remote daemon.
 //
-// The client remembers which trees the server has confirmed interned (by
-// content-digest ref) and sends the ref instead of the S-expression on
-// later requests — the service's analogue of the engine's whole-tree
-// intern store. A server restart invalidates refs; the client detects the
-// unknown_ref answer and retries once with the full trees. A Client is
-// safe for concurrent use.
+// The client remembers which trees the server has confirmed holding in its
+// ref table (by content-digest ref) and sends the ref instead of the
+// S-expression on later requests. A server restart invalidates refs; the
+// client detects the unknown_ref answer and retries once with the full
+// trees. A Client is safe for concurrent use.
 //
 // The client is also where the network resilience layer lives (see
 // retry.go): WithRetry arms bounded retries of transient failures under

@@ -73,16 +73,36 @@ func TestDiffRoundTrip(t *testing.T) {
 		t.Error("patched tree differs from target")
 	}
 
-	// Reference: the same pair diffed in-process produces the same number
-	// of edits (the service adds transport, not algorithm).
+	// Reference: the same pair diffed in-process with nil allocators gives
+	// the same script, edit for edit and URIs included (the service adds
+	// transport, not algorithm): the server numbers each uploaded tree in
+	// post-order from 1, as Ingest(x, nil) does, and a diff's loads depend
+	// only on its pair.
 	eng := engine.New(exp.Schema(), engine.Config{Workers: 1})
 	defer eng.Close()
 	local, err := eng.Diff(context.Background(), eng.Ingest(src, nil), eng.Ingest(dst, nil), nil)
 	if err != nil {
 		t.Fatalf("local Diff: %v", err)
 	}
-	if got, want := res.Script.EditCount(), local.Script.EditCount(); got != want {
-		t.Errorf("service produced %d edits, local engine %d", got, want)
+	if !truechange.EqualEdits(res.Script.Edits, local.Script.Edits) {
+		t.Errorf("service script differs from the local engine's\nservice: %v\nlocal:   %v",
+			res.Script.Edits, local.Script.Edits)
+	}
+
+	// The same pair again, now by ref: the server's history must not move
+	// the script.
+	for _, n := range []*tree.Node{src, dst} {
+		if in := c.treeInput(n, false); in.Ref == "" || in.SExpr != "" {
+			t.Fatalf("after the first diff, trees should travel by ref, got %+v", in)
+		}
+	}
+	again, err := c.Diff(context.Background(), src, dst, uri.NewAllocator())
+	if err != nil {
+		t.Fatalf("second Diff: %v", err)
+	}
+	if !truechange.EqualEdits(again.Script.Edits, local.Script.Edits) {
+		t.Errorf("second service script differs from the local engine's\nservice: %v\nlocal:   %v",
+			again.Script.Edits, local.Script.Edits)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // langSchemas maps the language names the service accepts in requests to
-// their shared schemas. Every entry gets its own engine (intern store,
-// scratch pool, URI space).
+// their shared schemas. Every entry gets its own engine (scratch pool and
+// counters).
 var langSchemas = map[string]func() *sig.Schema{
 	"exp":      exp.Schema,
 	"pylang":   pylang.Schema,

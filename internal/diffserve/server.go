@@ -112,8 +112,8 @@ const (
 	flightSlowest = 16
 )
 
-// langService is one served language: its schema, its engine (own worker
-// pool and URI space), its worker slots, and the ref table mapping hex
+// langService is one served language: its schema, its engine (own scratch
+// pool and counters), its worker slots, and the ref table mapping hex
 // content digests to uploaded trees, the one copy of each the server keeps.
 type langService struct {
 	name string
@@ -467,10 +467,12 @@ func hexRef(n *tree.Node) string { return hex.EncodeToString(n.AppendExactHash(n
 // S-expression is decoded against the language schema and stored under
 // its ref for later requests. The first tree stored under a ref wins, so
 // equal uploads resolve to one pointer and the engine's identical-pair
-// short-circuit fires. Each tree is numbered by an allocator of its own:
-// the engine draws a diff's load URIs past both trees (Pair.Alloc is nil),
-// and truediff never emits a target URI, so overlapping numberings are
-// harmless.
+// short-circuit fires. Each tree is numbered in post-order from 1 by an
+// allocator of its own, as engine.Ingest(x, nil) numbers it: the engine
+// draws a diff's load URIs past both trees from an allocator of the diff's
+// own (Pair.Alloc is nil), and truediff never emits a target URI, so
+// overlapping numberings are harmless and a script depends only on its
+// pair, never on the server's history.
 func (s *Server) resolveTree(ls *langService, in TreeInput, what string) (*tree.Node, string, *WireError) {
 	if in.Ref != "" {
 		ls.refMu.RLock()

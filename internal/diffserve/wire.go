@@ -14,8 +14,8 @@
 // version and reject other majors cleanly instead of mis-parsing; fields
 // only ever get added within a major version, never removed or retyped.
 // Trees travel as S-expressions (tree.EncodeSExpr) or as content-digest
-// refs to trees the server has already interned, so a version-history
-// replay ships each tree at most once. See docs/SERVICE.md.
+// refs to trees the server already holds in its ref table, so a
+// version-history replay ships each tree at most once. See docs/SERVICE.md.
 package diffserve
 
 import (
@@ -60,9 +60,9 @@ func CheckWireVersion(v string) error {
 }
 
 // TreeInput is one tree operand of a request: either an S-expression to
-// decode (URIs are server-assigned) or a Ref naming a tree the server has
-// already interned — the hex content digest an earlier response reported
-// as SourceRef/TargetRef. A request carrying an unknown Ref fails with
+// decode (URIs are server-assigned) or a Ref naming a tree the server
+// already holds — the hex content digest an earlier response reported as
+// SourceRef/TargetRef. A request carrying an unknown Ref fails with
 // ErrKindUnknownRef; the client falls back to sending the S-expression.
 type TreeInput struct {
 	SExpr string `json:"sexpr,omitempty"`
@@ -165,8 +165,7 @@ func StatsToWire(st engine.DiffStats) *WireStats {
 }
 
 // ToDiffStats converts received wire stats back into engine stats (the
-// client's PairResult carries them). Intern flags are server-local state
-// and do not travel.
+// client's PairResult carries them).
 func (w *WireStats) ToDiffStats() (engine.DiffStats, error) {
 	if err := CheckWireVersion(w.SchemaVersion); err != nil {
 		return engine.DiffStats{}, err
@@ -224,7 +223,7 @@ type DiffResponse struct {
 	Script        *WireScript `json:"script,omitempty"`
 	Stats         *WireStats  `json:"stats,omitempty"`
 	// SourceRef and TargetRef are the hex content digests under which the
-	// server interned the operands; later requests may pass them as
+	// server holds the operands; later requests may pass them as
 	// TreeInput.Ref instead of re-sending the trees.
 	SourceRef string `json:"source_ref,omitempty"`
 	TargetRef string `json:"target_ref,omitempty"`

@@ -30,23 +30,6 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 }
 
-func TestCloseReleasesInternStore(t *testing.T) {
-	e := New(exp.Schema(), Config{Workers: 1})
-	g := exp.NewGen(7)
-	for i := 0; i < 3; i++ {
-		e.Ingest(g.Tree(60), nil)
-	}
-	if got := e.Snapshot().StoreEntries; got == 0 {
-		t.Fatal("expected interned trees before Close")
-	}
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if got := e.Snapshot().StoreEntries; got != 0 {
-		t.Fatalf("StoreEntries after Close = %d, want 0", got)
-	}
-}
-
 // TestCloseDrainsInFlightBatch is the worker-leak detector: Close must not
 // return while a batch still has workers running. The batch is slowed down
 // with per-diff delay faults, Close races it, and after Close returns the

@@ -1,20 +1,18 @@
 // Package engine runs truediff at corpus scale: batches of (source, target)
 // tree pairs are fanned over a bounded worker pool, per-diff working state
 // (subtree registries, assignment maps, edit buffers, selection heaps) is
-// recycled through a sync.Pool instead of reallocated per diff, and the
-// tree-preparation work that dominates truediff's cost (paper §6) is
-// amortized across the batch: a whole-tree intern store keyed by content
-// digest makes re-ingesting a tree the engine has seen before a map lookup
-// instead of a clone — the common case in a version-history replay, where
-// one commit's "after" is the next commit's "before" — and trees that
-// arrive already hashed are ingested by copying their digests.
+// recycled through a sync.Pool instead of reallocated per diff, and trees
+// that arrive already hashed are ingested by copying their digests instead
+// of rehashing them.
 //
 // The engine is the concurrency boundary of the system: a Differ is
 // immutable and an Engine adds only concurrency-safe state on top (the
-// intern store, the scratch pool, atomic counters), so one Engine may be
-// shared freely between goroutines. Trees enter the engine through Ingest;
-// batches run through DiffBatch, which honours context cancellation;
-// cumulative counters are read with Snapshot.
+// scratch pool, atomic counters), so one Engine may be shared freely
+// between goroutines. The caller owns every URI: the engine keeps no
+// trees and no URI space of its own, so a diff's script depends only on
+// its pair. Trees enter the engine through Ingest; batches run through
+// DiffBatch, which honours context cancellation; cumulative counters are
+// read with Snapshot.
 package engine
 
 import (
@@ -120,18 +118,13 @@ type Engine struct {
 	differ *truediff.Differ
 	cfg    Config
 	pool   sync.Pool // of *truediff.Scratch
-	store  treeStore
-	uris   struct {
-		mu   sync.Mutex
-		next uri.URI
-	}
-	m   metrics
-	h   histograms
-	slo *telemetry.SLO
+	m      metrics
+	h      histograms
+	slo    *telemetry.SLO
 
 	// life tracks the engine's shutdown state: begin/end bracket every
 	// entry point, and Close flips closed then waits for the in-flight
-	// count to drain before releasing the caches.
+	// count to drain.
 	life struct {
 		mu     sync.Mutex
 		closed bool
@@ -154,67 +147,6 @@ type histograms struct {
 	reuse        telemetry.Histogram // reuse ratio × 1000
 	editsChanged telemetry.Histogram // compound edits per changed node × 1000
 	scriptTree   telemetry.Histogram // compound edits per target node × 1000
-}
-
-// treeStore interns engine-managed trees by content digest, so ingesting a
-// tree the engine has seen before — the common case in a version-history
-// replay, where one commit's "after" is the next commit's "before" — returns
-// the already-ingested tree instead of cloning and hashing a new one.
-// Interned trees are immutable and live in the engine's own URI space, so
-// sharing them between pairs (even concurrently, even as both sides of one
-// pair) is safe.
-type treeStore struct {
-	mu sync.RWMutex
-	m  map[tree.ExactKey]*tree.Node
-}
-
-func (s *treeStore) get(key tree.ExactKey) *tree.Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m[key]
-}
-
-// put interns n under key, keeping the first tree stored: a racing duplicate
-// ingest returns the canonical tree so later pointer comparisons hold.
-func (s *treeStore) put(key tree.ExactKey, n *tree.Node) *tree.Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[tree.ExactKey]*tree.Node)
-	}
-	if old := s.m[key]; old != nil {
-		return old
-	}
-	s.m[key] = n
-	return n
-}
-
-func (s *treeStore) len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-func (s *treeStore) clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m = nil
-}
-
-// reserveBlock carves n consecutive URIs out of the engine's URI space,
-// first advancing it past min, and returns the URI just before the block
-// (i.e. an allocator that Reserved the returned value hands out exactly the
-// block). Engine-managed trees and the scripts diffed over them draw from
-// this one space, so their URIs never collide even across shared trees.
-func (e *Engine) reserveBlock(min uri.URI, n int) uri.URI {
-	e.uris.mu.Lock()
-	if e.uris.next < min {
-		e.uris.next = min
-	}
-	base := e.uris.next
-	e.uris.next += uri.URI(n)
-	e.uris.mu.Unlock()
-	return base
 }
 
 // New returns an Engine for trees of the given schema.
@@ -248,12 +180,10 @@ func (e *Engine) begin() error {
 }
 
 // Close shuts the engine down: it waits for in-flight Diff and DiffBatch
-// calls to complete, then releases the whole-tree intern store so long-held
-// engines stop pinning every tree they ever interned. Calls entering after
-// Close has begun fail with an error matching derrors.ErrEngineClosed.
-// Close is idempotent and always returns nil; the error result exists so
-// the engine satisfies the same service interface as remote clients, whose
-// Close can genuinely fail.
+// calls to complete. Calls entering after Close has begun fail with an
+// error matching derrors.ErrEngineClosed. Close is idempotent and always
+// returns nil; the error result exists so the engine satisfies the same
+// service interface as remote clients, whose Close can genuinely fail.
 func (e *Engine) Close() error {
 	e.life.mu.Lock()
 	already := e.life.closed
@@ -263,12 +193,8 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.life.active.Wait()
-	e.store.clear()
 	return nil
 }
-
-// Differ exposes the underlying (immutable, goroutine-safe) differ.
-func (e *Engine) Differ() *truediff.Differ { return e.differ }
 
 func (e *Engine) workers() int {
 	if e.cfg.Workers > 0 {
@@ -278,45 +204,19 @@ func (e *Engine) workers() int {
 }
 
 // Ingest prepares a tree for diffing through this engine: it returns a copy
-// of root with fresh URIs, numbered in post-order, carrying SHA-256
-// digests. Digests never depend on URIs, so a root that already carries
-// SHA-256 digests (tree.HashedWith) is copied with them; any other root is
-// rehashed (tree.Clone). Either way the copy is the one tree.Clone would
-// have produced.
-//
-// With a non-nil alloc, the URIs come from alloc. Use this mode when the
-// caller owns the URI space (e.g. to keep URIs small and deterministic per
-// document).
-//
-// With a nil alloc, the tree enters the engine-managed store: its URIs come
-// from the engine's own space (globally unique across everything the engine
-// has ingested), and trees are interned by content digest — re-ingesting a
-// content-identical tree returns the previously ingested tree outright, at
-// the cost of a single map lookup. This is the fast path for batch replays,
-// where consecutive versions of a document share endpoints.
+// of root with fresh URIs from alloc, numbered in post-order, carrying
+// SHA-256 digests. A nil alloc means a fresh allocator, so the copy is
+// numbered from 1. Digests never depend on URIs, so a root that already
+// carries SHA-256 digests (tree.HashedWith) is copied with them; any other
+// root is rehashed (tree.Clone). Either way the copy is the one tree.Clone
+// would have produced.
 func (e *Engine) Ingest(root *tree.Node, alloc *uri.Allocator) *tree.Node {
 	if root == nil {
 		return nil
 	}
-	if alloc != nil {
-		return e.clone(root, alloc)
+	if alloc == nil {
+		alloc = uri.NewAllocator()
 	}
-	if tree.HashedWith(root, tree.SHA256) {
-		if c := e.store.get(root.ExactHash()); c != nil {
-			e.m.storeHits.Add(1)
-			return c
-		}
-	}
-	la := uri.NewAllocator()
-	la.Reserve(e.reserveBlock(0, root.Size()))
-	c := e.clone(root, la)
-	e.m.storeMisses.Add(1)
-	return e.store.put(c.ExactHash(), c)
-}
-
-// clone copies root with fresh URIs from alloc, keeping its digests when
-// they are SHA-256 and rehashing otherwise.
-func (e *Engine) clone(root *tree.Node, alloc *uri.Allocator) *tree.Node {
 	var c *tree.Node
 	if tree.HashedWith(root, tree.SHA256) {
 		c = tree.CloneKeepDigests(root, alloc)
@@ -334,12 +234,10 @@ type Pair struct {
 	Target *tree.Node
 	// Alloc supplies fresh URIs for nodes the diff loads. It must dominate
 	// every URI in Source and Target (pass the allocator the trees were
-	// built or ingested with). If nil, the engine carves a URI block out of
-	// its own space, past every URI of both trees — the right choice for
-	// engine-managed (nil-alloc-ingested) trees, whose URI numbering then
-	// stays globally collision-free, at the cost of load URIs that depend
-	// on batch scheduling. Allocators are not concurrency-safe, so pairs of
-	// one batch must not share an Alloc.
+	// built or ingested with). If nil, the diff numbers its loads past
+	// every URI of both trees from an allocator of its own, so the script
+	// is a function of the pair alone. Allocators are not concurrency-safe,
+	// so pairs of one batch must not share an Alloc.
 	Alloc *uri.Allocator
 	// Label identifies the pair in observer events and trace records (for
 	// example a file path). The engine does not interpret it.
@@ -384,13 +282,9 @@ type DiffStats struct {
 	// Phases breaks Wall down into the four truediff steps (all zero for
 	// short-circuited pairs, where no step ran).
 	Phases telemetry.PhaseTimes
-	// SourceInterned and TargetInterned report whether the respective
-	// input tree is the canonical copy of the engine's whole-tree intern
-	// store (engine-managed ingest). Identical marks pairs whose endpoints
-	// are the same tree: the diff short-circuited to an empty script.
-	SourceInterned bool
-	TargetInterned bool
-	Identical      bool
+	// Identical marks pairs whose endpoints are the same tree: the diff
+	// short-circuited to an empty script.
+	Identical bool
 	// Fallback marks pairs served by graceful degradation: the real diff
 	// panicked, timed out, or emitted an ill-typed script, and the result
 	// is a synthesized root-replacement script instead (Edits and
@@ -535,16 +429,14 @@ func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 // root-replacement script instead when Config.Fallback asks for it.
 func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	if p.Source != nil && p.Source == p.Target {
-		// Interned trees make content equality a pointer comparison: both
-		// ingests hit the same store entry, so the minimal script is empty
-		// and the patched tree is the source itself.
+		// One tree on both sides (diffd's ref table resolves equal uploads
+		// to one pointer): the minimal script is empty and the patched
+		// tree is the source itself.
 		st := DiffStats{
-			SourceSize:     p.Source.Size(),
-			TargetSize:     p.Target.Size(),
-			ReuseRatio:     1,
-			SourceInterned: true,
-			TargetInterned: true,
-			Identical:      true,
+			SourceSize: p.Source.Size(),
+			TargetSize: p.Target.Size(),
+			ReuseRatio: 1,
+			Identical:  true,
 		}
 		// Identical trees are trivially minimal: distance 0, gap 0.
 		st.Baselined = e.cfg.QualityBaseline > 0 && st.SourceSize <= e.cfg.QualityBaseline
@@ -570,20 +462,12 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 
 	alloc := p.Alloc
 	if alloc == nil && p.Source != nil && p.Target != nil {
-		// Carve a load-URI block out of the engine's space, past every URI
-		// of both trees. A diff loads at most TargetSize fresh nodes, so the
-		// block is always large enough, and blocks never overlap, so a
-		// patched tree's URIs stay unique engine-wide.
-		var max uri.URI
-		walkMax := func(n *tree.Node) {
-			if n.URI > max {
-				max = n.URI
-			}
-		}
-		tree.Walk(p.Source, walkMax)
-		tree.Walk(p.Target, walkMax)
+		// Number loads past every URI of both trees, from an allocator of
+		// the diff's own.
 		alloc = uri.NewAllocator()
-		alloc.Reserve(e.reserveBlock(max, p.Target.Size()))
+		reserve := func(n *tree.Node) { alloc.Reserve(n.URI) }
+		tree.Walk(p.Source, reserve)
+		tree.Walk(p.Target, reserve)
 	}
 
 	var ecol *truediff.ExplainCollector
@@ -624,14 +508,12 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	}
 
 	st := DiffStats{
-		Wall:           wall,
-		Fallback:       fellBack,
-		Edits:          res.Script.EditCount(),
-		SourceSize:     p.Source.Size(),
-		TargetSize:     p.Target.Size(),
-		Phases:         s.PhaseTimes(),
-		SourceInterned: e.internedTree(p.Source),
-		TargetInterned: e.internedTree(p.Target),
+		Wall:       wall,
+		Fallback:   fellBack,
+		Edits:      res.Script.EditCount(),
+		SourceSize: p.Source.Size(),
+		TargetSize: p.Target.Size(),
+		Phases:     s.PhaseTimes(),
 	}
 	q := quality.FromScript(res.Script, st.SourceSize, st.TargetSize)
 	st.ReuseRatio = q.ReuseRatio
@@ -650,16 +532,6 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 		pr.Explain = ecol.Last
 	}
 	return pr
-}
-
-// internedTree reports whether n is the canonical copy held by the
-// engine's whole-tree intern store (an RLocked map lookup; the store is
-// empty, and the lookup free, when only caller-owned ingest is used).
-func (e *Engine) internedTree(n *tree.Node) bool {
-	if n == nil {
-		return false
-	}
-	return e.store.get(n.ExactHash()) == n
 }
 
 // record is the one place an engine diff is accounted, whichever way it

@@ -260,9 +260,8 @@ func TestIngestMatchesClone(t *testing.T) {
 				}
 			}
 		}
-		if snap := e.Snapshot(); snap.IngestedTrees != 8 || snap.StoreMisses != 0 {
-			t.Errorf("input %d: %d trees ingested, %d store misses; want 8 and 0",
-				in, snap.IngestedTrees, snap.StoreMisses)
+		if snap := e.Snapshot(); snap.IngestedTrees != 8 {
+			t.Errorf("input %d: %d trees ingested, want 8", in, snap.IngestedTrees)
 		}
 	}
 }
@@ -297,43 +296,12 @@ func nodeMismatch(got, want *tree.Node) string {
 	return ""
 }
 
-// TestIngestInternsTrees checks engine-managed ingest (nil allocator):
-// content-identical trees — even ones built by different factories with
-// different URI numberings — intern to the same node, and the store
-// counters record the hit.
-func TestIngestInternsTrees(t *testing.T) {
-	gA, gB := exp.NewGen(9), exp.NewGen(9)
-	a, b := gA.Tree(120), gB.Tree(120) // same seed, same content, fresh URIs
-
-	e := New(gA.Schema(), Config{})
-	ia := e.Ingest(a, nil)
-	ib := e.Ingest(b, nil)
-	if ia != ib {
-		t.Fatal("content-identical trees should intern to the same node")
-	}
-	if !tree.Equal(ia, a) {
-		t.Fatal("interned tree differs from its original")
-	}
-	snap := e.Snapshot()
-	if snap.StoreHits != 1 || snap.StoreMisses != 1 || snap.StoreEntries != 1 {
-		t.Errorf("store counters = %d hits / %d misses / %d entries, want 1/1/1",
-			snap.StoreHits, snap.StoreMisses, snap.StoreEntries)
-	}
-	if snap.StoreHitRate != 0.5 {
-		t.Errorf("StoreHitRate = %v, want 0.5", snap.StoreHitRate)
-	}
-	// A different tree must not be conflated.
-	ic := e.Ingest(gA.MutateN(a, 2), nil)
-	if ic == ia {
-		t.Fatal("distinct trees interned to the same node")
-	}
-}
-
-// TestEngineManagedBatch diffs a version chain through the store: every
-// pair's trees are ingested with nil allocators, sharing interned endpoints.
-// The scripts must be well-typed and patch each source into its target, and
-// every re-ingested endpoint must come from the store.
-func TestEngineManagedBatch(t *testing.T) {
+// TestVersionChainBatch diffs a version chain in one batch: each version is
+// ingested once, with a nil allocator, and one pointer serves as the Target
+// of pair i and the Source of pair i+1, concurrently. Every pair has a nil
+// Alloc, so each draws its loads from an allocator of its own. The scripts
+// must be well-typed and patch each source into its target.
+func TestVersionChainBatch(t *testing.T) {
 	g := exp.NewGen(11)
 	const steps = 8
 	versions := make([]*tree.Node, steps+1)
@@ -343,15 +311,13 @@ func TestEngineManagedBatch(t *testing.T) {
 	}
 
 	e := New(g.Schema(), Config{Workers: 4})
+	ingested := make([]*tree.Node, len(versions))
+	for i, v := range versions {
+		ingested[i] = e.Ingest(v, nil)
+	}
 	pairs := make([]Pair, steps)
 	for i := range pairs {
-		// Before_i equals After_{i-1}, so all but the first Source hit the
-		// store; the shared node then serves as Target of one pair and
-		// Source of the next, concurrently.
-		pairs[i] = Pair{
-			Source: e.Ingest(versions[i], nil),
-			Target: e.Ingest(versions[i+1], nil),
-		}
+		pairs[i] = Pair{Source: ingested[i], Target: ingested[i+1]}
 	}
 	results, err := e.DiffBatch(context.Background(), pairs)
 	if err != nil {
@@ -377,26 +343,21 @@ func TestEngineManagedBatch(t *testing.T) {
 			t.Errorf("pair %d: patching the source does not yield the target", i)
 		}
 	}
-	snap := e.Snapshot()
-	if want := uint64(steps - 1); snap.StoreHits != want {
-		t.Errorf("StoreHits = %d, want %d (every chained endpoint)", snap.StoreHits, want)
-	}
-	if snap.StoreEntries != steps+1 {
-		t.Errorf("StoreEntries = %d, want %d distinct versions", snap.StoreEntries, steps+1)
+	if snap := e.Snapshot(); snap.IngestedTrees != steps+1 {
+		t.Errorf("IngestedTrees = %d, want %d (each version once)", snap.IngestedTrees, steps+1)
 	}
 }
 
-// TestIdenticalPairShortCircuits checks the interning payoff inside the
-// differ: a pair whose endpoints interned to the same node yields an empty
-// script without running the diff at all.
+// TestIdenticalPairShortCircuits checks the pointer-equality fast path: a
+// pair with one tree on both sides yields an empty script without running
+// the diff at all.
 func TestIdenticalPairShortCircuits(t *testing.T) {
 	g := exp.NewGen(12)
 	v := g.Tree(100)
 	e := New(g.Schema(), Config{})
 	src := e.Ingest(v, nil)
-	dst := e.Ingest(v, nil)
 
-	res, err := e.Diff(context.Background(), src, dst, nil)
+	res, err := e.Diff(context.Background(), src, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,12 +376,15 @@ func TestIdenticalPairShortCircuits(t *testing.T) {
 	}
 }
 
-// TestEngineManagedMatchesExplicit cross-validates the two ingest modes:
-// the same content diffed through the store (engine URI space) and through
-// caller allocators must produce scripts of identical shape — the same
-// per-kind edit counts — and equal patched content. Only URI numbering may
-// differ.
-func TestEngineManagedMatchesExplicit(t *testing.T) {
+// TestNilAllocMatchesSequential pins that a script is a function of its
+// pair. Trees ingested with nil allocators (each copy numbered from 1) and
+// diffed with nil Pair.Allocs give, edit for edit and URIs included, the
+// script of a sequential differ under an allocator that reserved every URI
+// of both trees, and a second batch on the same engine, after an unrelated
+// diff, gives the same scripts again. Against the same content diffed
+// under caller allocators, the scripts have the same per-kind edit counts
+// and equal patched content; only URI numbering may differ.
+func TestNilAllocMatchesSequential(t *testing.T) {
 	tps := makePairs(t, 6)
 	e := New(exp.Schema(), Config{Workers: 2})
 
@@ -439,6 +403,7 @@ func TestEngineManagedMatchesExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explicit batch: %v", err)
 	}
+	d := truediff.New(exp.Schema())
 	for i := range tps {
 		if mres[i].Err != nil || eres[i].Err != nil {
 			t.Fatalf("pair %d: errs %v / %v", i, mres[i].Err, eres[i].Err)
@@ -450,6 +415,39 @@ func TestEngineManagedMatchesExplicit(t *testing.T) {
 		}
 		if !tree.Equal(mres[i].Result.Patched, eres[i].Result.Patched) {
 			t.Errorf("pair %d: managed and explicit patched trees differ in content", i)
+		}
+
+		alloc := uri.NewAllocator()
+		reserve := func(n *tree.Node) { alloc.Reserve(n.URI) }
+		tree.Walk(managed[i].Source, reserve)
+		tree.Walk(managed[i].Target, reserve)
+		want, err := d.Diff(managed[i].Source, managed[i].Target, alloc)
+		if err != nil {
+			t.Fatalf("pair %d sequential: %v", i, err)
+		}
+		if !truechange.EqualEdits(mres[i].Result.Script.Edits, want.Script.Edits) {
+			t.Errorf("pair %d: nil-alloc script differs from sequential\nengine: %v\nseq:    %v",
+				i, mres[i].Result.Script.Edits, want.Script.Edits)
+		}
+	}
+
+	// An unrelated diff, then the same pairs again.
+	g := exp.NewGen(77)
+	x := g.Tree(90)
+	if _, err := e.Diff(context.Background(), e.Ingest(x, nil), e.Ingest(g.MutateN(x, 4), nil), nil); err != nil {
+		t.Fatalf("unrelated diff: %v", err)
+	}
+	again, err := e.DiffBatch(context.Background(), managed)
+	if err != nil {
+		t.Fatalf("second managed batch: %v", err)
+	}
+	for i := range managed {
+		if again[i].Err != nil {
+			t.Fatalf("pair %d, second batch: %v", i, again[i].Err)
+		}
+		if !truechange.EqualEdits(again[i].Result.Script.Edits, mres[i].Result.Script.Edits) {
+			t.Errorf("pair %d: second batch changed the script\nfirst:  %v\nsecond: %v",
+				i, mres[i].Result.Script.Edits, again[i].Result.Script.Edits)
 		}
 	}
 }

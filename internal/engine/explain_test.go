@@ -88,7 +88,7 @@ func TestEngineExplainAndQuality(t *testing.T) {
 	}
 }
 
-// TestEngineExplainIdenticalPair: the interned-identical short circuit
+// TestEngineExplainIdenticalPair: the identical-pair short circuit
 // still delivers a (trivially empty) explanation and trivially concise
 // quality stats.
 func TestEngineExplainIdenticalPair(t *testing.T) {

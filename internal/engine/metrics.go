@@ -42,9 +42,6 @@ type metrics struct {
 	ingestedTrees atomic.Uint64
 	ingestedNodes atomic.Uint64
 
-	storeHits   atomic.Uint64
-	storeMisses atomic.Uint64
-
 	// queueDepth gauges pairs submitted to a running batch but not yet
 	// picked up by a worker; capacityNanos accumulates elapsed batch time
 	// multiplied by the batch's worker count (the utilization denominator).
@@ -116,19 +113,14 @@ type Snapshot struct {
 	PoolHitRate float64
 
 	// IngestedTrees and IngestedNodes count what passed through Ingest.
-	// Store hits (below) do not ingest anything new and are not counted
-	// here.
 	IngestedTrees uint64
 	IngestedNodes uint64
 
-	// StoreHits counts nil-alloc Ingest calls served from the engine's
-	// whole-tree intern store; StoreMisses the ones that had to clone.
-	// StoreEntries is the number of distinct trees interned. All zero when
-	// the engine is used with caller-owned allocators only.
-	StoreHits    uint64
-	StoreMisses  uint64
-	StoreHitRate float64
-	StoreEntries int
+	// StoreHits and StoreMisses are always zero: the engine keeps no tree
+	// store. They remain only because pipebench's engine.store_hit_ratio
+	// column reads them, and go when the benchmark drops that column.
+	StoreHits   uint64
+	StoreMisses uint64
 
 	// QueueDepth gauges pairs submitted to a running batch but not yet
 	// picked up by a worker (0 when no batch is in flight). WorkerCapacity
@@ -174,18 +166,12 @@ func (e *Engine) Snapshot() Snapshot {
 		PoolMisses:        e.m.poolMisses.Load(),
 		IngestedTrees:     e.m.ingestedTrees.Load(),
 		IngestedNodes:     e.m.ingestedNodes.Load(),
-		StoreHits:         e.m.storeHits.Load(),
-		StoreMisses:       e.m.storeMisses.Load(),
-		StoreEntries:      e.store.len(),
 		QueueDepth:        e.m.queueDepth.Load(),
 		WorkerCapacity:    time.Duration(e.m.capacityNanos.Load()),
 		SLO:               e.slo.Snapshot(),
 	}
 	if s.WorkerCapacity > 0 {
 		s.Utilization = float64(s.DiffWall) / float64(s.WorkerCapacity)
-	}
-	if total := s.StoreHits + s.StoreMisses; total > 0 {
-		s.StoreHitRate = float64(s.StoreHits) / float64(total)
 	}
 	if s.PoolGets > 0 {
 		s.PoolHitRate = float64(s.PoolGets-s.PoolMisses) / float64(s.PoolGets)
@@ -208,9 +194,9 @@ func aggregateGap(edits, minimal uint64) float64 {
 
 // Sub returns the per-interval delta s − prev: every cumulative counter is
 // subtracted (saturating at zero, so a snapshot of a different engine or a
-// stale prev cannot wrap around), the hit rates are recomputed over the
-// interval, and the gauges (StoreEntries, QueueDepth, SLO) keep s's current
-// values. Taking a snapshot before and after a batch and subtracting gives
+// stale prev cannot wrap around), the hit rate is recomputed over the
+// interval, and the gauges (QueueDepth, SLO) keep s's current values.
+// Taking a snapshot before and after a batch and subtracting gives
 // per-batch metrics without resetting the engine:
 //
 //	before := e.Snapshot()
@@ -240,9 +226,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		PoolMisses:        sub64(s.PoolMisses, prev.PoolMisses),
 		IngestedTrees:     sub64(s.IngestedTrees, prev.IngestedTrees),
 		IngestedNodes:     sub64(s.IngestedNodes, prev.IngestedNodes),
-		StoreHits:         sub64(s.StoreHits, prev.StoreHits),
-		StoreMisses:       sub64(s.StoreMisses, prev.StoreMisses),
-		StoreEntries:      s.StoreEntries,
 		QueueDepth:        s.QueueDepth,
 		SLO:               s.SLO,
 	}
@@ -254,9 +237,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	}
 	if d.WorkerCapacity > 0 {
 		d.Utilization = float64(d.DiffWall) / float64(d.WorkerCapacity)
-	}
-	if total := d.StoreHits + d.StoreMisses; total > 0 {
-		d.StoreHitRate = float64(d.StoreHits) / float64(total)
 	}
 	if d.PoolGets > 0 {
 		d.PoolHitRate = float64(d.PoolGets-d.PoolMisses) / float64(d.PoolGets)
@@ -296,7 +276,6 @@ func (s Snapshot) String() string {
 			"workers: %.1f%% utilized over %v capacity, queue depth %d\n"+
 			"scratch pool: %d gets, %d misses (%.1f%% hit)\n"+
 			"ingest: %d trees / %d nodes\n"+
-			"tree store: %d hits, %d misses (%.1f%% hit), %d trees interned\n"+
 			"%s",
 		s.Diffs, s.Errors, s.Batches, s.Edits, s.SourceNodes, s.TargetNodes,
 		s.DiffWall.Round(time.Millisecond), s.NodesPerSecond(),
@@ -306,7 +285,6 @@ func (s Snapshot) String() string {
 		100*s.Utilization, s.WorkerCapacity.Round(time.Millisecond), s.QueueDepth,
 		s.PoolGets, s.PoolMisses, 100*s.PoolHitRate,
 		s.IngestedTrees, s.IngestedNodes,
-		s.StoreHits, s.StoreMisses, 100*s.StoreHitRate, s.StoreEntries,
 		s.SLO,
 	)
 }

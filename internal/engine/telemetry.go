@@ -9,7 +9,7 @@ import (
 // Config.Observer. It carries the pair's label, the trace context the diff
 // ran under (the engine.diff span when tracing is on, else the pair's
 // own), its full DiffStats (wall time, per-phase breakdown, sizes, edit
-// count, intern flags), and the error of a failed diff.
+// count, identical and fallback flags), and the error of a failed diff.
 type DiffEvent struct {
 	Label string
 	Trace telemetry.SpanContext
@@ -21,22 +21,20 @@ type DiffEvent struct {
 // telemetry.TraceWriter (the -trace flag of cmd/evaluate).
 func (ev DiffEvent) TraceRecord() telemetry.TraceRecord {
 	rec := telemetry.TraceRecord{
-		Pair:           ev.Label,
-		SourceNodes:    ev.Stats.SourceSize,
-		TargetNodes:    ev.Stats.TargetSize,
-		WallNS:         ev.Stats.Wall.Nanoseconds(),
-		Edits:          ev.Stats.Edits,
-		SourceInterned: ev.Stats.SourceInterned,
-		TargetInterned: ev.Stats.TargetInterned,
-		Identical:      ev.Stats.Identical,
-		Fallback:       ev.Stats.Fallback,
-		ReuseRatio:     ev.Stats.ReuseRatio,
-		ChangedNodes:   ev.Stats.ChangedNodes,
-		EditsPerNode:   ev.Stats.EditsPerChangedNode,
-		ScriptRatio:    ev.Stats.ScriptTreeRatio,
-		Baselined:      ev.Stats.Baselined,
-		MinimalEdits:   ev.Stats.MinimalEdits,
-		OptimalityGap:  ev.Stats.OptimalityGap,
+		Pair:          ev.Label,
+		SourceNodes:   ev.Stats.SourceSize,
+		TargetNodes:   ev.Stats.TargetSize,
+		WallNS:        ev.Stats.Wall.Nanoseconds(),
+		Edits:         ev.Stats.Edits,
+		Identical:     ev.Stats.Identical,
+		Fallback:      ev.Stats.Fallback,
+		ReuseRatio:    ev.Stats.ReuseRatio,
+		ChangedNodes:  ev.Stats.ChangedNodes,
+		EditsPerNode:  ev.Stats.EditsPerChangedNode,
+		ScriptRatio:   ev.Stats.ScriptTreeRatio,
+		Baselined:     ev.Stats.Baselined,
+		MinimalEdits:  ev.Stats.MinimalEdits,
+		OptimalityGap: ev.Stats.OptimalityGap,
 	}
 	rec.SetPhases(ev.Stats.Phases)
 	if ev.Trace.Valid() {
@@ -59,10 +57,6 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 	counter := func(name, help string, v uint64) telemetry.Metric {
 		return telemetry.Metric{Name: name, Help: help, Kind: telemetry.KindCounter, Value: float64(v)}
 	}
-	gauge := func(name, help string, v int) telemetry.Metric {
-		return telemetry.Metric{Name: name, Help: help, Kind: telemetry.KindGauge, Value: float64(v)}
-	}
-
 	ratio := func(name, help string, v float64) telemetry.Metric {
 		return telemetry.Metric{Name: name, Help: help, Kind: telemetry.KindGauge, Value: v}
 	}
@@ -103,10 +97,6 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 		counter("structdiff_pool_gets_total", "Scratch-pool checkouts.", s.PoolGets),
 		counter("structdiff_pool_misses_total", "Scratch-pool checkouts that allocated fresh state.", s.PoolMisses),
 		ratio("structdiff_pool_hit_ratio", "Fraction of scratch-pool checkouts that recycled state.", s.PoolHitRate),
-		counter("structdiff_store_hits_total", "Nil-alloc ingests served from the whole-tree intern store.", s.StoreHits),
-		counter("structdiff_store_misses_total", "Nil-alloc ingests that had to clone.", s.StoreMisses),
-		ratio("structdiff_store_hit_ratio", "Fraction of nil-alloc ingests served from the whole-tree intern store.", s.StoreHitRate),
-		gauge("structdiff_store_entries", "Distinct trees interned in the whole-tree store.", s.StoreEntries),
 		counter("structdiff_ingested_trees_total", "Trees that passed through Ingest.", s.IngestedTrees),
 		counter("structdiff_ingested_nodes_total", "Nodes that passed through Ingest.", s.IngestedNodes),
 		{
@@ -157,22 +147,4 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 	)
 	ms = append(ms, telemetry.SLOMetrics("structdiff_slo_", s.SLO)...)
 	return ms
-}
-
-// SLOSnapshot evaluates the engine's rolling-window objectives now
-// (availability over diffs, diff-latency attainment, burn rates).
-func (e *Engine) SLOSnapshot() telemetry.SLOSnapshot {
-	return e.slo.Snapshot()
-}
-
-// PhaseHistogram returns a snapshot of the engine-level distribution of
-// one phase's per-diff durations (in nanoseconds).
-func (e *Engine) PhaseHistogram(p telemetry.Phase) telemetry.HistogramSnapshot {
-	return e.h.phases[p].Snapshot()
-}
-
-// LatencyHistogram returns a snapshot of the per-diff wall-time
-// distribution (in nanoseconds).
-func (e *Engine) LatencyHistogram() telemetry.HistogramSnapshot {
-	return e.h.latency.Snapshot()
 }

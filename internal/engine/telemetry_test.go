@@ -20,16 +20,14 @@ func TestSnapshotSub(t *testing.T) {
 		Diffs: 10, Errors: 2, SlowDiffs: 3, Batches: 4, Edits: 100,
 		SourceNodes: 1000, TargetNodes: 1200, DiffWall: 100 * time.Millisecond,
 		PoolGets: 8, PoolMisses: 2,
-		IngestedTrees: 12, IngestedNodes: 900,
-		StoreHits: 4, StoreMisses: 4, StoreEntries: 7,
+		IngestedTrees: 12, IngestedNodes: 900, QueueDepth: 7,
 		SLO: telemetry.SLOSnapshot{Requests: 9, Errors: 1},
 	}
 	prev := Snapshot{
 		Diffs: 4, Errors: 2, SlowDiffs: 1, Batches: 1, Edits: 40,
 		SourceNodes: 400, TargetNodes: 500, DiffWall: 60 * time.Millisecond,
 		PoolGets: 4, PoolMisses: 2,
-		IngestedTrees: 5, IngestedNodes: 300,
-		StoreHits: 1, StoreMisses: 3, StoreEntries: 3,
+		IngestedTrees: 5, IngestedNodes: 300, QueueDepth: 3,
 	}
 	d := cur.Sub(prev)
 
@@ -42,16 +40,13 @@ func TestSnapshotSub(t *testing.T) {
 	if d.DiffWall != 40*time.Millisecond {
 		t.Errorf("DiffWall = %v, want 40ms", d.DiffWall)
 	}
-	// Interval hit rates are recomputed from the deltas, not copied.
+	// The interval hit rate is recomputed from the deltas, not copied.
 	if d.PoolGets != 4 || d.PoolMisses != 0 || d.PoolHitRate != 1 {
 		t.Errorf("pool delta wrong: gets %d misses %d rate %v", d.PoolGets, d.PoolMisses, d.PoolHitRate)
 	}
-	if d.StoreHits != 3 || d.StoreMisses != 1 || d.StoreHitRate != 0.75 {
-		t.Errorf("store delta wrong: hits %d misses %d rate %v", d.StoreHits, d.StoreMisses, d.StoreHitRate)
-	}
 	// Gauges keep the current values; the SLO is a windowed gauge too.
-	if d.StoreEntries != 7 {
-		t.Errorf("gauge not kept: store %d", d.StoreEntries)
+	if d.QueueDepth != 7 {
+		t.Errorf("gauge not kept: queue depth %d", d.QueueDepth)
 	}
 	if d.SLO.Requests != 9 || d.SLO.Errors != 1 {
 		t.Errorf("SLO not kept as a gauge: %+v", d.SLO)
@@ -96,7 +91,6 @@ func TestSnapshotStringGolden(t *testing.T) {
 		SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
 		PoolGets: 10, PoolMisses: 2, PoolHitRate: 0.8,
 		IngestedTrees: 20, IngestedNodes: 2100,
-		StoreHits: 5, StoreMisses: 15, StoreHitRate: 0.25, StoreEntries: 15,
 		QueueDepth: 2, WorkerCapacity: 4200 * time.Millisecond, Utilization: 0.5,
 		SLO: telemetry.SLOSnapshot{
 			Window:             time.Hour,
@@ -119,7 +113,6 @@ func TestSnapshotStringGolden(t *testing.T) {
 		"workers: 50.0% utilized over 4.2s capacity, queue depth 2\n" +
 		"scratch pool: 10 gets, 2 misses (80.0% hit)\n" +
 		"ingest: 20 trees / 2100 nodes\n" +
-		"tree store: 5 hits, 15 misses (25.0% hit), 15 trees interned\n" +
 		"slo[1h0m0s]: 10 req, avail 90.00% (target 99.90%, burn 100.0x/100.0x), 100.00% <= 250ms (target 95.00%), p95 33ms"
 	if got := s.String(); got != want {
 		t.Errorf("String mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -231,7 +224,7 @@ func TestSlowDiffLogging(t *testing.T) {
 
 // TestIdenticalPairTelemetry: a short-circuited pair lands in the latency
 // and size histograms but not in the phase histograms, and its observer
-// event is flagged Identical with both endpoints interned.
+// event is flagged Identical.
 func TestIdenticalPairTelemetry(t *testing.T) {
 	var log eventLog
 	e := New(exp.Schema(), Config{Workers: 1, Observer: log.add})
@@ -245,14 +238,22 @@ func TestIdenticalPairTelemetry(t *testing.T) {
 		t.Fatalf("got %d events, want 1", len(events))
 	}
 	ev := events[0]
-	if !ev.Stats.Identical || !ev.Stats.SourceInterned || !ev.Stats.TargetInterned {
+	if !ev.Stats.Identical {
 		t.Errorf("flags wrong: %+v", ev.Stats)
 	}
-	if got := e.LatencyHistogram().Count; got != 1 {
+	var byName = map[string][]telemetry.Metric{}
+	for _, m := range e.GatherMetrics() {
+		byName[m.Name] = append(byName[m.Name], m)
+	}
+	if got := byName["structdiff_diff_duration_seconds"][0].Hist.Count; got != 1 {
 		t.Errorf("latency count = %d, want 1", got)
 	}
-	for p := 0; p < telemetry.NumPhases; p++ {
-		if got := e.PhaseHistogram(telemetry.Phase(p)).Count; got != 0 {
+	phases := byName["structdiff_phase_duration_seconds"]
+	if len(phases) != telemetry.NumPhases {
+		t.Fatalf("phase family has %d members, want %d", len(phases), telemetry.NumPhases)
+	}
+	for p, m := range phases {
+		if got := m.Hist.Count; got != 0 {
 			t.Errorf("phase %v count = %d, want 0 (no algorithm ran)", telemetry.Phase(p), got)
 		}
 	}
@@ -310,7 +311,6 @@ func TestGatherMetrics(t *testing.T) {
 		`structdiff_phase_duration_seconds_bucket{phase="shares",le="+Inf"} ` +
 			"8",
 		"structdiff_pool_gets_total",
-		"structdiff_store_entries",
 	} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("exposition missing %q:\n%.2000s", needle, out)

@@ -111,13 +111,9 @@ func TestEngineSLOAccounting(t *testing.T) {
 	if _, err := e.DiffBatch(context.Background(), pairs); err != nil {
 		t.Fatalf("DiffBatch: %v", err)
 	}
-	slo := e.SLOSnapshot()
-	if slo.Requests != 5 || slo.Errors != 1 {
-		t.Fatalf("SLO req/err = %d/%d, want 5/1", slo.Requests, slo.Errors)
-	}
 	snap := e.Snapshot()
-	if snap.SLO.Requests != slo.Requests {
-		t.Errorf("Snapshot.SLO.Requests = %d, want %d", snap.SLO.Requests, slo.Requests)
+	if slo := snap.SLO; slo.Requests != 5 || slo.Errors != 1 {
+		t.Fatalf("SLO req/err = %d/%d, want 5/1", slo.Requests, slo.Errors)
 	}
 	if !strings.Contains(snap.String(), "slo[") {
 		t.Errorf("Snapshot.String() misses the SLO line:\n%s", snap.String())

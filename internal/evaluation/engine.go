@@ -17,11 +17,10 @@ import (
 // the same corpus replay, and verifies along the way that the engine is a
 // pure performance layer. The sequential side mirrors the methodology of
 // Runner.measure — trees are reconstructed per diff so hashing is part of
-// the measured work. The engine side runs in engine-managed mode: trees are
-// interned by content, so the ingest of a version the engine has already
-// seen (every change's Before is the previous change's After) is a map
-// lookup instead of a clone — the amortization a version-history replay is
-// meant to exploit.
+// the measured work. The engine side copies each pair with an allocator of
+// its own, as the sequential side does, so the two sides number every node
+// alike; Ingest copies the corpus trees' SHA-256 digests instead of
+// rehashing them, and the diffs recycle pooled scratch state.
 
 // EngineReplayResult compares the batch engine against sequential diffing
 // over one corpus replay.
@@ -33,18 +32,17 @@ type EngineReplayResult struct {
 	EngineNS     int64 // wall time of ingest + batch through the engine
 	Speedup      float64
 
-	// ScriptsAgree is the correctness verdict: every engine script has the
-	// same shape as its sequential counterpart (identical per-kind edit
-	// counts — URI numbering differs between the engine's URI space and the
-	// sequential per-pair allocators) and patches its source into a tree
+	// ScriptsAgree is the correctness verdict: every engine script equals
+	// its sequential counterpart edit for edit, URIs included
+	// (truechange.EqualEdits), and patches its source into a tree
 	// content-equal to the target. Mismatches counts the disagreeing file
 	// changes (0 when ScriptsAgree).
 	ScriptsAgree bool
 	Mismatches   int
 
-	// Snapshot is the engine's metrics delta over the replay (pool and
-	// tree-store hit rates, per-diff wall totals): the difference of
-	// the snapshots taken after and before the batch (Snapshot.Sub), so a
+	// Snapshot is the engine's metrics delta over the replay (pool hit
+	// rate, ingest counts, per-diff wall totals): the difference of the
+	// snapshots taken after and before the batch (Snapshot.Sub), so a
 	// reused engine reports this replay's numbers, not its lifetime's.
 	Snapshot engine.Snapshot
 }
@@ -76,9 +74,9 @@ func RunEngineReplayOn(e *engine.Engine, cfg Config) *EngineReplayResult {
 	}
 
 	// Sequential replay: clone (hash) and diff each pair with a fresh
-	// allocator, keeping the scripts' shapes for the agreement check.
+	// allocator, keeping the scripts for the agreement check.
 	d := truediff.New(sch)
-	seqStats := make([]truechange.Stats, 0, len(changes))
+	seqScripts := make([]*truechange.Script, 0, len(changes))
 	seqStart := time.Now()
 	for _, fc := range changes {
 		alloc := uri.NewAllocator()
@@ -88,19 +86,21 @@ func RunEngineReplayOn(e *engine.Engine, cfg Config) *EngineReplayResult {
 		if err != nil {
 			panic(fmt.Sprintf("evaluation: sequential diff failed on %s: %v", fc.Path, err))
 		}
-		seqStats = append(seqStats, truechange.ComputeStats(out.Script))
+		seqScripts = append(seqScripts, out.Script)
 	}
 	res.SequentialNS = time.Since(seqStart).Nanoseconds()
 
-	// Engine replay: engine-managed ingest (nil allocator interns trees by
-	// content) and batch diffing over the shared store.
+	// Engine replay: copy each pair with an allocator of its own, which
+	// the pair then draws its loads from, and diff the pairs as one batch.
 	before := e.Snapshot()
 	engStart := time.Now()
 	pairs := make([]engine.Pair, len(changes))
 	for i, fc := range changes {
+		alloc := uri.NewAllocator()
 		pairs[i] = engine.Pair{
-			Source: e.Ingest(fc.Before, nil),
-			Target: e.Ingest(fc.After, nil),
+			Source: e.Ingest(fc.Before, alloc),
+			Target: e.Ingest(fc.After, alloc),
+			Alloc:  alloc,
 			Label:  fmt.Sprintf("%s#%d", fc.Path, i),
 		}
 	}
@@ -115,7 +115,7 @@ func RunEngineReplayOn(e *engine.Engine, cfg Config) *EngineReplayResult {
 		if pr.Err != nil {
 			panic(fmt.Sprintf("evaluation: engine diff failed on %s: %v", changes[i].Path, pr.Err))
 		}
-		if truechange.ComputeStats(pr.Result.Script) != seqStats[i] ||
+		if !truechange.EqualEdits(pr.Result.Script.Edits, seqScripts[i].Edits) ||
 			!tree.Equal(pr.Result.Patched, changes[i].After) {
 			res.ScriptsAgree = false
 			res.Mismatches++

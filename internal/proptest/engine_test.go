@@ -12,9 +12,9 @@ import (
 
 // collectPairs generates n proptest pairs and adapts them to engine tasks.
 // The pairs share the generator's allocator, which is not concurrency-safe
-// across a batch, so each task gets Alloc nil: the engine then carves its
-// own URI block past every tree URI, which is exactly the engine-managed
-// mode batch callers use.
+// across a batch, so each task gets Alloc nil: the engine then numbers each
+// diff's loads past every URI of both trees, from an allocator of the
+// diff's own.
 func collectPairs(gen Generator, cfg Config, n int) ([]Pair, []structdiff.Pair) {
 	run := NewRun(gen, cfg)
 	ps := make([]Pair, n)

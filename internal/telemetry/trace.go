@@ -32,14 +32,9 @@ type TraceRecord struct {
 	WallNS int64 `json:"wall_ns"`
 	// Edits is the script's compound edit count.
 	Edits int `json:"edits"`
-	// SourceInterned and TargetInterned report whether the input tree is
-	// the canonical copy of the engine's whole-tree intern store (i.e. was
-	// or could have been served by a store hit). Identical marks pairs
-	// whose endpoints interned to the same tree: the diff short-circuited
-	// to an empty script without running the algorithm.
-	SourceInterned bool `json:"source_interned,omitempty"`
-	TargetInterned bool `json:"target_interned,omitempty"`
-	Identical      bool `json:"identical,omitempty"`
+	// Identical marks pairs whose endpoints are the same tree: the diff
+	// short-circuited to an empty script without running the algorithm.
+	Identical bool `json:"identical,omitempty"`
 	// Fallback marks pairs served by graceful degradation: the script is a
 	// synthesized root replacement, not the algorithm's output.
 	Fallback bool `json:"fallback,omitempty"`

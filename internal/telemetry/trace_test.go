@@ -17,7 +17,7 @@ func TestTraceWriterJSONL(t *testing.T) {
 
 	recs := []TraceRecord{
 		{Pair: "a.py#0", SourceNodes: 10, TargetNodes: 12, WallNS: 1500, Edits: 3},
-		{Pair: "b.py#1", SourceNodes: 5, TargetNodes: 5, Identical: true, SourceInterned: true, TargetInterned: true},
+		{Pair: "b.py#1", SourceNodes: 5, TargetNodes: 5, Identical: true},
 		{SourceNodes: 1, TargetNodes: 1, Err: "schema mismatch"},
 	}
 	recs[0].SetPhases(PhaseTimes{100 * time.Nanosecond, 800 * time.Nanosecond, 300 * time.Nanosecond, 200 * time.Nanosecond})
@@ -50,7 +50,7 @@ func TestTraceWriterJSONL(t *testing.T) {
 	if !strings.Contains(lines[0], `"shares_ns":800`) {
 		t.Errorf("missing shares_ns field: %s", lines[0])
 	}
-	// omitempty keeps the happy-path records free of error/intern noise.
+	// omitempty keeps the happy-path records free of error/identical noise.
 	if strings.Contains(lines[0], "err") || strings.Contains(lines[0], "identical") {
 		t.Errorf("zero-valued optional fields serialized: %s", lines[0])
 	}

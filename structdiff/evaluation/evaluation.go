@@ -65,8 +65,8 @@ func AblationReport(results []AblationResult) string    { return evaluation.Abla
 func RunMatching(opts corpus.Options) *MatchingResult { return evaluation.RunMatching(opts) }
 
 // RunEngineReplay replays a corpus through the batch engine and through
-// plain sequential diffing, verifying the scripts agree and measuring the
-// speedup and cache effectiveness.
+// plain sequential diffing, verifying the scripts agree edit for edit and
+// measuring the speedup and the scratch pool's hit rate.
 func RunEngineReplay(cfg Config, workers int) *EngineReplayResult {
 	return evaluation.RunEngineReplay(cfg, workers)
 }

@@ -19,7 +19,9 @@ import (
 // Code written against DiffService moves between them freely. The one
 // visible difference is URI spaces: a remote diff's scripts and patched
 // trees use server-assigned URIs (content digests, which URIs never
-// affect, are identical on both sides).
+// affect, are identical on both sides). The server numbers each tree in
+// post-order from 1, as Engine.Ingest(x, nil) does, so a remote script
+// equals the engine's script for those two copies with a nil allocator.
 type DiffService interface {
 	// Diff computes the edit script from source to target. See
 	// Engine.Diff for the contract on alloc.
@@ -30,7 +32,7 @@ type DiffService interface {
 	// Snapshot reports the implementation's cumulative counters.
 	Snapshot() Snapshot
 	// Close releases the implementation's resources; for an Engine this
-	// waits for in-flight batches and drops the intern store.
+	// waits for in-flight batches.
 	Close() error
 }
 

@@ -20,8 +20,8 @@
 // # Batch diffing
 //
 // For many diffs over one schema, create an Engine: it fans batches over a
-// worker pool, recycles per-diff scratch state, and interns ingested trees
-// by content. See NewEngine and docs/API.md.
+// worker pool and recycles per-diff scratch state. See NewEngine and
+// docs/API.md.
 package structdiff
 
 import (
@@ -366,10 +366,9 @@ func NewTraceWriter(w io.Writer) *TraceWriter { return telemetry.NewTraceWriter(
 // DiffBatch is a convenience wrapper: it builds a one-shot engine, runs
 // the pairs through it, and closes it on every path — success, batch
 // error, and engine construction failure alike — so the one-shot engine's
-// intern store and scratch state never outlive the call. Applications
-// running more than one batch should keep an Engine (NewEngine) so scratch
-// state and the intern store carry over between batches, and Close it when
-// done.
+// scratch state never outlives the call. Applications running more than
+// one batch should keep an Engine (NewEngine) so scratch state carries
+// over between batches, and Close it when done.
 func DiffBatch(ctx context.Context, sch *Schema, pairs []Pair, opts ...Option) ([]PairResult, error) {
 	e, err := NewEngine(sch, opts...)
 	if err != nil {

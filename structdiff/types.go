@@ -237,7 +237,7 @@ func NewScratch() *Scratch { return truediff.NewScratch() }
 
 type (
 	// Engine diffs batches of tree pairs concurrently with pooled scratch
-	// state and a whole-tree intern store; see NewEngine.
+	// state; see NewEngine.
 	Engine = engine.Engine
 	// EngineConfig is the engine's plain-struct configuration (NewEngine
 	// assembles it from Options).
