@@ -468,11 +468,11 @@ func hexRef(n *tree.Node) string { return hex.EncodeToString(n.AppendExactHash(n
 // its ref for later requests. The first tree stored under a ref wins, so
 // equal uploads resolve to one pointer and the engine's identical-pair
 // short-circuit fires. Each tree is numbered in post-order from 1 by an
-// allocator of its own, as engine.Ingest(x, nil) numbers it: the engine
-// draws a diff's load URIs past both trees from an allocator of the diff's
-// own (Pair.Alloc is nil), and truediff never emits a target URI, so
-// overlapping numberings are harmless and a script depends only on its
-// pair, never on the server's history.
+// allocator of its own, as engine.Ingest(x, nil) numbers it: a diff's
+// Pair.Alloc is nil, so its loads are numbered past every URI of its
+// source, and truediff never emits a target URI, so overlapping numberings
+// are harmless and a script depends only on its pair, never on the
+// server's history.
 func (s *Server) resolveTree(ls *langService, in TreeInput, what string) (*tree.Node, string, *WireError) {
 	if in.Ref != "" {
 		ls.refMu.RLock()

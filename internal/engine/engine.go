@@ -233,11 +233,12 @@ type Pair struct {
 	Source *tree.Node
 	Target *tree.Node
 	// Alloc supplies fresh URIs for nodes the diff loads. It must dominate
-	// every URI in Source and Target (pass the allocator the trees were
-	// built or ingested with). If nil, the diff numbers its loads past
-	// every URI of both trees from an allocator of its own, so the script
-	// is a function of the pair alone. Allocators are not concurrency-safe,
-	// so pairs of one batch must not share an Alloc.
+	// every URI in Source (pass the allocator the trees were built or
+	// ingested with). If nil, the diff numbers its loads past every URI of
+	// Source, the rule truediff.Differ.Diff applies to a nil allocator, so
+	// a pair's script is the same through the engine, the facade's Diff
+	// and diffd. Allocators are not concurrency-safe, so pairs of one batch
+	// must not share an Alloc.
 	Alloc *uri.Allocator
 	// Label identifies the pair in observer events and trace records (for
 	// example a file path). The engine does not interpret it.
@@ -460,16 +461,6 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	s := e.pool.Get().(*truediff.Scratch)
 	defer e.pool.Put(s)
 
-	alloc := p.Alloc
-	if alloc == nil && p.Source != nil && p.Target != nil {
-		// Number loads past every URI of both trees, from an allocator of
-		// the diff's own.
-		alloc = uri.NewAllocator()
-		reserve := func(n *tree.Node) { alloc.Reserve(n.URI) }
-		tree.Walk(p.Source, reserve)
-		tree.Walk(p.Target, reserve)
-	}
-
 	var ecol *truediff.ExplainCollector
 	if e.cfg.Explain {
 		// The collector is touched only by this worker goroutine: the
@@ -486,10 +477,10 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 		// CPU profile slices by worker, by pair, and — once the differ adds
 		// its own label — by phase.
 		pprof.Do(ctx, pprof.Labels(PprofPairLabel, p.Label), func(lctx context.Context) {
-			res, err = e.runDiff(lctx, p, alloc, s)
+			res, err = e.runDiff(lctx, p, s)
 		})
 	} else {
-		res, err = e.runDiff(ctx, p, alloc, s)
+		res, err = e.runDiff(ctx, p, s)
 	}
 	if err == nil {
 		err = e.wellTypedOut(res)
@@ -498,7 +489,7 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	if err != nil {
 		e.classify(err)
 		if e.shouldFallback(err) {
-			res, err = e.fallback(p, alloc, err)
+			res, err = e.fallback(p, err)
 			fellBack = err == nil
 		}
 	}

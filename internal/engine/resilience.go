@@ -9,7 +9,6 @@ import (
 	"repro/internal/derrors"
 	"repro/internal/truechange"
 	"repro/internal/truediff"
-	"repro/internal/uri"
 )
 
 // Fault-injection sites the engine exposes. Arm them on the injector passed
@@ -86,7 +85,7 @@ func (e *Engine) checkpoint(ctx context.Context) truediff.Checkpoint {
 // instead of unwinding the worker goroutine, so one poisoned pair cannot
 // take down a batch. The pooled scratch is safe to recycle afterwards
 // because every diff begins by resetting it.
-func (e *Engine) runDiff(ctx context.Context, p Pair, alloc *uri.Allocator, s *truediff.Scratch) (res *truediff.Result, err error) {
+func (e *Engine) runDiff(ctx context.Context, p Pair, s *truediff.Scratch) (res *truediff.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
@@ -95,7 +94,7 @@ func (e *Engine) runDiff(ctx context.Context, p Pair, alloc *uri.Allocator, s *t
 	if ferr := e.cfg.Faults.Hit(FaultSiteDiff); ferr != nil {
 		return nil, fmt.Errorf("engine: %w", ferr)
 	}
-	return e.differ.DiffScratch(ctx, p.Source, p.Target, alloc, s, e.checkpoint(ctx))
+	return e.differ.DiffScratch(ctx, p.Source, p.Target, p.Alloc, s, e.checkpoint(ctx))
 }
 
 // classify counts a failed diff into the failure-mode counters. It runs
@@ -130,8 +129,8 @@ func (e *Engine) shouldFallback(err error) bool {
 // search, so it is not subject to the per-diff deadline; it can still fail
 // on invalid inputs, in which case the original error stands augmented
 // with the fallback's.
-func (e *Engine) fallback(p Pair, alloc *uri.Allocator, cause error) (*truediff.Result, error) {
-	res, err := e.differ.RootReplace(p.Source, p.Target, alloc)
+func (e *Engine) fallback(p Pair, cause error) (*truediff.Result, error) {
+	res, err := e.differ.RootReplace(p.Source, p.Target, p.Alloc)
 	if err != nil {
 		return nil, fmt.Errorf("%w (fallback also failed: %v)", cause, err)
 	}

@@ -18,7 +18,7 @@ type DiffEvent struct {
 }
 
 // TraceRecord converts the event into the JSONL trace schema consumed by
-// telemetry.TraceWriter (the -trace flag of cmd/evaluate).
+// telemetry.TraceWriter (the -trace flag of cmd/diffd).
 func (ev DiffEvent) TraceRecord() telemetry.TraceRecord {
 	rec := telemetry.TraceRecord{
 		Pair:          ev.Label,

@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/truechange"
 
 	"repro/structdiff"
 )
 
 // collectPairs generates n proptest pairs and adapts them to engine tasks.
 // The pairs share the generator's allocator, which is not concurrency-safe
-// across a batch, so each task gets Alloc nil: the engine then numbers each
-// diff's loads past every URI of both trees, from an allocator of the
-// diff's own.
+// across a batch, so each task gets Alloc nil: each diff then numbers its
+// loads past every URI of its source, as the facade's Diff does without
+// WithAllocator.
 func collectPairs(gen Generator, cfg Config, n int) ([]Pair, []structdiff.Pair) {
 	run := NewRun(gen, cfg)
 	ps := make([]Pair, n)
@@ -28,8 +29,9 @@ func collectPairs(gen Generator, cfg Config, n int) ([]Pair, []structdiff.Pair) 
 
 // TestEngineBatchAgreesWithDiff runs generated pairs through the
 // concurrent engine batch path and asserts each batch result agrees with
-// the single-shot facade Diff on the same pair: same edit count, a
-// well-typed script, and convergence to the target.
+// the single-shot facade Diff on the same pair: the same script edit for
+// edit, URIs included (truechange.EqualEdits), well-typed, and convergent
+// to the target.
 func TestEngineBatchAgreesWithDiff(t *testing.T) {
 	cfg := runConfig()
 	cfg.MaxNodes = 120
@@ -63,9 +65,9 @@ func TestEngineBatchAgreesWithDiff(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pair %d: single diff failed: %v", i, err)
 				}
-				if got, want := len(r.Result.Script.Edits), len(single.Script.Edits); got != want {
-					t.Fatalf("pair %d (%q): batch script has %d edits, single diff %d",
-						i, ps[i].Desc, got, want)
+				if !truechange.EqualEdits(r.Result.Script.Edits, single.Script.Edits) {
+					t.Fatalf("pair %d (%q): batch script differs from single diff\nbatch:  %v\nsingle: %v",
+						i, ps[i].Desc, r.Result.Script.Edits, single.Script.Edits)
 				}
 				// Stats.Edits is the paper's compound conciseness metric,
 				// not the raw edit count.

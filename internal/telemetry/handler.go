@@ -13,8 +13,8 @@ import (
 //	                and memstats; the gatherer's series are at /metrics only)
 //	/debug/pprof/   net/http/pprof profiles (heap, cpu, goroutine, trace)
 //
-// Mount it on its own listener (the -metrics-addr flag of cmd/evaluate and
-// cmd/truediff) or under a route of an existing server. The handler holds
+// Mount it on its own listener (the -metrics-addr flag of cmd/truediff) or
+// under a route of an existing server. The handler holds
 // no state of its own; every request gathers fresh values.
 func Handler(g Gatherer) http.Handler {
 	mux := http.NewServeMux()

@@ -262,7 +262,7 @@ func (s *Span) Duration() time.Duration {
 }
 
 // SpanRecorder is a SpanSink that collects copies of every completed span,
-// for tests and in-process trace inspection (cmd/bench -load-trace).
+// for tests and in-process trace inspection (pipebench's traced runs).
 type SpanRecorder struct {
 	mu    sync.Mutex
 	spans []Span

@@ -254,10 +254,7 @@ func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, all
 	// reset) is the prepare phase.
 	var prepErr error
 	inPhase(telemetry.PhasePrepare, func() {
-		if alloc == nil {
-			alloc = uri.NewAllocator()
-			tree.Walk(source, func(n *tree.Node) { alloc.Reserve(n.URI) })
-		}
+		alloc = allocFor(source, alloc)
 		if prepErr = d.checkSchema(source, r); prepErr != nil {
 			return
 		}
@@ -288,6 +285,18 @@ func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, all
 		sink.ExplainDiff(r.explain.finish(source, target))
 	}
 	return &Result{Script: s.buf.Script(), Patched: patched}, nil
+}
+
+// allocFor returns alloc, or for a nil alloc a fresh allocator that
+// reserves every URI of source, so loads are numbered past the source
+// (the paper's contract that the allocator dominates the source). It is
+// the one nil-allocator rule of every entry point that diffs a source.
+func allocFor(source *tree.Node, alloc *uri.Allocator) *uri.Allocator {
+	if alloc == nil {
+		alloc = uri.NewAllocator()
+		tree.Walk(source, func(n *tree.Node) { alloc.Reserve(n.URI) })
+	}
+	return alloc
 }
 
 // phase closes one phase span: it records the duration since start into

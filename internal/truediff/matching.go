@@ -39,10 +39,7 @@ func (d *Differ) DiffWithMatching(src, dst *tree.Node, matches []MatchPair, allo
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("truediff: %w", derrors.ErrNilTree)
 	}
-	if alloc == nil {
-		alloc = uri.NewAllocator()
-		tree.Walk(src, func(n *tree.Node) { alloc.Reserve(n.URI) })
-	}
+	alloc = allocFor(src, alloc)
 	if err := d.checkSchema(src, nil); err != nil {
 		return nil, err
 	}

@@ -27,10 +27,7 @@ func (d *Differ) RootReplace(source, target *tree.Node, alloc *uri.Allocator) (*
 	if source == nil || target == nil {
 		return nil, fmt.Errorf("truediff: %w", derrors.ErrNilTree)
 	}
-	if alloc == nil {
-		alloc = uri.NewAllocator()
-		tree.Walk(source, func(n *tree.Node) { alloc.Reserve(n.URI) })
-	}
+	alloc = allocFor(source, alloc)
 	if err := d.checkSchema(source, nil); err != nil {
 		return nil, err
 	}

@@ -1,15 +1,13 @@
 // Package evaluation exposes the paper's evaluation harness (§6):
 // conciseness and throughput comparisons against the Gumtree and hdiff
-// baselines (Figs. 4 and 5), the incremental-analysis case study, scaling
-// and ablation studies, and the engine replay that measures the batch
-// engine against sequential diffing. It is the public face of
-// internal/evaluation.
+// baselines (Figs. 4 and 5), the incremental-analysis case study, and the
+// scaling, ablation and external-matching studies. It is the public face
+// of internal/evaluation.
 package evaluation
 
 import (
 	"repro/internal/corpus"
 	"repro/internal/evaluation"
-	"repro/structdiff"
 )
 
 type (
@@ -30,9 +28,6 @@ type (
 	ScalingPoint   = evaluation.ScalingPoint
 	AblationResult = evaluation.AblationResult
 	MatchingResult = evaluation.MatchingResult
-	// EngineReplayResult compares batch-engine against sequential
-	// diffing over a corpus replay.
-	EngineReplayResult = evaluation.EngineReplayResult
 )
 
 // DefaultConfig mirrors the evaluation setup of the paper.
@@ -63,18 +58,3 @@ func AblationReport(results []AblationResult) string    { return evaluation.Abla
 // RunMatching compares truediff's own assignment against scripts realized
 // from Gumtree's similarity matching (the paper's §7 outlook).
 func RunMatching(opts corpus.Options) *MatchingResult { return evaluation.RunMatching(opts) }
-
-// RunEngineReplay replays a corpus through the batch engine and through
-// plain sequential diffing, verifying the scripts agree edit for edit and
-// measuring the speedup and the scratch pool's hit rate.
-func RunEngineReplay(cfg Config, workers int) *EngineReplayResult {
-	return evaluation.RunEngineReplay(cfg, workers)
-}
-
-// RunEngineReplayOn is RunEngineReplay over a caller-supplied engine (any
-// engine over a pylang schema), so observers, tracers, and a live metrics
-// endpoint wired to that engine see the replay. The result's Snapshot is
-// the engine's per-replay delta (Snapshot.Sub of after and before).
-func RunEngineReplayOn(e *structdiff.Engine, cfg Config) *EngineReplayResult {
-	return evaluation.RunEngineReplayOn(e, cfg)
-}
