@@ -16,8 +16,9 @@
 //	evaluate -experiment fig5 -memprofile mem.pprof     # post-run heap profile
 //	evaluate -experiment scaling -exectrace trace.out   # runtime/trace
 //
-// The experiments diff without profiler labels, so a phase is isolated by
-// its function: `go tool pprof -focus assignShares cpu.pprof` shows step 2.
+// Each truediff step is one function, so a CPU profile isolates a step by
+// name: `go tool pprof -focus assignShares cpu.pprof` shows step 2
+// (assignSubtrees is step 3, computeEdits step 4).
 //
 // Corpus scale is configurable; the defaults finish in well under a minute.
 package main
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 
 	"repro/internal/profiling"
 	"repro/structdiff/corpus"
@@ -47,17 +49,6 @@ func main() {
 	)
 	flag.Parse()
 
-	prof := profiling.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile, ExecTrace: *exectrace}
-	stopProf := func() error { return nil }
-	if prof.Enabled() {
-		var err error
-		stopProf, err = profiling.Start(prof)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	fullOpts := corpus.Options{
 		Seed: *seed, Files: *files, Commits: *commits,
 		MaxFilesPerCommit: 4, MinNodes: *minNodes, MaxNodes: *maxNodes,
@@ -68,45 +59,52 @@ func main() {
 		MaxFilesPerCommit: 3, MinNodes: *minNodes, MaxNodes: *maxNodes,
 		MaxEditsPerFile: 4,
 	}
-
-	needCorpus := *experiment == "fig4" || *experiment == "fig5" || *experiment == "all"
-	var results []evaluation.FileResult
-	if needCorpus {
-		cfg := evaluation.Config{Corpus: fullOpts, Reps: *reps, Warmup: 20}
-		runner := evaluation.NewRunner(cfg)
+	scalingSizes := []int{100, 316, 1000, 3162, 10000, 31623, 100000}
+	if *experiment == "all" {
+		scalingSizes = []int{100, 1000, 10000, 100000}
+	}
+	// fig4 and fig5 share one corpus run.
+	results := sync.OnceValue(func() []evaluation.FileResult {
+		runner := evaluation.NewRunner(evaluation.Config{Corpus: fullOpts, Reps: *reps, Warmup: 20})
 		fmt.Fprintf(os.Stderr, "corpus: %d changed files across %d commits\n",
 			len(runner.History().Changes()), *commits)
-		results = runner.Run()
+		return runner.Run()
+	})
+	// experiments is the one list of -experiment values; "all" runs each
+	// in order.
+	experiments := []struct {
+		name   string
+		report func() string
+	}{
+		{"fig4", func() string { return evaluation.Fig4(results()).Report() }},
+		{"fig5", func() string { return evaluation.Fig5(results()).Report() }},
+		{"inca", func() string { return evaluation.RunIncA(evaluation.DefaultIncAConfig()).Report() }},
+		{"scaling", func() string { return evaluation.ScalingReport(evaluation.RunScaling(scalingSizes, 3)) }},
+		{"ablation", func() string { return evaluation.AblationReport(evaluation.RunAblations(halfOpts)) }},
+		{"matching", func() string { return evaluation.RunMatching(halfOpts).Report() }},
 	}
-
-	switch *experiment {
-	case "fig4":
-		fmt.Println(evaluation.Fig4(results).Report())
-	case "fig5":
-		fmt.Println(evaluation.Fig5(results).Report())
-	case "inca":
-		fmt.Println(evaluation.RunIncA(evaluation.DefaultIncAConfig()).Report())
-	case "scaling":
-		fmt.Println(evaluation.ScalingReport(
-			evaluation.RunScaling([]int{100, 316, 1000, 3162, 10000, 31623, 100000}, 3)))
-	case "ablation":
-		fmt.Println(evaluation.AblationReport(evaluation.RunAblations(halfOpts)))
-	case "matching":
-		fmt.Println(evaluation.RunMatching(halfOpts).Report())
-	case "all":
-		fmt.Println(evaluation.Fig4(results).Report())
-		fmt.Println(evaluation.Fig5(results).Report())
-		fmt.Println(evaluation.RunIncA(evaluation.DefaultIncAConfig()).Report())
-		fmt.Println(evaluation.ScalingReport(
-			evaluation.RunScaling([]int{100, 1000, 10000, 100000}, 3)))
-		fmt.Println(evaluation.AblationReport(evaluation.RunAblations(halfOpts)))
-		fmt.Println(evaluation.RunMatching(halfOpts).Report())
-	default:
+	var reports []func() string
+	for _, e := range experiments {
+		if *experiment == "all" || *experiment == e.name {
+			reports = append(reports, e.report)
+		}
+	}
+	// An unknown name exits before any profiler starts, so it leaves no
+	// empty profile behind.
+	if len(reports) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		flag.Usage()
 		os.Exit(2)
 	}
 
+	stopProf, err := profiling.Start(profiling.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile, ExecTrace: *exectrace})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
+		os.Exit(1)
+	}
+	for _, report := range reports {
+		fmt.Println(report())
+	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
 	}

@@ -18,22 +18,16 @@
 // Merge exit status: 0 merged cleanly, 2 conflicts reported (printed to
 // stderr), 1 operational error.
 //
-// With -metrics-addr the diff runs through a batch engine whose telemetry
-// (Prometheus /metrics, expvar, pprof) is served on the given address; the
-// process then stays up until interrupted so the endpoint can be scraped:
-//
-//	truediff -stats -metrics-addr :9090 old.py new.py
-//
-// Profiling (see docs/OBSERVABILITY.md; the same three flags exist on
-// cmd/evaluate):
+// Profiling, in both modes (see docs/OBSERVABILITY.md; the same three
+// flags exist on cmd/evaluate):
 //
 //	truediff -cpuprofile cpu.pprof old.py new.py   # pprof CPU profile
 //	truediff -memprofile mem.pprof old.py new.py   # post-run heap profile
-//	truediff -exectrace trace.out old.py new.py    # runtime/trace; phases
-//	                                               # appear as truediff/* regions
+//	truediff -exectrace trace.out old.py new.py    # runtime/trace
 //
-// Profiling flags enable pprof phase labels automatically, so
-// `go tool pprof -tagfocus phase=emit cpu.pprof` isolates one phase.
+// Each truediff step is one function, so a CPU profile isolates a step by
+// name: `go tool pprof -focus assignShares cpu.pprof` shows step 2
+// (assignSubtrees is step 3, computeEdits step 4).
 //
 // Exit status: 0 on success (even for non-empty diffs), 1 on errors.
 package main
@@ -42,9 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"time"
 
 	"repro/internal/profiling"
@@ -63,50 +55,38 @@ func main() {
 		baselines   = flag.Bool("baselines", false, "also run gumtree and hdiff")
 		quiet       = flag.Bool("quiet", false, "suppress the edit script itself")
 		lang        = flag.String("lang", "python", "input language: python | json")
-		metricsAddr = flag.String("metrics-addr", "", "run the diff through an engine and serve its /metrics, /debug/vars, and /debug/pprof on this address until interrupted")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (enables phase labels)")
+		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to this file")
-		exectrace   = flag.String("exectrace", "", "write a runtime/trace execution trace to this file (phases appear as truediff/* regions)")
+		exectrace   = flag.String("exectrace", "", "write a runtime/trace execution trace to this file")
 		mergeMode   = flag.Bool("merge", false, "three-way merge: truediff -merge ANCESTOR OURS THEIRS")
 		mergePolicy = flag.String("merge-policy", "fail", "conflict resolution for -merge: fail | ours | theirs")
 	)
 	flag.Parse()
-	if *mergeMode {
-		if flag.NArg() != 3 {
-			fmt.Fprintln(os.Stderr, "usage: truediff -merge [-merge-policy fail|ours|theirs] [-stats] [-quiet] [-lang python|json] ANCESTOR OURS THEIRS")
-			os.Exit(1)
-		}
-		err := runMerge(flag.Arg(0), flag.Arg(1), flag.Arg(2), *lang, *mergePolicy, *stat, *quiet)
-		switch {
-		case errors.Is(err, errMergeConflicts):
-			os.Exit(2)
-		case err != nil:
-			fmt.Fprintln(os.Stderr, "truediff:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: truediff [-check] [-explain] [-stats] [-baselines] [-quiet] [-lang python|json] [-metrics-addr ADDR]\n"+
-			"                [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE] OLD NEW\n"+
-			"       truediff -merge [-merge-policy fail|ours|theirs] ANCESTOR OURS THEIRS")
+	if (*mergeMode && flag.NArg() != 3) || (!*mergeMode && flag.NArg() != 2) {
+		fmt.Fprintln(os.Stderr, "usage: truediff [-check] [-explain] [-stats] [-baselines] [-quiet] [-lang python|json] [PROFILING] OLD NEW\n"+
+			"       truediff -merge [-merge-policy fail|ours|theirs] [-stats] [-quiet] [-lang python|json] [PROFILING] ANCESTOR OURS THEIRS\n"+
+			"PROFILING: [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE]")
 		os.Exit(1)
 	}
-	prof := profiling.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile, ExecTrace: *exectrace}
-	stop := func() error { return nil }
-	if prof.Enabled() {
-		var err error
-		stop, err = profiling.Start(prof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "truediff:", err)
-			os.Exit(1)
-		}
+	// The profilers run around either mode and stop before every exit, so
+	// each profile they write is complete.
+	stop, err := profiling.Start(profiling.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile, ExecTrace: *exectrace})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "truediff:", err)
+		os.Exit(1)
 	}
-	err := run(flag.Arg(0), flag.Arg(1), *lang, *metricsAddr, prof.Enabled(), *explain, *check, *stat, *baselines, *quiet)
+	if *mergeMode {
+		err = runMerge(flag.Arg(0), flag.Arg(1), flag.Arg(2), *lang, *mergePolicy, *stat, *quiet)
+	} else {
+		err = run(flag.Arg(0), flag.Arg(1), *lang, *explain, *check, *stat, *baselines, *quiet)
+	}
 	if serr := stop(); serr != nil {
 		fmt.Fprintln(os.Stderr, "truediff:", serr)
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, errMergeConflicts):
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "truediff:", err)
 		os.Exit(1)
 	}
@@ -222,76 +202,31 @@ func runMerge(basePath, oursPath, theirsPath, lang, policy string, stat, quiet b
 // and reported; distinct from operational failure).
 var errMergeConflicts = errors.New("merge conflicts")
 
-func run(oldPath, newPath, lang, metricsAddr string, profiled, explain, check, stat, baselines, quiet bool) error {
+func run(oldPath, newPath, lang string, explain, check, stat, baselines, quiet bool) error {
 	sch, alloc, before, after, err := parseBoth(lang, oldPath, newPath)
 	if err != nil {
 		return err
 	}
-	var labelOpts []structdiff.Option
-	if profiled {
-		labelOpts = append(labelOpts, structdiff.WithProfileLabels())
-	}
-	if explain {
-		labelOpts = append(labelOpts, structdiff.WithExplain(),
-			structdiff.WithQualityBaseline(structdiff.DefaultQualityBaselineMaxNodes))
-	}
-
-	// Without -metrics-addr the diff runs directly; with it, the pair is
-	// routed through an engine so the endpoint has real telemetry (phase
-	// histograms, counters) to serve. The engine ingests clones drawn from
-	// the parse allocator, so -check verifies against the ingested pair.
+	opts := []structdiff.Option{structdiff.WithSchema(sch), structdiff.WithAllocator(alloc)}
 	var (
-		res     *structdiff.Result
-		prov    *structdiff.Explanation
-		qual    *structdiff.QualityMetrics
-		elapsed time.Duration
-		eng     *structdiff.Engine
+		res  *structdiff.Result
+		prov *structdiff.Explanation
+		qual *structdiff.QualityMetrics
 	)
-	src, dst := before, after
-	if metricsAddr != "" {
-		eng, err = structdiff.NewEngine(sch, labelOpts...)
-		if err != nil {
-			return err
+	start := time.Now()
+	if explain {
+		var ex *structdiff.Explained
+		ex, err = structdiff.Explain(before, after,
+			append(opts, structdiff.WithQualityBaseline(structdiff.DefaultQualityBaselineMaxNodes))...)
+		if err == nil {
+			res, prov, qual = ex.Result, ex.Provenance, &ex.Quality
 		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof)\n", metricsAddr)
-		go func() {
-			if err := http.ListenAndServe(metricsAddr, structdiff.MetricsHandler(eng)); err != nil {
-				fmt.Fprintln(os.Stderr, "truediff: metrics server:", err)
-			}
-		}()
-		start := time.Now()
-		src, dst = eng.Ingest(before, alloc), eng.Ingest(after, alloc)
-		results, derr := eng.DiffBatch(nil, []structdiff.Pair{{Source: src, Target: dst, Label: oldPath + " -> " + newPath}})
-		elapsed = time.Since(start)
-		if derr != nil {
-			return derr
-		}
-		if results[0].Err != nil {
-			return results[0].Err
-		}
-		res = results[0].Result
-		if explain {
-			prov = results[0].Explain
-			q := structdiff.MeasureQuality(src, dst, res.Script, structdiff.DefaultQualityBaselineMaxNodes)
-			qual = &q
-		}
-	} else if explain {
-		start := time.Now()
-		ex, eerr := structdiff.Explain(before, after,
-			append([]structdiff.Option{structdiff.WithSchema(sch), structdiff.WithAllocator(alloc)}, labelOpts...)...)
-		elapsed = time.Since(start)
-		if eerr != nil {
-			return eerr
-		}
-		res, prov, qual = ex.Result, ex.Provenance, &ex.Quality
 	} else {
-		start := time.Now()
-		res, err = structdiff.Diff(before, after,
-			append([]structdiff.Option{structdiff.WithSchema(sch), structdiff.WithAllocator(alloc)}, labelOpts...)...)
-		elapsed = time.Since(start)
-		if err != nil {
-			return err
-		}
+		res, err = structdiff.Diff(before, after, opts...)
+	}
+	elapsed := time.Since(start)
+	if err != nil {
+		return err
 	}
 
 	if !quiet {
@@ -328,7 +263,7 @@ func run(oldPath, newPath, lang, metricsAddr string, profiled, explain, check, s
 		if err := structdiff.WellTyped(sch, res.Script); err != nil {
 			return fmt.Errorf("script is ill-typed: %w", err)
 		}
-		mt, err := structdiff.MTreeFromTree(sch, src)
+		mt, err := structdiff.MTreeFromTree(sch, before)
 		if err != nil {
 			return err
 		}
@@ -338,7 +273,7 @@ func run(oldPath, newPath, lang, metricsAddr string, profiled, explain, check, s
 		if err := mt.Patch(res.Script); err != nil {
 			return fmt.Errorf("patching failed: %w", err)
 		}
-		if !mt.EqualTree(dst) {
+		if !mt.EqualTree(after) {
 			return fmt.Errorf("patched tree does not equal the target tree")
 		}
 		fmt.Println("check: script is well-typed and patches the source into the target ✓")
@@ -354,13 +289,6 @@ func run(oldPath, newPath, lang, metricsAddr string, profiled, explain, check, s
 		fmt.Printf("baseline gumtree: %d actions in %s\n", gScript.Len(), gElapsed)
 		fmt.Printf("baseline hdiff:   %d constructors in %s\n", patch.Size(), hElapsed)
 		fmt.Printf("truediff:         %d compound edits in %s\n", res.Script.EditCount(), elapsed)
-	}
-	if eng != nil {
-		fmt.Printf("engine snapshot:\n%s\n", eng.Snapshot())
-		fmt.Fprintln(os.Stderr, "metrics endpoint is live; press Ctrl-C to exit")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
 	}
 	return nil
 }

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,14 +51,6 @@ type Config struct {
 	// Fallback (root-replacement) results carry no explanation — the real
 	// diff never finished. Off (the default), the diff path pays nothing.
 	Explain bool
-	// QualityBaseline, when positive, additionally computes the exact
-	// minimal-script baseline (quality.MinimalEdits, the Zhang–Shasha tree
-	// edit distance) for diffs whose trees are both within that node count,
-	// filling DiffStats.MinimalEdits and OptimalityGap. The baseline is
-	// quadratic in tree size; quality.DefaultBaselineMaxNodes is a sensible
-	// cap. Zero (the default) disables it; the cheap conciseness metrics
-	// (ChangedNodes, ReuseRatio, ratios) are always computed.
-	QualityBaseline int
 
 	// Observer, when non-nil, is called synchronously after every diff —
 	// successful, failed, or short-circuited — with that diff's event.
@@ -101,16 +91,6 @@ type Config struct {
 	Faults *faultinject.Injector
 }
 
-// Pprof label keys the engine publishes when profiling is enabled
-// (truediff.Options.ProfileLabels, structdiff.WithProfileLabels): each
-// batch worker runs under PprofWorkerLabel (the worker's index) and each
-// labelled pair under PprofPairLabel (Pair.Label), with the differ's
-// phase label (truediff.PprofPhaseLabel) nested innermost.
-const (
-	PprofPairLabel   = "pair"
-	PprofWorkerLabel = "worker"
-)
-
 // Engine diffs batches of tree pairs concurrently. Create one with New and
 // share it between goroutines; all methods are concurrency-safe.
 type Engine struct {
@@ -120,7 +100,6 @@ type Engine struct {
 	pool   sync.Pool // of *truediff.Scratch
 	m      metrics
 	h      histograms
-	slo    *telemetry.SLO
 
 	// life tracks the engine's shutdown state: begin/end bracket every
 	// entry point, and Close flips closed then waits for the in-flight
@@ -155,7 +134,6 @@ func New(sch *sig.Schema, cfg Config) *Engine {
 		sch:    sch,
 		differ: truediff.NewWithOptions(sch, cfg.Diff),
 		cfg:    cfg,
-		slo:    telemetry.NewSLO(telemetry.SLOConfig{}),
 	}
 	e.pool.New = func() any {
 		e.m.poolMisses.Add(1)
@@ -272,14 +250,6 @@ type DiffStats struct {
 	ChangedNodes        int
 	EditsPerChangedNode float64
 	ScriptTreeRatio     float64
-	// MinimalEdits and OptimalityGap carry the exact minimal-script
-	// baseline (quality.MinimalEdits) when Baselined, which requires
-	// Config.QualityBaseline > 0 and both trees within that node cap. The
-	// gap can be negative: truechange moves beat the classical edit
-	// distance's delete+reinsert.
-	MinimalEdits  int
-	OptimalityGap float64
-	Baselined     bool
 	// Phases breaks Wall down into the four truediff steps (all zero for
 	// short-circuited pairs, where no step ran).
 	Phases telemetry.PhaseTimes
@@ -359,7 +329,7 @@ func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, err
 	// ctx is done. Each slot of results is written by exactly one worker,
 	// so no further synchronization is needed beyond wg.Wait.
 	var next atomic.Int64
-	claim := func(ctx context.Context) {
+	work := func() {
 		for ctx.Err() == nil {
 			i := next.Add(1) - 1
 			if i >= int64(len(pairs)) {
@@ -369,22 +339,15 @@ func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, err
 			results[i] = e.diffOne(ctx, pairs[i])
 		}
 	}
-	work := func(w int) {
-		if e.cfg.Diff.ProfileLabels {
-			pprof.Do(ctx, pprof.Labels(PprofWorkerLabel, strconv.Itoa(w)), claim)
-		} else {
-			claim(ctx)
-		}
-	}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			work(w)
+			work()
 		}()
 	}
-	work(0)
+	work()
 	wg.Wait()
 	// Capacity is what the pool could have diffed this batch (elapsed time
 	// across every worker); Snapshot.Utilization divides busy time by it.
@@ -406,12 +369,11 @@ func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, err
 // through a context-carried tracer.
 func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 	// Labels are caller-supplied (e.g. by remote diffserve clients) and
-	// fan out to every observability surface — span attributes, pprof
-	// labels, trace records, flight-recorder pages, Prometheus label
-	// values. Bound and neutralize them once here.
+	// fan out to every observability surface — span attributes, trace
+	// records, flight-recorder pages, Prometheus label values. Bound and
+	// neutralize them once here.
 	p.Label = telemetry.SanitizeLabel(p.Label)
-	start := time.Now()
-	span := telemetry.StartSpanAt(e.cfg.Spans, p.Trace, "engine.diff", start)
+	span := telemetry.StartSpan(e.cfg.Spans, p.Trace, "engine.diff")
 	if span != nil {
 		// Children (phase spans, the observer's trace record) hang off the
 		// engine span, not the caller's request span.
@@ -419,7 +381,7 @@ func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(e.cfg.Spans, p.Trace))
 	}
 	pr := e.diffPair(ctx, p)
-	e.record(DiffEvent{Label: p.Label, Trace: p.Trace, Stats: pr.Stats, Err: pr.Err}, span, time.Since(start))
+	e.record(DiffEvent{Label: p.Label, Trace: p.Trace, Stats: pr.Stats, Err: pr.Err}, span)
 	return pr
 }
 
@@ -439,8 +401,6 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 			ReuseRatio: 1,
 			Identical:  true,
 		}
-		// Identical trees are trivially minimal: distance 0, gap 0.
-		st.Baselined = e.cfg.QualityBaseline > 0 && st.SourceSize <= e.cfg.QualityBaseline
 		pr := PairResult{
 			Result: &truediff.Result{Script: &truechange.Script{}, Patched: p.Source},
 			Stats:  st,
@@ -470,18 +430,7 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	}
 
 	start := time.Now()
-	var res *truediff.Result
-	var err error
-	if e.cfg.Diff.ProfileLabels && p.Label != "" {
-		// Nest the pair label inside the worker label (both on ctx), so a
-		// CPU profile slices by worker, by pair, and — once the differ adds
-		// its own label — by phase.
-		pprof.Do(ctx, pprof.Labels(PprofPairLabel, p.Label), func(lctx context.Context) {
-			res, err = e.runDiff(lctx, p, s)
-		})
-	} else {
-		res, err = e.runDiff(ctx, p, s)
-	}
+	res, err := e.runDiff(ctx, p, s)
 	if err == nil {
 		err = e.wellTypedOut(res)
 	}
@@ -511,13 +460,6 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	st.ChangedNodes = q.ChangedNodes
 	st.EditsPerChangedNode = q.EditsPerChangedNode
 	st.ScriptTreeRatio = q.ScriptTreeRatio
-	if bm := e.cfg.QualityBaseline; bm > 0 && !fellBack {
-		if min, ok := quality.MinimalEdits(p.Source, p.Target, bm); ok {
-			st.MinimalEdits = min
-			st.OptimalityGap = quality.Gap(st.Edits, min)
-			st.Baselined = true
-		}
-	}
 	pr := PairResult{Result: res, Stats: st}
 	if ecol != nil && !fellBack {
 		pr.Explain = ecol.Last
@@ -527,12 +469,10 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 
 // record is the one place an engine diff is accounted, whichever way it
 // ended — normal, short-circuited, failed, or served by fallback: the
-// counters and histograms (quality included), the SLO window, slow-diff
-// and failure logging, the Observer, and the attributes of the
-// "engine.diff" span, which it ends, all read ev. The SLO window observes
-// elapsed, the pair's whole time in diffOne, so short-circuited pairs
-// (Stats.Wall zero) and failed ones (Stats zero) carry their real latency.
-func (e *Engine) record(ev DiffEvent, span *telemetry.Span, elapsed time.Duration) {
+// counters and histograms (quality included), slow-diff and failure
+// logging, the Observer, and the attributes of the "engine.diff" span,
+// which it ends, all read ev.
+func (e *Engine) record(ev DiffEvent, span *telemetry.Span) {
 	st := ev.Stats
 	if ev.Err != nil {
 		e.m.errors.Add(1)
@@ -556,13 +496,7 @@ func (e *Engine) record(ev DiffEvent, span *telemetry.Span, elapsed time.Duratio
 		e.h.editsChanged.Record(int64(st.EditsPerChangedNode * 1000))
 		e.h.scriptTree.Record(int64(st.ScriptTreeRatio * 1000))
 		e.m.changedNodes.Add(uint64(st.ChangedNodes))
-		if st.Baselined {
-			e.m.baselinedDiffs.Add(1)
-			e.m.baselineEdits.Add(uint64(st.Edits))
-			e.m.baselineMinimal.Add(uint64(st.MinimalEdits))
-		}
 	}
-	e.slo.Observe(elapsed, ev.Err == nil)
 
 	if e.cfg.SlowDiffThreshold > 0 && ev.Err == nil && st.Wall >= e.cfg.SlowDiffThreshold {
 		e.m.slowDiffs.Add(1)

@@ -12,15 +12,15 @@ import (
 	"repro/internal/uri"
 )
 
-// TestEngineExplainAndQuality: with Config.Explain and a quality baseline
-// on, every successful PairResult carries provenance aligned with its
-// script, DiffStats report the conciseness metrics, and the snapshot and
-// exposition surface the aggregates.
+// TestEngineExplainAndQuality: with Config.Explain on, every successful
+// PairResult carries provenance aligned with its script, DiffStats report
+// the conciseness metrics, and the snapshot and exposition surface the
+// aggregates.
 func TestEngineExplainAndQuality(t *testing.T) {
 	tps := makePairs(t, 8)
 	var log eventLog
 	e := New(exp.Schema(), Config{
-		Workers: 4, Explain: true, QualityBaseline: 400, Observer: log.add,
+		Workers: 4, Explain: true, Observer: log.add,
 	})
 	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
 	if err != nil {
@@ -48,13 +48,10 @@ func TestEngineExplainAndQuality(t *testing.T) {
 		if st.Edits > 0 && (st.ChangedNodes <= 0 || st.EditsPerChangedNode <= 0) {
 			t.Fatalf("pair %d: quality stats unpopulated: %+v", i, st)
 		}
-		if !st.Baselined || st.MinimalEdits <= 0 {
-			t.Fatalf("pair %d: baseline did not run under the cap: %+v", i, st)
-		}
 	}
 
 	s := e.Snapshot()
-	if s.ChangedNodes == 0 || s.BaselinedDiffs != uint64(len(tps)) {
+	if s.ChangedNodes == 0 {
 		t.Fatalf("snapshot quality counters: %+v", s)
 	}
 	if !strings.Contains(s.String(), "quality:") {
@@ -70,8 +67,6 @@ func TestEngineExplainAndQuality(t *testing.T) {
 		"structdiff_quality_edits_per_changed_node",
 		"structdiff_quality_script_tree_ratio",
 		"structdiff_quality_changed_nodes_total",
-		"structdiff_quality_baselined_diffs_total",
-		"structdiff_quality_optimality_gap",
 	} {
 		if !names[want] {
 			t.Errorf("GatherMetrics lacks %s", want)
@@ -82,7 +77,7 @@ func TestEngineExplainAndQuality(t *testing.T) {
 	for _, ev := range log.all() {
 		rec := ev.TraceRecord()
 		if rec.ReuseRatio != ev.Stats.ReuseRatio || rec.ChangedNodes != ev.Stats.ChangedNodes ||
-			!rec.Baselined || rec.MinimalEdits != ev.Stats.MinimalEdits {
+			rec.EditsPerNode != ev.Stats.EditsPerChangedNode || rec.ScriptRatio != ev.Stats.ScriptTreeRatio {
 			t.Fatalf("trace record drops quality fields: %+v vs %+v", rec, ev.Stats)
 		}
 	}
@@ -92,7 +87,7 @@ func TestEngineExplainAndQuality(t *testing.T) {
 // still delivers a (trivially empty) explanation and trivially concise
 // quality stats.
 func TestEngineExplainIdenticalPair(t *testing.T) {
-	e := New(exp.Schema(), Config{Workers: 1, Explain: true, QualityBaseline: 400})
+	e := New(exp.Schema(), Config{Workers: 1, Explain: true})
 	g := exp.NewGen(3)
 	x := e.Ingest(tree.Clone(g.Tree(40), uri.NewAllocator(), tree.SHA256), nil)
 	results, err := e.DiffBatch(context.Background(), []Pair{{Source: x, Target: x}})
@@ -103,7 +98,7 @@ func TestEngineExplainIdenticalPair(t *testing.T) {
 	if pr.Explain == nil || len(pr.Explain.Edits) != 0 {
 		t.Fatalf("identical pair explanation: %+v", pr.Explain)
 	}
-	if pr.Stats.ReuseRatio != 1 || !pr.Stats.Baselined || pr.Stats.MinimalEdits != 0 {
+	if pr.Stats.ReuseRatio != 1 || pr.Stats.ChangedNodes != 0 || pr.Stats.Edits != 0 {
 		t.Fatalf("identical pair quality stats: %+v", pr.Stats)
 	}
 }

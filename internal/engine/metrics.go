@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/merge"
 	"repro/internal/mtree"
-	"repro/internal/telemetry"
 )
 
 // metrics holds the engine's cumulative counters. All fields are atomics so
@@ -31,13 +30,8 @@ type metrics struct {
 	poolGets   atomic.Uint64
 	poolMisses atomic.Uint64
 
-	// Quality accounting: nodes touched by scripts, and the running sums
-	// the aggregate optimality gap is derived from (compound edits and
-	// exact minimal edits over baselined diffs only).
-	changedNodes    atomic.Uint64
-	baselinedDiffs  atomic.Uint64
-	baselineEdits   atomic.Uint64
-	baselineMinimal atomic.Uint64
+	// changedNodes totals the nodes touched by scripts.
+	changedNodes atomic.Uint64
 
 	ingestedTrees atomic.Uint64
 	ingestedNodes atomic.Uint64
@@ -86,17 +80,8 @@ type Snapshot struct {
 	// Edits is the total compound edit count over all scripts produced.
 	Edits uint64
 	// ChangedNodes totals the nodes touched by all scripts (loads,
-	// unloads, updates, moved roots). BaselinedDiffs counts diffs that ran
-	// the exact minimal-script baseline (Config.QualityBaseline);
-	// BaselineEdits and BaselineMinimal sum the compound and exact-minimal
-	// edit counts over those diffs, and OptimalityGap is the aggregate gap
-	// BaselineEdits/BaselineMinimal − 1 (0 with no baselined diffs or a
-	// zero minimal sum).
-	ChangedNodes    uint64
-	BaselinedDiffs  uint64
-	BaselineEdits   uint64
-	BaselineMinimal uint64
-	OptimalityGap   float64
+	// unloads, updates, moved roots).
+	ChangedNodes uint64
 	// SourceNodes and TargetNodes total the input tree sizes.
 	SourceNodes uint64
 	TargetNodes uint64
@@ -132,12 +117,6 @@ type Snapshot struct {
 	QueueDepth     int64
 	WorkerCapacity time.Duration
 	Utilization    float64
-
-	// SLO is the rolling-window objective evaluation at snapshot time
-	// (availability over diffs, diff-latency attainment, burn rates). It
-	// is a windowed gauge, not a cumulative counter: Sub keeps the newer
-	// snapshot's value rather than subtracting.
-	SLO telemetry.SLOSnapshot
 }
 
 // Snapshot returns the engine's counters at this instant.
@@ -156,9 +135,6 @@ func (e *Engine) Snapshot() Snapshot {
 		MergeAutoResolved: merge.AutoResolved(),
 		Edits:             e.m.edits.Load(),
 		ChangedNodes:      e.m.changedNodes.Load(),
-		BaselinedDiffs:    e.m.baselinedDiffs.Load(),
-		BaselineEdits:     e.m.baselineEdits.Load(),
-		BaselineMinimal:   e.m.baselineMinimal.Load(),
 		SourceNodes:       e.m.sourceNodes.Load(),
 		TargetNodes:       e.m.targetNodes.Load(),
 		DiffWall:          time.Duration(e.m.wallNanos.Load()),
@@ -168,7 +144,6 @@ func (e *Engine) Snapshot() Snapshot {
 		IngestedNodes:     e.m.ingestedNodes.Load(),
 		QueueDepth:        e.m.queueDepth.Load(),
 		WorkerCapacity:    time.Duration(e.m.capacityNanos.Load()),
-		SLO:               e.slo.Snapshot(),
 	}
 	if s.WorkerCapacity > 0 {
 		s.Utilization = float64(s.DiffWall) / float64(s.WorkerCapacity)
@@ -176,26 +151,13 @@ func (e *Engine) Snapshot() Snapshot {
 	if s.PoolGets > 0 {
 		s.PoolHitRate = float64(s.PoolGets-s.PoolMisses) / float64(s.PoolGets)
 	}
-	s.OptimalityGap = aggregateGap(s.BaselineEdits, s.BaselineMinimal)
 	return s
-}
-
-// aggregateGap turns the running sums into the aggregate optimality gap
-// edits/minimal − 1, defaulting to 0 when no baseline data exists. A zero
-// minimal sum with nonzero edits (every baselined pair was identical yet
-// scripts had edits — cannot happen for correct diffs) also yields 0
-// rather than dividing by zero.
-func aggregateGap(edits, minimal uint64) float64 {
-	if minimal == 0 {
-		return 0
-	}
-	return float64(edits)/float64(minimal) - 1
 }
 
 // Sub returns the per-interval delta s − prev: every cumulative counter is
 // subtracted (saturating at zero, so a snapshot of a different engine or a
 // stale prev cannot wrap around), the hit rate is recomputed over the
-// interval, and the gauges (QueueDepth, SLO) keep s's current values.
+// interval, and the QueueDepth gauge keeps s's current value.
 // Taking a snapshot before and after a batch and subtracting gives
 // per-batch metrics without resetting the engine:
 //
@@ -217,9 +179,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		MergeAutoResolved: sub64(s.MergeAutoResolved, prev.MergeAutoResolved),
 		Edits:             sub64(s.Edits, prev.Edits),
 		ChangedNodes:      sub64(s.ChangedNodes, prev.ChangedNodes),
-		BaselinedDiffs:    sub64(s.BaselinedDiffs, prev.BaselinedDiffs),
-		BaselineEdits:     sub64(s.BaselineEdits, prev.BaselineEdits),
-		BaselineMinimal:   sub64(s.BaselineMinimal, prev.BaselineMinimal),
 		SourceNodes:       sub64(s.SourceNodes, prev.SourceNodes),
 		TargetNodes:       sub64(s.TargetNodes, prev.TargetNodes),
 		PoolGets:          sub64(s.PoolGets, prev.PoolGets),
@@ -227,7 +186,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		IngestedTrees:     sub64(s.IngestedTrees, prev.IngestedTrees),
 		IngestedNodes:     sub64(s.IngestedNodes, prev.IngestedNodes),
 		QueueDepth:        s.QueueDepth,
-		SLO:               s.SLO,
 	}
 	if s.DiffWall > prev.DiffWall {
 		d.DiffWall = s.DiffWall - prev.DiffWall
@@ -241,7 +199,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	if d.PoolGets > 0 {
 		d.PoolHitRate = float64(d.PoolGets-d.PoolMisses) / float64(d.PoolGets)
 	}
-	d.OptimalityGap = aggregateGap(d.BaselineEdits, d.BaselineMinimal)
 	return d
 }
 
@@ -272,19 +229,17 @@ func (s Snapshot) String() string {
 		"diffs %d (%d errors, %d batches), %d edits, %d+%d nodes in %v (%.0f nodes/s)\n"+
 			"resilience: %d panics, %d timeouts, %d fallbacks, %d rollbacks\n"+
 			"merge: %d merges, %d conflicts, %d auto-resolved\n"+
-			"quality: %d changed nodes, %d baselined diffs (gap %+.1f%%)\n"+
+			"quality: %d changed nodes\n"+
 			"workers: %.1f%% utilized over %v capacity, queue depth %d\n"+
 			"scratch pool: %d gets, %d misses (%.1f%% hit)\n"+
-			"ingest: %d trees / %d nodes\n"+
-			"%s",
+			"ingest: %d trees / %d nodes",
 		s.Diffs, s.Errors, s.Batches, s.Edits, s.SourceNodes, s.TargetNodes,
 		s.DiffWall.Round(time.Millisecond), s.NodesPerSecond(),
 		s.Panics, s.Timeouts, s.Fallbacks, s.Rollbacks,
 		s.Merges, s.MergeConflicts, s.MergeAutoResolved,
-		s.ChangedNodes, s.BaselinedDiffs, 100*s.OptimalityGap,
+		s.ChangedNodes,
 		100*s.Utilization, s.WorkerCapacity.Round(time.Millisecond), s.QueueDepth,
 		s.PoolGets, s.PoolMisses, 100*s.PoolHitRate,
 		s.IngestedTrees, s.IngestedNodes,
-		s.SLO,
 	)
 }

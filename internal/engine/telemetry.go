@@ -5,11 +5,11 @@ import (
 )
 
 // DiffEvent is the record of one engine diff, built once per diff and read
-// by all of its accounting: metrics, the SLO window, spans, logs, and
-// Config.Observer. It carries the pair's label, the trace context the diff
-// ran under (the engine.diff span when tracing is on, else the pair's
-// own), its full DiffStats (wall time, per-phase breakdown, sizes, edit
-// count, identical and fallback flags), and the error of a failed diff.
+// by all of its accounting: metrics, spans, logs, and Config.Observer. It
+// carries the pair's label, the trace context the diff ran under (the
+// engine.diff span when tracing is on, else the pair's own), its full
+// DiffStats (wall time, per-phase breakdown, sizes, edit count, identical
+// and fallback flags), and the error of a failed diff.
 type DiffEvent struct {
 	Label string
 	Trace telemetry.SpanContext
@@ -21,20 +21,17 @@ type DiffEvent struct {
 // telemetry.TraceWriter (the -trace flag of cmd/diffd).
 func (ev DiffEvent) TraceRecord() telemetry.TraceRecord {
 	rec := telemetry.TraceRecord{
-		Pair:          ev.Label,
-		SourceNodes:   ev.Stats.SourceSize,
-		TargetNodes:   ev.Stats.TargetSize,
-		WallNS:        ev.Stats.Wall.Nanoseconds(),
-		Edits:         ev.Stats.Edits,
-		Identical:     ev.Stats.Identical,
-		Fallback:      ev.Stats.Fallback,
-		ReuseRatio:    ev.Stats.ReuseRatio,
-		ChangedNodes:  ev.Stats.ChangedNodes,
-		EditsPerNode:  ev.Stats.EditsPerChangedNode,
-		ScriptRatio:   ev.Stats.ScriptTreeRatio,
-		Baselined:     ev.Stats.Baselined,
-		MinimalEdits:  ev.Stats.MinimalEdits,
-		OptimalityGap: ev.Stats.OptimalityGap,
+		Pair:         ev.Label,
+		SourceNodes:  ev.Stats.SourceSize,
+		TargetNodes:  ev.Stats.TargetSize,
+		WallNS:       ev.Stats.Wall.Nanoseconds(),
+		Edits:        ev.Stats.Edits,
+		Identical:    ev.Stats.Identical,
+		Fallback:     ev.Stats.Fallback,
+		ReuseRatio:   ev.Stats.ReuseRatio,
+		ChangedNodes: ev.Stats.ChangedNodes,
+		EditsPerNode: ev.Stats.EditsPerChangedNode,
+		ScriptRatio:  ev.Stats.ScriptTreeRatio,
 	}
 	rec.SetPhases(ev.Stats.Phases)
 	if ev.Trace.Valid() {
@@ -140,11 +137,6 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 			Hist: e.h.scriptTree.Snapshot(), Scale: 1e-3,
 		},
 		counter("structdiff_quality_changed_nodes_total", "Nodes touched by all scripts produced.", s.ChangedNodes),
-		counter("structdiff_quality_baselined_diffs_total", "Diffs that ran the exact minimal-script baseline.", s.BaselinedDiffs),
-		ratio("structdiff_quality_optimality_gap",
-			"Aggregate optimality gap over baselined diffs: compound edits / exact minimal edits - 1 (can be negative; moves beat the classical edit distance).",
-			s.OptimalityGap),
 	)
-	ms = append(ms, telemetry.SLOMetrics("structdiff_slo_", s.SLO)...)
 	return ms
 }

@@ -21,7 +21,6 @@ func TestSnapshotSub(t *testing.T) {
 		SourceNodes: 1000, TargetNodes: 1200, DiffWall: 100 * time.Millisecond,
 		PoolGets: 8, PoolMisses: 2,
 		IngestedTrees: 12, IngestedNodes: 900, QueueDepth: 7,
-		SLO: telemetry.SLOSnapshot{Requests: 9, Errors: 1},
 	}
 	prev := Snapshot{
 		Diffs: 4, Errors: 2, SlowDiffs: 1, Batches: 1, Edits: 40,
@@ -44,12 +43,9 @@ func TestSnapshotSub(t *testing.T) {
 	if d.PoolGets != 4 || d.PoolMisses != 0 || d.PoolHitRate != 1 {
 		t.Errorf("pool delta wrong: gets %d misses %d rate %v", d.PoolGets, d.PoolMisses, d.PoolHitRate)
 	}
-	// Gauges keep the current values; the SLO is a windowed gauge too.
+	// The queue-depth gauge keeps the current value.
 	if d.QueueDepth != 7 {
 		t.Errorf("gauge not kept: queue depth %d", d.QueueDepth)
-	}
-	if d.SLO.Requests != 9 || d.SLO.Errors != 1 {
-		t.Errorf("SLO not kept as a gauge: %+v", d.SLO)
 	}
 
 	// Subtracting a larger (stale or foreign) snapshot saturates at zero
@@ -87,33 +83,18 @@ func TestSnapshotStringGolden(t *testing.T) {
 		Diffs: 10, Errors: 1, SlowDiffs: 3, Batches: 2, Edits: 40,
 		Panics: 1, Timeouts: 2, Fallbacks: 3, Rollbacks: 4,
 		Merges: 6, MergeConflicts: 2, MergeAutoResolved: 1,
-		ChangedNodes: 120, BaselinedDiffs: 4, OptimalityGap: 0.05,
-		SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
+		ChangedNodes: 120, SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
 		PoolGets: 10, PoolMisses: 2, PoolHitRate: 0.8,
 		IngestedTrees: 20, IngestedNodes: 2100,
 		QueueDepth: 2, WorkerCapacity: 4200 * time.Millisecond, Utilization: 0.5,
-		SLO: telemetry.SLOSnapshot{
-			Window:             time.Hour,
-			LatencyObjective:   250 * time.Millisecond,
-			AvailabilityTarget: 0.999,
-			LatencyTarget:      0.95,
-			Requests:           10,
-			Errors:             1,
-			Availability:       0.9,
-			LatencyAttainment:  1,
-			BurnShort:          100,
-			BurnLong:           100,
-			P95:                33 * time.Millisecond,
-		},
 	}
 	want := "diffs 10 (1 errors, 2 batches), 40 edits, 1000+1100 nodes in 2.1s (1000 nodes/s)\n" +
 		"resilience: 1 panics, 2 timeouts, 3 fallbacks, 4 rollbacks\n" +
 		"merge: 6 merges, 2 conflicts, 1 auto-resolved\n" +
-		"quality: 120 changed nodes, 4 baselined diffs (gap +5.0%)\n" +
+		"quality: 120 changed nodes\n" +
 		"workers: 50.0% utilized over 4.2s capacity, queue depth 2\n" +
 		"scratch pool: 10 gets, 2 misses (80.0% hit)\n" +
-		"ingest: 20 trees / 2100 nodes\n" +
-		"slo[1h0m0s]: 10 req, avail 90.00% (target 99.90%, burn 100.0x/100.0x), 100.00% <= 250ms (target 95.00%), p95 33ms"
+		"ingest: 20 trees / 2100 nodes"
 	if got := s.String(); got != want {
 		t.Errorf("String mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -314,6 +295,82 @@ func TestGatherMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("exposition missing %q:\n%.2000s", needle, out)
+		}
+	}
+}
+
+// TestUtilizationView exercises the engine's worker-utilization counters:
+// after a real batch, worker capacity covers at least the summed diff
+// wall time divided by the worker count, utilization lands in (0, 1], and
+// the queue-depth gauge returns to zero.
+func TestUtilizationView(t *testing.T) {
+	tps := makePairs(t, 12)
+	e := New(exp.Schema(), Config{Workers: 3})
+	before := e.Snapshot()
+	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
+		t.Fatalf("DiffBatch: %v", err)
+	}
+	d := e.Snapshot().Sub(before)
+
+	if d.WorkerCapacity <= 0 {
+		t.Fatalf("WorkerCapacity = %v, want > 0", d.WorkerCapacity)
+	}
+	if d.WorkerCapacity < d.DiffWall/3 {
+		t.Errorf("WorkerCapacity %v < DiffWall/3 %v: capacity must cover the batch", d.WorkerCapacity, d.DiffWall/3)
+	}
+	if d.Utilization <= 0 || d.Utilization > 1.000001 {
+		t.Errorf("Utilization = %v, want in (0, 1]", d.Utilization)
+	}
+	if d.QueueDepth != 0 {
+		t.Errorf("QueueDepth = %d after batch, want 0", d.QueueDepth)
+	}
+}
+
+// TestGatherMetricsUtilizationAndBuildInfo asserts the new exposition
+// families appear with the right types and sane values.
+func TestGatherMetricsUtilizationAndBuildInfo(t *testing.T) {
+	tps := makePairs(t, 6)
+	e := New(exp.Schema(), Config{Workers: 2})
+	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
+		t.Fatalf("DiffBatch: %v", err)
+	}
+
+	var sb strings.Builder
+	if err := telemetry.WritePrometheus(&sb, e.GatherMetrics()); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	out := sb.String()
+	for _, needle := range []string{
+		"# TYPE structdiff_build_info gauge",
+		`structdiff_build_info{version=`,
+		`go_version="`,
+		`vcs_revision="`,
+		"# TYPE structdiff_engine_queue_depth gauge",
+		"structdiff_engine_queue_depth 0",
+		"# TYPE structdiff_engine_worker_capacity_seconds_total counter",
+		"# TYPE structdiff_engine_utilization_ratio gauge",
+		"# TYPE structdiff_pool_hit_ratio gauge",
+	} {
+		if !strings.Contains(out, needle) {
+			t.Errorf("exposition missing %q", needle)
+		}
+	}
+
+	// The build-info gauge must be a single constant-1 sample.
+	bi := telemetry.BuildInfoMetric()
+	if bi.Value != 1 || bi.Kind != telemetry.KindGauge {
+		t.Errorf("BuildInfoMetric = kind %v value %v, want gauge 1", bi.Kind, bi.Value)
+	}
+	keys := map[string]bool{}
+	for _, l := range bi.Labels {
+		keys[l.Key] = true
+		if l.Value == "" {
+			t.Errorf("build info label %q is empty", l.Key)
+		}
+	}
+	for _, k := range []string{"version", "go_version", "vcs_revision"} {
+		if !keys[k] {
+			t.Errorf("build info missing label %q", k)
 		}
 	}
 }

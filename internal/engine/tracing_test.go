@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
-	"strings"
 	"testing"
 	"time"
 
@@ -98,37 +97,6 @@ func TestEngineSpansOffNoTrace(t *testing.T) {
 	}
 	if rec := evs[0].TraceRecord(); rec.TraceID != "" || rec.SpanID != "" {
 		t.Fatalf("trace record carries IDs without tracing: %+v", rec)
-	}
-}
-
-// TestEngineSLOAccounting: the engine's SLO window counts every diff,
-// errors included, and surfaces through Snapshot and GatherMetrics.
-func TestEngineSLOAccounting(t *testing.T) {
-	tps := makePairs(t, 4)
-	pairs := enginePairs(tps)
-	pairs = append(pairs, Pair{Source: nil, Target: nil}) // fails: nil trees
-	e := New(exp.Schema(), Config{Workers: 2})
-	if _, err := e.DiffBatch(context.Background(), pairs); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
-	snap := e.Snapshot()
-	if slo := snap.SLO; slo.Requests != 5 || slo.Errors != 1 {
-		t.Fatalf("SLO req/err = %d/%d, want 5/1", slo.Requests, slo.Errors)
-	}
-	if !strings.Contains(snap.String(), "slo[") {
-		t.Errorf("Snapshot.String() misses the SLO line:\n%s", snap.String())
-	}
-	found := false
-	for _, m := range e.GatherMetrics() {
-		if m.Name == "structdiff_slo_window_requests" {
-			found = true
-			if m.Value != 5 {
-				t.Errorf("structdiff_slo_window_requests = %v, want 5", m.Value)
-			}
-		}
-	}
-	if !found {
-		t.Error("structdiff_slo_window_requests not gathered")
 	}
 }
 

@@ -25,11 +25,6 @@ type Config struct {
 	ExecTrace string
 }
 
-// Enabled reports whether any profiler is configured.
-func (c Config) Enabled() bool {
-	return c.CPUProfile != "" || c.MemProfile != "" || c.ExecTrace != ""
-}
-
 // Start launches the configured profilers and returns the stop function
 // that finishes them and closes their files. On error nothing is left
 // running. The returned stop is never nil and is safe to call exactly

@@ -155,9 +155,6 @@ th{background:#eee}td.l,th.l{text-align:left}h2{margin-top:1.5em}
 			if e.Fallback {
 				flags = append(flags, "fallback")
 			}
-			if e.Baselined {
-				flags = append(flags, fmt.Sprintf("gap %+.1f%%", 100*e.OptimalityGap))
-			}
 			if e.Err != "" {
 				flags = append(flags, "err: "+e.Err)
 			}

@@ -49,25 +49,4 @@ func TestHandlerEndpoints(t *testing.T) {
 	if !strings.Contains(body, `x_seconds_bucket{le="+Inf"} 1`) {
 		t.Errorf("/metrics missing histogram:\n%s", body)
 	}
-
-	code, _, body = get(t, srv, "/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars status = %d", code)
-	}
-	if !strings.HasPrefix(strings.TrimSpace(body), "{") {
-		t.Errorf("/debug/vars is not JSON:\n%.100s", body)
-	}
-
-	code, _, _ = get(t, srv, "/debug/pprof/")
-	if code != 200 {
-		t.Fatalf("/debug/pprof/ status = %d", code)
-	}
-
-	code, _, body = get(t, srv, "/")
-	if code != 200 {
-		t.Fatalf("/ status = %d", code)
-	}
-	if !strings.Contains(body, "/metrics") {
-		t.Errorf("index does not link /metrics:\n%s", body)
-	}
 }

@@ -253,9 +253,8 @@ func (s SLOSnapshot) String() string {
 }
 
 // SLOMetrics renders a snapshot as exposition gauges under the given name
-// prefix (e.g. "structdiff_slo_"). Every call emits the same fixed
-// sequence, which keeps multi-instance zipping (diffserve's per-lang
-// labels) well-defined.
+// prefix (e.g. "diffserve_slo_"). Every call emits the same fixed
+// sequence of series.
 func SLOMetrics(prefix string, s SLOSnapshot) []Metric {
 	gauge := func(name, help string, v float64) Metric {
 		return Metric{Name: prefix + name, Help: help, Kind: KindGauge, Value: v}

@@ -196,6 +196,9 @@ type SpanSink interface {
 // invalid), starting now. A nil sink returns a nil span: the whole span
 // API degrades to no-ops, which is the off-by-default fast path.
 func StartSpan(sink SpanSink, parent SpanContext, name string) *Span {
+	if sink == nil {
+		return nil
+	}
 	return StartSpanAt(sink, parent, name, time.Now())
 }
 

@@ -1,6 +1,6 @@
 // Package telemetry is the observability layer of the diff stack: lock-free
 // log-bucketed histograms, a Tracer interface carrying the four truediff
-// phases of a diff, a Prometheus/expvar/pprof HTTP exposition handler,
+// phases of a diff, Prometheus text exposition and its /metrics handler,
 // and a JSONL trace sink for offline analysis.
 //
 // The package depends on the standard library only and is deliberately
@@ -13,7 +13,7 @@
 // engines. internal/truediff reports phase durations through the Tracer its
 // context carries and scratch-local PhaseTimes; internal/engine merges those
 // into engine-level histograms and exposes everything through the Gatherer
-// interface that Handler serves.
+// interface that Handler serves at the diff service's /metrics.
 package telemetry
 
 import "time"

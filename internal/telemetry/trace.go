@@ -47,12 +47,6 @@ type TraceRecord struct {
 	ChangedNodes int     `json:"changed_nodes,omitempty"`
 	EditsPerNode float64 `json:"edits_per_changed,omitempty"`
 	ScriptRatio  float64 `json:"script_tree_ratio,omitempty"`
-	// Baselined marks diffs that ran the exact minimal-script baseline;
-	// MinimalEdits and OptimalityGap are only meaningful when it is set
-	// (the gap can be negative: moves beat the classical edit distance).
-	Baselined     bool    `json:"baselined,omitempty"`
-	MinimalEdits  int     `json:"minimal_edits,omitempty"`
-	OptimalityGap float64 `json:"optimality_gap,omitempty"`
 	// Err carries the error message of a failed diff.
 	Err string `json:"err,omitempty"`
 }

@@ -60,15 +60,6 @@ type Options struct {
 	// DefaultCheckpointEvery. Smaller values abort pathological diffs
 	// sooner at the cost of more polls.
 	CheckpointEvery int
-	// ProfileLabels turns on profiler-visible phase attribution: each diff
-	// becomes a runtime/trace task ("truediff.diff") and each of the four
-	// phases runs under a pprof label (phase=prepare|shares|select|emit)
-	// and a runtime/trace region ("truediff/<phase>"), so CPU profiles and
-	// execution traces decompose by phase. Costs two pprof.Do calls plus a
-	// trace task per diff; off (zero value) the hot path is untouched. Use
-	// DiffScratch (or the engine, which forwards its batch context) to
-	// supply the context the labels propagate from.
-	ProfileLabels bool
 }
 
 // DefaultCheckpointEvery is the default node interval between Checkpoint
@@ -209,12 +200,15 @@ func (d *Differ) Diff(source, target *tree.Node, alloc *uri.Allocator) (*Result,
 // also after an abort). s must not be used by two goroutines at once.
 //
 // ctx carries the diff's per-diff hooks: a telemetry.Tracer attached with
-// telemetry.ContextWithTracer receives the four phases, an ExplainSink
-// attached with ContextWithExplain receives the Explanation, and with
-// Options.ProfileLabels the diff's profiler labels nest inside any labels
-// ctx already carries (the engine adds pair and worker). A nil ctx is
+// telemetry.ContextWithTracer receives the four phases, and an ExplainSink
+// attached with ContextWithExplain receives the Explanation. A nil ctx is
 // treated as context.Background(). ctx is not polled for cancellation;
 // cp is.
+//
+// Each step is one function (prepare is allocFor, checkSchema and
+// Scratch.Reset; then assignShares, assignSubtrees, computeEdits), so a
+// CPU profile isolates a step by its name, e.g.
+// go tool pprof -focus assignShares.
 //
 // cp, when non-nil, is polled every Options.CheckpointEvery processed
 // nodes across all four phases — schema validation walks, share
@@ -244,42 +238,30 @@ func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, all
 			res, err = nil, fmt.Errorf("truediff: diff aborted: %w", a.err)
 		}
 	}()
-	inPhase, endTask := phaseRunner(ctx, d.opts.ProfileLabels)
-	defer endTask()
 
 	// Step 1 happened at tree construction: every node carries its
 	// structure and literal digests and the schema it was validated
 	// against; the per-diff residue (allocator derivation, the schema check,
 	// O(1) for trees built against the differ's schema, and the scratch
 	// reset) is the prepare phase.
-	var prepErr error
-	inPhase(telemetry.PhasePrepare, func() {
-		alloc = allocFor(source, alloc)
-		if prepErr = d.checkSchema(source, r); prepErr != nil {
-			return
-		}
-		if prepErr = d.checkSchema(target, r); prepErr != nil {
-			return
-		}
-		s.Reset()
-	})
-	if prepErr != nil {
-		return nil, prepErr
+	r.alloc = allocFor(source, alloc)
+	if err := d.checkSchema(source, r); err != nil {
+		return nil, err
 	}
-	r.alloc = alloc
+	if err := d.checkSchema(target, r); err != nil {
+		return nil, err
+	}
+	s.Reset()
 	// A diff that passed validation reports one Phase per step in order;
 	// failed validation reports nothing.
 	tr := telemetry.TracerFromContext(ctx)
 	var mark time.Time
 	s.phase(tr, telemetry.PhasePrepare, began, &mark)
-	inPhase(telemetry.PhaseShares, func() { r.assignShares(source, target) }) // step 2
+	r.assignShares(source, target) // step 2
 	s.phase(tr, telemetry.PhaseShares, mark, &mark)
-	inPhase(telemetry.PhaseSelect, func() { r.assignSubtrees(target) }) // step 3
+	r.assignSubtrees(target) // step 3
 	s.phase(tr, telemetry.PhaseSelect, mark, &mark)
-	var patched *tree.Node
-	inPhase(telemetry.PhaseEmit, func() { // step 4
-		patched = r.computeEdits(source, target, truechange.RootRef, sig.RootLink)
-	})
+	patched := r.computeEdits(source, target, truechange.RootRef, sig.RootLink) // step 4
 	s.phase(tr, telemetry.PhaseEmit, mark, &mark)
 	if sink != nil {
 		sink.ExplainDiff(r.explain.finish(source, target))

@@ -44,13 +44,13 @@ const DefaultQualityBaselineMaxNodes = quality.DefaultBaselineMaxNodes
 // emitted script.
 func WithExplain() Option { return func(c *config) { c.explain = true } }
 
-// WithQualityBaseline enables the exact minimal-script baseline on pairs
-// whose trees both have at most maxNodes nodes: DiffStats gain
-// MinimalEdits and OptimalityGap, and the engine aggregates them into
-// structdiff_quality_* metrics. The baseline is O(n²·d²) — keep the cap
-// small (DefaultQualityBaselineMaxNodes is a good ceiling). Zero (the
-// default) disables baselining; reuse/conciseness ratios are computed
-// regardless.
+// WithQualityBaseline enables Explain's exact minimal-script baseline on
+// pairs whose trees both have at most maxNodes nodes: Explained.Quality
+// gains MinimalEdits and OptimalityGap. The baseline is O(n²·d²) — keep
+// the cap small (DefaultQualityBaselineMaxNodes is a good ceiling). Zero
+// (the default) disables baselining; reuse/conciseness ratios are computed
+// regardless. Explain and ExplainContext only; an Engine never runs the
+// baseline.
 func WithQualityBaseline(maxNodes int) Option { return func(c *config) { c.qbase = maxNodes } }
 
 // Explained is the result of Explain: the ordinary diff Result plus the

@@ -66,9 +66,7 @@ func TestExplainFacadeRequiresSchema(t *testing.T) {
 
 func TestEngineExplainOptions(t *testing.T) {
 	src, dst, sch, alloc := buildPair(t)
-	e, err := structdiff.NewEngine(sch,
-		structdiff.WithExplain(),
-		structdiff.WithQualityBaseline(structdiff.DefaultQualityBaselineMaxNodes))
+	e, err := structdiff.NewEngine(sch, structdiff.WithExplain())
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -86,8 +84,8 @@ func TestEngineExplainOptions(t *testing.T) {
 	if pr.Explain == nil || len(pr.Explain.Edits) != pr.Result.Script.Len() {
 		t.Fatalf("engine result lacks aligned provenance: %+v", pr.Explain)
 	}
-	if !pr.Stats.Baselined || pr.Stats.MinimalEdits <= 0 {
-		t.Fatalf("engine result lacks baseline stats: %+v", pr.Stats)
+	if pr.Stats.ChangedNodes <= 0 || pr.Stats.ReuseRatio <= 0 {
+		t.Fatalf("engine result lacks quality stats: %+v", pr.Stats)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"time"
 
 	"repro/internal/engine"
@@ -133,18 +132,6 @@ func WithCheckpointEvery(n int) Option { return func(c *config) { c.diff.Checkpo
 // DiffStats.Fallback and counted in Snapshot.Fallbacks. Engine entry
 // points only; the default (FallbackNone) propagates failures.
 func WithFallback(m FallbackMode) Option { return func(c *config) { c.fallback = m } }
-
-// WithProfileLabels turns on self-profiling instrumentation: every diff
-// becomes a runtime/trace task ("truediff.diff"), each of the four truediff
-// phases runs under a pprof label (phase=prepare|shares|select|emit) and a
-// matching trace region ("truediff/<phase>"), and an Engine additionally
-// labels worker goroutines (worker=<n>) and individual pairs (pair=<label>).
-// CPU profiles then decompose by phase and pair (go tool pprof -tagfocus),
-// and execution traces show per-diff tasks with nested phase regions (go
-// tool trace). Off by default: the unprofiled path touches no context or
-// label machinery, so there is no overhead unless this option is given.
-// See docs/OBSERVABILITY.md.
-func WithProfileLabels() Option { return func(c *config) { c.diff.ProfileLabels = true } }
 
 // WithSpans enables distributed tracing: completed spans are delivered to
 // sink. DiffContext records one "structdiff.diff" span per call with the
@@ -347,16 +334,8 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 		Spans:             cfg.spans,
 		Logger:            cfg.logger,
 		Explain:           cfg.explain,
-		QualityBaseline:   cfg.qbase,
 	}), nil
 }
-
-// MetricsHandler returns the observability endpoint for an Engine (or any
-// Gatherer): /metrics in Prometheus text format, /debug/vars (expvar), and
-// /debug/pprof. Mount it on its own listener — cmd/evaluate and
-// cmd/truediff expose it via -metrics-addr — or under a route of an
-// existing server. See docs/OBSERVABILITY.md for the metric inventory.
-func MetricsHandler(g Gatherer) http.Handler { return telemetry.Handler(g) }
 
 // NewTraceWriter returns a concurrency-safe JSONL sink for per-diff trace
 // records; wire it to an engine with

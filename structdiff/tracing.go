@@ -33,8 +33,9 @@ type (
 	FlightEntry    = telemetry.FlightEntry
 	FlightSnapshot = telemetry.FlightSnapshot
 	// SLO evaluates rolling-window service-level objectives (availability,
-	// latency attainment, burn rates); SLOConfig configures it (NewSLO),
-	// SLOSnapshot is its point-in-time evaluation (Snapshot.SLO).
+	// latency attainment, burn rates), as the diffd service does for its
+	// requests; SLOConfig configures it (NewSLO, ServiceConfig.SLO),
+	// SLOSnapshot is its point-in-time evaluation (SLO.Snapshot).
 	SLO         = telemetry.SLO
 	SLOConfig   = telemetry.SLOConfig
 	SLOSnapshot = telemetry.SLOSnapshot

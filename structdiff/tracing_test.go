@@ -92,8 +92,8 @@ func TestEngineFacadeObservability(t *testing.T) {
 	if got := len(rec.Spans()); got != 5 {
 		t.Fatalf("engine recorded %d spans, want 5", got)
 	}
-	if snap := e.Snapshot(); snap.SLO.Requests != 1 {
-		t.Errorf("SLO window counted %d requests, want 1", snap.SLO.Requests)
+	if snap := e.Snapshot(); snap.SlowDiffs != 1 {
+		t.Errorf("Snapshot counted %d slow diffs, want 1", snap.SlowDiffs)
 	}
 	var slow []map[string]any
 	dec := json.NewDecoder(&logs)

@@ -314,7 +314,8 @@ type (
 	Histogram         = telemetry.Histogram
 	HistogramSnapshot = telemetry.HistogramSnapshot
 	// Metric is one exposition sample; Gatherer is anything that reports
-	// them (an Engine is one); MetricsHandler serves a Gatherer over HTTP.
+	// them (an Engine is one; the diffd service serves its engines' and
+	// its own at GET /metrics).
 	Metric   = telemetry.Metric
 	Gatherer = telemetry.Gatherer
 	// TraceRecord is one line of the JSONL diff trace; TraceWriter is the
