@@ -107,5 +107,6 @@ func main() {
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -80,7 +80,8 @@ func main() {
 	} else {
 		err = run(flag.Arg(0), flag.Arg(1), *lang, *explain, *check, *stat, *baselines, *quiet)
 	}
-	if serr := stop(); serr != nil {
+	serr := stop()
+	if serr != nil {
 		fmt.Fprintln(os.Stderr, "truediff:", serr)
 	}
 	switch {
@@ -88,6 +89,8 @@ func main() {
 		os.Exit(2)
 	case err != nil:
 		fmt.Fprintln(os.Stderr, "truediff:", err)
+		os.Exit(1)
+	case serr != nil:
 		os.Exit(1)
 	}
 }

@@ -76,11 +76,12 @@ func TestDiffRoundTrip(t *testing.T) {
 	// Reference: the same pair diffed in-process with nil allocators gives
 	// the same script, edit for edit and URIs included (the service adds
 	// transport, not algorithm): the server numbers each uploaded tree in
-	// post-order from 1, as Ingest(x, nil) does, and a diff's loads depend
-	// only on its pair.
+	// post-order from 1, as a copy from a fresh allocator is, and a diff's
+	// loads depend only on its pair.
 	eng := engine.New(exp.Schema(), engine.Config{Workers: 1})
 	defer eng.Close()
-	local, err := eng.Diff(context.Background(), eng.Ingest(src, nil), eng.Ingest(dst, nil), nil)
+	fresh := func(x *tree.Node) *tree.Node { return tree.CloneKeepDigests(x, uri.NewAllocator()) }
+	local, err := eng.Diff(context.Background(), fresh(src), fresh(dst), nil)
 	if err != nil {
 		t.Fatalf("local Diff: %v", err)
 	}

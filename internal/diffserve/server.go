@@ -176,8 +176,9 @@ func NewServer(cfg Config) (*Server, error) {
 		if sch == nil {
 			return nil, fmt.Errorf("diffserve: unknown language %q (have %v)", name, Languages())
 		}
+		// Each diff reaches the engine as a batch of one, so the engine
+		// never fans out; the worker slots are the only limiter.
 		ecfg := engine.Config{
-			Workers:           cfg.Workers,
 			DiffTimeout:       cfg.DiffTimeout,
 			SlowDiffThreshold: cfg.SlowDiffThreshold,
 			Spans:             cfg.Spans,
@@ -468,11 +469,10 @@ func hexRef(n *tree.Node) string { return hex.EncodeToString(n.AppendExactHash(n
 // its ref for later requests. The first tree stored under a ref wins, so
 // equal uploads resolve to one pointer and the engine's identical-pair
 // short-circuit fires. Each tree is numbered in post-order from 1 by an
-// allocator of its own, as engine.Ingest(x, nil) numbers it: a diff's
-// Pair.Alloc is nil, so its loads are numbered past every URI of its
-// source, and truediff never emits a target URI, so overlapping numberings
-// are harmless and a script depends only on its pair, never on the
-// server's history.
+// allocator of its own. A diff's Pair.Alloc is nil, so its loads are
+// numbered past every URI of its source, and truediff never emits a
+// target URI, so overlapping numberings are harmless and a script depends
+// only on its pair, never on the server's history.
 func (s *Server) resolveTree(ls *langService, in TreeInput, what string) (*tree.Node, string, *WireError) {
 	if in.Ref != "" {
 		ls.refMu.RLock()

@@ -1,18 +1,15 @@
 // Package engine runs truediff at corpus scale: batches of (source, target)
-// tree pairs are fanned over a bounded worker pool, per-diff working state
-// (subtree registries, assignment maps, edit buffers, selection heaps) is
-// recycled through a sync.Pool instead of reallocated per diff, and trees
-// that arrive already hashed are ingested by copying their digests instead
-// of rehashing them.
+// tree pairs are fanned over a bounded worker pool, and per-diff working
+// state (subtree registries, assignment maps, edit buffers, selection
+// heaps) is recycled through a sync.Pool instead of reallocated per diff.
 //
 // The engine is the concurrency boundary of the system: a Differ is
 // immutable and an Engine adds only concurrency-safe state on top (the
 // scratch pool, atomic counters), so one Engine may be shared freely
 // between goroutines. The caller owns every URI: the engine keeps no
 // trees and no URI space of its own, so a diff's script depends only on
-// its pair. Trees enter the engine through Ingest; batches run through
-// DiffBatch, which honours context cancellation; cumulative counters are
-// read with Snapshot.
+// its pair. Batches run through DiffBatch, which honours context
+// cancellation; cumulative counters are read with Snapshot.
 package engine
 
 import (
@@ -36,7 +33,7 @@ import (
 )
 
 // Config configures an Engine. The zero value is usable: paper-standard
-// diff options, SHA-256 hashing, one worker per CPU.
+// diff options, one worker per CPU.
 type Config struct {
 	// Workers bounds the goroutines a DiffBatch fans out over. Zero or
 	// negative selects runtime.GOMAXPROCS(0).
@@ -181,38 +178,13 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Ingest prepares a tree for diffing through this engine: it returns a copy
-// of root with fresh URIs from alloc, numbered in post-order, carrying
-// SHA-256 digests. A nil alloc means a fresh allocator, so the copy is
-// numbered from 1. Digests never depend on URIs, so a root that already
-// carries SHA-256 digests (tree.HashedWith) is copied with them; any other
-// root is rehashed (tree.Clone). Either way the copy is the one tree.Clone
-// would have produced.
-func (e *Engine) Ingest(root *tree.Node, alloc *uri.Allocator) *tree.Node {
-	if root == nil {
-		return nil
-	}
-	if alloc == nil {
-		alloc = uri.NewAllocator()
-	}
-	var c *tree.Node
-	if tree.HashedWith(root, tree.SHA256) {
-		c = tree.CloneKeepDigests(root, alloc)
-	} else {
-		c = tree.Clone(root, alloc, tree.SHA256)
-	}
-	e.m.ingestedTrees.Add(1)
-	e.m.ingestedNodes.Add(uint64(c.Size()))
-	return c
-}
-
 // Pair is one diffing task of a batch.
 type Pair struct {
 	Source *tree.Node
 	Target *tree.Node
 	// Alloc supplies fresh URIs for nodes the diff loads. It must dominate
 	// every URI in Source (pass the allocator the trees were built or
-	// ingested with). If nil, the diff numbers its loads past every URI of
+	// copied with). If nil, the diff numbers its loads past every URI of
 	// Source, the rule truediff.Differ.Diff applies to a nil allocator, so
 	// a pair's script is the same through the engine, the facade's Diff
 	// and diffd. Allocators are not concurrency-safe, so pairs of one batch

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -236,68 +235,12 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-// TestIngestMatchesClone is the differential check for Ingest with a
-// caller-owned allocator. Whichever way the engine takes a tree in —
-// copying digests that are already SHA-256, or rehashing FNV-64 ones — the
-// result must be, node by node, what tree.Clone produces with SHA-256 from
-// an allocator in the same state: the same tags, literals, post-order
-// URIs, and both digests. Source and target share one allocator as they
-// do in a real pair.
-func TestIngestMatchesClone(t *testing.T) {
-	for _, in := range []tree.HashKind{tree.SHA256, tree.FNV64} {
-		e := New(exp.Schema(), Config{})
-		g := exp.NewGen(int64(7 + 10*in))
-		for i := 0; i < 4; i++ {
-			before := tree.Clone(g.Tree(40+60*i), uri.NewAllocator(), in)
-			after := tree.Clone(g.MutateN(before, 1+i), uri.NewAllocator(), in)
-
-			alloc, ref := uri.NewAllocator(), uri.NewAllocator()
-			for _, orig := range []*tree.Node{before, after} {
-				got := e.Ingest(orig, alloc)
-				want := tree.Clone(orig, ref, tree.SHA256)
-				if msg := nodeMismatch(got, want); msg != "" {
-					t.Fatalf("input %d, tree %d: %s", in, i, msg)
-				}
-			}
-		}
-		if snap := e.Snapshot(); snap.IngestedTrees != 8 {
-			t.Errorf("input %d: %d trees ingested, want 8", in, snap.IngestedTrees)
-		}
-	}
-}
-
-// nodeMismatch walks got and want in lockstep and describes the first node
-// whose tag, URI, literals, kid count, size, height, or digests differ, or
-// returns "" when the trees agree everywhere.
-func nodeMismatch(got, want *tree.Node) string {
-	switch {
-	case got.Tag != want.Tag:
-		return fmt.Sprintf("tag %s, want %s", got.Tag, want.Tag)
-	case got.URI != want.URI:
-		return fmt.Sprintf("%s: URI %d, want %d", want.Tag, got.URI, want.URI)
-	case len(got.Lits) != len(want.Lits) || len(got.Kids) != len(want.Kids):
-		return fmt.Sprintf("%s#%d: arity differs", want.Tag, want.URI)
-	case got.Size() != want.Size() || got.Height() != want.Height():
-		return fmt.Sprintf("%s#%d: size/height %d/%d, want %d/%d",
-			want.Tag, want.URI, got.Size(), got.Height(), want.Size(), want.Height())
-	case got.StructHash() != want.StructHash() || got.LitHash() != want.LitHash():
-		return fmt.Sprintf("%s#%d: digests differ", want.Tag, want.URI)
-	}
-	for i := range want.Lits {
-		if !tree.LitEqual(got.Lits[i], want.Lits[i]) {
-			return fmt.Sprintf("%s#%d: literal %d is %v, want %v", want.Tag, want.URI, i, got.Lits[i], want.Lits[i])
-		}
-	}
-	for i := range want.Kids {
-		if msg := nodeMismatch(got.Kids[i], want.Kids[i]); msg != "" {
-			return msg
-		}
-	}
-	return ""
-}
+// freshCopy copies x, keeping its digests, with URIs numbered in post-order
+// from 1, as diffd numbers each uploaded tree.
+func freshCopy(x *tree.Node) *tree.Node { return tree.CloneKeepDigests(x, uri.NewAllocator()) }
 
 // TestVersionChainBatch diffs a version chain in one batch: each version is
-// ingested once, with a nil allocator, and one pointer serves as the Target
+// copied once, numbered from 1, and one pointer serves as the Target
 // of pair i and the Source of pair i+1, concurrently. Every pair has a nil
 // Alloc, so each draws its loads from an allocator of its own. The scripts
 // must be well-typed and patch each source into its target.
@@ -311,13 +254,13 @@ func TestVersionChainBatch(t *testing.T) {
 	}
 
 	e := New(g.Schema(), Config{Workers: 4})
-	ingested := make([]*tree.Node, len(versions))
+	copies := make([]*tree.Node, len(versions))
 	for i, v := range versions {
-		ingested[i] = e.Ingest(v, nil)
+		copies[i] = freshCopy(v)
 	}
 	pairs := make([]Pair, steps)
 	for i := range pairs {
-		pairs[i] = Pair{Source: ingested[i], Target: ingested[i+1]}
+		pairs[i] = Pair{Source: copies[i], Target: copies[i+1]}
 	}
 	results, err := e.DiffBatch(context.Background(), pairs)
 	if err != nil {
@@ -343,9 +286,6 @@ func TestVersionChainBatch(t *testing.T) {
 			t.Errorf("pair %d: patching the source does not yield the target", i)
 		}
 	}
-	if snap := e.Snapshot(); snap.IngestedTrees != steps+1 {
-		t.Errorf("IngestedTrees = %d, want %d (each version once)", snap.IngestedTrees, steps+1)
-	}
 }
 
 // TestIdenticalPairShortCircuits checks the pointer-equality fast path: a
@@ -355,7 +295,7 @@ func TestIdenticalPairShortCircuits(t *testing.T) {
 	g := exp.NewGen(12)
 	v := g.Tree(100)
 	e := New(g.Schema(), Config{})
-	src := e.Ingest(v, nil)
+	src := freshCopy(v)
 
 	res, err := e.Diff(context.Background(), src, src, nil)
 	if err != nil {
@@ -377,7 +317,7 @@ func TestIdenticalPairShortCircuits(t *testing.T) {
 }
 
 // TestNilAllocMatchesSequential pins that a script is a function of its
-// pair. Trees ingested with nil allocators (each copy numbered from 1) and
+// pair. Trees copied from fresh allocators (each copy numbered from 1) and
 // diffed with nil Pair.Allocs give, edit for edit and URIs included, the
 // script of a sequential differ given a nil allocator too, and a second
 // batch on the same engine, after an unrelated diff, gives the same
@@ -391,8 +331,8 @@ func TestNilAllocMatchesSequential(t *testing.T) {
 	managed := make([]Pair, len(tps))
 	for i, tp := range tps {
 		managed[i] = Pair{
-			Source: e.Ingest(tp.refSrc, nil),
-			Target: e.Ingest(tp.refDst, nil),
+			Source: freshCopy(tp.refSrc),
+			Target: freshCopy(tp.refDst),
 		}
 	}
 	mres, err := e.DiffBatch(context.Background(), managed)
@@ -430,7 +370,7 @@ func TestNilAllocMatchesSequential(t *testing.T) {
 	// An unrelated diff, then the same pairs again.
 	g := exp.NewGen(77)
 	x := g.Tree(90)
-	if _, err := e.Diff(context.Background(), e.Ingest(x, nil), e.Ingest(g.MutateN(x, 4), nil), nil); err != nil {
+	if _, err := e.Diff(context.Background(), freshCopy(x), freshCopy(g.MutateN(x, 4)), nil); err != nil {
 		t.Fatalf("unrelated diff: %v", err)
 	}
 	again, err := e.DiffBatch(context.Background(), managed)

@@ -89,7 +89,7 @@ func TestEngineExplainAndQuality(t *testing.T) {
 func TestEngineExplainIdenticalPair(t *testing.T) {
 	e := New(exp.Schema(), Config{Workers: 1, Explain: true})
 	g := exp.NewGen(3)
-	x := e.Ingest(tree.Clone(g.Tree(40), uri.NewAllocator(), tree.SHA256), nil)
+	x := tree.Clone(g.Tree(40), uri.NewAllocator(), tree.SHA256)
 	results, err := e.DiffBatch(context.Background(), []Pair{{Source: x, Target: x}})
 	if err != nil {
 		t.Fatalf("DiffBatch: %v", err)

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/merge"
-	"repro/internal/mtree"
 )
 
 // metrics holds the engine's cumulative counters. All fields are atomics so
@@ -33,9 +30,6 @@ type metrics struct {
 	// changedNodes totals the nodes touched by scripts.
 	changedNodes atomic.Uint64
 
-	ingestedTrees atomic.Uint64
-	ingestedNodes atomic.Uint64
-
 	// queueDepth gauges pairs submitted to a running batch but not yet
 	// picked up by a worker; capacityNanos accumulates elapsed batch time
 	// multiplied by the batch's worker count (the utilization denominator).
@@ -58,24 +52,10 @@ type Snapshot struct {
 	// PanicError; Timeouts counts diffs aborted by the per-diff deadline
 	// (Config.DiffTimeout). Both count the failure even when graceful
 	// degradation rescued the pair. Fallbacks counts pairs served a
-	// synthesized root-replacement script (Config.Fallback). Rollbacks
-	// counts transactional patch rollbacks (mtree.Rollbacks); it is
-	// process-wide, not per-engine, because patching happens on trees the
-	// engine no longer owns.
+	// synthesized root-replacement script (Config.Fallback).
 	Panics    uint64
 	Timeouts  uint64
 	Fallbacks uint64
-	Rollbacks uint64
-
-	// Merges counts completed three-way merge attempts; MergeConflicts
-	// counts conflicts detected across them (reported or policy-resolved);
-	// MergeAutoResolved counts convergent group pairs collapsed to one
-	// copy. Like Rollbacks these are process-wide (merge.Merges and
-	// friends), not per-engine: merging happens on trees the engine no
-	// longer owns.
-	Merges            uint64
-	MergeConflicts    uint64
-	MergeAutoResolved uint64
 
 	// Edits is the total compound edit count over all scripts produced.
 	Edits uint64
@@ -96,10 +76,6 @@ type Snapshot struct {
 	PoolGets    uint64
 	PoolMisses  uint64
 	PoolHitRate float64
-
-	// IngestedTrees and IngestedNodes count what passed through Ingest.
-	IngestedTrees uint64
-	IngestedNodes uint64
 
 	// StoreHits and StoreMisses are always zero: the engine keeps no tree
 	// store. They remain only because pipebench's engine.store_hit_ratio
@@ -122,28 +98,22 @@ type Snapshot struct {
 // Snapshot returns the engine's counters at this instant.
 func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
-		Diffs:             e.m.diffs.Load(),
-		Errors:            e.m.errors.Load(),
-		SlowDiffs:         e.m.slowDiffs.Load(),
-		Batches:           e.m.batches.Load(),
-		Panics:            e.m.panics.Load(),
-		Timeouts:          e.m.timeouts.Load(),
-		Fallbacks:         e.m.fallbacks.Load(),
-		Rollbacks:         mtree.Rollbacks(),
-		Merges:            merge.Merges(),
-		MergeConflicts:    merge.Conflicts(),
-		MergeAutoResolved: merge.AutoResolved(),
-		Edits:             e.m.edits.Load(),
-		ChangedNodes:      e.m.changedNodes.Load(),
-		SourceNodes:       e.m.sourceNodes.Load(),
-		TargetNodes:       e.m.targetNodes.Load(),
-		DiffWall:          time.Duration(e.m.wallNanos.Load()),
-		PoolGets:          e.m.poolGets.Load(),
-		PoolMisses:        e.m.poolMisses.Load(),
-		IngestedTrees:     e.m.ingestedTrees.Load(),
-		IngestedNodes:     e.m.ingestedNodes.Load(),
-		QueueDepth:        e.m.queueDepth.Load(),
-		WorkerCapacity:    time.Duration(e.m.capacityNanos.Load()),
+		Diffs:          e.m.diffs.Load(),
+		Errors:         e.m.errors.Load(),
+		SlowDiffs:      e.m.slowDiffs.Load(),
+		Batches:        e.m.batches.Load(),
+		Panics:         e.m.panics.Load(),
+		Timeouts:       e.m.timeouts.Load(),
+		Fallbacks:      e.m.fallbacks.Load(),
+		Edits:          e.m.edits.Load(),
+		ChangedNodes:   e.m.changedNodes.Load(),
+		SourceNodes:    e.m.sourceNodes.Load(),
+		TargetNodes:    e.m.targetNodes.Load(),
+		DiffWall:       time.Duration(e.m.wallNanos.Load()),
+		PoolGets:       e.m.poolGets.Load(),
+		PoolMisses:     e.m.poolMisses.Load(),
+		QueueDepth:     e.m.queueDepth.Load(),
+		WorkerCapacity: time.Duration(e.m.capacityNanos.Load()),
 	}
 	if s.WorkerCapacity > 0 {
 		s.Utilization = float64(s.DiffWall) / float64(s.WorkerCapacity)
@@ -166,26 +136,20 @@ func (e *Engine) Snapshot() Snapshot {
 //	delta := e.Snapshot().Sub(before)
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d := Snapshot{
-		Diffs:             sub64(s.Diffs, prev.Diffs),
-		Errors:            sub64(s.Errors, prev.Errors),
-		SlowDiffs:         sub64(s.SlowDiffs, prev.SlowDiffs),
-		Batches:           sub64(s.Batches, prev.Batches),
-		Panics:            sub64(s.Panics, prev.Panics),
-		Timeouts:          sub64(s.Timeouts, prev.Timeouts),
-		Fallbacks:         sub64(s.Fallbacks, prev.Fallbacks),
-		Rollbacks:         sub64(s.Rollbacks, prev.Rollbacks),
-		Merges:            sub64(s.Merges, prev.Merges),
-		MergeConflicts:    sub64(s.MergeConflicts, prev.MergeConflicts),
-		MergeAutoResolved: sub64(s.MergeAutoResolved, prev.MergeAutoResolved),
-		Edits:             sub64(s.Edits, prev.Edits),
-		ChangedNodes:      sub64(s.ChangedNodes, prev.ChangedNodes),
-		SourceNodes:       sub64(s.SourceNodes, prev.SourceNodes),
-		TargetNodes:       sub64(s.TargetNodes, prev.TargetNodes),
-		PoolGets:          sub64(s.PoolGets, prev.PoolGets),
-		PoolMisses:        sub64(s.PoolMisses, prev.PoolMisses),
-		IngestedTrees:     sub64(s.IngestedTrees, prev.IngestedTrees),
-		IngestedNodes:     sub64(s.IngestedNodes, prev.IngestedNodes),
-		QueueDepth:        s.QueueDepth,
+		Diffs:        sub64(s.Diffs, prev.Diffs),
+		Errors:       sub64(s.Errors, prev.Errors),
+		SlowDiffs:    sub64(s.SlowDiffs, prev.SlowDiffs),
+		Batches:      sub64(s.Batches, prev.Batches),
+		Panics:       sub64(s.Panics, prev.Panics),
+		Timeouts:     sub64(s.Timeouts, prev.Timeouts),
+		Fallbacks:    sub64(s.Fallbacks, prev.Fallbacks),
+		Edits:        sub64(s.Edits, prev.Edits),
+		ChangedNodes: sub64(s.ChangedNodes, prev.ChangedNodes),
+		SourceNodes:  sub64(s.SourceNodes, prev.SourceNodes),
+		TargetNodes:  sub64(s.TargetNodes, prev.TargetNodes),
+		PoolGets:     sub64(s.PoolGets, prev.PoolGets),
+		PoolMisses:   sub64(s.PoolMisses, prev.PoolMisses),
+		QueueDepth:   s.QueueDepth,
 	}
 	if s.DiffWall > prev.DiffWall {
 		d.DiffWall = s.DiffWall - prev.DiffWall
@@ -227,19 +191,15 @@ func (s Snapshot) NodesPerSecond() float64 {
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
 		"diffs %d (%d errors, %d batches), %d edits, %d+%d nodes in %v (%.0f nodes/s)\n"+
-			"resilience: %d panics, %d timeouts, %d fallbacks, %d rollbacks\n"+
-			"merge: %d merges, %d conflicts, %d auto-resolved\n"+
+			"resilience: %d panics, %d timeouts, %d fallbacks\n"+
 			"quality: %d changed nodes\n"+
 			"workers: %.1f%% utilized over %v capacity, queue depth %d\n"+
-			"scratch pool: %d gets, %d misses (%.1f%% hit)\n"+
-			"ingest: %d trees / %d nodes",
+			"scratch pool: %d gets, %d misses (%.1f%% hit)",
 		s.Diffs, s.Errors, s.Batches, s.Edits, s.SourceNodes, s.TargetNodes,
 		s.DiffWall.Round(time.Millisecond), s.NodesPerSecond(),
-		s.Panics, s.Timeouts, s.Fallbacks, s.Rollbacks,
-		s.Merges, s.MergeConflicts, s.MergeAutoResolved,
+		s.Panics, s.Timeouts, s.Fallbacks,
 		s.ChangedNodes,
 		100*s.Utilization, s.WorkerCapacity.Round(time.Millisecond), s.QueueDepth,
 		s.PoolGets, s.PoolMisses, 100*s.PoolHitRate,
-		s.IngestedTrees, s.IngestedNodes,
 	)
 }

@@ -67,10 +67,6 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 		counter("structdiff_engine_panics_total", "Diffs that panicked and were recovered by worker isolation.", s.Panics),
 		counter("structdiff_engine_timeouts_total", "Diffs aborted by the per-diff deadline.", s.Timeouts),
 		counter("structdiff_engine_fallbacks_total", "Pairs served a synthesized root-replacement script.", s.Fallbacks),
-		counter("structdiff_engine_rollbacks_total", "Transactional patch rollbacks (process-wide).", s.Rollbacks),
-		counter("structdiff_merge_merges_total", "Completed three-way merge attempts (process-wide).", s.Merges),
-		counter("structdiff_merge_conflicts_total", "Merge conflicts detected, reported or policy-resolved (process-wide).", s.MergeConflicts),
-		counter("structdiff_merge_autoresolved_total", "Convergent merge group pairs collapsed to one copy (process-wide).", s.MergeAutoResolved),
 		counter("structdiff_edits_total", "Compound edits over all scripts produced.", s.Edits),
 		counter("structdiff_source_nodes_total", "Source-tree nodes diffed.", s.SourceNodes),
 		counter("structdiff_target_nodes_total", "Target-tree nodes diffed.", s.TargetNodes),
@@ -94,8 +90,6 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 		counter("structdiff_pool_gets_total", "Scratch-pool checkouts.", s.PoolGets),
 		counter("structdiff_pool_misses_total", "Scratch-pool checkouts that allocated fresh state.", s.PoolMisses),
 		ratio("structdiff_pool_hit_ratio", "Fraction of scratch-pool checkouts that recycled state.", s.PoolHitRate),
-		counter("structdiff_ingested_trees_total", "Trees that passed through Ingest.", s.IngestedTrees),
-		counter("structdiff_ingested_nodes_total", "Nodes that passed through Ingest.", s.IngestedNodes),
 		{
 			Name: "structdiff_diff_duration_seconds", Kind: telemetry.KindHistogram,
 			Help: "Per-diff wall time.",

@@ -19,14 +19,12 @@ func TestSnapshotSub(t *testing.T) {
 	cur := Snapshot{
 		Diffs: 10, Errors: 2, SlowDiffs: 3, Batches: 4, Edits: 100,
 		SourceNodes: 1000, TargetNodes: 1200, DiffWall: 100 * time.Millisecond,
-		PoolGets: 8, PoolMisses: 2,
-		IngestedTrees: 12, IngestedNodes: 900, QueueDepth: 7,
+		PoolGets: 8, PoolMisses: 2, QueueDepth: 7,
 	}
 	prev := Snapshot{
 		Diffs: 4, Errors: 2, SlowDiffs: 1, Batches: 1, Edits: 40,
 		SourceNodes: 400, TargetNodes: 500, DiffWall: 60 * time.Millisecond,
-		PoolGets: 4, PoolMisses: 2,
-		IngestedTrees: 5, IngestedNodes: 300, QueueDepth: 3,
+		PoolGets: 4, PoolMisses: 2, QueueDepth: 3,
 	}
 	d := cur.Sub(prev)
 
@@ -81,20 +79,16 @@ func TestNodesPerSecondZeroDuration(t *testing.T) {
 func TestSnapshotStringGolden(t *testing.T) {
 	s := Snapshot{
 		Diffs: 10, Errors: 1, SlowDiffs: 3, Batches: 2, Edits: 40,
-		Panics: 1, Timeouts: 2, Fallbacks: 3, Rollbacks: 4,
-		Merges: 6, MergeConflicts: 2, MergeAutoResolved: 1,
+		Panics: 1, Timeouts: 2, Fallbacks: 3,
 		ChangedNodes: 120, SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
 		PoolGets: 10, PoolMisses: 2, PoolHitRate: 0.8,
-		IngestedTrees: 20, IngestedNodes: 2100,
 		QueueDepth: 2, WorkerCapacity: 4200 * time.Millisecond, Utilization: 0.5,
 	}
 	want := "diffs 10 (1 errors, 2 batches), 40 edits, 1000+1100 nodes in 2.1s (1000 nodes/s)\n" +
-		"resilience: 1 panics, 2 timeouts, 3 fallbacks, 4 rollbacks\n" +
-		"merge: 6 merges, 2 conflicts, 1 auto-resolved\n" +
+		"resilience: 1 panics, 2 timeouts, 3 fallbacks\n" +
 		"quality: 120 changed nodes\n" +
 		"workers: 50.0% utilized over 4.2s capacity, queue depth 2\n" +
-		"scratch pool: 10 gets, 2 misses (80.0% hit)\n" +
-		"ingest: 20 trees / 2100 nodes"
+		"scratch pool: 10 gets, 2 misses (80.0% hit)"
 	if got := s.String(); got != want {
 		t.Errorf("String mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -193,7 +187,7 @@ func TestSlowDiffLogging(t *testing.T) {
 
 	// Identical pair: served in zero wall time, so not slow.
 	g := exp.NewGen(99)
-	x := e.Ingest(tree.Clone(g.Tree(50), uri.NewAllocator(), tree.SHA256), nil)
+	x := tree.Clone(g.Tree(50), uri.NewAllocator(), tree.SHA256)
 	before := e.Snapshot()
 	if _, err := e.DiffBatch(context.Background(), []Pair{{Source: x, Target: x}}); err != nil {
 		t.Fatalf("identical batch: %v", err)
@@ -210,7 +204,7 @@ func TestIdenticalPairTelemetry(t *testing.T) {
 	var log eventLog
 	e := New(exp.Schema(), Config{Workers: 1, Observer: log.add})
 	g := exp.NewGen(3)
-	x := e.Ingest(tree.Clone(g.Tree(40), uri.NewAllocator(), tree.SHA256), nil)
+	x := tree.Clone(g.Tree(40), uri.NewAllocator(), tree.SHA256)
 	if _, err := e.DiffBatch(context.Background(), []Pair{{Source: x, Target: x, Label: "same"}}); err != nil {
 		t.Fatalf("DiffBatch: %v", err)
 	}

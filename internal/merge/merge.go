@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/derrors"
 	"repro/internal/mtree"
@@ -190,26 +189,6 @@ type Options struct {
 	Diff truediff.Options
 }
 
-// Process-wide merge telemetry, mirroring mtree's rollback counter: the
-// engine's Snapshot and the Prometheus exposition read these accessors.
-var (
-	mergesTotal       atomic.Uint64
-	conflictsTotal    atomic.Uint64
-	autoResolvedTotal atomic.Uint64
-)
-
-// Merges returns the process-wide count of completed merge attempts
-// (successful or conflict-rejected; input-validation failures don't count).
-func Merges() uint64 { return mergesTotal.Load() }
-
-// Conflicts returns the process-wide count of conflicts detected across
-// all merges, whether reported as errors or resolved by a policy.
-func Conflicts() uint64 { return conflictsTotal.Load() }
-
-// AutoResolved returns the process-wide count of convergent group pairs —
-// both sides made the same change — collapsed to a single copy.
-func AutoResolved() uint64 { return autoResolvedTotal.Load() }
-
 // Trees three-way merges at the tree level: it diffs base→ours and
 // base→theirs through one shared URI allocator (so the two scripts' fresh
 // URIs are disjoint by construction) and merges the scripts. A nil alloc
@@ -323,9 +302,6 @@ func merge(sch *sig.Schema, base *tree.Node, sa, sb *truechange.Script, opt Opti
 		live = append(live, rc)
 	}
 
-	mergesTotal.Add(1)
-	conflictsTotal.Add(uint64(len(live)))
-	autoResolvedTotal.Add(uint64(autoResolved))
 	stats.AutoResolved = autoResolved
 	stats.Conflicts = len(live)
 
@@ -382,7 +358,6 @@ func merge(sch *sig.Schema, base *tree.Node, sa, sb *truechange.Script, opt Opti
 			// refuse rather than return an unsound merge.
 			return nil, fmt.Errorf("merge: merged tree is not closed: %w", closedErr)
 		}
-		conflictsTotal.Add(uint64(len(cycle)))
 		stats.Conflicts += len(cycle)
 		if opt.Policy == PolicyFail {
 			return nil, &ConflictError{Conflicts: append(conflicts(live, PolicyFail), conflicts(cycle, PolicyFail)...)}

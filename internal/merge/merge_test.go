@@ -565,9 +565,10 @@ func TestApplyRollback(t *testing.T) {
 	}
 }
 
-// TestMergeCounters checks the process-wide telemetry counters move with
-// merges, conflicts, and auto-resolutions.
-func TestMergeCounters(t *testing.T) {
+// TestMergeConflictAndAutoResolveCounts checks the per-call counts: a
+// conflicting pair fails with exactly one conflict in its *ConflictError,
+// and a convergent pair merges with Stats.AutoResolved == 1.
+func TestMergeConflictAndAutoResolveCounts(t *testing.T) {
 	b := exp.NewBuilder()
 	base := b.MustN(exp.Add, b.MustN(exp.Num, 1), b.MustN(exp.Num, 2))
 	n1 := base.Kids[0]
@@ -578,21 +579,23 @@ func TestMergeCounters(t *testing.T) {
 		truechange.Update{Node: ref(n1), Old: numLits(1), New: numLits(20)},
 	}}
 
-	m0, c0, a0 := Merges(), Conflicts(), AutoResolved()
-	if _, err := Scripts(b.Schema(), base, sa, sb, Options{Policy: PolicyFail}); err == nil {
-		t.Fatal("expected conflict")
+	_, err := Scripts(b.Schema(), base, sa, sb, Options{Policy: PolicyFail})
+	var ce *ConflictError
+	if !errors.As(err, &ce) {
+		t.Fatalf("conflicting pair: got %v, want a *ConflictError", err)
 	}
-	if Merges() != m0+1 || Conflicts() != c0+1 {
-		t.Fatalf("counters after conflict: merges %d→%d, conflicts %d→%d", m0, Merges(), c0, Conflicts())
+	if len(ce.Conflicts) != 1 {
+		t.Fatalf("conflicting pair: %d conflicts, want 1: %v", len(ce.Conflicts), ce.Conflicts)
 	}
 	sbSame := &truechange.Script{Edits: []truechange.Edit{
 		truechange.Update{Node: ref(n1), Old: numLits(1), New: numLits(10)},
 	}}
-	if _, err := Scripts(b.Schema(), base, sa, sbSame, Options{Policy: PolicyFail}); err != nil {
+	res, err := Scripts(b.Schema(), base, sa, sbSame, Options{Policy: PolicyFail})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if AutoResolved() != a0+1 {
-		t.Fatalf("auto-resolved counter did not move: %d→%d", a0, AutoResolved())
+	if res.Stats.AutoResolved != 1 || res.Stats.Conflicts != 0 {
+		t.Fatalf("convergent pair: %d auto-resolved, %d conflicts, want 1 and 0", res.Stats.AutoResolved, res.Stats.Conflicts)
 	}
 }
 

@@ -20,7 +20,6 @@ package mtree
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/derrors"
 	"repro/internal/faultinject"
@@ -77,15 +76,6 @@ const FaultSiteEdit = "mtree/edit"
 // FaultSiteEdit before applying each edit. A nil injector (the default)
 // costs one nil check per edit.
 func (mt *MTree) InjectFaults(in *faultinject.Injector) { mt.faults = in }
-
-// rollbackCount counts Patch invocations, process-wide, that failed and
-// rolled applied edits back. Exposed through Rollbacks so the engine's
-// metrics endpoint can report structdiff_engine_rollbacks_total.
-var rollbackCount atomic.Uint64
-
-// Rollbacks returns the process-wide count of transactional Patch
-// rollbacks (failed patches that had applied at least one edit).
-func Rollbacks() uint64 { return rollbackCount.Load() }
 
 // New returns an empty mutable tree: the pre-defined root node with its
 // RootLink slot empty.
@@ -285,12 +275,8 @@ func (mt *MTree) Patch(s *truechange.Script) error {
 			u, err = mt.applyEdit(e)
 		}
 		if err != nil {
-			rolledBack := len(journal) > 0
 			mt.rollback(journal)
-			if rolledBack {
-				rollbackCount.Add(1)
-			}
-			return &PatchError{EditIndex: i, Op: opKind(e), RolledBack: rolledBack, Cause: err}
+			return &PatchError{EditIndex: i, Op: opKind(e), RolledBack: len(journal) > 0, Cause: err}
 		}
 		journal = append(journal, u)
 	}

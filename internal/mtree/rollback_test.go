@@ -181,9 +181,10 @@ func TestPatchRollbackOnOccupiedAttach(t *testing.T) {
 	}
 }
 
-// TestPatchRollbackCounter checks the process-wide rollback counter moves
-// only on actual rollbacks (at least one applied edit undone).
-func TestPatchRollbackCounter(t *testing.T) {
+// TestPatchRolledBackFlag checks PatchError.RolledBack reports whether
+// applied edits were undone: false when the first edit fails, true once
+// one edit had applied.
+func TestPatchRolledBackFlag(t *testing.T) {
 	b := exp.NewBuilder()
 	tr := b.MustN(exp.Num, int64(1))
 	mt, err := FromTree(b.Schema(), tr)
@@ -191,23 +192,24 @@ func TestPatchRollbackCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := truechange.Unload{Node: truechange.NodeRef{Tag: exp.Num, URI: 1 << 40}}
-
-	start := Rollbacks()
-	// Fails at edit #0: nothing applied, nothing rolled back.
-	if err := mt.Patch(&truechange.Script{Edits: []truechange.Edit{bad}}); err == nil {
-		t.Fatal("expected failure")
+	rolledBack := func(s *truechange.Script) bool {
+		t.Helper()
+		var pe *PatchError
+		if err := mt.Patch(s); !errors.As(err, &pe) {
+			t.Fatalf("Patch returned %v, want a *PatchError", err)
+		}
+		return pe.RolledBack
 	}
-	if got := Rollbacks(); got != start {
-		t.Errorf("Rollbacks moved to %d on a nothing-applied failure", got)
+
+	// Fails at edit #0: nothing applied, nothing rolled back.
+	if rolledBack(&truechange.Script{Edits: []truechange.Edit{bad}}) {
+		t.Error("RolledBack set on a nothing-applied failure")
 	}
 	// Fails at edit #1 after one applied edit: one rollback.
 	top := mt.Top()
 	det := truechange.Detach{Node: truechange.NodeRef{Tag: top.Tag, URI: top.URI}, Link: sig.RootLink, Parent: truechange.RootRef}
-	if err := mt.Patch(&truechange.Script{Edits: []truechange.Edit{det, bad}}); err == nil {
-		t.Fatal("expected failure")
-	}
-	if got := Rollbacks(); got != start+1 {
-		t.Errorf("Rollbacks = %d, want %d", got, start+1)
+	if !rolledBack(&truechange.Script{Edits: []truechange.Edit{det, bad}}) {
+		t.Error("RolledBack not set after one applied edit")
 	}
 	if mt.Top() == nil {
 		t.Fatal("detach not rolled back")

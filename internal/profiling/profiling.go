@@ -18,7 +18,8 @@ type Config struct {
 	// CPUProfile receives a pprof CPU profile covering Start..stop.
 	CPUProfile string
 	// MemProfile receives a heap profile taken at stop time (after a
-	// forced GC, so it shows live objects).
+	// forced GC, so it shows live objects). Start creates the file, so a
+	// path that cannot be written fails before the run.
 	MemProfile string
 	// ExecTrace receives a runtime/trace execution trace covering
 	// Start..stop.
@@ -70,12 +71,14 @@ func Start(c Config) (stop func() error, err error) {
 		})
 	}
 	if c.MemProfile != "" {
-		path := c.MemProfile
+		// Created now, so a path that cannot be written fails before the
+		// run.
+		f, err := os.Create(c.MemProfile)
+		if err != nil {
+			abort()
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
 		stops = append(stops, func() error {
-			f, err := os.Create(path)
-			if err != nil {
-				return fmt.Errorf("profiling: %w", err)
-			}
 			runtime.GC()
 			werr := pprof.WriteHeapProfile(f)
 			cerr := f.Close()

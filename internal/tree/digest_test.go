@@ -2,6 +2,7 @@ package tree
 
 import (
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -212,6 +213,56 @@ func TestCloneKeepDigests(t *testing.T) {
 	if hc.Kids[0] == hc.Kids[1] || hc.Kids[0] == leaf || hc.Kids[1].Lits[0] != int64(1) {
 		t.Error("copy of a hand-assembled tree is not a tree of fresh nodes")
 	}
+}
+
+// TestCloneKeepDigestsMatchesClone checks the copy differentially: under
+// either hash kind it is, node by node, what Clone makes with that kind from
+// an allocator in the same state. Two trees share one allocator, as the
+// source and target of a pair do.
+func TestCloneKeepDigestsMatchesClone(t *testing.T) {
+	trees := []*Node{
+		genTree(newB(t), rand.New(rand.NewSource(3)), 1001),
+		genTree(newB(t), rand.New(rand.NewSource(4)), 301),
+	}
+	for _, kind := range []HashKind{SHA256, FNV64} {
+		keep, ref := uri.NewAllocator(), uri.NewAllocator()
+		for i, orig := range trees {
+			in := Clone(orig, uri.NewAllocator(), kind)
+			if msg := nodeMismatch(CloneKeepDigests(in, keep), Clone(in, ref, kind)); msg != "" {
+				t.Fatalf("hash kind %d, tree %d: %s", kind, i, msg)
+			}
+		}
+	}
+}
+
+// nodeMismatch walks got and want in lockstep and describes the first node
+// whose tag, URI, literals, kid count, size, height, or digests differ, or
+// returns "" when the trees agree everywhere.
+func nodeMismatch(got, want *Node) string {
+	switch {
+	case got.Tag != want.Tag:
+		return fmt.Sprintf("tag %s, want %s", got.Tag, want.Tag)
+	case got.URI != want.URI:
+		return fmt.Sprintf("%s: URI %d, want %d", want.Tag, got.URI, want.URI)
+	case len(got.Lits) != len(want.Lits) || len(got.Kids) != len(want.Kids):
+		return fmt.Sprintf("%s#%d: arity differs", want.Tag, want.URI)
+	case got.Size() != want.Size() || got.Height() != want.Height():
+		return fmt.Sprintf("%s#%d: size/height %d/%d, want %d/%d",
+			want.Tag, want.URI, got.Size(), got.Height(), want.Size(), want.Height())
+	case got.HashKind() != want.HashKind() || got.StructHash() != want.StructHash() || got.LitHash() != want.LitHash():
+		return fmt.Sprintf("%s#%d: digests differ", want.Tag, want.URI)
+	}
+	for i := range want.Lits {
+		if !LitEqual(got.Lits[i], want.Lits[i]) {
+			return fmt.Sprintf("%s#%d: literal %d is %v, want %v", want.Tag, want.URI, i, got.Lits[i], want.Lits[i])
+		}
+	}
+	for i := range want.Kids {
+		if msg := nodeMismatch(got.Kids[i], want.Kids[i]); msg != "" {
+			return msg
+		}
+	}
+	return ""
 }
 
 // TestConcurrentConstruction builds the same trees on 8 goroutines, as

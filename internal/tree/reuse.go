@@ -12,9 +12,8 @@ import "repro/internal/uri"
 //     content-identical to its target counterpart by construction);
 //   - CloneKeepDigests extends the same observation to whole trees that
 //     already carry digests of the desired kind: a re-numbered copy keeps
-//     them verbatim (the engine ingests pre-hashed trees this way, and
-//     HashedWith tells it when that is sound; pylang copies the statements
-//     a reparse reused this way).
+//     them verbatim (HashedWith tells when that is sound; pylang copies
+//     the statements a reparse reused this way).
 
 // Rebuilt constructs a node with the given URI, kids, and the tag and
 // literals of the template node like, copying like's digests instead of
@@ -44,9 +43,8 @@ func HashedWith(n *Node, kind HashKind) bool { return n.hashed && n.kind == kind
 // the existing digests instead of recomputing them. Digests are functions of
 // structure and literals only — never URIs — so the copy's digests are the
 // original's by construction. Valid only when n already carries digests of
-// the desired kind (check with HashedWith); the engine uses it to admit
-// pre-hashed trees into its store without paying for hashing at all, and
-// pylang to hand out the statements a reparse reused.
+// the desired kind (check with HashedWith); pylang uses it to hand out the
+// statements a reparse reused without hashing them again.
 //
 // It is an arena copy: the nodes come from one slice and the kid slots from
 // another, both sized by n.Size(), so a call allocates twice however large

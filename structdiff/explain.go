@@ -21,10 +21,6 @@ type (
 	// which height, how many candidates were considered, and why losing
 	// subtrees were loaded or unloaded instead of reused.
 	EditProvenance = truediff.EditProvenance
-	// ExplainSink receives explanations (see WithExplain);
-	// ExplainCollector is the trivial keep-last sink.
-	ExplainSink      = truediff.ExplainSink
-	ExplainCollector = truediff.ExplainCollector
 	// QualityMetrics is the per-diff conciseness report of
 	// internal/quality: reuse ratio, edits per changed node, script-size
 	// to tree-size ratio, and (on small trees) the optimality gap against
@@ -88,7 +84,7 @@ func ExplainContext(ctx context.Context, src, dst *Node, opts ...Option) (*Expla
 		defer span.End()
 		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(cfg.spans, span.Context()))
 	}
-	col := &ExplainCollector{}
+	col := &truediff.ExplainCollector{}
 	d := truediff.NewWithOptions(cfg.sch, cfg.diff)
 	res, err := d.DiffScratch(truediff.ContextWithExplain(ctx, col), src, dst, cfg.alloc,
 		truediff.NewScratch(), truediff.CtxCheckpoint(ctx, cfg.timeout))

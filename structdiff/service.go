@@ -20,8 +20,9 @@ import (
 // visible difference is URI spaces: a remote diff's scripts and patched
 // trees use server-assigned URIs (content digests, which URIs never
 // affect, are identical on both sides). The server numbers each tree in
-// post-order from 1, as Engine.Ingest(x, nil) does, so a remote script
-// equals the engine's script for those two copies with a nil allocator.
+// post-order from 1, so a remote script equals the engine's script, with
+// a nil allocator, for two copies numbered that way (CloneKeepDigests
+// from a fresh allocator).
 type DiffService interface {
 	// Diff computes the edit script from source to target. See
 	// Engine.Diff for the contract on alloc.
@@ -50,8 +51,7 @@ type (
 	// caching server-confirmed tree refs so repeated operands travel as
 	// content digests instead of full trees.
 	ServiceClient = diffserve.Client
-	// ServiceClientOption customizes a ServiceClient (tenant identity,
-	// spans, retries).
+	// ServiceClientOption customizes a ServiceClient (WithRetryPolicy).
 	ServiceClientOption = diffserve.ClientOption
 	// RetryPolicy parameterizes WithRetryPolicy: attempt bound,
 	// full-jitter exponential backoff scale/cap, and an optional
@@ -86,17 +86,6 @@ func NewServiceClient(base, lang string, sch *Schema, opts ...ServiceClientOptio
 func NewServiceServer(cfg ServiceConfig) (*ServiceServer, error) {
 	return diffserve.NewServer(cfg)
 }
-
-// WithServiceTenant sets the tenant identity the server's per-tenant
-// concurrency limits account against.
-func WithServiceTenant(tenant string) ServiceClientOption { return diffserve.WithTenant(tenant) }
-
-// WithServiceSpans enables client-side tracing on a ServiceClient: each
-// RPC records a span to sink and ships its context in the W3C traceparent
-// header, so the server's request, queue, and engine spans join the
-// caller's trace. Parent a client span on surrounding work by putting a
-// SpanContext on ctx with WithTraceContext.
-func WithServiceSpans(sink SpanSink) ServiceClientOption { return diffserve.WithSpans(sink) }
 
 // WithRetryPolicy arms transparent retries on a ServiceClient: transient
 // failures — transport errors, saturation sheds (429), drain refusals,

@@ -27,7 +27,6 @@ package structdiff
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"time"
 
@@ -50,7 +49,6 @@ type config struct {
 	alloc    *uri.Allocator
 	diff     truediff.Options
 	workers  int
-	observer func(DiffEvent)
 	slow     time.Duration
 	timeout  time.Duration
 	fallback FallbackMode
@@ -97,25 +95,19 @@ func WithUpdateOnLitMismatch() Option { return func(c *config) { c.diff.UpdateOn
 // one per CPU).
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithObserver registers a per-diff callback on an Engine: after every
-// diff (successful, failed, or short-circuited) the observer receives a
-// DiffEvent with the pair's label, stats (including the per-phase
-// breakdown), and error. It runs synchronously on worker goroutines; keep
-// it cheap and concurrency-safe. Engine entry points only.
-func WithObserver(fn func(DiffEvent)) Option { return func(c *config) { c.observer = fn } }
-
 // WithSlowDiffThreshold enables slow-diff logging on an Engine: completed
 // diffs whose wall time meets or exceeds d are counted (Snapshot.SlowDiffs)
 // and logged through log/slog at warn level — to the WithLogger logger, or
 // slog.Default() without one. Engine entry points only.
 func WithSlowDiffThreshold(d time.Duration) Option { return func(c *config) { c.slow = d } }
 
-// WithDiffTimeout bounds each individual diff an Engine runs: a diff still
-// running when its deadline passes aborts at the next cancellation
-// checkpoint with an error matching ErrDiffTimeout. The deadline starts
-// when the diff starts — it bounds pairs, not batches, so large batches do
-// not starve late pairs. Combine with WithFallback to degrade instead of
-// fail. Engine entry points only; zero disables the deadline.
+// WithDiffTimeout bounds each individual diff that an Engine,
+// DiffContext or ExplainContext runs: a diff still running when its
+// deadline passes aborts at the next cancellation checkpoint with an error
+// matching ErrDiffTimeout. The deadline starts when the diff starts — on
+// an Engine it bounds pairs, not batches, so large batches do not starve
+// late pairs. Combine with WithFallback to degrade instead of fail on an
+// Engine. Zero disables the deadline.
 func WithDiffTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
 
 // WithCheckpointEvery tunes how many nodes a diff processes between
@@ -290,8 +282,7 @@ func PatchContext(ctx context.Context, t *Node, s *Script, opts ...Option) (*Nod
 // rolled back (restoring mt to exactly its pre-call state, same nodes and
 // all), and the returned error — a *PatchError matching
 // ErrNonCompliantScript — reports the offending edit's index and kind and
-// whether a rollback happened. Rollbacks are counted in
-// Snapshot.Rollbacks.
+// whether a rollback happened (PatchError.RolledBack).
 //
 // Use this over Patch when the caller owns a long-lived MTree (for
 // example, replaying a version history) and cannot afford either the
@@ -315,9 +306,9 @@ func NewDiffer(sch *Schema, opts ...Option) *Differ {
 }
 
 // NewEngine returns a concurrent batch diffing engine for trees of the
-// schema, honouring WithWorkers and the diff options; it ingests with
-// SHA-256, the paper's hash. See the Engine type (internal/engine
-// re-exported here) for the batch API and Snapshot for its metrics.
+// schema, honouring WithWorkers and the diff options. See the Engine type
+// (internal/engine re-exported here) for the batch API and Snapshot for
+// its metrics.
 func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("structdiff: %w", ErrNoSchema)
@@ -326,7 +317,6 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 	return engine.New(sch, engine.Config{
 		Workers:           cfg.workers,
 		Diff:              cfg.diff,
-		Observer:          cfg.observer,
 		SlowDiffThreshold: cfg.slow,
 		DiffTimeout:       cfg.timeout,
 		Fallback:          cfg.fallback,
@@ -336,11 +326,6 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 		Explain:           cfg.explain,
 	}), nil
 }
-
-// NewTraceWriter returns a concurrency-safe JSONL sink for per-diff trace
-// records; wire it to an engine with
-// WithObserver(func(ev DiffEvent) { tw.Write(ev.TraceRecord()) }).
-func NewTraceWriter(w io.Writer) *TraceWriter { return telemetry.NewTraceWriter(w) }
 
 // DiffBatch is a convenience wrapper: it builds a one-shot engine, runs
 // the pairs through it, and closes it on every path — success, batch

@@ -205,10 +205,9 @@ func MTreeFromTree(sch *Schema, t *Node) (*MTree, error) {
 
 type (
 	// Differ computes edit scripts; Result carries a script and the
-	// patched tree. Options and its enums configure the algorithm.
+	// patched tree. EquivMode and SelectionOrder configure the algorithm.
 	Differ         = truediff.Differ
 	Result         = truediff.Result
-	DiffOptions    = truediff.Options
 	EquivMode      = truediff.EquivMode
 	SelectionOrder = truediff.SelectionOrder
 	// Scratch is recyclable per-diff working state (see Differ.DiffScratch
@@ -239,9 +238,6 @@ type (
 	// Engine diffs batches of tree pairs concurrently with pooled scratch
 	// state; see NewEngine.
 	Engine = engine.Engine
-	// EngineConfig is the engine's plain-struct configuration (NewEngine
-	// assembles it from Options).
-	EngineConfig = engine.Config
 	// Pair is one diffing task; PairResult its outcome; DiffStats its
 	// instrumentation.
 	Pair       = engine.Pair
@@ -250,9 +246,6 @@ type (
 	// Snapshot is a point-in-time view of an engine's cumulative metrics;
 	// Snapshot.Sub derives per-batch deltas.
 	Snapshot = engine.Snapshot
-	// DiffEvent is the per-diff notification delivered to WithObserver
-	// callbacks.
-	DiffEvent = engine.DiffEvent
 	// FallbackMode selects the engine's graceful-degradation policy (see
 	// WithFallback); PanicError is the typed error of a recovered per-diff
 	// panic, matching ErrDiffPanic and carrying the goroutine stack.
@@ -318,10 +311,6 @@ type (
 	// its own at GET /metrics).
 	Metric   = telemetry.Metric
 	Gatherer = telemetry.Gatherer
-	// TraceRecord is one line of the JSONL diff trace; TraceWriter is the
-	// concurrency-safe sink (see NewTraceWriter).
-	TraceRecord = telemetry.TraceRecord
-	TraceWriter = telemetry.TraceWriter
 )
 
 // The four truediff phases, in execution order.
