@@ -27,6 +27,7 @@ func NewTreeGen(rng *rand.Rand, f *pylang.Factory) *TreeGen {
 func (t *TreeGen) Module(targetNodes int) *tree.Node { return t.g.module(targetNodes) }
 
 // Mutate applies one random semantic edit of a random kind to the module,
-// returning the mutated copy (fresh URIs throughout, modelling a reparse)
-// and the kind applied. It always succeeds.
+// returning the mutated module and the kind applied. Like a reparse, the
+// result shares every subtree the edit left alone with mod; the nodes it
+// rebuilds get fresh URIs. It always succeeds.
 func (t *TreeGen) Mutate(mod *tree.Node) (*tree.Node, EditKind) { return t.g.mutate(mod) }

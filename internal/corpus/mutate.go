@@ -60,35 +60,28 @@ func indexWhere(t *tree.Node, pred func(*tree.Node) bool) []int {
 	return out
 }
 
-// rebuildAt deep-copies t with fresh URIs, replacing the subtree at
-// preorder index target by repl(subtree). It models a reparsed document:
-// the after-tree shares no node objects with the before-tree.
+// rebuildAt returns t with the subtree at preorder index target replaced
+// by repl(subtree). It rebuilds only the nodes on the path from the root to
+// the target, with fresh URIs, and shares every other subtree with t, as a
+// reparse shares the statements it did not change.
 func (g *gen) rebuildAt(t *tree.Node, target int, repl func(*tree.Node) *tree.Node) *tree.Node {
-	f := g.f
-	idx := 0
-	var walk func(n *tree.Node) *tree.Node
-	walk = func(n *tree.Node) *tree.Node {
-		here := idx
-		idx++
-		if here == target {
-			idx += n.Size() - 1
-			return repl(n)
-		}
-		kids := make([]*tree.Node, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = walk(k)
-		}
-		out, err := tree.New(f.Schema(), f.Alloc(), n.Tag, kids, append([]any(nil), n.Lits...))
-		if err != nil {
-			panic(err)
-		}
-		return out
+	if target == 0 {
+		return repl(t)
 	}
-	return walk(t)
-}
-
-func (g *gen) clone(n *tree.Node) *tree.Node {
-	return tree.Clone(n, g.f.Alloc(), tree.SHA256)
+	kids := append([]*tree.Node(nil), t.Kids...)
+	at := 1 // the preorder index of the next kid
+	for i, k := range t.Kids {
+		if target < at+k.Size() {
+			kids[i] = g.rebuildAt(k, target-at, repl)
+			break
+		}
+		at += k.Size()
+	}
+	out, err := tree.New(g.f.Schema(), g.f.Alloc(), t.Tag, kids, append([]any(nil), t.Lits...))
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // isStmtSpine reports spine nodes of statement lists (insertion points).
@@ -113,16 +106,8 @@ func (g *gen) mutate(mod *tree.Node) (*tree.Node, EditKind) {
 	// Fallback: insert a pass statement at the top of the module.
 	f := g.f
 	return g.rebuildAt(mod, 1, func(spine *tree.Node) *tree.Node {
-		return f.StmtList(append([]*tree.Node{f.Pass()}, cloneAll(g, pylang.ListElems(spine))...)...)
+		return f.StmtList(append([]*tree.Node{f.Pass()}, pylang.ListElems(spine)...)...)
 	}), EditInsertStmt
-}
-
-func cloneAll(g *gen, ns []*tree.Node) []*tree.Node {
-	out := make([]*tree.Node, len(ns))
-	for i, n := range ns {
-		out[i] = g.clone(n)
-	}
-	return out
 }
 
 // applyEdit attempts one edit of the given kind; nil if inapplicable.
@@ -162,10 +147,9 @@ func (g *gen) applyEdit(mod *tree.Node, kind EditKind) *tree.Node {
 			return nil
 		}
 		return g.rebuildAt(mod, site, func(n *tree.Node) *tree.Node {
-			kids := cloneAll(g, n.Kids)
 			lits := append([]any(nil), n.Lits...)
 			lits[0] = lits[0].(string) + "_v2"
-			out, err := tree.New(f.Schema(), f.Alloc(), n.Tag, kids, lits)
+			out, err := tree.New(f.Schema(), f.Alloc(), n.Tag, append([]*tree.Node(nil), n.Kids...), lits)
 			if err != nil {
 				panic(err)
 			}
@@ -178,8 +162,7 @@ func (g *gen) applyEdit(mod *tree.Node, kind EditKind) *tree.Node {
 			return nil
 		}
 		return g.rebuildAt(mod, site, func(spine *tree.Node) *tree.Node {
-			rest := cloneAll(g, pylang.ListElems(spine))
-			stmts := append([]*tree.Node{g.stmt(1)}, rest...)
+			stmts := append([]*tree.Node{g.stmt(1)}, pylang.ListElems(spine)...)
 			return f.StmtList(stmts...)
 		})
 
@@ -193,7 +176,7 @@ func (g *gen) applyEdit(mod *tree.Node, kind EditKind) *tree.Node {
 			return nil
 		}
 		return g.rebuildAt(mod, site, func(spine *tree.Node) *tree.Node {
-			return g.clone(spine.Kids[1]) // drop the head, keep the tail
+			return spine.Kids[1] // drop the head, keep the tail
 		})
 
 	case EditMoveDef:
@@ -227,7 +210,7 @@ func (g *gen) applyEdit(mod *tree.Node, kind EditKind) *tree.Node {
 		newBody = append(newBody, rest[:to]...)
 		newBody = append(newBody, moved)
 		newBody = append(newBody, rest[to:]...)
-		return f.Module(f.StmtList(cloneAll(g, newBody)...))
+		return f.Module(f.StmtList(newBody...))
 
 	case EditWrapIf:
 		site, ok := pickSite(indexWhere(mod, func(n *tree.Node) bool {
@@ -238,7 +221,7 @@ func (g *gen) applyEdit(mod *tree.Node, kind EditKind) *tree.Node {
 			return nil
 		}
 		return g.rebuildAt(mod, site, func(n *tree.Node) *tree.Node {
-			return f.If(g.expr(1), f.StmtList(g.clone(n)), f.StmtList())
+			return f.If(g.expr(1), f.StmtList(n), f.StmtList())
 		})
 
 	case EditAddParam:
@@ -260,9 +243,7 @@ func (g *gen) applyEdit(mod *tree.Node, kind EditKind) *tree.Node {
 			return nil
 		}
 		return g.rebuildAt(mod, site, func(spine *tree.Node) *tree.Node {
-			first := g.clone(spine.Kids[0])
-			second := g.clone(spine.Kids[1].Kids[0])
-			tail := g.clone(spine.Kids[1].Kids[1])
+			first, second, tail := spine.Kids[0], spine.Kids[1].Kids[0], spine.Kids[1].Kids[1]
 			out, err := tree.New(f.Schema(), f.Alloc(), pylang.TagStmtCons,
 				[]*tree.Node{second, mustCons(f, first, tail)}, nil)
 			if err != nil {

@@ -27,75 +27,75 @@ type Config struct {
 }
 
 // Start launches the configured profilers and returns the stop function
-// that finishes them and closes their files. On error nothing is left
-// running. The returned stop is never nil and is safe to call exactly
-// once; it reports the first failure of profile finalization.
+// that finishes them and closes their files. It creates every configured
+// file before it starts any profiler, so a path that cannot be created
+// fails before the run. On error nothing is left running and no file this
+// call created is left behind. The returned stop is never nil and is safe
+// to call exactly once; it reports the first failure of profile
+// finalization.
 func Start(c Config) (stop func() error, err error) {
-	var stops []func() error
-	abort := func() {
-		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]()
+	var cpu, exec, mem *os.File
+	var created []*os.File
+	for _, out := range []struct {
+		path string
+		f    **os.File
+	}{{c.CPUProfile, &cpu}, {c.ExecTrace, &exec}, {c.MemProfile, &mem}} {
+		if out.path == "" {
+			continue
 		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			removeAll(created)
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		created = append(created, f)
+		*out.f = f
 	}
 
-	if c.CPUProfile != "" {
-		f, err := os.Create(c.CPUProfile)
-		if err != nil {
-			abort()
-			return nil, fmt.Errorf("profiling: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			abort()
+	if cpu != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			removeAll(created)
 			return nil, fmt.Errorf("profiling: start cpu profile: %w", err)
 		}
-		stops = append(stops, func() error {
-			pprof.StopCPUProfile()
-			return f.Close()
-		})
 	}
-	if c.ExecTrace != "" {
-		f, err := os.Create(c.ExecTrace)
-		if err != nil {
-			abort()
-			return nil, fmt.Errorf("profiling: %w", err)
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			abort()
+	if exec != nil {
+		if err := trace.Start(exec); err != nil {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+			}
+			removeAll(created)
 			return nil, fmt.Errorf("profiling: start execution trace: %w", err)
 		}
-		stops = append(stops, func() error {
-			trace.Stop()
-			return f.Close()
-		})
-	}
-	if c.MemProfile != "" {
-		// Created now, so a path that cannot be written fails before the
-		// run.
-		f, err := os.Create(c.MemProfile)
-		if err != nil {
-			abort()
-			return nil, fmt.Errorf("profiling: %w", err)
-		}
-		stops = append(stops, func() error {
-			runtime.GC()
-			werr := pprof.WriteHeapProfile(f)
-			cerr := f.Close()
-			if werr != nil {
-				return fmt.Errorf("profiling: write heap profile: %w", werr)
-			}
-			return cerr
-		})
 	}
 
 	return func() error {
 		var errs []error
-		for i := len(stops) - 1; i >= 0; i-- {
-			if err := stops[i](); err != nil {
+		if mem != nil {
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(mem); err != nil {
+				errs = append(errs, fmt.Errorf("profiling: write heap profile: %w", err))
+			}
+		}
+		if exec != nil {
+			trace.Stop()
+		}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+		}
+		for _, f := range created {
+			if err := f.Close(); err != nil {
 				errs = append(errs, err)
 			}
 		}
 		return errors.Join(errs...)
 	}, nil
+}
+
+// removeAll closes and removes the files a failed Start created. It
+// drops their errors: Start already returns the error it failed with.
+func removeAll(files []*os.File) {
+	for _, f := range files {
+		_ = f.Close()
+		_ = os.Remove(f.Name())
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/tree"
-	"repro/internal/uri"
 )
 
 // ParseError reports a syntax error with its source position.
@@ -27,16 +26,20 @@ func (e *ParseError) Error() string {
 // successful parse, and every statement, at any nesting level, whose exact
 // text it parsed then is reused with its digests instead of being lexed
 // into nodes and hashed again. Only changed statements and the spines
-// above them are built. The result equals a fresh parse of src and still
-// carries a fresh URI on every node, so it shares no node and no URI with
-// any tree the factory returned before. A failed parse leaves the kept
-// parse as it was.
+// above them are built. The result equals a fresh parse of src. It shares
+// each reused statement, URIs included, with the trees the factory
+// returned before, so a URI names one node across all of the factory's
+// trees; no node occurs twice within one tree. A failed parse leaves the
+// kept parse as it was.
 func Parse(src string, f *Factory) (mod *tree.Node, err error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks, f: f, ix: f.last.next(src), mark: f.alloc.Peek()}
+	p := &parser{src: src, toks: toks, f: f, ix: f.last.next(src)}
+	if f.last != nil {
+		p.taken = make([]bool, len(f.last.recs))
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(*ParseError); ok {
@@ -48,10 +51,7 @@ func Parse(src string, f *Factory) (mod *tree.Node, err error) {
 	}()
 	mod = p.module()
 	f.last = p.ix
-	if !p.reused {
-		return mod, nil
-	}
-	return p.fresh(mod), nil
+	return mod, nil
 }
 
 // ParseNew is Parse with a fresh factory; it returns the factory so the
@@ -70,11 +70,9 @@ type parser struct {
 	// ix indexes this parse's statements; it replaces the factory's kept
 	// index once the parse succeeds.
 	ix *index
-	// mark is the allocator's last URI before this parse: every node of
-	// an earlier parse has a URI at or below it.
-	mark uri.URI
-	// reused records that some statement came from the kept index.
-	reused bool
+	// taken marks the records of the kept index whose nodes this parse
+	// has adopted, so no node enters the tree twice.
+	taken []bool
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }

@@ -2,6 +2,7 @@ package pylang
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -23,9 +24,12 @@ import (
 //
 // The tree a parse builds from indexed and new nodes is its cache tree: the
 // next parse's index points into it and cuts its texts from this parse's
-// source, so a factory holds one tree and one source text. The cache tree
-// shares reused statements with trees handed out earlier, so Parse hands
-// out a copy of each of them instead (fresh).
+// source, so a factory holds one tree and one source text. Parse returns
+// the cache tree, so it shares reused statements with the trees handed out
+// before. A record's span, the record and the records nested in it, is
+// adopted at most once per parse; a statement whose every record is taken
+// is copied, digests included, and left out of the index, so neither the
+// tree nor the next index holds a node twice.
 
 // index is one parse's statements by their exact text.
 type index struct {
@@ -34,11 +38,13 @@ type index struct {
 	// of the statements nested in it.
 	recs  []stmtRec
 	nodes []*tree.Node // the records' nodes
-	// at maps a statement's text to its record. The next parse builds it
-	// at its first lookup, so a kept index holds no map between parses.
-	// Equal texts parse to equal nodes, so when two statements share a
-	// text either record serves.
-	at map[string]int32
+	// at maps a statement's text to its first record in source order, and
+	// link maps each record to the next record with the same text, or -1.
+	// Equal texts parse to equal nodes, so any record with the text
+	// serves. The next parse builds both at its first lookup, so a kept
+	// index holds neither between parses.
+	at   map[string]int32
+	link []int32
 }
 
 // stmtRec is one indexed statement: its text src[off:end], the nodes it
@@ -63,16 +69,40 @@ func (ix *index) next(src string) *index {
 	return &index{src: src, recs: make([]stmtRec, 0, recs), nodes: make([]*tree.Node, 0, nodes)}
 }
 
-// lookup returns the record of the statement whose text is text.
+// lookup returns the first record of the statement whose text is text;
+// link leads from it to the others.
 func (ix *index) lookup(text string) (int32, bool) {
 	if ix.at == nil {
 		ix.at = make(map[string]int32, len(ix.recs))
-		for i, rec := range ix.recs {
-			ix.at[ix.src[rec.off:rec.end]] = int32(i)
+		ix.link = make([]int32, len(ix.recs))
+		for i := len(ix.recs) - 1; i >= 0; i-- {
+			rec := ix.recs[i]
+			key := ix.src[rec.off:rec.end]
+			next, ok := ix.at[key]
+			if !ok {
+				next = -1
+			}
+			ix.link[i], ix.at[key] = next, int32(i)
 		}
 	}
 	r, ok := ix.at[text]
 	return r, ok
+}
+
+// take returns the first record from r on, following link, whose span no
+// statement of this parse has adopted yet, and marks that span taken; it
+// returns -1 when every record with r's text is taken.
+func (p *parser) take(old *index, r int32) int32 {
+	for ; r >= 0; r = old.link[r] {
+		span := p.taken[r : r+1+old.recs[r].nested]
+		if !slices.Contains(span, true) {
+			for i := range span {
+				span[i] = true
+			}
+			return r
+		}
+	}
+	return -1
 }
 
 // adopt indexes record r of the kept index old, and every record nested in
@@ -106,9 +136,18 @@ func (p *parser) listStmt() []*tree.Node {
 	end := p.stmtEnd()
 	off, stop := p.cut(p.pos), p.cut(end)
 	if old := p.f.last; old != nil {
-		if r, ok := old.lookup(p.src[off:stop]); ok {
-			p.pos, p.reused = end, true
-			return ix.adopt(old, r, off)
+		if first, ok := old.lookup(p.src[off:stop]); ok {
+			p.pos = end
+			if r := p.take(old, first); r >= 0 {
+				return ix.adopt(old, r, off)
+			}
+			// Every record with this text is in the tree already.
+			rec := old.recs[first]
+			nodes := make([]*tree.Node, rec.n)
+			for i, n := range old.nodes[rec.first : rec.first+rec.n] {
+				nodes[i] = tree.CloneKeepDigests(n, p.f.alloc)
+			}
+			return nodes
 		}
 	}
 	r, first := len(ix.recs), len(ix.nodes)
@@ -181,30 +220,4 @@ func (p *parser) cut(i int) int {
 		return t.Off
 	}
 	return t.Off - (t.Col - 1)
-}
-
-// fresh returns the tree Parse hands out for its cache tree n. A node at or
-// below p.mark is a statement reused from an earlier parse, which may have
-// been handed out already: fresh copies it with its digests and rebuilds
-// its ancestors around the copies, copying their digests too. Nodes built
-// by this parse are shared.
-func (p *parser) fresh(n *tree.Node) *tree.Node {
-	if n.URI <= p.mark {
-		return tree.CloneKeepDigests(n, p.f.alloc)
-	}
-	var kids []*tree.Node
-	for i, k := range n.Kids {
-		c := p.fresh(k)
-		if c != k && kids == nil {
-			kids = make([]*tree.Node, len(n.Kids))
-			copy(kids, n.Kids[:i])
-		}
-		if kids != nil {
-			kids[i] = c
-		}
-	}
-	if kids == nil {
-		return n
-	}
-	return tree.Rebuilt(n, p.f.alloc, p.f.alloc.Fresh(), kids)
 }

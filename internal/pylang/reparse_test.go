@@ -8,6 +8,8 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/pylang"
 	"repro/internal/tree"
+	"repro/internal/truechange"
+	"repro/internal/truediff"
 	"repro/internal/uri"
 )
 
@@ -92,6 +94,7 @@ var reparseCases = []struct{ name, old, new string }{
 	{"indentation-changed",
 		"def f():\n    if a:\n        return 1\n    return 2\n",
 		"def f():\n  if a:\n        return 1\n  return 2\n"},
+	{"body-repeats-later-nested-statements", repeatsNestedOld, repeatsNestedNew},
 	{"unchanged",
 		sampleModule,
 		sampleModule},
@@ -99,6 +102,13 @@ var reparseCases = []struct{ name, old, new string }{
 		sampleModule,
 		strings.Replace(sampleModule, "class Stack:", "class Pile(object):", 1)},
 }
+
+// A changed function's body repeats, twice, the statement nested in each
+// of two later, unchanged functions (TestReparseAdoptsEachRecordOnce).
+const (
+	repeatsNestedOld = "def f():\n    pass\ndef g():\n    y = 2\n    return y\ndef h():\n    y = 2\n"
+	repeatsNestedNew = "def f():\n    y = 2\n    y = 2\ndef g():\n    y = 2\n    return y\ndef h():\n    y = 2\n"
+)
 
 const sampleModule = `import os
 from collections import deque, OrderedDict
@@ -131,31 +141,37 @@ finally:
     cleanup()
 `
 
-// returned tracks every node and URI a factory has handed out.
+// returned maps every URI a factory has handed out to the node it named.
 type returned struct {
-	nodes map[*tree.Node]bool
-	uris  map[uri.URI]bool
+	uris map[uri.URI]*tree.Node
 }
 
 func newReturned() *returned {
-	return &returned{nodes: map[*tree.Node]bool{}, uris: map[uri.URI]bool{}}
+	return &returned{uris: map[uri.URI]*tree.Node{}}
 }
 
-// add records t, and fails the test if t repeats a URI within itself or
-// shares a node or a URI with an earlier tree.
+// add records t, and fails the test if a node or a URI occurs twice
+// within t, or if a URI of t names another node than in an earlier tree.
+// A reparse shares its reused statements with earlier trees, so a node
+// may occur in several of them, always under its one URI.
 func (r *returned) add(t *testing.T, what string, mod *tree.Node) {
 	t.Helper()
-	own := map[uri.URI]bool{}
+	own := map[uri.URI]*tree.Node{}
 	tree.Walk(mod, func(n *tree.Node) {
-		if own[n.URI] {
+		if m, ok := own[n.URI]; ok {
+			if m == n {
+				t.Fatalf("%s: node %s%s occurs twice in the tree", what, n.Tag, n.URI)
+			}
 			t.Fatalf("%s: URI %s occurs twice in the tree", what, n.URI)
 		}
-		own[n.URI] = true
-		if r.nodes[n] || r.uris[n.URI] {
-			t.Fatalf("%s: node %s%s was handed out by an earlier parse", what, n.Tag, n.URI)
+		own[n.URI] = n
+		if m, ok := r.uris[n.URI]; ok && m != n {
+			t.Fatalf("%s: URI %s names %s here and another node, %s, in an earlier tree", what, n.URI, n.Tag, m.Tag)
 		}
 	})
-	tree.Walk(mod, func(n *tree.Node) { r.nodes[n], r.uris[n.URI] = true, true })
+	for u, n := range own {
+		r.uris[u] = n
+	}
 }
 
 // sameTree fails the test unless got equals want node by node: tags,
@@ -258,17 +274,62 @@ func largeModule(t *testing.T) (string, int) {
 	return src, mod.Size()
 }
 
-// mallocs returns the heap allocations fn makes.
-func mallocs(fn func()) uint64 {
+// allocated returns the heap allocations fn makes and their bytes.
+func allocated(fn func()) (mallocs, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReparseSharesUnchangedStatements pins that a reparse returns the
+// statements it reused by pointer: every top-level statement of an
+// unchanged module is the previous tree's own node.
+func TestReparseSharesUnchangedStatements(t *testing.T) {
+	f := pylang.NewFactory()
+	prev, err := pylang.Parse(sampleModule, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pylang.Parse(sampleModule, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was, is := pylang.ListElems(prev.Kids[0]), pylang.ListElems(got.Kids[0])
+	if len(is) != len(was) || len(is) == 0 {
+		t.Fatalf("reparse has %d top-level statements, the previous tree %d", len(is), len(was))
+	}
+	for i := range is {
+		if is[i] != was[i] {
+			t.Errorf("statement %d (%s) is a new node, not the previous tree's %s%s", i, is[i].Tag, was[i].Tag, was[i].URI)
+		}
+	}
+}
+
+// TestReparseAdoptsEachRecordOnce pins the record chain and the copy
+// path. f's new body adopts the statements nested in g and h, first g's,
+// then h's through the chain. g and h then find their records taken and
+// are copies: new nodes, equal to the old ones.
+func TestReparseAdoptsEachRecordOnce(t *testing.T) {
+	f, seen := pylang.NewFactory(), newReturned()
+	prev := reparse(t, "old", f, seen, repeatsNestedOld)
+	got := reparse(t, "new", f, seen, repeatsNestedNew)
+	body := func(def *tree.Node) []*tree.Node { return pylang.ListElems(def.Kids[1]) }
+	was, is := pylang.ListElems(prev.Kids[0]), pylang.ListElems(got.Kids[0])
+	if fb := body(is[0]); fb[0] != body(was[1])[0] || fb[1] != body(was[2])[0] {
+		t.Errorf("f's body did not adopt the statements nested in g and h, in that order")
+	}
+	for i, name := range []string{"g", "h"} {
+		if d := is[i+1]; d == was[i+1] || !tree.Equal(d, was[i+1]) {
+			t.Errorf("%s is not a copy of the previous tree's %s", name, name)
+		}
+	}
 }
 
 // TestReparseAllocations guards what reuse buys: reparsing an unchanged
-// module copies its statements instead of lexing them into new nodes.
+// module shares its statements instead of lexing them into new nodes, so
+// beyond the tokens it allocates little more than the top-level spine.
 func TestReparseAllocations(t *testing.T) {
 	src, size := largeModule(t)
 	fresh := testing.AllocsPerRun(5, func() { _, _, _ = pylang.ParseNew(src) }) / float64(size)
@@ -277,9 +338,19 @@ func TestReparseAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	again := testing.AllocsPerRun(10, func() { _, _ = pylang.Parse(src, f) }) / float64(size)
-	t.Logf("%d nodes: a fresh parse allocates %.2f times per node, a reparse %.2f", size, fresh, again)
+	const runs = 10
+	_, total := allocated(func() {
+		for i := 0; i < runs; i++ {
+			_, _ = pylang.Parse(src, f)
+		}
+	})
+	bytes := float64(total) / runs / float64(size)
+	t.Logf("%d nodes: a fresh parse allocates %.2f times per node, a reparse %.2f times and %.0f bytes", size, fresh, again, bytes)
 	if again > 0.5 {
 		t.Errorf("reparsing an unchanged module allocates %.2f times per node, want at most 0.5", again)
+	}
+	if bytes > 120 {
+		t.Errorf("reparsing an unchanged module allocates %.0f bytes per node, want at most 120", bytes)
 	}
 }
 
@@ -298,7 +369,7 @@ func TestReparseKeepsIndexAfterError(t *testing.T) {
 			t.Fatalf("broken version parsed:\n%s", broken[len(broken)-40:])
 		}
 		var got *tree.Node
-		n := mallocs(func() { got, _ = pylang.Parse(src, f) })
+		n, _ := allocated(func() { got, _ = pylang.Parse(src, f) })
 		want, _, _ := pylang.ParseNew(src)
 		sameTree(t, "good again", got, want)
 		seen.add(t, "good again", got)
@@ -309,8 +380,11 @@ func TestReparseKeepsIndexAfterError(t *testing.T) {
 }
 
 // FuzzReparse parses a, then b, through one factory: the reparse of b
-// must fail exactly as a fresh parse of b does, or equal it with fresh,
-// unique URIs.
+// must fail exactly as a fresh parse of b does, or equal it with no node
+// and no URI twice and every URI naming the node it named in a's tree.
+// When both parse, a's tree is diffed against b's reparse, which shares
+// nodes with it, and against a fresh parse of b, which does not: the two
+// scripts must agree edit for edit and patch a's tree into b.
 func FuzzReparse(f *testing.F) {
 	for _, c := range reparseCases {
 		f.Add(c.old, c.new)
@@ -324,7 +398,8 @@ func FuzzReparse(f *testing.F) {
 	f.Add("x = 1\n\ry = 2\n", "if a:\n    x = 1\n\ry = 2\n")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		fac, seen := pylang.NewFactory(), newReturned()
-		if prev, err := pylang.Parse(a, fac); err == nil {
+		prev, prevErr := pylang.Parse(a, fac)
+		if prevErr == nil {
 			seen.add(t, "a", prev)
 		}
 		got, err := pylang.Parse(b, fac)
@@ -337,5 +412,29 @@ func FuzzReparse(f *testing.F) {
 		}
 		sameTree(t, "b", got, want)
 		seen.add(t, "b", got)
+		if prevErr != nil {
+			return
+		}
+		d := truediff.New(fac.Schema())
+		shared, err := d.Diff(prev, got, nil)
+		if err != nil {
+			t.Fatalf("diff against the reparse: %v", err)
+		}
+		disjoint, err := d.Diff(prev, want, nil)
+		if err != nil {
+			t.Fatalf("diff against the fresh parse: %v", err)
+		}
+		if !truechange.EqualEdits(shared.Script.Edits, disjoint.Script.Edits) {
+			t.Fatalf("scripts differ:\nshared   %v\ndisjoint %v", shared.Script.Edits, disjoint.Script.Edits)
+		}
+		if err := truechange.WellTyped(fac.Schema(), shared.Script); err != nil {
+			t.Fatalf("script is ill-typed: %v", err)
+		}
+		if msg := tree.Mismatch(shared.Patched, disjoint.Patched); msg != "" {
+			t.Fatalf("patched trees differ: %s", msg)
+		}
+		if !tree.Equal(shared.Patched, want) {
+			t.Fatalf("patched tree differs from b")
+		}
 	})
 }

@@ -119,7 +119,7 @@ func TestMeasureOnDiff(t *testing.T) {
 
 func TestMeasureIdenticalPair(t *testing.T) {
 	// Two generators with the same seed produce content-identical trees
-	// with no shared node objects (Diff requires distinct structures).
+	// that share no node, so the pair is identical by content alone.
 	g := exp.NewGen(13)
 	src := g.Tree(30)
 	dst := exp.NewGen(13).Tree(30)

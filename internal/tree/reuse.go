@@ -12,8 +12,9 @@ import "repro/internal/uri"
 //     content-identical to its target counterpart by construction);
 //   - CloneKeepDigests extends the same observation to whole trees that
 //     already carry digests of the desired kind: a re-numbered copy keeps
-//     them verbatim (HashedWith tells when that is sound; pylang copies
-//     the statements a reparse reused this way).
+//     them verbatim (HashedWith tells when that is sound). A reparse
+//     shares the statements it reused and copies only one it cannot
+//     share without putting a node twice in its tree.
 
 // Rebuilt constructs a node with the given URI, kids, and the tag and
 // literals of the template node like, copying like's digests instead of
@@ -43,8 +44,8 @@ func HashedWith(n *Node, kind HashKind) bool { return n.hashed && n.kind == kind
 // the existing digests instead of recomputing them. Digests are functions of
 // structure and literals only — never URIs — so the copy's digests are the
 // original's by construction. Valid only when n already carries digests of
-// the desired kind (check with HashedWith); pylang uses it to hand out the
-// statements a reparse reused without hashing them again.
+// the desired kind (check with HashedWith); pylang uses it to copy a
+// reused statement it cannot share, without hashing it again.
 //
 // It is an arena copy: the nodes come from one slice and the kid slots from
 // another, both sized by n.Size(), so a call allocates twice however large

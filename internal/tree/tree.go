@@ -366,10 +366,14 @@ func Count(n *Node) int { return int(n.size) }
 
 // Equal reports deep structural and literal equality, ignoring URIs. It
 // compares hashes first and falls back to a full traversal only when the
-// hashes agree, making it safe even under FNV hashing.
+// hashes agree, making it safe even under FNV hashing. A subtree shared by
+// both trees is equal to itself without a traversal.
 func Equal(a, b *Node) bool {
+	if a == b {
+		return true
+	}
 	if a == nil || b == nil {
-		return a == b
+		return false
 	}
 	if a.structHash != b.structHash || a.litHash != b.litHash {
 		return false
@@ -378,6 +382,9 @@ func Equal(a, b *Node) bool {
 }
 
 func deepEqual(a, b *Node) bool {
+	if a == b {
+		return true
+	}
 	if a.Tag != b.Tag || len(a.Kids) != len(b.Kids) || len(a.Lits) != len(b.Lits) {
 		return false
 	}

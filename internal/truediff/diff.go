@@ -141,7 +141,7 @@ type Result struct {
 }
 
 // Scratch holds the reusable per-invocation state of the algorithm: the
-// subtree registry, the assignment map, the edit buffer, and the selection
+// subtree registry, the assignment maps, the edit buffer, and the selection
 // heap. Allocating these dominates the fixed cost of small diffs, so
 // high-throughput callers (the batch engine's workers) recycle one Scratch
 // across many diffs instead of allocating fresh maps each time.
@@ -150,12 +150,15 @@ type Result struct {
 // is invisible in the output: a recycled Scratch produces scripts
 // identical to a fresh one.
 type Scratch struct {
-	reg      registry
-	assigned map[*tree.Node]*tree.Node
-	buf      *truechange.Buffer
-	heap     nodeHeap
-	queue    []*tree.Node
-	phases   telemetry.PhaseTimes
+	reg registry
+	// dstOf maps each assigned source subtree to its target partner, and
+	// srcOf each assigned target subtree to its source partner. One map per
+	// side lets a node that occurs in both trees be assigned on each side.
+	dstOf, srcOf map[*tree.Node]*tree.Node
+	buf          *truechange.Buffer
+	heap         nodeHeap
+	queue        []*tree.Node
+	phases       telemetry.PhaseTimes
 }
 
 // PhaseTimes returns the per-phase durations of the most recent DiffScratch
@@ -166,16 +169,18 @@ func (s *Scratch) PhaseTimes() telemetry.PhaseTimes { return s.phases }
 // NewScratch returns an empty Scratch ready for DiffScratch.
 func NewScratch() *Scratch {
 	return &Scratch{
-		reg:      newRegistry(),
-		assigned: make(map[*tree.Node]*tree.Node),
-		buf:      truechange.NewBuffer(),
+		reg:   newRegistry(),
+		dstOf: make(map[*tree.Node]*tree.Node),
+		srcOf: make(map[*tree.Node]*tree.Node),
+		buf:   truechange.NewBuffer(),
 	}
 }
 
 // Reset clears the scratch state while keeping its allocations.
 func (s *Scratch) Reset() {
 	s.reg.reset()
-	clear(s.assigned)
+	clear(s.dstOf)
+	clear(s.srcOf)
 	s.buf.Reset()
 	s.heap.reset()
 	clear(s.queue)
@@ -189,8 +194,10 @@ func (s *Scratch) Reset() {
 // allocator the source was built with guarantees that. If alloc is nil,
 // Diff allocates one that reserves the largest URI occurring in source.
 //
-// The source and target trees must be distinct structures: no *tree.Node
-// may occur in both. Diff does not mutate either tree.
+// A *tree.Node that occurs in both trees is matched like any other equal
+// pair, so a target may share unchanged subtrees with its source (as a
+// reparse does). No node may occur twice within one tree. Diff does not
+// mutate either tree.
 func (d *Differ) Diff(source, target *tree.Node, alloc *uri.Allocator) (*Result, error) {
 	return d.DiffScratch(context.Background(), source, target, alloc, NewScratch(), nil)
 }
@@ -340,9 +347,9 @@ func (d *Differ) InitialScript(target *tree.Node, alloc *uri.Allocator) (*Result
 }
 
 // run is the per-invocation state of the algorithm: the configuration plus
-// a borrowed Scratch. The assigned map in the scratch records the
-// symmetric subtree assignment between source and target subtrees (paper:
-// the assigned field of Diffable).
+// a borrowed Scratch. The scratch's dstOf and srcOf maps record the subtree
+// assignment between source and target subtrees, one direction each
+// (paper: the assigned field of Diffable).
 type run struct {
 	sch   *sig.Schema
 	opts  Options
@@ -395,16 +402,16 @@ func (r *run) candidateKey(n *tree.Node) tree.ExactKey {
 // preferKey returns the key used to select preferred (exact) candidates.
 func (r *run) preferKey(n *tree.Node) tree.Digest { return n.LitHash() }
 
-// assign records a symmetric subtree assignment.
+// assign records a subtree assignment in both directions.
 func (r *run) assign(src, dst *tree.Node) {
-	r.s.assigned[src] = dst
-	r.s.assigned[dst] = src
+	r.s.dstOf[src] = dst
+	r.s.srcOf[dst] = src
 }
 
-// unassign dissolves a symmetric subtree assignment.
+// unassign dissolves a subtree assignment in both directions.
 func (r *run) unassign(src, dst *tree.Node) {
-	delete(r.s.assigned, src)
-	delete(r.s.assigned, dst)
+	delete(r.s.dstOf, src)
+	delete(r.s.srcOf, dst)
 }
 
 // --- Step 2: find reuse candidates ------------------------------------
@@ -518,7 +525,7 @@ func (r *run) assignSubtreesFIFO(target *tree.Node) {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		if r.s.assigned[n] != nil {
+		if r.s.srcOf[n] != nil {
 			continue
 		}
 		rest := r.selectTrees([]*tree.Node{n}, true)
@@ -541,7 +548,7 @@ func (r *run) selectTrees(trees []*tree.Node, preferred bool) []*tree.Node {
 	var unassigned []*tree.Node
 	for _, n := range trees {
 		r.tick()
-		if r.s.assigned[n] != nil {
+		if r.s.srcOf[n] != nil {
 			continue // preemptively assigned in step 2
 		}
 		s := r.s.reg.lookup(r.candidateKey(n))
@@ -594,7 +601,7 @@ func (r *run) deregisterSubtree(src, dst *tree.Node) {
 			if s := r.s.reg.lookup(r.candidateKey(n)); s != nil {
 				s.removeAvailable(n)
 			}
-			if partner := r.s.assigned[n]; partner != nil {
+			if partner := r.s.dstOf[n]; partner != nil {
 				if r.explain != nil {
 					r.explain.revoke(partner)
 				}
@@ -604,7 +611,7 @@ func (r *run) deregisterSubtree(src, dst *tree.Node) {
 	}
 	for _, kid := range dst.Kids {
 		tree.Walk(kid, func(n *tree.Node) {
-			if partner := r.s.assigned[n]; partner != nil {
+			if partner := r.s.srcOf[n]; partner != nil {
 				r.unassign(partner, n)
 				r.s.reg.shareFor(r.candidateKey(partner)).registerAvailable(partner, r.preferKey(partner))
 			}
@@ -664,13 +671,13 @@ func litsEqual(a, b *tree.Node) bool {
 // rehashing.
 func (r *run) computeEdits(src, dst *tree.Node, parent truechange.NodeRef, link sig.Link) *tree.Node {
 	r.tick()
-	if p := r.s.assigned[src]; p != nil && p == dst {
+	if p := r.s.dstOf[src]; p != nil && p == dst {
 		// src stays in place; it is morphed into dst (literal updates only
 		// for the structurally equivalent pairs truediff's own assignment
 		// produces; full recursion for externally matched pairs).
 		return r.morphAssigned(src, dst)
 	}
-	if r.s.assigned[src] == nil && r.s.assigned[dst] == nil {
+	if r.s.dstOf[src] == nil && r.s.srcOf[dst] == nil {
 		if t := r.computeEditsRec(src, dst, parent, link); t != nil {
 			return t
 		}
@@ -698,17 +705,17 @@ func (r *run) computeEdits(src, dst *tree.Node, parent truechange.NodeRef, link 
 func (r *run) detachProvenance(src, dst *tree.Node) EditProvenance {
 	p := EditProvenance{}
 	switch {
-	case r.s.assigned[src] != nil:
+	case r.s.dstOf[src] != nil:
 		// src was acquired as a reuse candidate by some other target
 		// subtree; it cannot stay here.
 		p.Reason = ReasonSourceClaimed
-		partner := r.s.assigned[src]
+		partner := r.s.dstOf[src]
 		p.Detail = fmt.Sprintf("acquired by target %s subtree at height %d", partner.Tag, partner.Height())
 		r.explain.fill(&p, r.explain.decisions[partner])
 	case src.Tag != dst.Tag:
 		p.Reason = ReasonTagMismatch
 		p.Detail = fmt.Sprintf("%s≠%s", src.Tag, dst.Tag)
-	case r.s.assigned[dst] != nil:
+	case r.s.srcOf[dst] != nil:
 		// The traversal could have aligned the nodes, but dst acquired a
 		// different source candidate during selection.
 		p.Reason = ReasonMove
@@ -725,7 +732,7 @@ func (r *run) detachProvenance(src, dst *tree.Node) EditProvenance {
 // a moved reuse candidate or a freshly built subtree.
 func (r *run) attachProvenance(dst *tree.Node) EditProvenance {
 	p := EditProvenance{}
-	if r.s.assigned[dst] != nil {
+	if r.s.srcOf[dst] != nil {
 		p.Reason = ReasonMove
 		p.Detail = "reused source subtree selected for this target"
 	} else {
@@ -821,7 +828,7 @@ func (r *run) updateLits(src, dst *tree.Node) *tree.Node {
 // which their parent's Unload released.
 func (r *run) unloadUnassigned(src *tree.Node) {
 	r.tick()
-	if r.s.assigned[src] != nil {
+	if r.s.dstOf[src] != nil {
 		return
 	}
 	un := truechange.Unload{Node: ref(src), Kids: r.kidArgs(src), Lits: r.litArgs(src)}
@@ -847,7 +854,7 @@ func (r *run) unloadUnassigned(src *tree.Node) {
 // bottom-up with fresh URIs. It returns the resulting tree.
 func (r *run) loadUnassigned(dst *tree.Node) *tree.Node {
 	r.tick()
-	if src := r.s.assigned[dst]; src != nil {
+	if src := r.s.srcOf[dst]; src != nil {
 		return r.morphAssigned(src, dst)
 	}
 	kids := make([]*tree.Node, len(dst.Kids))

@@ -59,7 +59,7 @@ func (d *Differ) DiffWithMatching(src, dst *tree.Node, matches []MatchPair, allo
 		if !inSrc[m.Src] || !inDst[m.Dst] {
 			continue
 		}
-		if r.s.assigned[m.Src] != nil || r.s.assigned[m.Dst] != nil {
+		if r.s.dstOf[m.Src] != nil || r.s.srcOf[m.Dst] != nil {
 			return nil, fmt.Errorf("truediff: %w: at %s/%s", derrors.ErrBadMatching, m.Src.URI, m.Dst.URI)
 		}
 		r.assign(m.Src, m.Dst)
