@@ -50,7 +50,7 @@ import (
 func main() {
 	var (
 		check       = flag.Bool("check", false, "type-check the script and verify patching")
-		explain     = flag.Bool("explain", false, "annotate every edit with its provenance (equivalence class, selection outcome) and print script-quality metrics")
+		explain     = flag.Bool("explain", false, "annotate every edit with its provenance (equivalence class, selection outcome) and print a selection summary")
 		stat        = flag.Bool("stats", false, "print sizes, edit counts, and timing")
 		baselines   = flag.Bool("baselines", false, "also run gumtree and hdiff")
 		quiet       = flag.Bool("quiet", false, "suppress the edit script itself")
@@ -214,15 +214,13 @@ func run(oldPath, newPath, lang string, explain, check, stat, baselines, quiet b
 	var (
 		res  *structdiff.Result
 		prov *structdiff.Explanation
-		qual *structdiff.QualityMetrics
 	)
 	start := time.Now()
 	if explain {
 		var ex *structdiff.Explained
-		ex, err = structdiff.Explain(before, after,
-			append(opts, structdiff.WithQualityBaseline(structdiff.DefaultQualityBaselineMaxNodes))...)
+		ex, err = structdiff.Explain(before, after, opts...)
 		if err == nil {
-			res, prov, qual = ex.Result, ex.Provenance, &ex.Quality
+			res, prov = ex.Result, ex.Provenance
 		}
 	} else {
 		res, err = structdiff.Diff(before, after, opts...)
@@ -244,15 +242,9 @@ func run(oldPath, newPath, lang string, explain, check, stat, baselines, quiet b
 			fmt.Println(res.Script)
 		}
 	}
-	if prov != nil && qual != nil {
+	if prov != nil {
 		fmt.Printf("explain: %d preemptive, %d selected (%d exact), %d revoked\n",
 			prov.Preemptive, prov.Selected, prov.PreferredWins, prov.Revoked)
-		fmt.Printf("quality: reuse %.1f%%, %.2f edits/changed node, script/tree %.3f\n",
-			100*qual.ReuseRatio, qual.EditsPerChangedNode, qual.ScriptTreeRatio)
-		if qual.Baselined {
-			fmt.Printf("quality: optimality gap %+.1f%% (%d compound vs %d minimal)\n",
-				100*qual.OptimalityGap, qual.CompoundEdits, qual.MinimalEdits)
-		}
 	}
 	if stat {
 		fmt.Printf("source nodes:  %d\n", before.Size())

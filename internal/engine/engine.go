@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/derrors"
 	"repro/internal/faultinject"
-	"repro/internal/quality"
 	"repro/internal/sig"
 	"repro/internal/telemetry"
 	"repro/internal/tree"
@@ -118,11 +117,9 @@ type histograms struct {
 	edits   telemetry.Histogram // compound edits per script
 	nodes   telemetry.Histogram // input tree sizes (two per diff)
 
-	// Quality distributions (per diff, stored in permille so the integer
-	// histogram resolves ratios; exposed with Scale 1e-3):
-	reuse        telemetry.Histogram // reuse ratio × 1000
-	editsChanged telemetry.Histogram // compound edits per changed node × 1000
-	scriptTree   telemetry.Histogram // compound edits per target node × 1000
+	// reuse is the per-diff reuse ratio in permille, so the integer
+	// histogram resolves it; it is exposed with Scale 1e-3.
+	reuse telemetry.Histogram
 }
 
 // New returns an Engine for trees of the given schema.
@@ -212,16 +209,10 @@ type DiffStats struct {
 	SourceSize int
 	TargetSize int
 	// ReuseRatio is the fraction of target nodes obtained by reusing
-	// source nodes rather than loading fresh ones: 1 means the diff moved
-	// and updated existing structure only, 0 means it rebuilt everything.
+	// source nodes rather than loading fresh ones, (TargetSize − loads) /
+	// TargetSize: 1 means the diff moved and updated existing structure
+	// only, 0 means it rebuilt everything.
 	ReuseRatio float64
-	// ChangedNodes counts the nodes the script touches (loads, unloads,
-	// literal updates, moved subtree roots); EditsPerChangedNode and
-	// ScriptTreeRatio are the conciseness ratios built on it (see
-	// quality.Metrics). All zero for an empty script.
-	ChangedNodes        int
-	EditsPerChangedNode float64
-	ScriptTreeRatio     float64
 	// Phases breaks Wall down into the four truediff steps (all zero for
 	// short-circuited pairs, where no step ran).
 	Phases telemetry.PhaseTimes
@@ -419,19 +410,17 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 		return PairResult{Err: err}
 	}
 
+	cs := truechange.ComputeStats(res.Script)
+	target := p.Target.Size() // at least 1: a tree has a root
 	st := DiffStats{
 		Wall:       wall,
 		Fallback:   fellBack,
-		Edits:      res.Script.EditCount(),
+		Edits:      cs.Compound,
 		SourceSize: p.Source.Size(),
-		TargetSize: p.Target.Size(),
+		TargetSize: target,
+		ReuseRatio: float64(target-cs.Loads) / float64(target),
 		Phases:     s.PhaseTimes(),
 	}
-	q := quality.FromScript(res.Script, st.SourceSize, st.TargetSize)
-	st.ReuseRatio = q.ReuseRatio
-	st.ChangedNodes = q.ChangedNodes
-	st.EditsPerChangedNode = q.EditsPerChangedNode
-	st.ScriptTreeRatio = q.ScriptTreeRatio
 	pr := PairResult{Result: res, Stats: st}
 	if ecol != nil && !fellBack {
 		pr.Explain = ecol.Last
@@ -441,9 +430,9 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 
 // record is the one place an engine diff is accounted, whichever way it
 // ended — normal, short-circuited, failed, or served by fallback: the
-// counters and histograms (quality included), slow-diff and failure
-// logging, the Observer, and the attributes of the "engine.diff" span,
-// which it ends, all read ev.
+// counters and histograms, slow-diff and failure logging, the Observer,
+// and the attributes of the "engine.diff" span, which it ends, all read
+// ev.
 func (e *Engine) record(ev DiffEvent, span *telemetry.Span) {
 	st := ev.Stats
 	if ev.Err != nil {
@@ -465,9 +454,6 @@ func (e *Engine) record(ev DiffEvent, span *telemetry.Span) {
 		e.h.nodes.Record(int64(st.SourceSize))
 		e.h.nodes.Record(int64(st.TargetSize))
 		e.h.reuse.Record(int64(st.ReuseRatio * 1000))
-		e.h.editsChanged.Record(int64(st.EditsPerChangedNode * 1000))
-		e.h.scriptTree.Record(int64(st.ScriptTreeRatio * 1000))
-		e.m.changedNodes.Add(uint64(st.ChangedNodes))
 	}
 
 	if e.cfg.SlowDiffThreshold > 0 && ev.Err == nil && st.Wall >= e.cfg.SlowDiffThreshold {

@@ -9,13 +9,14 @@ import (
 	"repro/internal/exp"
 	"repro/internal/telemetry"
 	"repro/internal/tree"
+	"repro/internal/truechange"
 	"repro/internal/uri"
 )
 
 // TestEngineExplainAndQuality: with Config.Explain on, every successful
-// PairResult carries provenance aligned with its script, DiffStats report
-// the conciseness metrics, and the snapshot and exposition surface the
-// aggregates.
+// PairResult carries provenance aligned with its script, DiffStats count
+// the script's conciseness as truechange.ComputeStats does, and the
+// exposition and trace records carry the reuse ratio.
 func TestEngineExplainAndQuality(t *testing.T) {
 	tps := makePairs(t, 8)
 	var log eventLog
@@ -42,50 +43,35 @@ func TestEngineExplainAndQuality(t *testing.T) {
 			}
 		}
 		st := pr.Stats
-		if st.ReuseRatio < 0 || st.ReuseRatio > 1 {
-			t.Fatalf("pair %d: reuse ratio %v out of range", i, st.ReuseRatio)
+		cs := truechange.ComputeStats(pr.Result.Script)
+		if st.Edits != cs.Compound {
+			t.Fatalf("pair %d: Edits = %d, ComputeStats.Compound = %d", i, st.Edits, cs.Compound)
 		}
-		if st.Edits > 0 && (st.ChangedNodes <= 0 || st.EditsPerChangedNode <= 0) {
-			t.Fatalf("pair %d: quality stats unpopulated: %+v", i, st)
+		if want := float64(st.TargetSize-cs.Loads) / float64(st.TargetSize); st.ReuseRatio != want {
+			t.Fatalf("pair %d: ReuseRatio = %v, want (%d - %d loads) / %d = %v",
+				i, st.ReuseRatio, st.TargetSize, cs.Loads, st.TargetSize, want)
 		}
-	}
-
-	s := e.Snapshot()
-	if s.ChangedNodes == 0 {
-		t.Fatalf("snapshot quality counters: %+v", s)
-	}
-	if !strings.Contains(s.String(), "quality:") {
-		t.Fatalf("Snapshot.String lacks quality line:\n%s", s)
 	}
 
 	names := map[string]bool{}
 	for _, m := range e.GatherMetrics() {
 		names[m.Name] = true
 	}
-	for _, want := range []string{
-		"structdiff_quality_reuse_ratio",
-		"structdiff_quality_edits_per_changed_node",
-		"structdiff_quality_script_tree_ratio",
-		"structdiff_quality_changed_nodes_total",
-	} {
-		if !names[want] {
-			t.Errorf("GatherMetrics lacks %s", want)
-		}
+	if !names["structdiff_quality_reuse_ratio"] {
+		t.Error("GatherMetrics lacks structdiff_quality_reuse_ratio")
 	}
 
-	// The observer's trace records carry the same quality fields.
+	// The observer's trace records carry the same reuse ratio.
 	for _, ev := range log.all() {
-		rec := ev.TraceRecord()
-		if rec.ReuseRatio != ev.Stats.ReuseRatio || rec.ChangedNodes != ev.Stats.ChangedNodes ||
-			rec.EditsPerNode != ev.Stats.EditsPerChangedNode || rec.ScriptRatio != ev.Stats.ScriptTreeRatio {
-			t.Fatalf("trace record drops quality fields: %+v vs %+v", rec, ev.Stats)
+		if rec := ev.TraceRecord(); rec.ReuseRatio != ev.Stats.ReuseRatio {
+			t.Fatalf("trace record reuse ratio %v, stats %v", rec.ReuseRatio, ev.Stats.ReuseRatio)
 		}
 	}
 }
 
 // TestEngineExplainIdenticalPair: the identical-pair short circuit
-// still delivers a (trivially empty) explanation and trivially concise
-// quality stats.
+// still delivers a (trivially empty) explanation, no edits and reuse
+// ratio 1.
 func TestEngineExplainIdenticalPair(t *testing.T) {
 	e := New(exp.Schema(), Config{Workers: 1, Explain: true})
 	g := exp.NewGen(3)
@@ -98,8 +84,28 @@ func TestEngineExplainIdenticalPair(t *testing.T) {
 	if pr.Explain == nil || len(pr.Explain.Edits) != 0 {
 		t.Fatalf("identical pair explanation: %+v", pr.Explain)
 	}
-	if pr.Stats.ReuseRatio != 1 || pr.Stats.ChangedNodes != 0 || pr.Stats.Edits != 0 {
-		t.Fatalf("identical pair quality stats: %+v", pr.Stats)
+	if pr.Stats.ReuseRatio != 1 || pr.Stats.Edits != 0 {
+		t.Fatalf("identical pair stats: %+v", pr.Stats)
+	}
+}
+
+// TestEngineContentIdenticalPair: two content-identical trees that share
+// no node take the full diff path, not the identical short circuit, and
+// still get no edits and reuse ratio 1.
+func TestEngineContentIdenticalPair(t *testing.T) {
+	// Two generators with the same seed build equal trees from separate
+	// nodes.
+	src, dst := exp.NewGen(13).Tree(30), exp.NewGen(13).Tree(30)
+	e := New(exp.Schema(), Config{Workers: 1})
+	results, err := e.DiffBatch(context.Background(), []Pair{{Source: src, Target: dst}})
+	if err != nil {
+		t.Fatalf("DiffBatch: %v", err)
+	}
+	if results[0].Err != nil {
+		t.Fatal(results[0].Err)
+	}
+	if st := results[0].Stats; st.Identical || st.Edits != 0 || st.ReuseRatio != 1 {
+		t.Fatalf("content-identical pair stats: %+v", st)
 	}
 }
 

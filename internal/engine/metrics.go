@@ -27,9 +27,6 @@ type metrics struct {
 	poolGets   atomic.Uint64
 	poolMisses atomic.Uint64
 
-	// changedNodes totals the nodes touched by scripts.
-	changedNodes atomic.Uint64
-
 	// queueDepth gauges pairs submitted to a running batch but not yet
 	// picked up by a worker; capacityNanos accumulates elapsed batch time
 	// multiplied by the batch's worker count (the utilization denominator).
@@ -59,9 +56,6 @@ type Snapshot struct {
 
 	// Edits is the total compound edit count over all scripts produced.
 	Edits uint64
-	// ChangedNodes totals the nodes touched by all scripts (loads,
-	// unloads, updates, moved roots).
-	ChangedNodes uint64
 	// SourceNodes and TargetNodes total the input tree sizes.
 	SourceNodes uint64
 	TargetNodes uint64
@@ -106,7 +100,6 @@ func (e *Engine) Snapshot() Snapshot {
 		Timeouts:       e.m.timeouts.Load(),
 		Fallbacks:      e.m.fallbacks.Load(),
 		Edits:          e.m.edits.Load(),
-		ChangedNodes:   e.m.changedNodes.Load(),
 		SourceNodes:    e.m.sourceNodes.Load(),
 		TargetNodes:    e.m.targetNodes.Load(),
 		DiffWall:       time.Duration(e.m.wallNanos.Load()),
@@ -136,20 +129,19 @@ func (e *Engine) Snapshot() Snapshot {
 //	delta := e.Snapshot().Sub(before)
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d := Snapshot{
-		Diffs:        sub64(s.Diffs, prev.Diffs),
-		Errors:       sub64(s.Errors, prev.Errors),
-		SlowDiffs:    sub64(s.SlowDiffs, prev.SlowDiffs),
-		Batches:      sub64(s.Batches, prev.Batches),
-		Panics:       sub64(s.Panics, prev.Panics),
-		Timeouts:     sub64(s.Timeouts, prev.Timeouts),
-		Fallbacks:    sub64(s.Fallbacks, prev.Fallbacks),
-		Edits:        sub64(s.Edits, prev.Edits),
-		ChangedNodes: sub64(s.ChangedNodes, prev.ChangedNodes),
-		SourceNodes:  sub64(s.SourceNodes, prev.SourceNodes),
-		TargetNodes:  sub64(s.TargetNodes, prev.TargetNodes),
-		PoolGets:     sub64(s.PoolGets, prev.PoolGets),
-		PoolMisses:   sub64(s.PoolMisses, prev.PoolMisses),
-		QueueDepth:   s.QueueDepth,
+		Diffs:       sub64(s.Diffs, prev.Diffs),
+		Errors:      sub64(s.Errors, prev.Errors),
+		SlowDiffs:   sub64(s.SlowDiffs, prev.SlowDiffs),
+		Batches:     sub64(s.Batches, prev.Batches),
+		Panics:      sub64(s.Panics, prev.Panics),
+		Timeouts:    sub64(s.Timeouts, prev.Timeouts),
+		Fallbacks:   sub64(s.Fallbacks, prev.Fallbacks),
+		Edits:       sub64(s.Edits, prev.Edits),
+		SourceNodes: sub64(s.SourceNodes, prev.SourceNodes),
+		TargetNodes: sub64(s.TargetNodes, prev.TargetNodes),
+		PoolGets:    sub64(s.PoolGets, prev.PoolGets),
+		PoolMisses:  sub64(s.PoolMisses, prev.PoolMisses),
+		QueueDepth:  s.QueueDepth,
 	}
 	if s.DiffWall > prev.DiffWall {
 		d.DiffWall = s.DiffWall - prev.DiffWall
@@ -192,13 +184,11 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf(
 		"diffs %d (%d errors, %d batches), %d edits, %d+%d nodes in %v (%.0f nodes/s)\n"+
 			"resilience: %d panics, %d timeouts, %d fallbacks\n"+
-			"quality: %d changed nodes\n"+
 			"workers: %.1f%% utilized over %v capacity, queue depth %d\n"+
 			"scratch pool: %d gets, %d misses (%.1f%% hit)",
 		s.Diffs, s.Errors, s.Batches, s.Edits, s.SourceNodes, s.TargetNodes,
 		s.DiffWall.Round(time.Millisecond), s.NodesPerSecond(),
 		s.Panics, s.Timeouts, s.Fallbacks,
-		s.ChangedNodes,
 		100*s.Utilization, s.WorkerCapacity.Round(time.Millisecond), s.QueueDepth,
 		s.PoolGets, s.PoolMisses, 100*s.PoolHitRate,
 	)

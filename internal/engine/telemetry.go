@@ -21,17 +21,14 @@ type DiffEvent struct {
 // telemetry.TraceWriter (the -trace flag of cmd/diffd).
 func (ev DiffEvent) TraceRecord() telemetry.TraceRecord {
 	rec := telemetry.TraceRecord{
-		Pair:         ev.Label,
-		SourceNodes:  ev.Stats.SourceSize,
-		TargetNodes:  ev.Stats.TargetSize,
-		WallNS:       ev.Stats.Wall.Nanoseconds(),
-		Edits:        ev.Stats.Edits,
-		Identical:    ev.Stats.Identical,
-		Fallback:     ev.Stats.Fallback,
-		ReuseRatio:   ev.Stats.ReuseRatio,
-		ChangedNodes: ev.Stats.ChangedNodes,
-		EditsPerNode: ev.Stats.EditsPerChangedNode,
-		ScriptRatio:  ev.Stats.ScriptTreeRatio,
+		Pair:        ev.Label,
+		SourceNodes: ev.Stats.SourceSize,
+		TargetNodes: ev.Stats.TargetSize,
+		WallNS:      ev.Stats.Wall.Nanoseconds(),
+		Edits:       ev.Stats.Edits,
+		Identical:   ev.Stats.Identical,
+		Fallback:    ev.Stats.Fallback,
+		ReuseRatio:  ev.Stats.ReuseRatio,
 	}
 	rec.SetPhases(ev.Stats.Phases)
 	if ev.Trace.Valid() {
@@ -120,17 +117,6 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 			Help: "Per-diff fraction of target nodes produced by reusing source subtrees.",
 			Hist: e.h.reuse.Snapshot(), Scale: 1e-3,
 		},
-		telemetry.Metric{
-			Name: "structdiff_quality_edits_per_changed_node", Kind: telemetry.KindHistogram,
-			Help: "Per-diff compound edits per script-touched node (near 1 is concise).",
-			Hist: e.h.editsChanged.Snapshot(), Scale: 1e-3,
-		},
-		telemetry.Metric{
-			Name: "structdiff_quality_script_tree_ratio", Kind: telemetry.KindHistogram,
-			Help: "Per-diff script size relative to target tree size (compound edits / target nodes).",
-			Hist: e.h.scriptTree.Snapshot(), Scale: 1e-3,
-		},
-		counter("structdiff_quality_changed_nodes_total", "Nodes touched by all scripts produced.", s.ChangedNodes),
 	)
 	return ms
 }

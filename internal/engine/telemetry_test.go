@@ -80,13 +80,12 @@ func TestSnapshotStringGolden(t *testing.T) {
 	s := Snapshot{
 		Diffs: 10, Errors: 1, SlowDiffs: 3, Batches: 2, Edits: 40,
 		Panics: 1, Timeouts: 2, Fallbacks: 3,
-		ChangedNodes: 120, SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
+		SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
 		PoolGets: 10, PoolMisses: 2, PoolHitRate: 0.8,
 		QueueDepth: 2, WorkerCapacity: 4200 * time.Millisecond, Utilization: 0.5,
 	}
 	want := "diffs 10 (1 errors, 2 batches), 40 edits, 1000+1100 nodes in 2.1s (1000 nodes/s)\n" +
 		"resilience: 1 panics, 2 timeouts, 3 fallbacks\n" +
-		"quality: 120 changed nodes\n" +
 		"workers: 50.0% utilized over 4.2s capacity, queue depth 2\n" +
 		"scratch pool: 10 gets, 2 misses (80.0% hit)"
 	if got := s.String(); got != want {

@@ -145,7 +145,7 @@ th{background:#eee}td.l,th.l{text-align:left}h2{margin-top:1.5em}
 		fmt.Fprintf(w, "<h2>%s (%d)</h2><table><tr>"+
 			"<th class=l>at</th><th class=l>trace</th><th class=l>pair</th>"+
 			"<th>nodes</th><th>edits</th><th>wall</th><th>prep</th><th>shares</th><th>select</th><th>emit</th>"+
-			"<th>reuse</th><th>edits/node</th>"+
+			"<th>reuse</th>"+
 			"<th class=l>flags</th></tr>", html.EscapeString(title), len(entries))
 		for _, e := range entries {
 			var flags []string
@@ -160,7 +160,7 @@ th{background:#eee}td.l,th.l{text-align:left}h2{margin-top:1.5em}
 			}
 			fmt.Fprintf(w, "<tr><td class=l>%s</td><td class=l>%s</td><td class=l>%s</td>"+
 				"<td>%d+%d</td><td>%d</td><td>%v</td><td>%v</td><td>%v</td><td>%v</td><td>%v</td>"+
-				"<td>%.0f%%</td><td>%.2f</td><td class=l>%s</td></tr>",
+				"<td>%.0f%%</td><td class=l>%s</td></tr>",
 				html.EscapeString(e.At.Format(time.RFC3339Nano)),
 				html.EscapeString(e.TraceID),
 				html.EscapeString(e.Pair),
@@ -170,7 +170,7 @@ th{background:#eee}td.l,th.l{text-align:left}h2{margin-top:1.5em}
 				time.Duration(e.SharesNS).Round(time.Microsecond),
 				time.Duration(e.SelectNS).Round(time.Microsecond),
 				time.Duration(e.EmitNS).Round(time.Microsecond),
-				100*e.ReuseRatio, e.EditsPerNode,
+				100*e.ReuseRatio,
 				html.EscapeString(strings.Join(flags, ", ")))
 		}
 		fmt.Fprint(w, "</table>")

@@ -38,15 +38,9 @@ type TraceRecord struct {
 	// Fallback marks pairs served by graceful degradation: the script is a
 	// synthesized root replacement, not the algorithm's output.
 	Fallback bool `json:"fallback,omitempty"`
-	// Script-quality metrics (internal/quality). ReuseRatio is the
-	// fraction of target nodes produced by reusing source subtrees;
-	// ChangedNodes the script-touched node count; EditsPerNode the
-	// compound-edits-per-changed-node conciseness ratio; ScriptRatio the
-	// script size relative to the target tree.
-	ReuseRatio   float64 `json:"reuse_ratio,omitempty"`
-	ChangedNodes int     `json:"changed_nodes,omitempty"`
-	EditsPerNode float64 `json:"edits_per_changed,omitempty"`
-	ScriptRatio  float64 `json:"script_tree_ratio,omitempty"`
+	// ReuseRatio is the fraction of target nodes produced by reusing
+	// source subtrees.
+	ReuseRatio float64 `json:"reuse_ratio,omitempty"`
 	// Err carries the error message of a failed diff.
 	Err string `json:"err,omitempty"`
 }

@@ -130,31 +130,3 @@ func TestConcat(t *testing.T) {
 		t.Error("IsEmpty wrong")
 	}
 }
-
-func TestComputeStats(t *testing.T) {
-	s := &Script{Edits: []Edit{
-		Detach{Node: nref("Sub", 2), Link: "e1", Parent: nref("Add", 1)}, // moved
-		Detach{Node: nref("Var", 3), Link: "e2", Parent: nref("Add", 1)}, // deleted
-		Unload{Node: nref("Var", 3), Lits: []LitArg{{Link: "name", Value: "a"}}},
-		Load{Node: nref("Num", 9), Lits: []LitArg{{Link: "n", Value: int64(1)}}},
-		Attach{Node: nref("Sub", 2), Link: "e2", Parent: nref("Add", 1)},
-		Attach{Node: nref("Num", 9), Link: "e1", Parent: nref("Add", 1)},
-		Update{Node: nref("Var", 5), New: []LitArg{{Link: "name", Value: "z"}}},
-	}}
-	st := ComputeStats(s)
-	if st.Detaches != 2 || st.Attaches != 2 || st.Loads != 1 || st.Unloads != 1 || st.Updates != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.Moves != 1 {
-		t.Errorf("moves = %d, want 1 (Sub#2 detached then reattached)", st.Moves)
-	}
-	out := st.String()
-	for _, want := range []string{"1 moves", "1 updates", "compound"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stats string lacks %q: %s", want, out)
-		}
-	}
-	if ComputeStats(&Script{}).String() != "empty script" {
-		t.Error("empty script string wrong")
-	}
-}

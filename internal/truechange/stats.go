@@ -3,6 +3,8 @@ package truechange
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/uri"
 )
 
 // Stats is a per-kind breakdown of an edit script, used by tooling to
@@ -21,34 +23,35 @@ type Stats struct {
 	Compound int
 }
 
-// ComputeStats analyzes the script.
+// ComputeStats analyzes the script in one pass. The set of movable roots
+// it keeps is keyed by URI, so a script of a few edits allocates nothing.
 func ComputeStats(s *Script) Stats {
 	st := Stats{Compound: s.EditCount()}
-	detached := make(map[string]bool)
+	detached := make(map[uri.URI]bool)
 	for _, e := range s.Edits {
 		switch ed := e.(type) {
 		case Detach:
 			st.Detaches++
-			detached[ed.Node.URI.String()] = true
+			detached[ed.Node.URI] = true
 		case Attach:
 			st.Attaches++
-			if detached[ed.Node.URI.String()] {
+			if detached[ed.Node.URI] {
 				st.Moves++
 			}
 		case Load:
 			st.Loads++
 			for _, k := range ed.Kids {
-				if detached[k.URI.String()] {
+				if detached[k.URI] {
 					st.Moves++
-					delete(detached, k.URI.String())
+					delete(detached, k.URI)
 				}
 			}
 		case Unload:
 			st.Unloads++
-			delete(detached, ed.Node.URI.String())
+			delete(detached, ed.Node.URI)
 			// Children released by the unload become movable roots too.
 			for _, k := range ed.Kids {
-				detached[k.URI.String()] = true
+				detached[k.URI] = true
 			}
 		case Update:
 			st.Updates++

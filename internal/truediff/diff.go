@@ -416,16 +416,18 @@ func (r *run) unassign(src, dst *tree.Node) {
 
 // --- Step 2: find reuse candidates ------------------------------------
 
-// assignShares simultaneously traverses source and target, assigning every
-// subtree its share. Equivalent pairs at matching positions are assigned
-// preemptively; along spines of equal tags only the spine node itself
-// becomes available, while fully mismatched source subtrees register all
-// their nodes as available resources (paper §4.2).
+// assignShares simultaneously traverses source and target, registering
+// source subtrees as available resources of their shares. Equivalent pairs
+// at matching positions (equal candidate keys) are assigned preemptively;
+// along spines of equal tags only the spine node itself becomes available,
+// while fully mismatched source subtrees register all their nodes (paper
+// §4.2). Only source nodes create shares: the target side would only add
+// empty ones, and selection treats a missing share like an empty one, so
+// a mismatched target subtree is not walked.
 func (r *run) assignShares(src, dst *tree.Node) {
 	r.tick()
-	ss := r.s.reg.shareFor(r.candidateKey(src))
-	ds := r.s.reg.shareFor(r.candidateKey(dst))
-	if ss == ds {
+	key := r.candidateKey(src)
+	if key == r.candidateKey(dst) {
 		r.assign(src, dst) // preemptive: reuse in place, stop recursing
 		if r.explain != nil {
 			r.explain.preassigned(r, dst)
@@ -433,7 +435,7 @@ func (r *run) assignShares(src, dst *tree.Node) {
 		return
 	}
 	if src.Tag == dst.Tag {
-		ss.registerAvailable(src, r.preferKey(src))
+		r.s.reg.shareFor(key).registerAvailable(src, r.preferKey(src))
 		for i := range src.Kids {
 			r.assignShares(src.Kids[i], dst.Kids[i])
 		}
@@ -442,10 +444,6 @@ func (r *run) assignShares(src, dst *tree.Node) {
 	tree.Walk(src, func(n *tree.Node) {
 		r.tick()
 		r.s.reg.shareFor(r.candidateKey(n)).registerAvailable(n, r.preferKey(n))
-	})
-	tree.Walk(dst, func(n *tree.Node) {
-		r.tick()
-		r.s.reg.shareFor(r.candidateKey(n))
 	})
 }
 

@@ -2,7 +2,6 @@ package structdiff
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/diffserve"
 )
@@ -96,8 +95,3 @@ func NewServiceServer(cfg ServiceConfig) (*ServiceServer, error) {
 // produce the same answer. The zero policy selects the defaults (4
 // attempts, 50ms base backoff doubling to a 5s cap).
 func WithRetryPolicy(pol RetryPolicy) ServiceClientOption { return diffserve.WithRetry(pol) }
-
-// ServiceRetryAfter extracts the server's retry advice from a saturation
-// error (errors.Is(err, ErrServiceUnavailable)); zero when err carries
-// none.
-func ServiceRetryAfter(err error) time.Duration { return diffserve.RetryAfter(err) }

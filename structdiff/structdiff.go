@@ -57,7 +57,6 @@ type config struct {
 	logger   *slog.Logger
 	merge    merge.Policy
 	explain  bool
-	qbase    int
 }
 
 func newConfig(opts []Option) config {
@@ -126,10 +125,10 @@ func WithCheckpointEvery(n int) Option { return func(c *config) { c.diff.Checkpo
 func WithFallback(m FallbackMode) Option { return func(c *config) { c.fallback = m } }
 
 // WithSpans enables distributed tracing: completed spans are delivered to
-// sink. DiffContext records one "structdiff.diff" span per call with the
-// four truediff phases as children; an Engine records one "engine.diff"
-// span per pair (parented on Pair.Trace when set) with the phases nested
-// under it. The parent for a facade diff is taken from the context
+// sink. DiffContext, and so Explain, records one "structdiff.diff" span
+// per call with the four truediff phases as children; an Engine records
+// one "engine.diff" span per pair (parented on Pair.Trace when set) with
+// the phases nested under it. The parent for a facade diff is taken from the context
 // (WithTraceContext), so client-side spans join server traces. Tracing is
 // off — and costs nothing — without this option. See docs/TRACING.md.
 func WithSpans(sink SpanSink) Option { return func(c *config) { c.spans = sink } }

@@ -60,12 +60,6 @@ func NewBuilder(sch *Schema, alloc *Allocator) *Builder {
 	return tree.NewBuilder(sch, alloc)
 }
 
-// NewTree builds a validated, hashed node (see Builder for bulk
-// construction).
-func NewTree(sch *Schema, alloc *Allocator, tag Tag, kids []*Node, lits []any) (*Node, error) {
-	return tree.New(sch, alloc, tag, kids, lits)
-}
-
 // Clone deep-copies a tree with fresh URIs, recomputing its hashes.
 func Clone(n *Node, alloc *Allocator, kind HashKind) *Node { return tree.Clone(n, alloc, kind) }
 
@@ -78,9 +72,8 @@ func CloneKeepDigests(n *Node, alloc *Allocator) *Node { return tree.CloneKeepDi
 // HashedWith reports whether a tree carries digests of the given kind.
 func HashedWith(n *Node, kind HashKind) bool { return tree.HashedWith(n, kind) }
 
-// Walk visits the tree pre-order; WalkPost visits it post-order.
-func Walk(n *Node, f func(*Node))     { tree.Walk(n, f) }
-func WalkPost(n *Node, f func(*Node)) { tree.WalkPost(n, f) }
+// Walk visits the tree pre-order.
+func Walk(n *Node, f func(*Node)) { tree.Walk(n, f) }
 
 // TreesEqual reports deep equality of trees, ignoring URIs.
 func TreesEqual(a, b *Node) bool { return tree.Equal(a, b) }
@@ -160,11 +153,9 @@ var RootRef = truechange.RootRef
 func WellTyped(sch *Schema, s *Script) error     { return truechange.WellTyped(sch, s) }
 func WellTypedInit(sch *Schema, s *Script) error { return truechange.WellTypedInit(sch, s) }
 
-// CheckScript type-checks a script edit by edit starting from an explicit
-// state, returning the TypeError of the first offending edit. CheckEdit
-// checks a single edit, advancing the state in place.
-func CheckScript(sch *Schema, s *Script, st *State) error { return truechange.Check(sch, s, st) }
-func CheckEdit(sch *Schema, e Edit, st *State) error      { return truechange.CheckEdit(sch, e, st) }
+// CheckEdit type-checks a single edit from an explicit state, advancing
+// the state in place, and returns the edit's TypeError, if any.
+func CheckEdit(sch *Schema, e Edit, st *State) error { return truechange.CheckEdit(sch, e, st) }
 
 // ClosedState and InitState are the canonical initial typing states.
 func ClosedState() *State { return truechange.ClosedState() }
