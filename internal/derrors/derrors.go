@@ -44,10 +44,11 @@ var (
 	// the recovered value and the goroutine stack.
 	ErrDiffPanic = errors.New("diff panicked")
 
-	// ErrDiffTimeout reports a diff aborted mid-phase because it exceeded
-	// the per-diff deadline (engine Config.DiffTimeout, facade
-	// WithDiffTimeout). Distinct from the caller's context deadline, which
-	// surfaces as context.DeadlineExceeded.
+	// ErrDiffTimeout reports a diff aborted because it overran a per-diff
+	// deadline: a context deadline whose cause wraps it
+	// (context.WithTimeoutCause), as diffd sets one per job. Distinct from
+	// a plain context deadline, which surfaces as
+	// context.DeadlineExceeded.
 	ErrDiffTimeout = errors.New("diff exceeded per-diff timeout")
 
 	// ErrEngineClosed reports a Diff or DiffBatch call on an engine whose

@@ -346,6 +346,36 @@ func TestPanicSurvival(t *testing.T) {
 	}
 }
 
+// TestDiffTimeoutAnswersTimeout: a diff that overruns DiffTimeout, a
+// deadline set when its job takes a worker slot, is answered with kind
+// timeout, or rescued when fallback is on; either way it counts as a
+// timeout.
+func TestDiffTimeoutAnswersTimeout(t *testing.T) {
+	src, dst := genPair(3, 60)
+	for _, fallback := range []bool{false, true} {
+		inj := faultinject.New(1, faultinject.Fault{
+			Site: engine.FaultSiteDiff, Kind: faultinject.Delay, Delay: 50 * time.Millisecond, Times: 1,
+		})
+		_, hs := testServer(t, Config{
+			Langs: []string{"exp"}, Workers: 1, DiffTimeout: 10 * time.Millisecond,
+			DisableFallback: !fallback, Faults: inj,
+		})
+		c := NewClient(hs.URL, "exp", exp.Schema())
+		defer c.Close()
+
+		_, err := c.Diff(context.Background(), src, dst, nil)
+		if fallback && err != nil {
+			t.Fatalf("overrun with fallback: %v", err)
+		}
+		if !fallback && !errors.Is(err, derrors.ErrDiffTimeout) {
+			t.Fatalf("overrun without fallback: err = %v, want ErrDiffTimeout", err)
+		}
+		if s := c.Snapshot(); s.Timeouts != 1 {
+			t.Errorf("fallback %v: Snapshot.Timeouts = %d, want 1", fallback, s.Timeouts)
+		}
+	}
+}
+
 // TestDeeplyNestedSourceRejected: a well-formed source nested one level
 // past tree.MaxSExprDepth is answered 400 bad_request instead of being
 // decoded (deep enough input would overflow the decoder's stack and kill

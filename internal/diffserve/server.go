@@ -33,9 +33,9 @@ type Config struct {
 	// Workers bounds how many diffs run at once per language; zero or
 	// negative selects GOMAXPROCS.
 	Workers int
-	// DiffTimeout bounds each individual diff (engine.Config.DiffTimeout);
-	// an overrunning diff fails alone with a timeout error. Zero disables
-	// the bound.
+	// DiffTimeout bounds each diff from the moment its job takes a worker
+	// slot, as a context deadline whose cause matches
+	// derrors.ErrDiffTimeout. Zero or negative disables the bound.
 	DiffTimeout time.Duration
 	// DisableFallback turns off graceful degradation. By default the
 	// service runs engines with FallbackRootReplace: a pair that panics or
@@ -179,7 +179,6 @@ func NewServer(cfg Config) (*Server, error) {
 		// Each diff reaches the engine as a batch of one, so the engine
 		// never fans out; the worker slots are the only limiter.
 		ecfg := engine.Config{
-			DiffTimeout:       cfg.DiffTimeout,
 			SlowDiffThreshold: cfg.SlowDiffThreshold,
 			Spans:             cfg.Spans,
 			Logger:            cfg.Logger,
@@ -434,10 +433,11 @@ var errDraining = fmt.Errorf("server is draining: %w", derrors.ErrServiceUnavail
 // run diffs one admitted job on the calling goroutine once a worker slot
 // of its language is free. It gives up on the drain or the end of ctx,
 // whichever comes first; a job abandoned with ctx never runs. A job that
-// took its slot runs under context.Background(), not ctx: once started, a
-// diff completes (bounded by DiffTimeout) whether or not its caller is
-// still listening.
-func (s *Server) run(ctx context.Context, ls *langService, p engine.Pair) engine.PairResult {
+// took its slot runs under a context of its own, not ctx, so a started
+// diff completes whether or not its caller is still listening. That
+// context carries trace as the diff's trace parent and, from the slot on,
+// Config.DiffTimeout's deadline.
+func (s *Server) run(ctx context.Context, trace telemetry.SpanContext, ls *langService, p engine.Pair) engine.PairResult {
 	admitted := time.Now()
 	select {
 	case ls.slots <- struct{}{}:
@@ -447,9 +447,15 @@ func (s *Server) run(ctx context.Context, ls *langService, p engine.Pair) engine
 		return engine.PairResult{Err: ctx.Err()}
 	}
 	defer func() { <-ls.slots }()
+	dctx := telemetry.ContextWithSpanContext(context.Background(), trace)
+	if d := s.cfg.DiffTimeout; d > 0 {
+		var cancel context.CancelFunc
+		dctx, cancel = context.WithTimeoutCause(dctx, d, fmt.Errorf("%w (limit %v)", derrors.ErrDiffTimeout, d))
+		defer cancel()
+	}
 	// The queue span covers the wait from admission for a free slot.
-	telemetry.StartSpanAt(s.cfg.Spans, p.Trace, "diffserve.queue", admitted).End()
-	results, err := ls.eng.DiffBatch(context.Background(), []engine.Pair{p})
+	telemetry.StartSpanAt(s.cfg.Spans, trace, "diffserve.queue", admitted).End()
+	results, err := ls.eng.DiffBatch(dctx, []engine.Pair{p})
 	if err != nil {
 		return engine.PairResult{Err: err}
 	}
@@ -587,7 +593,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, batch bool, body 
 		}
 		out.SourceRef, out.TargetRef = srcRef, dstRef
 		job := func() {
-			pr := s.run(r.Context(), ls, engine.Pair{Source: src, Target: dst, Label: label, Trace: rctx})
+			pr := s.run(r.Context(), rctx, ls, engine.Pair{Source: src, Target: dst, Label: label})
 			s.fillResult(out, pr, bp.WantPatched)
 		}
 		if i == len(pairs)-1 {

@@ -59,30 +59,25 @@ type Config struct {
 	// nil. Zero disables the check.
 	SlowDiffThreshold time.Duration
 	// Spans, when non-nil, turns on distributed tracing: every diff runs
-	// under an "engine.diff" span (parented on Pair.Trace when valid) and
-	// the four truediff phases are synthesized into child spans. Nil (the
-	// default) costs nothing on the diff path beyond a pointer comparison.
+	// under an "engine.diff" span (parented on the trace context its
+	// context carries, telemetry.ContextWithSpanContext) and the four
+	// truediff phases are synthesized into child spans. Nil (the default)
+	// costs nothing on the diff path beyond a pointer comparison.
 	Spans telemetry.SpanSink
 	// Logger, when non-nil, receives structured records for noteworthy
 	// diffs — failures (error level), fallbacks and slow diffs (warn) —
-	// with trace_id/span_id correlation when the pair carried a trace.
+	// with trace_id/span_id correlation when the diff's context carried a
+	// trace.
 	// Routine successful diffs are never logged; use Observer for those.
 	// Without a Logger only slow diffs are logged, through slog.Default().
 	Logger *slog.Logger
 
-	// DiffTimeout bounds each individual diff: a diff still running when
-	// the deadline passes is aborted at its next cancellation checkpoint
-	// with an error matching derrors.ErrDiffTimeout. The deadline starts
-	// when the diff starts (not when the batch does), so large batches
-	// don't starve late pairs. Zero disables the per-diff deadline.
-	DiffTimeout time.Duration
 	// Fallback selects the graceful-degradation policy for diffs that
-	// panic, overrun DiffTimeout, or emit an ill-typed script. See
+	// panic, overrun a per-diff deadline, or emit an ill-typed script. See
 	// FallbackMode.
 	Fallback FallbackMode
 	// Faults, when non-nil, arms deterministic fault injection at the
-	// engine's sites (FaultSiteDiff, FaultSiteCheckpoint) and is forwarded
-	// to patching helpers. Intended for resilience tests; nil in
+	// engine's site, FaultSiteDiff. Intended for resilience tests; nil in
 	// production.
 	Faults *faultinject.Injector
 }
@@ -190,12 +185,6 @@ type Pair struct {
 	// Label identifies the pair in observer events and trace records (for
 	// example a file path). The engine does not interpret it.
 	Label string
-	// Trace, when valid, is the distributed-trace context this pair runs
-	// under: the engine's "engine.diff" span is parented on it, and
-	// observer events carry it for log and trace-record correlation. The
-	// context travels with the pair (not the batch ctx) because batching
-	// layers deliberately detach pairs from their request contexts.
-	Trace telemetry.SpanContext
 }
 
 // DiffStats instruments one diff of a batch.
@@ -241,14 +230,16 @@ type PairResult struct {
 // Diff runs a single diff through the engine: scratch state is drawn from
 // the pool and the per-diff counters feed Snapshot. See truediff.Differ.Diff
 // for the contract on source, target, and alloc. A nil ctx is treated as
-// context.Background(), matching DiffBatch; a cancellable ctx (or a
-// configured DiffTimeout) is polled at cancellation checkpoints, so the
-// diff aborts mid-algorithm rather than only between calls.
+// context.Background(), matching DiffBatch. ctx is the diff's one route
+// for cancellation, deadline and trace parent; the diff polls it, so a
+// done ctx aborts it mid-algorithm with context.Cause(ctx). A deadline
+// whose cause matches derrors.ErrDiffTimeout counts in Snapshot.Timeouts,
+// and FallbackRootReplace rescues it.
 func (e *Engine) Diff(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator) (*truediff.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
+	if err := context.Cause(ctx); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if err := e.begin(); err != nil {
@@ -262,13 +253,14 @@ func (e *Engine) Diff(ctx context.Context, source, target *tree.Node, alloc *uri
 // DiffBatch diffs every pair, fanning the work over the engine's worker
 // pool, and returns one result per pair, index-aligned with pairs. The
 // calling goroutine is one of the workers, so a batch of one pair starts
-// no goroutine. A failed pair carries its error in its slot; DiffBatch
-// itself only returns an error when ctx is cancelled, in which case pairs
-// that no worker claimed have their Err set to the context error, and
-// pairs that were mid-diff abort at their next cancellation checkpoint
-// with the context's cause in their slot. Every pair therefore ends with
-// exactly one of Result or Err set. A nil ctx is treated as
-// context.Background(), matching Diff.
+// no goroutine. Every pair runs under ctx, as Diff's one does: one batch
+// has one deadline and one trace parent. A failed pair carries its error
+// in its slot; DiffBatch itself only returns an error when ctx is done, in
+// which case pairs that no worker claimed have their Err set to the
+// context's cause, and pairs that were mid-diff abort at their next poll
+// with the cause in their slot. Every pair therefore ends with exactly one
+// of Result or Err set. A nil ctx is treated as context.Background(),
+// matching Diff.
 func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -280,7 +272,7 @@ func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, err
 	e.m.batches.Add(1)
 	results := make([]PairResult, len(pairs))
 	if len(pairs) == 0 {
-		return results, ctx.Err()
+		return results, context.Cause(ctx)
 	}
 
 	workers := min(e.workers(), len(pairs))
@@ -328,30 +320,30 @@ func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, err
 }
 
 // diffOne runs one pair and records it. With Config.Spans set the diff
-// runs under an "engine.diff" span, and its phases become child spans
-// through a context-carried tracer.
+// runs under an "engine.diff" span, parented on ctx's trace context, and
+// its phases become child spans through a context-carried tracer.
 func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 	// Labels are caller-supplied (e.g. by remote diffserve clients) and
 	// fan out to every observability surface — span attributes, trace
 	// records, flight-recorder pages, Prometheus label values. Bound and
 	// neutralize them once here.
 	p.Label = telemetry.SanitizeLabel(p.Label)
-	span := telemetry.StartSpan(e.cfg.Spans, p.Trace, "engine.diff")
+	trace := telemetry.SpanContextFromContext(ctx)
+	span := telemetry.StartSpan(e.cfg.Spans, trace, "engine.diff")
 	if span != nil {
 		// Children (phase spans, the observer's trace record) hang off the
 		// engine span, not the caller's request span.
-		p.Trace = span.Context()
-		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(e.cfg.Spans, p.Trace))
+		trace = span.Context()
+		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(e.cfg.Spans, trace))
 	}
 	pr := e.diffPair(ctx, p)
-	e.record(DiffEvent{Label: p.Label, Trace: p.Trace, Stats: pr.Stats, Err: pr.Err}, span)
+	e.record(DiffEvent{Label: p.Label, Trace: trace, Stats: pr.Stats, Err: pr.Err}, span)
 	return pr
 }
 
 // diffPair executes one task with pooled scratch state. The diff runs
-// inside the panic-isolation boundary (runDiff) with a cancellation
-// checkpoint derived from ctx, Config.DiffTimeout, and the fault injector;
-// failures eligible for graceful degradation are served a synthesized
+// inside the panic-isolation boundary (runDiff) under ctx; failures
+// eligible for graceful degradation are served a synthesized
 // root-replacement script instead when Config.Fallback asks for it.
 func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	if p.Source != nil && p.Source == p.Target {

@@ -46,10 +46,11 @@ type Snapshot struct {
 	Batches   uint64
 
 	// Panics counts diffs that panicked and were recovered into a
-	// PanicError; Timeouts counts diffs aborted by the per-diff deadline
-	// (Config.DiffTimeout). Both count the failure even when graceful
-	// degradation rescued the pair. Fallbacks counts pairs served a
-	// synthesized root-replacement script (Config.Fallback).
+	// PanicError; Timeouts counts diffs aborted by a per-diff deadline, a
+	// context deadline whose cause matches derrors.ErrDiffTimeout. Both
+	// count the failure even when graceful degradation rescued the pair.
+	// Fallbacks counts pairs served a synthesized root-replacement script
+	// (Config.Fallback).
 	Panics    uint64
 	Timeouts  uint64
 	Fallbacks uint64

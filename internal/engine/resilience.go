@@ -11,24 +11,19 @@ import (
 	"repro/internal/truediff"
 )
 
-// Fault-injection sites the engine exposes. Arm them on the injector passed
-// through Config.Faults to rehearse the engine's failure paths
-// deterministically (see internal/faultinject):
-//
-//   - FaultSiteDiff is hit once per diff, inside the panic-isolation
-//     boundary, before the algorithm runs. A Panic fault here exercises
-//     panic recovery; an Error fault a plain diff failure; a Delay fault
-//     (combined with DiffTimeout) a per-diff deadline overrun.
-//   - FaultSiteCheckpoint is hit on every cancellation checkpoint poll, so
-//     a fault armed here aborts a diff mid-algorithm.
-const (
-	FaultSiteDiff       = "engine/diff"
-	FaultSiteCheckpoint = "engine/checkpoint"
-)
+// FaultSiteDiff is the fault-injection site the engine exposes. Arm it on
+// the injector passed through Config.Faults to rehearse the engine's
+// failure paths deterministically (see internal/faultinject): it is hit
+// once per diff, inside the panic-isolation boundary, before the algorithm
+// runs. A Panic fault here exercises panic recovery; an Error fault a
+// plain diff failure; a Delay fault, under a context deadline, a deadline
+// overrun, because the diff polls its context on entry.
+const FaultSiteDiff = "engine/diff"
 
 // FallbackMode selects what the engine does when a diff fails in a way the
 // caller cannot anticipate: a panic inside the algorithm, a per-diff
-// deadline overrun, or an ill-typed output script.
+// deadline overrun (a context deadline whose cause matches
+// derrors.ErrDiffTimeout), or an ill-typed output script.
 type FallbackMode int
 
 const (
@@ -38,8 +33,9 @@ const (
 	// script (truediff.Differ.RootReplace): maximally verbose, but
 	// well-typed by construction and guaranteed to patch source into
 	// target. Pairs served this way have Stats.Fallback set and count into
-	// Snapshot.Fallbacks. Cancellation (the batch context going away) is
-	// never rescued: the caller asked the work to stop.
+	// Snapshot.Fallbacks. Cancellation (the batch context going away, or a
+	// deadline whose cause is not derrors.ErrDiffTimeout) is never
+	// rescued: the caller asked the work to stop.
 	FallbackRootReplace
 )
 
@@ -57,28 +53,6 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return derrors.ErrDiffPanic }
 
-// checkpoint builds the cooperative-cancellation hook for one diff:
-// truediff.CtxCheckpoint over ctx and Config.DiffTimeout, wrapped to hit
-// FaultSiteCheckpoint first when a fault injector is armed. It is nil when
-// nothing could interrupt the diff, so the differ keeps its unchecked fast
-// path.
-func (e *Engine) checkpoint(ctx context.Context) truediff.Checkpoint {
-	cp := truediff.CtxCheckpoint(ctx, e.cfg.DiffTimeout)
-	inj := e.cfg.Faults
-	if inj == nil {
-		return cp
-	}
-	return func() error {
-		if err := inj.Hit(FaultSiteCheckpoint); err != nil {
-			return err
-		}
-		if cp == nil {
-			return nil
-		}
-		return cp()
-	}
-}
-
 // runDiff executes the diff algorithm for one pair inside the engine's
 // panic-isolation boundary: a panic anywhere under it — the differ, a
 // tracer callback, an injected fault — is recovered into a *PanicError
@@ -94,7 +68,7 @@ func (e *Engine) runDiff(ctx context.Context, p Pair, s *truediff.Scratch) (res 
 	if ferr := e.cfg.Faults.Hit(FaultSiteDiff); ferr != nil {
 		return nil, fmt.Errorf("engine: %w", ferr)
 	}
-	return e.differ.DiffScratch(ctx, p.Source, p.Target, p.Alloc, s, e.checkpoint(ctx))
+	return e.differ.DiffScratch(ctx, p.Source, p.Target, p.Alloc, s)
 }
 
 // classify counts a failed diff into the failure-mode counters. It runs

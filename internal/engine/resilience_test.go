@@ -67,48 +67,55 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestDiffTimeout aborts a diff via an injected checkpoint delay that
-// overruns the per-diff deadline, and checks the error and counter.
+// diffDeadline returns a context whose deadline, d from now, has a cause
+// matching derrors.ErrDiffTimeout: a per-diff timeout, as diffd sets one.
+func diffDeadline(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeoutCause(context.Background(), d, derrors.ErrDiffTimeout)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// TestDiffTimeout aborts a diff via an injected delay that overruns its
+// context's deadline, and checks the error and counter.
 func TestDiffTimeout(t *testing.T) {
 	tps := makePairs(t, 1)
 	inj := faultinject.New(1, faultinject.Fault{
-		Site: FaultSiteCheckpoint, Kind: faultinject.Delay, Delay: 20 * time.Millisecond, Times: 1,
+		Site: FaultSiteDiff, Kind: faultinject.Delay, Delay: 50 * time.Millisecond, Times: 1,
 	})
-	e := New(exp.Schema(), Config{
-		Workers:     1,
-		DiffTimeout: time.Millisecond,
-		Diff:        truediff.Options{CheckpointEvery: 1},
-		Faults:      inj,
-	})
-	_, err := e.Diff(context.Background(), tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
+	e := New(exp.Schema(), Config{Workers: 1, Faults: inj})
+	_, err := e.Diff(diffDeadline(t, 10*time.Millisecond), tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
 	if !errors.Is(err, derrors.ErrDiffTimeout) {
 		t.Fatalf("Diff under deadline overrun = %v, want ErrDiffTimeout", err)
 	}
 	if s := e.Snapshot(); s.Timeouts != 1 {
 		t.Errorf("Snapshot.Timeouts = %d, want 1", s.Timeouts)
 	}
+	// A deadline that passed before the call fails it with the same cause.
+	_, err = e.Diff(diffDeadline(t, -time.Second), tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
+	if !errors.Is(err, derrors.ErrDiffTimeout) {
+		t.Fatalf("Diff past its deadline = %v, want ErrDiffTimeout", err)
+	}
 }
 
 // TestFallbackRootReplace exercises graceful degradation on both rescue
 // paths — a panic and a timeout — and checks the synthesized script
 // patches source into target, the pair reports Fallback, and the failure
-// counters still record the underlying failure.
+// counters still record the underlying failure. Each pair runs as a batch
+// of one under a deadline of its own, as diffd runs a job.
 func TestFallbackRootReplace(t *testing.T) {
 	tps := makePairs(t, 4)
 	inj := faultinject.New(1,
 		faultinject.Fault{Site: FaultSiteDiff, Kind: faultinject.Panic, After: 1, Times: 1},
-		faultinject.Fault{Site: FaultSiteCheckpoint, Kind: faultinject.Delay, Delay: 20 * time.Millisecond, After: 2, Times: 1},
+		faultinject.Fault{Site: FaultSiteDiff, Kind: faultinject.Delay, Delay: 100 * time.Millisecond, After: 2, Times: 1},
 	)
-	e := New(exp.Schema(), Config{
-		Workers:     1,
-		Fallback:    FallbackRootReplace,
-		DiffTimeout: 5 * time.Millisecond,
-		Diff:        truediff.Options{CheckpointEvery: 1},
-		Faults:      inj,
-	})
-	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+	e := New(exp.Schema(), Config{Workers: 1, Fallback: FallbackRootReplace, Faults: inj})
+	results := make([]PairResult, len(tps))
+	for i, tp := range tps {
+		prs, err := e.DiffBatch(diffDeadline(t, 25*time.Millisecond), []Pair{tp.pair})
+		if err != nil {
+			t.Fatalf("pair %d: DiffBatch: %v", i, err)
+		}
+		results[i] = prs[0]
 	}
 	fallbacks := 0
 	for i, pr := range results {
@@ -147,22 +154,29 @@ func TestFallbackRootReplace(t *testing.T) {
 	}
 }
 
-// TestFallbackDoesNotRescueCancellation: cancelling the batch context must
-// abort pairs even under FallbackRootReplace — the caller asked the work
-// to stop.
+// TestFallbackDoesNotRescueCancellation: cancelling the context, or a
+// plain deadline overrunning a running diff, must abort the pair even
+// under FallbackRootReplace — the caller asked the work to stop.
 func TestFallbackDoesNotRescueCancellation(t *testing.T) {
 	tps := makePairs(t, 1)
-	e := New(exp.Schema(), Config{
-		Workers: 1, Fallback: FallbackRootReplace, Diff: truediff.Options{CheckpointEvery: 1},
+	inj := faultinject.New(1, faultinject.Fault{
+		Site: FaultSiteDiff, Kind: faultinject.Delay, Delay: 50 * time.Millisecond, Times: 1,
 	})
+	e := New(exp.Schema(), Config{Workers: 1, Fallback: FallbackRootReplace, Faults: inj})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.Diff(ctx, tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Diff on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if s := e.Snapshot(); s.Fallbacks != 0 {
-		t.Errorf("cancellation was rescued: Fallbacks = %d", s.Fallbacks)
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	prs, _ := e.DiffBatch(ctx, []Pair{tps[0].pair})
+	if !errors.Is(prs[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("pair past a plain deadline: err = %v, want context.DeadlineExceeded", prs[0].Err)
+	}
+	if s := e.Snapshot(); s.Fallbacks != 0 || s.Timeouts != 0 {
+		t.Errorf("cancellation was rescued or counted: Fallbacks = %d, Timeouts = %d", s.Fallbacks, s.Timeouts)
 	}
 }
 
@@ -186,7 +200,7 @@ func TestInjectedErrorFailsPairWithoutFallback(t *testing.T) {
 // Err, never both, never neither (no zero-value PairResult slips through).
 func TestMidBatchCancellationAccounting(t *testing.T) {
 	tps := makePairs(t, 64)
-	e := New(exp.Schema(), Config{Workers: 2, Diff: truediff.Options{CheckpointEvery: 16}})
+	e := New(exp.Schema(), Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 
 	var once sync.Once
@@ -241,20 +255,13 @@ func TestNilContextNormalized(t *testing.T) {
 	}
 }
 
-// TestResilientBatchMatchesSequential: with checkpoints armed but nothing
-// firing, a batch still produces exactly the scripts a plain differ does —
-// the resilience layer is observationally transparent on the happy path.
+// TestResilientBatchMatchesSequential: under a deadline that never fires,
+// a batch still produces exactly the scripts a plain differ does — the
+// resilience layer is observationally transparent on the happy path.
 func TestResilientBatchMatchesSequential(t *testing.T) {
 	tps := makePairs(t, 12)
-	e := New(exp.Schema(), Config{
-		Workers:     4,
-		DiffTimeout: time.Minute,
-		Diff:        truediff.Options{CheckpointEvery: 8},
-		Fallback:    FallbackRootReplace,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	results, err := e.DiffBatch(ctx, enginePairs(tps))
+	e := New(exp.Schema(), Config{Workers: 4, Fallback: FallbackRootReplace})
+	results, err := e.DiffBatch(diffDeadline(t, time.Minute), enginePairs(tps))
 	if err != nil {
 		t.Fatalf("DiffBatch: %v", err)
 	}

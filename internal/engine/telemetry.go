@@ -7,7 +7,7 @@ import (
 // DiffEvent is the record of one engine diff, built once per diff and read
 // by all of its accounting: metrics, spans, logs, and Config.Observer. It
 // carries the pair's label, the trace context the diff ran under (the
-// engine.diff span when tracing is on, else the pair's own), its full
+// engine.diff span when tracing is on, else its context's own), its full
 // DiffStats (wall time, per-phase breakdown, sizes, edit count, identical
 // and fallback flags), and the error of a failed diff.
 type DiffEvent struct {

@@ -13,22 +13,23 @@ import (
 )
 
 // TestEngineSpans: with Config.Spans set, every pair yields one
-// "engine.diff" span parented on the pair's trace context plus the four
-// phase spans parented on the engine span, all sharing the pair's trace ID.
+// "engine.diff" span parented on its context's trace context plus the four
+// phase spans parented on the engine span, all sharing that trace ID. Each
+// pair runs under a context of its own.
 func TestEngineSpans(t *testing.T) {
 	tps := makePairs(t, 3)
 	pairs := enginePairs(tps)
 	traces := make([]telemetry.SpanContext, len(pairs))
-	for i := range pairs {
-		traces[i] = telemetry.NewSpanContext()
-		pairs[i].Trace = traces[i]
-		pairs[i].Label = "pair-" + string(rune('a'+i))
-	}
 	rec := telemetry.NewSpanRecorder()
 	var events eventLog
 	e := New(exp.Schema(), Config{Workers: 2, Spans: rec, Observer: events.add})
-	if _, err := e.DiffBatch(context.Background(), pairs); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+	for i := range pairs {
+		traces[i] = telemetry.NewSpanContext()
+		pairs[i].Label = "pair-" + string(rune('a'+i))
+		ctx := telemetry.ContextWithSpanContext(context.Background(), traces[i])
+		if _, err := e.DiffBatch(ctx, pairs[i:i+1]); err != nil {
+			t.Fatalf("DiffBatch: %v", err)
+		}
 	}
 
 	spans := rec.Spans()
@@ -82,7 +83,7 @@ func TestEngineSpans(t *testing.T) {
 }
 
 // TestEngineSpansOffNoTrace: without a sink no spans appear and events
-// still carry the pair's (possibly invalid) context unchanged.
+// still carry their context's (possibly invalid) trace context unchanged.
 func TestEngineSpansOffNoTrace(t *testing.T) {
 	tps := makePairs(t, 1)
 	pairs := enginePairs(tps)
@@ -106,9 +107,8 @@ func TestEngineStructuredLogging(t *testing.T) {
 	tps := makePairs(t, 1)
 	pairs := enginePairs(tps)
 	tc := telemetry.NewSpanContext()
-	pairs[0].Trace = tc
 	pairs[0].Label = "slow-one"
-	pairs = append(pairs, Pair{Source: nil, Target: nil, Label: "broken", Trace: tc})
+	pairs = append(pairs, Pair{Source: nil, Target: nil, Label: "broken"})
 
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
@@ -117,7 +117,7 @@ func TestEngineStructuredLogging(t *testing.T) {
 		Logger:            logger,
 		SlowDiffThreshold: time.Nanosecond, // every real diff is slow
 	})
-	if _, err := e.DiffBatch(context.Background(), pairs); err != nil {
+	if _, err := e.DiffBatch(telemetry.ContextWithSpanContext(context.Background(), tc), pairs); err != nil {
 		t.Fatalf("DiffBatch: %v", err)
 	}
 

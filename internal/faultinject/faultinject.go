@@ -5,11 +5,10 @@
 // and the patching semantics can be exercised reproducibly in tests.
 //
 // Sites are plain strings agreed between the code under test and the test
-// (the engine hits "engine/diff" once per diff and "engine/checkpoint" at
-// every cooperative checkpoint; mtree hits "mtree/edit" before each edit of
-// a fault-injected Patch). A nil *Injector is a valid no-op: production
-// code calls Hit unconditionally and pays one nil check when injection is
-// off.
+// (the engine hits "engine/diff" once per diff; mtree hits "mtree/edit"
+// before each edit of a fault-injected Patch). A nil *Injector is a valid
+// no-op: production code calls Hit unconditionally and pays one nil check
+// when injection is off.
 package faultinject
 
 import (
@@ -33,7 +32,7 @@ const (
 	// Panic makes Hit panic with a descriptive string value.
 	Panic
 	// Delay makes Hit sleep for Fault.Delay before returning nil — the
-	// tool for driving a diff past its deadline mid-phase.
+	// tool for driving a diff past its deadline.
 	Delay
 )
 

@@ -204,12 +204,11 @@ func Trees(ctx context.Context, sch *sig.Schema, base, ours, theirs *tree.Node, 
 		}
 	}
 	d := truediff.NewWithOptions(sch, opt.Diff)
-	cp := truediff.CtxCheckpoint(ctx, 0)
-	ra, err := d.DiffScratch(ctx, base, ours, alloc, truediff.NewScratch(), cp)
+	ra, err := d.DiffScratch(ctx, base, ours, alloc, truediff.NewScratch())
 	if err != nil {
 		return nil, fmt.Errorf("merge: diff base→ours: %w", err)
 	}
-	rb, err := d.DiffScratch(ctx, base, theirs, alloc, truediff.NewScratch(), cp)
+	rb, err := d.DiffScratch(ctx, base, theirs, alloc, truediff.NewScratch())
 	if err != nil {
 		return nil, fmt.Errorf("merge: diff base→theirs: %w", err)
 	}

@@ -9,44 +9,65 @@ import (
 )
 
 // TestExhaustiveSmallPairs runs the oracle on every ordered pair of small
-// exp trees: every tree of at most 4 nodes (5 with -proptest.long) whose
-// leaves are Num 0, Num 1 and Var x, whose unary node is Call f and whose
-// binary nodes are Add, Sub, Mul and Let x. Drawn pairs hold a property
-// only for the pairs drawn; this holds it for every pair up to that size,
-// including the shapes random draws rarely reach (left and right
-// branches, zigzags).
+// exp trees: in each row, every tree of at most the row's size whose
+// leaves are the row's leaves, whose unary node is Call f and whose binary
+// nodes are Add, Sub, Mul and Let x. The first row's one Var name leaves
+// no pair that differs in a string literal; the second row adds Var y, on
+// smaller trees. Drawn pairs hold a property only for the pairs drawn;
+// this holds it for every pair up to that size, including the shapes
+// random draws rarely reach (left and right branches, zigzags).
 func TestExhaustiveSmallPairs(t *testing.T) {
-	maxNodes, wantTrees := 4, 156
-	if *flagLong {
-		maxNodes, wantTrees = 5, 1239
-	}
-	// Two enumerations from one builder: no pair shares a node or a URI.
-	b := exp.NewBuilder()
-	srcs, dsts := smallExpTrees(b, maxNodes), smallExpTrees(b, maxNodes)
-	distinct := map[tree.ExactKey]bool{}
-	for _, x := range srcs {
-		distinct[x.ExactHash()] = true
-	}
-	if len(srcs) != wantTrees || len(distinct) != wantTrees {
-		t.Fatalf("enumerated %d trees (%d distinct), want %d", len(srcs), len(distinct), wantTrees)
-	}
-	sch := exp.Schema()
-	for i, src := range srcs {
-		for j, dst := range dsts {
-			salt := int64(i*len(dsts) + j)
-			if _, err := CheckPair(sch, Pair{Source: src, Target: dst, Iter: int(salt)}, salt); err != nil {
-				t.Fatalf("pair %d → %d\nsource: %s\ntarget: %s\n%v",
-					i, j, tree.EncodeSExpr(src), tree.EncodeSExpr(dst), err)
+	for _, row := range []struct {
+		name                string
+		leaves              []leaf
+		maxNodes, wantTrees int
+		// The row's size and tree count under -proptest.long.
+		longNodes, longTrees int
+	}{
+		{"vars=x", []leaf{{exp.Num, int64(0)}, {exp.Num, int64(1)}, {exp.Var, "x"}}, 4, 156, 5, 1239},
+		{"vars=x,y", []leaf{{exp.Num, int64(0)}, {exp.Num, int64(1)}, {exp.Var, "x"}, {exp.Var, "y"}}, 3, 76, 4, 272},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			maxNodes, wantTrees := row.maxNodes, row.wantTrees
+			if *flagLong {
+				maxNodes, wantTrees = row.longNodes, row.longTrees
 			}
-		}
+			// Two enumerations from one builder: no pair shares a node or
+			// a URI.
+			b := exp.NewBuilder()
+			srcs, dsts := smallExpTrees(b, row.leaves, maxNodes), smallExpTrees(b, row.leaves, maxNodes)
+			distinct := map[tree.ExactKey]bool{}
+			for _, x := range srcs {
+				distinct[x.ExactHash()] = true
+			}
+			if len(srcs) != wantTrees || len(distinct) != wantTrees {
+				t.Fatalf("enumerated %d trees (%d distinct), want %d", len(srcs), len(distinct), wantTrees)
+			}
+			sch := exp.Schema()
+			for i, src := range srcs {
+				for j, dst := range dsts {
+					salt := int64(i*len(dsts) + j)
+					if _, err := CheckPair(sch, Pair{Source: src, Target: dst, Iter: int(salt)}, salt); err != nil {
+						t.Fatalf("pair %d → %d\nsource: %s\ntarget: %s\n%v",
+							i, j, tree.EncodeSExpr(src), tree.EncodeSExpr(dst), err)
+					}
+				}
+			}
+			t.Logf("%d trees of at most %d nodes, %d ordered pairs", len(srcs), maxNodes, len(srcs)*len(dsts))
+		})
 	}
-	t.Logf("%d trees of at most %d nodes, %d ordered pairs", len(srcs), maxNodes, len(srcs)*len(dsts))
+}
+
+// leaf is a leaf constructor of the enumeration: a tag and its literal.
+type leaf struct {
+	tag sig.Tag
+	lit any
 }
 
 // smallExpTrees returns every exp tree of at most maxNodes nodes over the
-// constructors TestExhaustiveSmallPairs names, smallest first. Each tree
-// is built from fresh nodes drawn from b.
-func smallExpTrees(b *tree.Builder, maxNodes int) []*tree.Node {
+// given leaves and the inner constructors TestExhaustiveSmallPairs names,
+// smallest first. Each tree is built from fresh nodes drawn from b.
+func smallExpTrees(b *tree.Builder, leaves []leaf, maxNodes int) []*tree.Node {
 	// A build makes a new copy of one tree on every call.
 	type build func() *tree.Node
 	node := func(tag sig.Tag, lit any, kids ...build) build {
@@ -62,7 +83,9 @@ func smallExpTrees(b *tree.Builder, maxNodes int) []*tree.Node {
 		}
 	}
 	bySize := make([][]build, maxNodes+1)
-	bySize[1] = []build{node(exp.Num, int64(0)), node(exp.Num, int64(1)), node(exp.Var, "x")}
+	for _, l := range leaves {
+		bySize[1] = append(bySize[1], node(l.tag, l.lit))
+	}
 	for n := 2; n <= maxNodes; n++ {
 		for _, a := range bySize[n-1] {
 			bySize[n] = append(bySize[n], node(exp.Call, "f", a))

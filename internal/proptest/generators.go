@@ -246,7 +246,7 @@ func (g *PathoGen) Pair(rng *rand.Rand, size, mutations int) Pair {
 }
 
 // deepChain nests single-element arrays size deep: worst case for
-// recursive traversals and checkpoint polling.
+// recursive traversals and context polling.
 func (g *PathoGen) deepChain(rng *rand.Rand, size int) *tree.Node {
 	j := g.json
 	cur := j.scalar(rng)

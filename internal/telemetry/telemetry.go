@@ -72,7 +72,7 @@ func (t PhaseTimes) Total() time.Duration {
 // Tracer receives the phase events of every diff whose context carries it
 // (ContextWithTracer): one Phase call per phase, in Phase order, once the
 // diff has passed validation. A diff that fails validation emits no events;
-// a diff aborted by its cancellation checkpoint emits the phases that
+// a diff aborted because its context is done emits the phases that
 // completed.
 //
 // Implementations must be cheap: the differ calls them synchronously on

@@ -55,60 +55,16 @@ type Options struct {
 	// instead of replacing the node. The paper's traversal requires tag
 	// and literals to coincide; this is an ablation.
 	UpdateOnLitMismatch bool
-	// CheckpointEvery is the number of nodes a diff with a Checkpoint (see
-	// DiffScratch) processes between polls of it. Zero or negative selects
-	// DefaultCheckpointEvery. Smaller values abort pathological diffs
-	// sooner at the cost of more polls.
-	CheckpointEvery int
 }
 
-// DefaultCheckpointEvery is the default node interval between Checkpoint
-// polls: frequent enough to bound abort latency to microseconds on
+// pollEvery is the number of nodes a diff processes between polls of its
+// context: frequent enough to bound abort latency to microseconds on
 // ordinary hardware, rare enough to be invisible in the phase timings.
-const DefaultCheckpointEvery = 1024
+const pollEvery = 1024
 
-// Checkpoint is a cooperative cancellation hook threaded through the four
-// phases of a checked diff: it is polled every Options.CheckpointEvery
-// processed nodes, and a non-nil return aborts the diff immediately — in
-// the middle of a phase, not just between diffs — with the returned error.
-// A Checkpoint runs on the diffing goroutine and must be cheap (a context
-// poll, a deadline comparison).
-type Checkpoint func() error
-
-// CtxCheckpoint builds the cancellation hook of one diff: it aborts the
-// diff once ctx is done, reporting the cancellation cause, or once timeout
-// (when positive) has passed since the call, with an error matching
-// derrors.ErrDiffTimeout. The deadline is fixed here, so call it when the
-// diff starts. It returns nil when nothing can interrupt the diff (a nil or
-// never-cancellable ctx, such as context.Background(), and no timeout),
-// which keeps the unchecked fast path.
-func CtxCheckpoint(ctx context.Context, timeout time.Duration) Checkpoint {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if done == nil && deadline.IsZero() {
-		return nil
-	}
-	return func() error {
-		select {
-		case <-done: // never ready when done is nil
-			return context.Cause(ctx)
-		default:
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fmt.Errorf("%w (limit %v)", derrors.ErrDiffTimeout, timeout)
-		}
-		return nil
-	}
-}
-
-// diffAbort carries a Checkpoint error up the diffing recursion; it is the
-// only panic value DiffScratch recovers, everything else propagates.
+// diffAbort carries the cause of a done context up the diffing recursion;
+// it is the only panic value DiffScratch recovers, everything else
+// propagates.
 type diffAbort struct{ err error }
 
 // Differ computes truechange edit scripts between trees of one schema.
@@ -199,41 +155,37 @@ func (s *Scratch) Reset() {
 // reparse does). No node may occur twice within one tree. Diff does not
 // mutate either tree.
 func (d *Differ) Diff(source, target *tree.Node, alloc *uri.Allocator) (*Result, error) {
-	return d.DiffScratch(context.Background(), source, target, alloc, NewScratch(), nil)
+	return d.DiffScratch(context.Background(), source, target, alloc, NewScratch())
 }
 
 // DiffScratch is Diff drawing its working state from s, which the caller
 // may recycle across any number of diffs (the scratch is reset on entry,
 // also after an abort). s must not be used by two goroutines at once.
 //
-// ctx carries the diff's per-diff hooks: a telemetry.Tracer attached with
-// telemetry.ContextWithTracer receives the four phases, and an ExplainSink
-// attached with ContextWithExplain receives the Explanation. A nil ctx is
-// treated as context.Background(). ctx is not polled for cancellation;
-// cp is.
+// ctx is the diff's one route for everything it takes besides its inputs.
+// It is polled on entry, before each of steps 2–4 and every pollEvery
+// nodes within a step; once it is done, the diff discards its partial
+// script and returns an error wrapping context.Cause(ctx). A
+// telemetry.Tracer attached with telemetry.ContextWithTracer receives the
+// four phases, and an ExplainCollector attached with ContextWithExplain
+// the Explanation. A nil ctx is treated as context.Background(), which is
+// never polled.
 //
 // Each step is one function (prepare is allocFor, checkSchema and
 // Scratch.Reset; then assignShares, assignSubtrees, computeEdits), so a
 // CPU profile isolates a step by its name, e.g.
 // go tool pprof -focus assignShares.
-//
-// cp, when non-nil, is polled every Options.CheckpointEvery processed
-// nodes across all four phases — schema validation walks, share
-// assignment, candidate selection, and edit emission — and its error, if
-// any, aborts the diff immediately and is returned wrapped; the partially
-// built script is discarded. CtxCheckpoint builds one from ctx.
-func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator, s *Scratch, cp Checkpoint) (res *Result, err error) {
+func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator, s *Scratch) (res *Result, err error) {
 	if source == nil || target == nil {
 		return nil, fmt.Errorf("truediff: %w", derrors.ErrNilTree)
 	}
-	began := time.Now()
-	every := d.opts.CheckpointEvery
-	if every <= 0 {
-		every = DefaultCheckpointEvery
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	r := &run{sch: d.sch, opts: d.opts, s: s, cp: cp, cpEvery: every, cpLeft: every}
-	sink := ExplainFromContext(ctx)
-	if sink != nil {
+	began := time.Now()
+	r := &run{sch: d.sch, opts: d.opts, s: s, ctx: ctx, done: ctx.Done(), left: pollEvery}
+	col := explainFromContext(ctx)
+	if col != nil {
 		r.explain = newExplainState(d.opts.Equiv == ExactOnly)
 	}
 	defer func() {
@@ -246,6 +198,7 @@ func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, all
 		}
 	}()
 
+	r.poll()
 	// Step 1 happened at tree construction: every node carries its
 	// structure and literal digests and the schema it was validated
 	// against; the per-diff residue (allocator derivation, the schema check,
@@ -264,14 +217,17 @@ func (d *Differ) DiffScratch(ctx context.Context, source, target *tree.Node, all
 	tr := telemetry.TracerFromContext(ctx)
 	var mark time.Time
 	s.phase(tr, telemetry.PhasePrepare, began, &mark)
+	r.poll()
 	r.assignShares(source, target) // step 2
 	s.phase(tr, telemetry.PhaseShares, mark, &mark)
+	r.poll()
 	r.assignSubtrees(target) // step 3
 	s.phase(tr, telemetry.PhaseSelect, mark, &mark)
+	r.poll()
 	patched := r.computeEdits(source, target, truechange.RootRef, sig.RootLink) // step 4
 	s.phase(tr, telemetry.PhaseEmit, mark, &mark)
-	if sink != nil {
-		sink.ExplainDiff(r.explain.finish(source, target))
+	if col != nil {
+		col.Last = r.explain.finish(source, target)
 	}
 	return &Result{Script: s.buf.Script(), Patched: patched}, nil
 }
@@ -304,8 +260,8 @@ func (s *Scratch) phase(tr telemetry.Tracer, p telemetry.Phase, start time.Time,
 // schema, so trees built against a different schema fail cleanly. A tree
 // whose schema record is the differ's schema was validated against it
 // node by node when it was built, and schemas only grow, so the check is
-// O(1) for it; any other tree is walked. A non-nil r threads the run's
-// checkpoint through the walk, so even the prepare phase of a checked diff
+// O(1) for it; any other tree is walked. A non-nil r counts the walk's
+// nodes towards its context polls, so even the prepare phase of a diff
 // honours cancellation.
 func (d *Differ) checkSchema(t *tree.Node, r *run) error {
 	if t.Schema() == d.sch {
@@ -363,30 +319,40 @@ type run struct {
 	// the morph must recurse node by node so descendants assigned across
 	// the pair's boundary are detached and reused where they belong.
 	external bool
-	// cp is the cooperative abort hook of a checked run (nil otherwise);
-	// tick polls it once per cpEvery processed nodes.
-	cp      Checkpoint
-	cpEvery int
-	cpLeft  int
-	// explain accumulates per-edit provenance; nil unless an ExplainSink is
-	// installed, so the hot path pays one pointer check per hook.
+	// ctx is the context of a DiffScratch run, and done its Done channel:
+	// nil for a context that can never be done and for runs without one,
+	// which then skip the per-node count. left counts the nodes until the
+	// next poll.
+	ctx  context.Context
+	done <-chan struct{}
+	left int
+	// explain accumulates per-edit provenance; nil unless an
+	// ExplainCollector is installed, so the hot path pays one pointer check
+	// per hook.
 	explain *explainState
 }
 
-// tick counts one processed node and, every cpEvery nodes of a checked
-// run, polls the checkpoint. A checkpoint error unwinds the diffing
-// recursion via diffAbort, which DiffScratch recovers and returns.
+// tick counts one processed node and polls the run's context every
+// pollEvery nodes.
 func (r *run) tick() {
-	if r.cp == nil {
+	if r.done == nil {
 		return
 	}
-	r.cpLeft--
-	if r.cpLeft > 0 {
+	r.left--
+	if r.left > 0 {
 		return
 	}
-	r.cpLeft = r.cpEvery
-	if err := r.cp(); err != nil {
-		panic(diffAbort{err})
+	r.left = pollEvery
+	r.poll()
+}
+
+// poll aborts the run once its context is done: it unwinds the diffing
+// recursion via diffAbort, which DiffScratch recovers and returns.
+func (r *run) poll() {
+	select {
+	case <-r.done: // never ready when done is nil
+		panic(diffAbort{context.Cause(r.ctx)})
+	default:
 	}
 }
 

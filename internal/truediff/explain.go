@@ -124,41 +124,31 @@ type Explanation struct {
 	Edits []EditProvenance `json:"edits"`
 }
 
-// ExplainSink receives the Explanation of every diff whose context carries
-// it (see ContextWithExplain). Like a Tracer, a sink shared by concurrent
-// goroutines must be concurrency-safe; a diff without a sink pays one
-// pointer check per diff and one per emitted edit.
-type ExplainSink interface {
-	ExplainDiff(*Explanation)
-}
-
-// ExplainCollector is the trivial ExplainSink: it keeps the most recent
-// Explanation. It is NOT concurrency-safe; use one per goroutine (the
-// engine attaches one per pair via the context).
+// ExplainCollector receives the Explanation of every diff whose context
+// carries it (see ContextWithExplain): the diff sets Last when it
+// finishes. It is NOT concurrency-safe; use one per goroutine (the engine
+// attaches one per pair via the context). A diff without a collector pays
+// one pointer check per diff and one per emitted edit.
 type ExplainCollector struct {
 	Last *Explanation
 }
 
-// ExplainDiff implements ExplainSink.
-func (c *ExplainCollector) ExplainDiff(e *Explanation) { c.Last = e }
-
-// explainCtxKey carries a request-scoped ExplainSink through a context.
+// explainCtxKey carries a request-scoped ExplainCollector through a
+// context.
 type explainCtxKey struct{}
 
-// ContextWithExplain returns a context carrying sink; a diff run with that
+// ContextWithExplain returns a context carrying col; a diff run with that
 // context (DiffScratch, or the engine's per-pair context) delivers its
-// Explanation to the sink. It is the only route provenance leaves a diff by.
-func ContextWithExplain(ctx context.Context, sink ExplainSink) context.Context {
-	return context.WithValue(ctx, explainCtxKey{}, sink)
+// Explanation to col. It is the only route provenance leaves a diff by.
+func ContextWithExplain(ctx context.Context, col *ExplainCollector) context.Context {
+	return context.WithValue(ctx, explainCtxKey{}, col)
 }
 
-// ExplainFromContext extracts the sink installed by ContextWithExplain.
-func ExplainFromContext(ctx context.Context) ExplainSink {
-	if ctx == nil {
-		return nil
-	}
-	sink, _ := ctx.Value(explainCtxKey{}).(ExplainSink)
-	return sink
+// explainFromContext extracts the collector installed by
+// ContextWithExplain.
+func explainFromContext(ctx context.Context) *ExplainCollector {
+	col, _ := ctx.Value(explainCtxKey{}).(*ExplainCollector)
+	return col
 }
 
 // keyDigits is how many hex digits of a hash key provenance records show:
@@ -193,8 +183,8 @@ type selDecision struct {
 }
 
 // explainState accumulates provenance during one diff run. It exists only
-// when an ExplainSink is installed; every hook in the hot path is guarded
-// by a single nil check.
+// when an ExplainCollector is installed; every hook in the hot path is
+// guarded by a single nil check.
 type explainState struct {
 	// exact reports that candidate keys are exact keys (ExactOnly).
 	exact bool

@@ -42,7 +42,7 @@ func checkAligned(t *testing.T, ex *Explanation, script *truechange.Script) {
 // diffExplained runs d over the pair with col on the context, the route
 // provenance leaves a diff by.
 func diffExplained(d *Differ, src, dst *tree.Node, alloc *uri.Allocator, col *ExplainCollector) (*Result, error) {
-	return d.DiffScratch(ContextWithExplain(context.Background(), col), src, dst, alloc, NewScratch(), nil)
+	return d.DiffScratch(ContextWithExplain(context.Background(), col), src, dst, alloc, NewScratch())
 }
 
 func TestExplainAlignsWithScript(t *testing.T) {

@@ -47,7 +47,7 @@ func TestTracerOrdering(t *testing.T) {
 		dst := tree.Clone(after, alloc, tree.SHA256)
 
 		start := len(rec.events)
-		if _, err := d.DiffScratch(ctx, src, dst, alloc, s, nil); err != nil {
+		if _, err := d.DiffScratch(ctx, src, dst, alloc, s); err != nil {
 			t.Fatalf("diff %d: %v", i, err)
 		}
 		span := rec.events[start:]
@@ -79,11 +79,11 @@ func TestTracerSilentOnFailedValidation(t *testing.T) {
 	n := b.MustN(exp.Num, int64(1))
 
 	// Nil tree.
-	if _, err := New(exp.Schema()).DiffScratch(ctx, nil, n, b.Alloc(), NewScratch(), nil); err == nil {
+	if _, err := New(exp.Schema()).DiffScratch(ctx, nil, n, b.Alloc(), NewScratch()); err == nil {
 		t.Fatal("nil-source diff succeeded")
 	}
 	// Schema mismatch: a differ over an empty schema rejects exp trees.
-	if _, err := New(sig.NewSchema("empty")).DiffScratch(ctx, n, n, b.Alloc(), NewScratch(), nil); err == nil {
+	if _, err := New(sig.NewSchema("empty")).DiffScratch(ctx, n, n, b.Alloc(), NewScratch()); err == nil {
 		t.Fatal("schema-mismatch diff succeeded")
 	}
 	if len(rec.events) != 0 {
@@ -103,7 +103,7 @@ func TestScratchPhaseTimesReset(t *testing.T) {
 	src := tree.Clone(before, alloc, tree.SHA256)
 	dst := tree.Clone(after, alloc, tree.SHA256)
 
-	if _, err := d.DiffScratch(context.Background(), src, dst, alloc, s, nil); err != nil {
+	if _, err := d.DiffScratch(context.Background(), src, dst, alloc, s); err != nil {
 		t.Fatal(err)
 	}
 	if s.PhaseTimes().Total() == 0 {

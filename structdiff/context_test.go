@@ -37,21 +37,37 @@ func TestDiffContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := structdiff.DiffContext(ctx, src, dst,
-		structdiff.WithSchema(sch), structdiff.WithAllocator(alloc),
-		structdiff.WithCheckpointEvery(1))
+		structdiff.WithSchema(sch), structdiff.WithAllocator(alloc))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled DiffContext: err = %v, want context.Canceled", err)
 	}
 }
 
-func TestDiffContextHonoursDiffTimeout(t *testing.T) {
+// TestDiffContextReturnsCause: a per-diff deadline is a context deadline,
+// and DiffContext returns its cause: ErrDiffTimeout for a deadline set
+// with that cause, context.DeadlineExceeded for a plain one.
+func TestDiffContextReturnsCause(t *testing.T) {
 	src, dst, sch, alloc := buildPair(t)
-	_, err := structdiff.DiffContext(context.Background(), src, dst,
-		structdiff.WithSchema(sch), structdiff.WithAllocator(alloc),
-		structdiff.WithDiffTimeout(time.Nanosecond),
-		structdiff.WithCheckpointEvery(1))
-	if !errors.Is(err, structdiff.ErrDiffTimeout) {
-		t.Fatalf("DiffContext with 1ns timeout: err = %v, want ErrDiffTimeout", err)
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"cause", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeoutCause(context.Background(), time.Nanosecond, structdiff.ErrDiffTimeout)
+		}, structdiff.ErrDiffTimeout},
+		{"plain", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), time.Nanosecond)
+		}, context.DeadlineExceeded},
+	} {
+		ctx, cancel := tc.ctx()
+		<-ctx.Done()
+		_, err := structdiff.DiffContext(ctx, src, dst,
+			structdiff.WithSchema(sch), structdiff.WithAllocator(alloc))
+		cancel()
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: DiffContext past its 1ns deadline: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

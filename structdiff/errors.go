@@ -32,9 +32,10 @@ var (
 	// recovered value and stack); the pair fails alone, the batch
 	// completes.
 	ErrDiffPanic = derrors.ErrDiffPanic
-	// ErrDiffTimeout reports a diff aborted because it exceeded the
-	// per-diff deadline (WithDiffTimeout). Distinct from the caller's
-	// context deadline, which surfaces as context.DeadlineExceeded.
+	// ErrDiffTimeout reports a diff aborted because it overran a per-diff
+	// deadline: a context deadline whose cause wraps it
+	// (context.WithTimeoutCause). Distinct from a plain context deadline,
+	// which surfaces as context.DeadlineExceeded.
 	ErrDiffTimeout = derrors.ErrDiffTimeout
 	// ErrEngineClosed reports a Diff or DiffBatch call on an Engine whose
 	// Close has begun.

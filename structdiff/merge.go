@@ -91,7 +91,7 @@ func Merge(base, ours, theirs *Node, opts ...Option) (*MergeResult, error) {
 }
 
 // MergeContext is the context-first form of Merge: the two underlying
-// diffs poll ctx at cancellation checkpoints. A nil ctx is treated as
+// diffs poll ctx as DiffContext does. A nil ctx is treated as
 // context.Background().
 func MergeContext(ctx context.Context, base, ours, theirs *Node, opts ...Option) (*MergeResult, error) {
 	cfg := newConfig(opts)

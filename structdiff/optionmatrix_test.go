@@ -14,22 +14,26 @@ import (
 
 // TestOptionMatrix exercises the facade's engine options as a full cross
 // product — tracing (WithSpans, the tracer axis) × fallback × per-diff
-// timeout (including zero and invalid negative values) × fault injection —
-// and checks each cell against the documented outcome:
+// deadline × fault injection — and checks each cell against the
+// documented outcome. Each pair runs as a batch of one, as diffd runs a
+// job, under a context whose deadline, when the cell sets one, has the
+// cause ErrDiffTimeout: none (timeout=0), one that passed before the call
+// (timeout=-1s), 25 ms or 1 min from the call.
 //
 //   - no fault: every pair succeeds, whatever the other options;
 //   - an injected Error fault is an ordinary diff failure: never rescued
 //     by fallback, always reported as ErrFaultInjected;
 //   - an injected Panic fault is rescued by FallbackRootReplace and
 //     reported as ErrDiffPanic under FallbackNone;
-//   - an injected Delay fault only matters when it overruns an armed
-//     deadline: then the pair times out (ErrDiffTimeout) under
-//     FallbackNone and is rescued under FallbackRootReplace;
-//   - zero and negative timeouts disable the deadline rather than erroring;
-//   - with tracing on, every pair gets one "engine.diff" span, failed
-//     ones included; clean runs add the four phase spans per pair, and no
-//     run adds more (an aborted diff reports only the phases it finished,
-//     a fallback script none).
+//   - an injected Delay fault only matters when it overruns the deadline:
+//     then the pair times out (ErrDiffTimeout) under FallbackNone and is
+//     rescued under FallbackRootReplace;
+//   - a deadline that passed before the call fails the batch with its
+//     cause: no diff runs, so no fault fires and nothing is rescued;
+//   - with tracing on, every diff that runs gets one "engine.diff" span,
+//     failed ones included; clean runs add the four phase spans per pair,
+//     and no run adds more (an aborted diff reports only the phases it
+//     finished, a fallback script none).
 func TestOptionMatrix(t *testing.T) {
 	const nPairs = 3
 
@@ -40,6 +44,7 @@ func TestOptionMatrix(t *testing.T) {
 		wantErrInjected
 		wantErrPanic
 		wantErrTimeout
+		wantErrExpired
 	)
 
 	tracers := []struct{ name string }{{"tracer=off"}, {"tracer=on"}}
@@ -55,7 +60,7 @@ func TestOptionMatrix(t *testing.T) {
 		d    time.Duration
 	}{
 		{"timeout=0", 0},
-		{"timeout=-1s", -time.Second}, // invalid: must behave as disabled
+		{"timeout=-1s", -time.Second},
 		{"timeout=25ms", 25 * time.Millisecond},
 		{"timeout=1m", time.Minute},
 	}
@@ -67,12 +72,14 @@ func TestOptionMatrix(t *testing.T) {
 		{"fault=error", &structdiff.Fault{Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultError}},
 		{"fault=panic", &structdiff.Fault{Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultPanic}},
 		{"fault=delay", &structdiff.Fault{
-			Site: structdiff.FaultSiteCheckpoint, Kind: structdiff.FaultDelay, Delay: 150 * time.Millisecond,
-			Times: nPairs, // one delay per pair, not per checkpoint poll
+			Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultDelay, Delay: 150 * time.Millisecond,
 		}},
 	}
 
 	expect := func(fb structdiff.FallbackMode, to time.Duration, fault string) outcome {
+		if to < 0 {
+			return wantErrExpired
+		}
 		switch fault {
 		case "fault=error":
 			return wantErrInjected // plain errors are deliberately not rescued
@@ -83,7 +90,7 @@ func TestOptionMatrix(t *testing.T) {
 			return wantErrPanic
 		case "fault=delay":
 			if to != 25*time.Millisecond {
-				return wantOK // no (effective) deadline: the delay just runs
+				return wantOK // no deadline, or a distant one: the delay just runs
 			}
 			if fb == structdiff.FallbackRootReplace {
 				return wantFallback
@@ -115,8 +122,6 @@ func TestOptionMatrix(t *testing.T) {
 						opts := []structdiff.Option{
 							structdiff.WithWorkers(2),
 							structdiff.WithFallback(fb.mode),
-							structdiff.WithDiffTimeout(to.d),
-							structdiff.WithCheckpointEvery(1),
 						}
 						var rec *structdiff.SpanRecorder
 						if trc.name == "tracer=on" {
@@ -131,9 +136,19 @@ func TestOptionMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						results, err := eng.DiffBatch(context.Background(), pairs)
-						if err != nil {
-							t.Fatalf("DiffBatch: %v", err)
+						results := make([]structdiff.PairResult, nPairs)
+						for i := range pairs {
+							ctx := context.Background()
+							if to.d != 0 {
+								var cancel context.CancelFunc
+								ctx, cancel = context.WithTimeoutCause(ctx, to.d, structdiff.ErrDiffTimeout)
+								defer cancel()
+							}
+							prs, err := eng.DiffBatch(ctx, pairs[i:i+1])
+							if (err != nil) != (want == wantErrExpired) {
+								t.Fatalf("pair %d: DiffBatch: %v", i, err)
+							}
+							results[i] = prs[0]
 						}
 						for i, r := range results {
 							switch want {
@@ -165,7 +180,7 @@ func TestOptionMatrix(t *testing.T) {
 								if !errors.Is(r.Err, structdiff.ErrDiffPanic) {
 									t.Fatalf("pair %d: err = %v, want ErrDiffPanic", i, r.Err)
 								}
-							case wantErrTimeout:
+							case wantErrTimeout, wantErrExpired:
 								if !errors.Is(r.Err, structdiff.ErrDiffTimeout) {
 									t.Fatalf("pair %d: err = %v, want ErrDiffTimeout", i, r.Err)
 								}
@@ -181,8 +196,12 @@ func TestOptionMatrix(t *testing.T) {
 									phases++
 								}
 							}
-							if diffs != nPairs {
-								t.Fatalf("recorded %d engine.diff spans, want %d", diffs, nPairs)
+							ran := nPairs
+							if want == wantErrExpired {
+								ran = 0
+							}
+							if diffs != ran {
+								t.Fatalf("recorded %d engine.diff spans, want %d", diffs, ran)
 							}
 							if want == wantOK && phases != structdiff.NumPhases*nPairs {
 								t.Fatalf("recorded %d phase spans, want %d", phases, structdiff.NumPhases*nPairs)
@@ -206,12 +225,10 @@ func TestOptionsInvalidValues(t *testing.T) {
 	res, err := structdiff.Diff(src, dst,
 		structdiff.WithSchema(sch),
 		structdiff.WithAllocator(alloc),
-		structdiff.WithDiffTimeout(-time.Hour), // negative: disabled
-		structdiff.WithCheckpointEvery(-5),     // negative: default cadence
-		structdiff.WithWorkers(-3),             // negative: GOMAXPROCS
-		structdiff.WithSpans(nil),              // nil sink: no tracing
-		structdiff.WithFaultInjection(nil),     // nil injector: no faults
-		structdiff.WithSlowDiffThreshold(-1),   // negative: disabled
+		structdiff.WithWorkers(-3),           // negative: GOMAXPROCS
+		structdiff.WithSpans(nil),            // nil sink: no tracing
+		structdiff.WithFaultInjection(nil),   // nil injector: no faults
+		structdiff.WithSlowDiffThreshold(-1), // negative: disabled
 	)
 	if err != nil {
 		t.Fatalf("Diff with degenerate options: %v", err)
@@ -224,8 +241,6 @@ func TestOptionsInvalidValues(t *testing.T) {
 	// time, batch size zero included.
 	eng, err := structdiff.NewEngine(sch,
 		structdiff.WithWorkers(0),
-		structdiff.WithDiffTimeout(-time.Hour),
-		structdiff.WithCheckpointEvery(0),
 		structdiff.WithFallback(structdiff.FallbackMode(99)), // unknown mode: behaves as none
 	)
 	if err != nil {

@@ -58,24 +58,25 @@ func TestFacadeFallbackOnInjectedPanic(t *testing.T) {
 	}
 }
 
-// TestFacadeDiffTimeout: a per-diff deadline armed through the facade
-// surfaces as ErrDiffTimeout (without fallback).
+// TestFacadeDiffTimeout: a per-diff deadline set on an engine diff's
+// context, with cause ErrDiffTimeout, surfaces as ErrDiffTimeout (without
+// fallback) and counts as a timeout.
 func TestFacadeDiffTimeout(t *testing.T) {
 	src, dst, sch, alloc := buildPair(t)
 	inj := structdiff.NewFaultInjector(1, structdiff.Fault{
-		Site: structdiff.FaultSiteCheckpoint, Kind: structdiff.FaultDelay,
-		Delay: 20 * time.Millisecond, Times: 1,
+		Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultDelay,
+		Delay: 50 * time.Millisecond, Times: 1,
 	})
 	e, err := structdiff.NewEngine(sch,
 		structdiff.WithWorkers(1),
-		structdiff.WithDiffTimeout(time.Millisecond),
-		structdiff.WithCheckpointEvery(1),
 		structdiff.WithFaultInjection(inj),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Diff(context.Background(), src, dst, alloc)
+	ctx, cancel := context.WithTimeoutCause(context.Background(), 10*time.Millisecond, structdiff.ErrDiffTimeout)
+	defer cancel()
+	_, err = e.Diff(ctx, src, dst, alloc)
 	if !errors.Is(err, structdiff.ErrDiffTimeout) {
 		t.Fatalf("Diff = %v, want ErrDiffTimeout", err)
 	}

@@ -50,7 +50,6 @@ type config struct {
 	diff     truediff.Options
 	workers  int
 	slow     time.Duration
-	timeout  time.Duration
 	fallback FallbackMode
 	faults   *faultinject.Injector
 	spans    telemetry.SpanSink
@@ -100,37 +99,24 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // slog.Default() without one. Engine entry points only.
 func WithSlowDiffThreshold(d time.Duration) Option { return func(c *config) { c.slow = d } }
 
-// WithDiffTimeout bounds each individual diff that an Engine,
-// DiffContext or ExplainContext runs: a diff still running when its
-// deadline passes aborts at the next cancellation checkpoint with an error
-// matching ErrDiffTimeout. The deadline starts when the diff starts — on
-// an Engine it bounds pairs, not batches, so large batches do not starve
-// late pairs. Combine with WithFallback to degrade instead of fail on an
-// Engine. Zero disables the deadline.
-func WithDiffTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
-
-// WithCheckpointEvery tunes how many nodes a diff processes between
-// cancellation-checkpoint polls (default truediff.DefaultCheckpointEvery).
-// Smaller values abort faster after a cancellation or deadline at slightly
-// higher overhead.
-func WithCheckpointEvery(n int) Option { return func(c *config) { c.diff.CheckpointEvery = n } }
-
 // WithFallback selects an Engine's graceful-degradation policy: under
-// FallbackRootReplace, a pair whose diff panics, exceeds WithDiffTimeout,
-// or emits an ill-typed script is served a synthesized root-replacement
-// script — maximally verbose, but well-typed by construction and
-// guaranteed to patch source into target. Degraded pairs are flagged in
-// DiffStats.Fallback and counted in Snapshot.Fallbacks. Engine entry
-// points only; the default (FallbackNone) propagates failures.
+// FallbackRootReplace, a pair whose diff panics, overruns a per-diff
+// deadline (a context deadline whose cause matches ErrDiffTimeout, see
+// DiffContext), or emits an ill-typed script is served a synthesized
+// root-replacement script — maximally verbose, but well-typed by
+// construction and guaranteed to patch source into target. Degraded pairs
+// are flagged in DiffStats.Fallback and counted in Snapshot.Fallbacks.
+// Engine entry points only; the default (FallbackNone) propagates
+// failures.
 func WithFallback(m FallbackMode) Option { return func(c *config) { c.fallback = m } }
 
 // WithSpans enables distributed tracing: completed spans are delivered to
 // sink. DiffContext, and so Explain, records one "structdiff.diff" span
 // per call with the four truediff phases as children; an Engine records
-// one "engine.diff" span per pair (parented on Pair.Trace when set) with
-// the phases nested under it. The parent for a facade diff is taken from the context
-// (WithTraceContext), so client-side spans join server traces. Tracing is
-// off — and costs nothing — without this option. See docs/TRACING.md.
+// one "engine.diff" span per pair with the phases nested under it. Either
+// takes its parent from the context (WithTraceContext), so client-side
+// spans join server traces. Tracing is off — and costs nothing — without
+// this option. See docs/TRACING.md.
 func WithSpans(sink SpanSink) Option { return func(c *config) { c.spans = sink } }
 
 // WithLogger routes an Engine's structured diagnostics — slow diffs,
@@ -141,9 +127,9 @@ func WithSpans(sink SpanSink) Option { return func(c *config) { c.spans = sink }
 func WithLogger(l *slog.Logger) Option { return func(c *config) { c.logger = l } }
 
 // WithFaultInjection arms deterministic fault injection on an Engine: the
-// injector's faults fire at the engine's sites (FaultSiteDiff on every
-// diff, FaultSiteCheckpoint on every checkpoint poll). Intended for
-// resilience tests and failure-path rehearsal; see NewFaultInjector.
+// injector's faults fire at the engine's site, FaultSiteDiff, once per
+// diff. Intended for resilience tests and failure-path rehearsal; see
+// NewFaultInjector.
 func WithFaultInjection(inj *FaultInjector) Option { return func(c *config) { c.faults = inj } }
 
 // Diff computes the truechange edit script that transforms src into dst,
@@ -158,14 +144,14 @@ func Diff(src, dst *Node, opts ...Option) (*Result, error) {
 	return DiffContext(context.Background(), src, dst, opts...)
 }
 
-// DiffContext is the context-first form of Diff: the diff polls ctx at
-// cancellation checkpoints (every WithCheckpointEvery nodes) and aborts
-// mid-phase once it is done, returning the cancellation cause. A
-// WithDiffTimeout deadline applies here too — it starts when the diff
-// starts and surfaces as ErrDiffTimeout, distinct from ctx's own deadline
-// (context.DeadlineExceeded) — so cancellation no longer requires an
-// Engine. A nil ctx is treated as context.Background(), under which (and
-// without WithDiffTimeout) DiffContext is exactly Diff.
+// DiffContext is the context-first form of Diff: the diff polls ctx on
+// entry, between its steps and every 1,024 nodes within them, and aborts
+// once ctx is done, returning an error wrapping context.Cause(ctx). So a
+// per-diff deadline is a context deadline: one set with
+// context.WithTimeoutCause and a cause wrapping ErrDiffTimeout surfaces as
+// ErrDiffTimeout, a plain context.WithTimeout as context.DeadlineExceeded.
+// A nil ctx is treated as context.Background(), under which DiffContext is
+// exactly Diff.
 func DiffContext(ctx context.Context, src, dst *Node, opts ...Option) (*Result, error) {
 	cfg := newConfig(opts)
 	if cfg.sch == nil {
@@ -180,21 +166,15 @@ func DiffContext(ctx context.Context, src, dst *Node, opts ...Option) (*Result, 
 		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(cfg.spans, span.Context()))
 	}
 	d := truediff.NewWithOptions(cfg.sch, cfg.diff)
-	return d.DiffScratch(ctx, src, dst, cfg.alloc, truediff.NewScratch(), truediff.CtxCheckpoint(ctx, cfg.timeout))
+	return d.DiffScratch(ctx, src, dst, cfg.alloc, truediff.NewScratch())
 }
 
 // WithTraceContext returns a context carrying sc as the parent for spans
-// opened under it: DiffContext's facade span and a ServiceClient's RPC
-// spans parent themselves on sc, joining the caller's trace. Retrieve a
-// context's trace with TraceContextFrom.
+// opened under it: DiffContext's facade span, an Engine's "engine.diff"
+// spans and a ServiceClient's RPC spans parent themselves on sc, joining
+// the caller's trace.
 func WithTraceContext(ctx context.Context, sc SpanContext) context.Context {
 	return telemetry.ContextWithSpanContext(ctx, sc)
-}
-
-// TraceContextFrom extracts the trace context carried by ctx (the zero,
-// invalid SpanContext when none is set).
-func TraceContextFrom(ctx context.Context) SpanContext {
-	return telemetry.SpanContextFromContext(ctx)
 }
 
 // InitialScript returns a well-typed initializing edit script that builds
@@ -241,8 +221,8 @@ func Patch(t *Node, s *Script, opts ...Option) (*Node, error) {
 
 // PatchContext is the context-first form of Patch. Patching costs one
 // O(n) pass that indexes the tree, with no allocation per node, plus
-// O(change) for the edits and the rebuilt spine, so unlike diffing it has
-// no mid-run checkpoints: ctx is observed on entry (a cancelled context
+// O(change) for the edits and the rebuilt spine, so unlike diffing it does
+// not poll ctx mid-run: ctx is observed on entry (a cancelled context
 // fails before any edit applies, preserving transactionality) and a nil
 // ctx is treated as context.Background(), under which PatchContext is
 // exactly Patch.
@@ -317,7 +297,6 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 		Workers:           cfg.workers,
 		Diff:              cfg.diff,
 		SlowDiffThreshold: cfg.slow,
-		DiffTimeout:       cfg.timeout,
 		Fallback:          cfg.fallback,
 		Faults:            cfg.faults,
 		Spans:             cfg.spans,

@@ -269,12 +269,11 @@ const (
 )
 
 // The fault-injection sites the diffing pipeline exposes: once per diff
-// inside the engine's panic-isolation boundary, on every cancellation
-// checkpoint poll, and on every edit a transactional patch applies.
+// inside the engine's panic-isolation boundary, and on every edit a
+// transactional patch applies.
 const (
-	FaultSiteDiff       = engine.FaultSiteDiff
-	FaultSiteCheckpoint = engine.FaultSiteCheckpoint
-	FaultSiteEdit       = mtree.FaultSiteEdit
+	FaultSiteDiff = engine.FaultSiteDiff
+	FaultSiteEdit = mtree.FaultSiteEdit
 )
 
 // NewFaultInjector returns an injector firing the given faults; a zero
