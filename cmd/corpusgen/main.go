@@ -8,6 +8,8 @@
 //
 // Every commit directory holds NAME.before / NAME.after pairs for the
 // files it changed, plus a CHANGES file listing the applied edit kinds.
+// Bad usage (a flag that cannot generate a corpus, a positional argument)
+// exits 2 before anything is written.
 package main
 
 import (
@@ -31,11 +33,21 @@ func main() {
 	)
 	flag.Parse()
 
-	h := corpus.Generate(corpus.Options{
+	opts := corpus.Options{
 		Seed: *seed, Files: *files, Commits: *commits,
 		MaxFilesPerCommit: 3, MinNodes: *minNodes, MaxNodes: *maxNodes,
 		MaxEditsPerFile: 4,
-	})
+	}
+	err := opts.Validate()
+	if flag.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", flag.Arg(0))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "corpusgen:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	h := corpus.Generate(opts)
 
 	written := 0
 	for _, c := range h.Commits {

@@ -1,5 +1,5 @@
 // Command diffd serves structural diffing as a network service: an
-// HTTP/JSON daemon around the batch engine, one engine per served
+// HTTP/JSON daemon around the diffing engine, one engine per served
 // language, running each request's diff on the request's own goroutine
 // once one of its language's -workers slots is free, with per-tenant
 // admission control, queue backpressure (429 + Retry-After when
@@ -14,7 +14,6 @@
 // Endpoints (wire schema and a curl session in docs/SERVICE.md):
 //
 //	POST /v1/diff      one pair (S-exprs or refs), versioned JSON
-//	POST /v1/batch     many pairs, each run as its own job
 //	GET  /v1/snapshot  per-language engine counters
 //	GET  /metrics      Prometheus text exposition (service + engines)
 //	GET  /debug/diffz  flight recorder: recent + slowest diffs (JSON/HTML)
@@ -51,8 +50,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// jsonlSpans exports completed spans as one JSON object per line. Engine
-// workers end spans concurrently, so the encoder is serialized.
+// jsonlSpans exports completed spans as one JSON object per line. Request
+// goroutines end spans concurrently, so the encoder is serialized.
 type jsonlSpans struct {
 	mu  sync.Mutex
 	enc *json.Encoder

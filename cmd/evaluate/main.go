@@ -21,6 +21,8 @@
 // (assignSubtrees is step 3, computeEdits step 4).
 //
 // Corpus scale is configurable; the defaults finish in well under a minute.
+// Bad usage (an unknown experiment, a corpus flag that cannot generate a
+// corpus, a positional argument) exits 2 before any profiler starts.
 package main
 
 import (
@@ -71,30 +73,40 @@ func main() {
 		return runner.Run()
 	})
 	// experiments is the one list of -experiment values; "all" runs each
-	// in order.
+	// in order. corpus is the options an experiment generates its corpus
+	// from, if it generates one, and from is where they come from.
+	const full, half = "-files and -commits", "half of -files and -commits"
 	experiments := []struct {
-		name   string
-		report func() string
+		name, from string
+		corpus     *corpus.Options
+		report     func() string
 	}{
-		{"fig4", func() string { return evaluation.Fig4(results()).Report() }},
-		{"fig5", func() string { return evaluation.Fig5(results()).Report() }},
-		{"inca", func() string { return evaluation.RunIncA(evaluation.DefaultIncAConfig()).Report() }},
-		{"scaling", func() string { return evaluation.ScalingReport(evaluation.RunScaling(scalingSizes, 3)) }},
-		{"ablation", func() string { return evaluation.AblationReport(evaluation.RunAblations(halfOpts)) }},
-		{"matching", func() string { return evaluation.RunMatching(halfOpts).Report() }},
+		{"fig4", full, &fullOpts, func() string { return evaluation.Fig4(results()).Report() }},
+		{"fig5", full, &fullOpts, func() string { return evaluation.Fig5(results()).Report() }},
+		{"inca", "", nil, func() string { return evaluation.RunIncA(evaluation.DefaultIncAConfig()).Report() }},
+		{"scaling", "", nil, func() string { return evaluation.ScalingReport(evaluation.RunScaling(scalingSizes, 3)) }},
+		{"ablation", half, &halfOpts, func() string { return evaluation.AblationReport(evaluation.RunAblations(halfOpts)) }},
+		{"matching", half, &halfOpts, func() string { return evaluation.RunMatching(halfOpts).Report() }},
+	}
+	// Bad usage exits before any profiler starts, so it leaves no empty
+	// profile behind.
+	if flag.NArg() > 0 {
+		usageError(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
 	var reports []func() string
 	for _, e := range experiments {
-		if *experiment == "all" || *experiment == e.name {
-			reports = append(reports, e.report)
+		if *experiment != "all" && *experiment != e.name {
+			continue
 		}
+		if e.corpus != nil {
+			if err := e.corpus.Validate(); err != nil {
+				usageError(fmt.Errorf("experiment %s runs on %s: %w", e.name, e.from, err))
+			}
+		}
+		reports = append(reports, e.report)
 	}
-	// An unknown name exits before any profiler starts, so it leaves no
-	// empty profile behind.
 	if len(reports) == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		flag.Usage()
-		os.Exit(2)
+		usageError(fmt.Errorf("unknown experiment %q", *experiment))
 	}
 
 	stopProf, err := profiling.Start(profiling.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile, ExecTrace: *exectrace})
@@ -109,4 +121,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// usageError reports bad usage on one line, then the usage, and exits 2.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "evaluate:", err)
+	flag.Usage()
+	os.Exit(2)
 }

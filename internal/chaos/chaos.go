@@ -13,9 +13,10 @@
 // an io error mid-body or a closed connection — exactly what a mid-flight
 // RST looks like.
 //
-// The proxy exists to validate one invariant: under any fault schedule,
-// a resilient client's DiffBatch either returns correct index-aligned
-// results or a typed error — never a silent loss, duplicate, or hang.
+// The proxy exists to validate one per-call invariant: under any fault
+// schedule, each call of a resilient client either returns the correct
+// result for its pair or a typed error — never a silent loss, a result
+// for another pair, or a hang.
 package chaos
 
 import (

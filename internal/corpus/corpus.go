@@ -72,12 +72,31 @@ func (h *History) Changes() []FileChange {
 	return out
 }
 
+// Validate reports the first option Generate cannot use: Files,
+// MaxFilesPerCommit, MinNodes or MaxEditsPerFile below 1, Commits below 0,
+// or MaxNodes below MinNodes.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"Files", o.Files, 1}, {"Commits", o.Commits, 0}, {"MaxFilesPerCommit", o.MaxFilesPerCommit, 1},
+		{"MinNodes", o.MinNodes, 1}, {"MaxNodes", o.MaxNodes, o.MinNodes}, {"MaxEditsPerFile", o.MaxEditsPerFile, 1},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("corpus: %s is %d, want at least %d", f.name, f.val, f.min)
+		}
+	}
+	return nil
+}
+
 // Generate builds a synthetic repository and evolves it through commits.
-// The same Options always yield the same history.
+// The same Options always yield the same history. It panics on options
+// that Validate rejects; callers taking options from outside the program
+// check them with Validate first.
 func Generate(opts Options) *History {
-	if opts.Files <= 0 || opts.Commits < 0 || opts.MaxFilesPerCommit <= 0 ||
-		opts.MinNodes <= 0 || opts.MaxNodes < opts.MinNodes || opts.MaxEditsPerFile <= 0 {
-		panic("corpus: invalid options")
+	if err := opts.Validate(); err != nil {
+		panic(err)
 	}
 	g := &gen{rng: rand.New(rand.NewSource(opts.Seed)), f: pylang.NewFactory()}
 

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mtree"
@@ -161,6 +162,31 @@ func TestEditKindCoverage(t *testing.T) {
 	for k := EditKind(0); k < editKinds; k++ {
 		if seen[k] == 0 {
 			t.Errorf("edit kind %s never occurred in 120 commits", k)
+		}
+	}
+}
+
+// TestOptionsValidate: Validate accepts the defaults and rejects each
+// option Generate cannot use, naming it.
+func TestOptionsValidate(t *testing.T) {
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Fatalf("DefaultOptions: %v", err)
+	}
+	for _, c := range []struct {
+		field string
+		edit  func(*Options)
+	}{
+		{"Files", func(o *Options) { o.Files = 0 }},
+		{"Commits", func(o *Options) { o.Commits = -1 }},
+		{"MaxFilesPerCommit", func(o *Options) { o.MaxFilesPerCommit = 0 }},
+		{"MinNodes", func(o *Options) { o.MinNodes = 0 }},
+		{"MaxNodes", func(o *Options) { o.MinNodes, o.MaxNodes = 2000, 100 }},
+		{"MaxEditsPerFile", func(o *Options) { o.MaxEditsPerFile = 0 }},
+	} {
+		o := DefaultOptions()
+		c.edit(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Validate = %v, want an error naming it", c.field, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package derrors declares the sentinel errors shared by the diffing
 // pipeline. It is a leaf package so that every layer — tree construction,
 // the truechange type checker, the standard semantics, the truediff
-// algorithm, and the batch engine — can classify its failures with the same
+// algorithm, and the engine — can classify its failures with the same
 // values, and so that the public structdiff facade can re-export them
 // without import cycles.
 //
@@ -39,8 +39,8 @@ var (
 	ErrNoSchema = errors.New("no schema provided")
 
 	// ErrDiffPanic reports a diff that panicked and was recovered by the
-	// engine's per-worker isolation: the pair fails alone, the batch and
-	// the process survive. The wrapping error (engine.PanicError) carries
+	// engine's per-diff isolation: the pair fails alone and the process
+	// survives. The wrapping error (engine.PanicError) carries
 	// the recovered value and the goroutine stack.
 	ErrDiffPanic = errors.New("diff panicked")
 
@@ -51,7 +51,7 @@ var (
 	// context.DeadlineExceeded.
 	ErrDiffTimeout = errors.New("diff exceeded per-diff timeout")
 
-	// ErrEngineClosed reports a Diff or DiffBatch call on an engine whose
+	// ErrEngineClosed reports a Diff or DiffPair call on an engine whose
 	// Close has begun: the engine's caches are released and no further work
 	// is accepted.
 	ErrEngineClosed = errors.New("engine is closed")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 	"repro/internal/uri"
 )
 
-// The chaos suite validates the resilience invariant end to end: with a
-// seeded fault proxy between client and server, every DiffBatch either
-// returns correct index-aligned results or a typed error — never a
-// silent loss, a duplicated/misaligned result, or a hung goroutine.
+// The chaos suite validates the resilience invariant end to end, per
+// call: with a seeded fault proxy between client and server, every
+// DiffPair either returns the correct result for its pair or a typed
+// error — never a silent loss, another pair's result, or a hung
+// goroutine.
 
 // chaosProxy starts a fault proxy in front of the test server.
 func chaosProxy(t *testing.T, target string, cfg chaos.Config) *chaos.Proxy {
@@ -54,23 +56,18 @@ func typedError(err error) bool {
 	return wireKind(err) != ""
 }
 
-// settleWorkers waits until the language engine's cumulative worker-busy
-// time stops growing with an empty queue — the no-wedged-worker check.
+// settleWorkers waits until the language holds no worker slot and no job
+// is pending — the no-wedged-worker check.
 func settleWorkers(t *testing.T, srv *Server, lang string) {
 	t.Helper()
-	eng := srv.langs[lang].eng
+	ls := srv.langs[lang]
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s1 := eng.Snapshot()
-		time.Sleep(50 * time.Millisecond)
-		s2 := eng.Snapshot()
-		if s2.WorkerCapacity == s1.WorkerCapacity && s2.QueueDepth == 0 {
-			return
-		}
+	for len(ls.slots) != 0 || srv.m.pending.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("engine workers still busy after chaos run (capacity %v -> %v, queue %d)",
-				s1.WorkerCapacity, s2.WorkerCapacity, s2.QueueDepth)
+			t.Fatalf("worker slots still held after chaos run (%d slots held, %d jobs pending)",
+				len(ls.slots), srv.m.pending.Load())
 		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -95,12 +92,13 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestChaosBatchInvariant runs several seeded fault schedules against a
-// retrying client and asserts the invariant on every DiffBatch.
+// retrying client, with every pair of each round diffed on a goroutine of
+// its own, and asserts the invariant on every DiffPair call.
 func TestChaosBatchInvariant(t *testing.T) {
 	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 4, MaxQueue: 1024})
-	// Each DiffBatch is one wire request, so a schedule sees roughly
-	// iterations + retries fault draws: rates are set high enough that
-	// every seeded schedule provably injects.
+	// Each DiffPair is one wire request, so a schedule sees about
+	// rounds × pairs + retries fault draws: at these rates every seeded
+	// schedule injects.
 	schedules := []chaos.Config{
 		{Seed: 1, ResetRate: 0.10, ErrorRate: 0.10, TruncateRate: 0.10},
 		{Seed: 2, ErrorRate: 0.25, ErrorBurst: 3},
@@ -130,22 +128,25 @@ func TestChaosBatchInvariant(t *testing.T) {
 				}))
 			defer c.Close()
 
-			for iter := 0; iter < 12; iter++ {
+			for iter := 0; iter < 4; iter++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				res, err := c.DiffBatch(ctx, pairs)
+				res := make([]engine.PairResult, nPairs)
+				var wg sync.WaitGroup
+				wg.Add(nPairs)
+				for i := range pairs {
+					go func(i int) {
+						defer wg.Done()
+						res[i] = c.DiffPair(ctx, pairs[i])
+					}(i)
+				}
+				wg.Wait()
 				cancel()
-				if err != nil {
-					if !typedError(err) {
-						t.Fatalf("iter %d: untyped batch error: %v", iter, err)
-					}
-					continue
-				}
-				if len(res) != nPairs {
-					t.Fatalf("iter %d: %d results for %d pairs (silent loss/duplication)", iter, len(res), nPairs)
-				}
 				for i := range res {
 					switch {
 					case res[i].Err != nil:
+						if res[i].Result != nil {
+							t.Fatalf("iter %d pair %d: both a result and an error: %v", iter, i, res[i].Err)
+						}
 						if !typedError(res[i].Err) {
 							t.Fatalf("iter %d pair %d: untyped error: %v", iter, i, res[i].Err)
 						}
@@ -153,8 +154,8 @@ func TestChaosBatchInvariant(t *testing.T) {
 						t.Fatalf("iter %d pair %d: no error and no patched tree", iter, i)
 					case res[i].Result.Patched.ExactHash() != targets[i].ExactHash():
 						// The patched tree must be pair i's target — a mismatch
-						// means results were misaligned or corrupted in flight.
-						t.Fatalf("iter %d pair %d: patched tree is not this pair's target (misaligned results)", iter, i)
+						// means answers were crossed or corrupted in flight.
+						t.Fatalf("iter %d pair %d: patched tree is not this pair's target", iter, i)
 					}
 				}
 			}

@@ -24,7 +24,7 @@ import (
 )
 
 // Client speaks the diffserve wire protocol and presents the same surface
-// as the in-process engine (structdiff.DiffService): Diff, DiffBatch,
+// as the in-process engine (structdiff.DiffService): Diff, DiffPair,
 // Snapshot, Close. Code written against that interface runs unchanged
 // against a local engine or a remote daemon.
 //
@@ -81,7 +81,7 @@ func WithTenant(tenant string) ClientOption {
 	return func(c *Client) { c.tenant = tenant }
 }
 
-// WithSpans enables client-side tracing: each Diff/DiffBatch records a
+// WithSpans enables client-side tracing: each Diff/DiffPair records a
 // span to sink, and the span's context is shipped to the server in the
 // W3C traceparent header so the server's request, queue, and engine spans
 // join the same trace. Without this option the client still propagates a
@@ -93,9 +93,9 @@ func WithSpans(sink telemetry.SpanSink) ClientOption {
 
 // newTransport builds the client's default transport: explicit dial and
 // TLS-handshake timeouts (a dead host fails in seconds, not kernel
-// minutes), and an idle pool sized to the engine's default worker count
+// minutes), and an idle pool sized to the server's default worker slots
 // (GOMAXPROCS — the number of concurrent diffs a saturated server runs
-// per language), so batch fan-out reuses warm connections instead of
+// per language), so concurrent calls reuse warm connections instead of
 // thrashing the dial path. There is deliberately no ResponseHeaderTimeout:
 // how long a diff may take is the caller's decision, made per request via
 // the context (or per attempt via RetryPolicy.PerAttemptTimeout).
@@ -176,147 +176,78 @@ func (c *Client) forgetRefs() {
 	c.refMu.Unlock()
 }
 
-// Diff diffs source against target on the server and reconstructs the
-// result locally: the script is decoded from its versioned envelope and
-// the patched tree from its S-expression (with fresh URIs from alloc, or
-// a private allocator when nil — server and client URI spaces are
-// independent, which is the one visible difference from an in-process
-// engine).
+// Diff is DiffPair for a pair given by its parts.
 func (c *Client) Diff(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator) (*truediff.Result, error) {
-	out, err := c.diff(ctx, []engine.Pair{{Source: source, Target: target, Alloc: alloc}}, false)
-	if err != nil {
-		return nil, err
-	}
-	if out[0].Err != nil {
-		return nil, out[0].Err
-	}
-	return out[0].Result, nil
+	pr := c.DiffPair(ctx, engine.Pair{Source: source, Target: target, Alloc: alloc})
+	return pr.Result, pr.Err
 }
 
-func (c *Client) toResult(resp *DiffResponse, alloc *uri.Allocator) (*truediff.Result, error) {
-	if resp.Script == nil {
-		return nil, fmt.Errorf("diffserve: response carries neither script nor error")
+// DiffPair diffs one pair on the server, in one /v1/diff request that
+// carries the pair's label, and decodes the script, the stats and the
+// patched tree, with fresh URIs from p.Alloc or a private allocator when
+// nil: server and client URI spaces are independent, the one visible
+// difference from an in-process engine. Exactly one of the result's
+// Result and Err is set; a nil ctx means context.Background(), as for the
+// engine. If the server has lost a ref the client sent (a restart), both
+// trees are resent in full once, unless ctx is already done.
+func (c *Client) DiffPair(ctx context.Context, p engine.Pair) engine.PairResult {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	script, err := resp.Script.Decode()
-	if err != nil {
-		return nil, err
+	if p.Source == nil || p.Target == nil {
+		return engine.PairResult{Err: fmt.Errorf("diffserve: %w", derrors.ErrNilTree)}
 	}
-	res := &truediff.Result{Script: script}
-	if resp.PatchedSExpr != "" {
-		if alloc == nil {
-			alloc = uri.NewAllocator()
-		}
-		res.Patched, err = tree.DecodeSExpr(resp.PatchedSExpr, c.sch, alloc)
-		if err != nil {
-			return nil, fmt.Errorf("diffserve: decode patched tree: %w", err)
-		}
-	}
-	return res, nil
-}
-
-// DiffBatch ships the whole batch in one request; the server runs each
-// pair as its own job, in parallel as its worker slots allow. Results are
-// index-aligned with pairs; per-pair failures land in the pair's Err,
-// exactly as with engine.DiffBatch.
-// Pair.Alloc is used to decode that pair's patched tree.
-func (c *Client) DiffBatch(ctx context.Context, pairs []engine.Pair) ([]engine.PairResult, error) {
-	return c.diff(ctx, pairs, true)
-}
-
-// diff is the one call path of Diff and DiffBatch: it sends the pairs —
-// one to /v1/diff, or any number to /v1/batch when batch is set — and
-// converts the answers into index-aligned results. If the server has lost
-// a ref the client sent, for the request or for any pair (a restart), it
-// resends every tree in full once, but only while the caller is still
-// waiting: a dead context must not spawn a second request.
-func (c *Client) diff(ctx context.Context, pairs []engine.Pair, batch bool) ([]engine.PairResult, error) {
-	for i, p := range pairs {
-		if p.Source == nil || p.Target == nil {
-			if !batch {
-				return nil, fmt.Errorf("diffserve: %w", derrors.ErrNilTree)
-			}
-			return nil, fmt.Errorf("diffserve: pair %d: %w", i, derrors.ErrNilTree)
-		}
-	}
-	resps, err := c.send(ctx, pairs, batch, false)
-	lost := wireKind(err) == ErrKindUnknownRef
-	for i := range resps {
-		if e := resps[i].Error; e != nil && e.Kind == ErrKindUnknownRef {
-			lost = true
-		}
-	}
-	if lost {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("diffserve: %w", context.Cause(ctx))
+	resp, err := c.send(ctx, p, false)
+	if wireKind(err) == ErrKindUnknownRef {
+		if ctx.Err() != nil {
+			return engine.PairResult{Err: fmt.Errorf("diffserve: %w", context.Cause(ctx))}
 		}
 		c.forgetRefs()
 		c.m.resends.Add(1)
-		resps, err = c.send(ctx, pairs, batch, true)
+		resp, err = c.send(ctx, p, true)
 	}
 	if err != nil {
-		return nil, err
+		return engine.PairResult{Err: err}
 	}
-	if len(resps) != len(pairs) {
-		return nil, fmt.Errorf("diffserve: batch returned %d results for %d pairs", len(resps), len(pairs))
+	c.learnRefs(resp.SourceRef, resp.TargetRef)
+	if resp.Script == nil {
+		return engine.PairResult{Err: fmt.Errorf("diffserve: response carries neither script nor error")}
 	}
-	out := make([]engine.PairResult, len(pairs))
-	for i := range resps {
-		r := &resps[i]
-		if r.Error != nil {
-			out[i].Err = wireErr(*r.Error)
-			continue
+	var pr engine.PairResult
+	script, err := resp.Script.Decode()
+	if err == nil && resp.Stats != nil {
+		pr.Stats, err = resp.Stats.ToDiffStats()
+	}
+	if err != nil {
+		return engine.PairResult{Err: err}
+	}
+	pr.Result = &truediff.Result{Script: script}
+	if resp.PatchedSExpr != "" {
+		alloc := p.Alloc
+		if alloc == nil {
+			alloc = uri.NewAllocator()
 		}
-		c.learnRefs(r.SourceRef, r.TargetRef)
-		res, err := c.toResult(r, pairs[i].Alloc)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Result = res
-		if r.Stats != nil {
-			if out[i].Stats, err = r.Stats.ToDiffStats(); err != nil {
-				out[i].Err = err
-			}
+		if pr.Result.Patched, err = tree.DecodeSExpr(resp.PatchedSExpr, c.sch, alloc); err != nil {
+			return engine.PairResult{Err: fmt.Errorf("diffserve: decode patched tree: %w", err)}
 		}
 	}
-	return out, nil
+	return pr
 }
 
-// send makes one request for the pairs, with every tree in full when force
-// is set, and returns the answers, one per pair. A /v1/diff answers its
-// one pair's failure with an error status, which send returns as the
-// request's error.
-func (c *Client) send(ctx context.Context, pairs []engine.Pair, batch, force bool) ([]DiffResponse, error) {
-	name, path := "diffserve.client.diff", "/v1/diff"
-	if batch {
-		name, path = "diffserve.client.batch", "/v1/batch"
-	}
-	span, tc := c.startSpan(ctx, name)
+// send makes one /v1/diff request for p, with both trees in full when
+// force is set. A failed diff is answered with an error status, which
+// send returns as the request's error.
+func (c *Client) send(ctx context.Context, p engine.Pair, force bool) (*DiffResponse, error) {
+	span, tc := c.startSpan(ctx, "diffserve.client.diff")
 	defer span.End()
-	in := make([]BatchPair, len(pairs))
-	for i, p := range pairs {
-		in[i] = BatchPair{
-			Source:      c.treeInput(p.Source, force),
-			Target:      c.treeInput(p.Target, force),
-			Label:       p.Label,
-			WantPatched: true,
-		}
-	}
-	var resp BatchResponse
-	var err error
-	if batch {
-		span.SetAttr("pairs", len(pairs))
-		err = c.post(ctx, path, tc, BatchRequest{SchemaVersion: WireVersion, Lang: c.lang, Pairs: in}, &resp)
-	} else {
-		resp.Results = make([]DiffResponse, 1)
-		err = c.post(ctx, path, tc, DiffRequest{SchemaVersion: WireVersion, Lang: c.lang,
-			Source: in[0].Source, Target: in[0].Target, Label: in[0].Label, WantPatched: true}, &resp.Results[0])
-	}
-	if err != nil {
+	req := DiffRequest{SchemaVersion: WireVersion, Lang: c.lang, Label: p.Label, WantPatched: true,
+		Source: c.treeInput(p.Source, force), Target: c.treeInput(p.Target, force)}
+	var resp DiffResponse
+	if err := c.post(ctx, "/v1/diff", tc, req, &resp); err != nil {
 		span.SetAttr("err", err.Error())
 		return nil, err
 	}
-	return resp.Results, nil
+	return &resp, nil
 }
 
 // Snapshot fetches the server-side engine counters for the client's

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -78,7 +77,7 @@ func TestDiffRoundTrip(t *testing.T) {
 	// transport, not algorithm): the server numbers each uploaded tree in
 	// post-order from 1, as a copy from a fresh allocator is, and a diff's
 	// loads depend only on its pair.
-	eng := engine.New(exp.Schema(), engine.Config{Workers: 1})
+	eng := engine.New(exp.Schema(), engine.Config{})
 	defer eng.Close()
 	fresh := func(x *tree.Node) *tree.Node { return tree.CloneKeepDigests(x, uri.NewAllocator()) }
 	local, err := eng.Diff(context.Background(), fresh(src), fresh(dst), nil)
@@ -114,7 +113,7 @@ func TestSpecialFloatLiteralsOverTheWire(t *testing.T) {
 	_, hs := testServer(t, Config{Langs: []string{"jsonlang"}, Workers: 1})
 	c := NewClient(hs.URL, "jsonlang", jsonlang.Schema())
 	defer c.Close()
-	eng := engine.New(jsonlang.Schema(), engine.Config{Workers: 1})
+	eng := engine.New(jsonlang.Schema(), engine.Config{})
 	defer eng.Close()
 
 	codec := jsonlang.NewCodec()
@@ -218,34 +217,36 @@ func TestRefReuseAndRecovery(t *testing.T) {
 	}
 }
 
-func TestBatchEndpoint(t *testing.T) {
-	_, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 2})
-	c := NewClient(hs.URL, "exp", exp.Schema())
-	defer c.Close()
-
-	pairs := make([]engine.Pair, 4)
-	for i := range pairs {
-		src, dst := genPair(int64(10+i), 50)
-		pairs[i] = engine.Pair{Source: src, Target: dst, Label: fmt.Sprintf("pair-%d", i)}
-	}
-	results, err := c.DiffBatch(context.Background(), pairs)
+// TestBatchEndpointGone: the server takes one pair per request, so a POST
+// to /v1/batch, the old many-pair endpoint, is answered 404 and runs no
+// diff.
+func TestBatchEndpointGone(t *testing.T) {
+	srv, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1})
+	src, dst := genPair(370, 20)
+	body, err := json.Marshal(map[string]any{
+		"schema_version": WireVersion,
+		"lang":           "exp",
+		"pairs": []map[string]TreeInput{{
+			"source": {SExpr: tree.EncodeSExpr(src)},
+			"target": {SExpr: tree.EncodeSExpr(dst)},
+		}},
+	})
 	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+		t.Fatal(err)
 	}
-	if len(results) != len(pairs) {
-		t.Fatalf("got %d results, want %d", len(results), len(pairs))
+	resp, err := http.Post(hs.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/batch: %v", err)
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Errorf("pair %d: %v", i, r.Err)
-			continue
-		}
-		if r.Result.Patched.ExactHash() != pairs[i].Target.ExactHash() {
-			t.Errorf("pair %d: patched tree differs from target", i)
-		}
-		if r.Stats.Edits != r.Result.Script.EditCount() {
-			t.Errorf("pair %d: stats report %d edits, script has %d", i, r.Stats.Edits, r.Result.Script.EditCount())
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/batch: status %d, want 404", resp.StatusCode)
+	}
+	if n := srv.langs["exp"].eng.Snapshot().Diffs; n != 0 {
+		t.Errorf("POST /v1/batch ran %d diffs, want 0", n)
+	}
+	if n := metric(t, srv, "diffserve_requests_total"); n != 0 {
+		t.Errorf("diffserve_requests_total = %v after POST /v1/batch, want 0", n)
 	}
 }
 
@@ -658,11 +659,11 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// Counters reconcile: the engine finished exactly the diffs that were
-	// dispatched (completed requests), its queue is empty, nothing is
+	// dispatched (completed requests), no worker slot is held, nothing is
 	// pending, and the drain emptied the ref table.
 	s := srv.langs["exp"].eng.Snapshot()
-	if s.QueueDepth != 0 {
-		t.Errorf("QueueDepth after drain = %d, want 0", s.QueueDepth)
+	if n := len(srv.langs["exp"].slots); n != 0 {
+		t.Errorf("%d worker slots held after drain, want 0", n)
 	}
 	if got := srv.m.pending.Load(); got != 0 {
 		t.Errorf("pending gauge after drain = %d, want 0", got)
@@ -710,7 +711,7 @@ func TestMetricsExposition(t *testing.T) {
 		"diffserve_request_duration_seconds_count 1",
 		`structdiff_diffs_total{lang="exp"} 1`,
 		`structdiff_diffs_total{lang="jsonlang"} 0`,
-		`structdiff_engine_queue_depth{lang="exp"}`,
+		`structdiff_pool_gets_total{lang="exp"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition is missing %q", want)
@@ -823,7 +824,7 @@ func TestHungUpWaiterNeverRuns(t *testing.T) {
 
 // TestBacklogCountsEachJobOnce: admission counts a job once, whether it
 // waits for a worker slot or runs. With the one worker wedged on the
-// first of a three-pair batch request, a fourth job still fits under a
+// first of three concurrent requests, a fourth job still fits under a
 // MaxQueue of 4.
 func TestBacklogCountsEachJobOnce(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Fault{
@@ -838,20 +839,16 @@ func TestBacklogCountsEachJobOnce(t *testing.T) {
 		src, dst := genPair(int64(320+i), 20)
 		pairs[i] = engine.Pair{Source: src, Target: dst}
 	}
-	batchDone := make(chan struct{})
-	go func() {
-		defer close(batchDone)
-		results, err := c.DiffBatch(context.Background(), pairs)
-		if err != nil {
-			t.Errorf("DiffBatch: %v", err)
-			return
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Errorf("pair %d: %v", i, r.Err)
+	var wg sync.WaitGroup
+	wg.Add(len(pairs))
+	for i := range pairs {
+		go func(i int) {
+			defer wg.Done()
+			if pr := c.DiffPair(context.Background(), pairs[i]); pr.Err != nil {
+				t.Errorf("pair %d: %v", i, pr.Err)
 			}
-		}
-	}()
+		}(i)
+	}
 	waitFor(t, "three jobs are pending behind a wedged diff", func() bool {
 		return srv.m.pending.Load() == 3 && inj.Fired(engine.FaultSiteDiff) == 1
 	})
@@ -860,56 +857,7 @@ func TestBacklogCountsEachJobOnce(t *testing.T) {
 	if _, err := c.Diff(context.Background(), src, dst, nil); err != nil {
 		t.Errorf("fourth job with three admitted and MaxQueue 4: %v", err)
 	}
-	<-batchDone
-}
-
-// TestOversizedBatchRefused: a batch of more pairs than MaxQueue could
-// never be admitted, so it is refused with 413 bad_request and no retry
-// advice, and a retrying client gives up after its first attempt.
-func TestOversizedBatchRefused(t *testing.T) {
-	_, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1, MaxQueue: 2})
-	pairs := make([]engine.Pair, 3)
-	for i := range pairs {
-		src, dst := genPair(int64(340+i), 20)
-		pairs[i] = engine.Pair{Source: src, Target: dst}
-	}
-
-	req := BatchRequest{SchemaVersion: WireVersion, Lang: "exp"}
-	for _, p := range pairs {
-		req.Pairs = append(req.Pairs, BatchPair{
-			Source: TreeInput{SExpr: tree.EncodeSExpr(p.Source)},
-			Target: TreeInput{SExpr: tree.EncodeSExpr(p.Target)},
-		})
-	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(hs.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("3-pair batch with MaxQueue 2: status %d, want 413", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		t.Errorf("oversized batch carries Retry-After %q, want none", ra)
-	}
-	var er ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatalf("decode error response: %v", err)
-	}
-	if er.Error.Kind != ErrKindBadRequest {
-		t.Errorf("oversized batch: kind %q, want %q", er.Error.Kind, ErrKindBadRequest)
-	}
-
-	c := NewClient(hs.URL, "exp", exp.Schema(),
-		WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Seed: 1}))
-	defer c.Close()
-	if _, err := c.DiffBatch(context.Background(), pairs); wireKind(err) != ErrKindBadRequest {
-		t.Errorf("DiffBatch of an oversized batch: err = %v, want kind %q", err, ErrKindBadRequest)
-	}
-	if n := c.ClientSnapshot().Attempts; n != 1 {
-		t.Errorf("retrying client made %d attempts at an oversized batch, want 1", n)
-	}
+	wg.Wait()
 }
 
 // metric reads one of the server's own (unlabelled) metrics.

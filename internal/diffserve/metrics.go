@@ -19,12 +19,13 @@ type svcMetrics struct {
 	sheds        atomic.Uint64 // 429: tenant limit or queue backpressure
 	drainRejects atomic.Uint64 // 503: refused because draining
 
-	// pending gauges admitted jobs whose request is not yet answered,
-	// server-wide, each counted once whether it waits for a worker slot,
-	// runs or is done; it is the admission controller's saturation signal.
+	// pending gauges admitted jobs whose request is not yet answered, one
+	// per request, server-wide, each counted once whether it waits for a
+	// worker slot, runs or is done; it is the admission controller's
+	// saturation signal.
 	pending atomic.Int64
 
-	latency telemetry.Histogram // request wall time, ns (diff+batch only)
+	latency telemetry.Histogram // request wall time, ns (diff requests only)
 }
 
 // GatherMetrics implements telemetry.Gatherer for the whole service:
@@ -36,7 +37,7 @@ func (s *Server) GatherMetrics() []telemetry.Metric {
 		return telemetry.Metric{Name: name, Help: help, Kind: telemetry.KindCounter, Value: float64(v)}
 	}
 	ms := []telemetry.Metric{
-		counter("diffserve_requests_total", "Diff and batch requests received.", s.m.requests.Load()),
+		counter("diffserve_requests_total", "Diff requests received.", s.m.requests.Load()),
 		counter("diffserve_responses_ok_total", "Requests answered 2xx.", s.m.ok.Load()),
 		counter("diffserve_responses_client_error_total", "Requests answered 4xx (excluding sheds).", s.m.clientErrors.Load()),
 		counter("diffserve_responses_server_error_total", "Requests answered 5xx (excluding drain rejects).", s.m.serverErrors.Load()),
@@ -54,7 +55,7 @@ func (s *Server) GatherMetrics() []telemetry.Metric {
 		},
 		{
 			Name: "diffserve_request_duration_seconds", Kind: telemetry.KindHistogram,
-			Help: "Request wall time from admission to response, diff and batch endpoints.",
+			Help: "Request wall time from admission to response, diff endpoint.",
 			Hist: s.m.latency.Snapshot(), Scale: 1e-9,
 		},
 	}

@@ -126,9 +126,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// retryable classifies a whole-request failure as transient (worth a
-// retry) or permanent. Per-pair errors inside a 200 batch response never
-// reach this: the request itself succeeded.
+// retryable classifies a request failure as transient (worth a retry) or
+// permanent.
 func retryable(err error) bool {
 	if err == nil {
 		return false

@@ -43,11 +43,10 @@ type Config struct {
 	// script (stats flag Fallback set) instead of an error.
 	DisableFallback bool
 
-	// MaxQueue bounds the pending jobs, server-wide across every served
-	// language: a request that would take them past MaxQueue is shed with
-	// 429 and a Retry-After estimated from observed request latency, and a
-	// batch of more than MaxQueue pairs, which could never be admitted, is
-	// refused with 413. Default 256.
+	// MaxQueue bounds the pending jobs, one per request, server-wide across
+	// every served language: a request that would take them past MaxQueue
+	// is shed with 429 and a Retry-After estimated from observed request
+	// latency. Default 256.
 	MaxQueue int
 	// TenantLimit caps one tenant's concurrently admitted requests
 	// (identified by the X-Diffd-Tenant header; absent means the shared
@@ -63,7 +62,7 @@ type Config struct {
 	Trace             *telemetry.TraceWriter
 	Faults            *faultinject.Injector
 
-	// Spans, when non-nil, turns on distributed tracing: each diff/batch
+	// Spans, when non-nil, turns on distributed tracing: each diff
 	// request runs under a "diffserve.request" span continuing the caller's
 	// W3C traceparent header (or opening a fresh trace), with queue-wait,
 	// engine, and phase child spans delivered to the sink. Nil disables
@@ -75,7 +74,7 @@ type Config struct {
 	// and fallback records.
 	Logger *slog.Logger
 	// SLO parameterizes the service's rolling-window objectives over diff
-	// and batch requests (availability = answers below 500, with sheds and
+	// requests (availability = answers below 500, with sheds and
 	// drain refusals counted as available; latency objective on request
 	// wall time). Zero values select telemetry.SLOConfig defaults. The
 	// shed Retry-After estimate derives from this window's p95.
@@ -176,8 +175,8 @@ func NewServer(cfg Config) (*Server, error) {
 		if sch == nil {
 			return nil, fmt.Errorf("diffserve: unknown language %q (have %v)", name, Languages())
 		}
-		// Each diff reaches the engine as a batch of one, so the engine
-		// never fans out; the worker slots are the only limiter.
+		// Each job reaches the engine as one DiffPair call on its request
+		// goroutine; the worker slots are the only limiter.
 		ecfg := engine.Config{
 			SlowDiffThreshold: cfg.SlowDiffThreshold,
 			Spans:             cfg.Spans,
@@ -209,7 +208,6 @@ func NewServer(cfg Config) (*Server, error) {
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/diff", s.handleDiff)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -328,7 +326,7 @@ func (s *Server) traceContext(r *http.Request, name string) (*telemetry.Span, te
 	return nil, telemetry.NewSpanContext()
 }
 
-// finish accounts for one diff or batch request once it is answered: the
+// finish accounts for one diff request once it is answered: the
 // latency histogram, the SLO window, and exactly one outcome counter,
 // chosen by the answer's status and error kind. Sheds and drain refusals
 // are deliberate load management, not failures, so the SLO counts them as
@@ -355,12 +353,12 @@ func (s *Server) finish(start time.Time, status int, kind string) {
 
 // --- admission control ---
 
-// admit decides once for all of a request's jobs: drain refusal, the
-// per-tenant concurrency cap, and queue backpressure against the pending
-// jobs, which count every admitted job once, waiting or running, until
-// its request is answered. On success the tenant slot and the jobs are
-// held; the returned func gives both back.
-func (s *Server) admit(r *http.Request, jobs int) (release func(), herr *httpError) {
+// admit decides on a request's one job: drain refusal, the per-tenant
+// concurrency cap, and queue backpressure against the pending jobs, which
+// count every admitted job once, waiting or running, until its request is
+// answered. On success the tenant slot and the job are held; the returned
+// func gives both back.
+func (s *Server) admit(r *http.Request) (release func(), herr *httpError) {
 	if s.draining.Load() {
 		return nil, &httpError{
 			status: http.StatusServiceUnavailable,
@@ -381,7 +379,7 @@ func (s *Server) admit(r *http.Request, jobs int) (release func(), herr *httpErr
 		s.tenantMu.Unlock()
 	}
 	release = func() {
-		s.m.pending.Add(-int64(jobs))
+		s.m.pending.Add(-1)
 		if s.cfg.TenantLimit > 0 {
 			s.tenantMu.Lock()
 			if s.tenants[tenant]--; s.tenants[tenant] <= 0 {
@@ -390,9 +388,9 @@ func (s *Server) admit(r *http.Request, jobs int) (release func(), herr *httpErr
 			s.tenantMu.Unlock()
 		}
 	}
-	if pending := int(s.m.pending.Add(int64(jobs))); pending > s.cfg.MaxQueue {
+	if pending := int(s.m.pending.Add(1)); pending > s.cfg.MaxQueue {
 		release()
-		backlog := pending - jobs
+		backlog := pending - 1
 		return nil, s.shed(backlog, fmt.Sprintf("queue full (%d backlogged, limit %d)", backlog, s.cfg.MaxQueue))
 	}
 	return release, nil
@@ -455,11 +453,7 @@ func (s *Server) run(ctx context.Context, trace telemetry.SpanContext, ls *langS
 	}
 	// The queue span covers the wait from admission for a free slot.
 	telemetry.StartSpanAt(s.cfg.Spans, trace, "diffserve.queue", admitted).End()
-	results, err := ls.eng.DiffBatch(dctx, []engine.Pair{p})
-	if err != nil {
-		return engine.PairResult{Err: err}
-	}
-	return results[0]
+	return ls.eng.DiffPair(dctx, p)
 }
 
 // --- tree resolution ---
@@ -516,28 +510,10 @@ type httpError struct {
 	werr   WireError
 }
 
+// handleDiff serves POST /v1/diff, in order: the request span, decode,
+// admission, tree resolution, the diff, the answer and its accounting. A
+// failed diff is answered with its error's status.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	var req DiffRequest
-	s.serve(w, r, false, &req, func() (string, string, []BatchPair) {
-		return req.SchemaVersion, req.Lang, []BatchPair{{
-			Source: req.Source, Target: req.Target, Label: req.Label, WantPatched: req.WantPatched,
-		}}
-	})
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	s.serve(w, r, true, &req, func() (string, string, []BatchPair) {
-		return req.SchemaVersion, req.Lang, req.Pairs
-	})
-}
-
-// serve runs every diff request, in order: the request span, decode,
-// admission, tree resolution, the diffs, the answer and its accounting.
-// body is the request's envelope and meta reads it once decoded. A batch
-// is answered 200 with one result per pair; a /v1/diff is a batch of one,
-// answered with its one result under that result's status.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, batch bool, body any, meta func() (version, lang string, pairs []BatchPair)) {
 	start := time.Now()
 	s.m.requests.Add(1)
 	span, rctx := s.traceContext(r, "diffserve.request")
@@ -550,78 +526,31 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, batch bool, body 
 		writeHTTPError(w, herr)
 	}
 
-	ls, pairs, herr := s.decode(w, r, body, meta)
+	var req DiffRequest
+	ls, herr := s.decode(w, r, &req)
 	if herr != nil {
 		fail(herr)
 		return
 	}
 	span.SetAttr("lang", ls.name)
-	if batch {
-		span.SetAttr("pairs", len(pairs))
-	}
-	release, herr := s.admit(r, len(pairs))
+	release, herr := s.admit(r)
 	if herr != nil {
 		fail(herr)
 		return
 	}
 	defer release()
 
-	// Each pair runs as its own job: the last on this goroutine, every
-	// other on a goroutine of its own, so a batch's pairs run in parallel
-	// as worker slots allow and a single diff starts no goroutine.
-	results := make([]DiffResponse, len(pairs))
-	var wg sync.WaitGroup
-	for i := range pairs {
-		bp, out := &pairs[i], &results[i]
-		out.SchemaVersion = WireVersion
-		what, label := "", bp.Label
-		if batch {
-			what = fmt.Sprintf("pair %d ", i)
-			if label == "" {
-				label = fmt.Sprintf("batch#%d", i)
-			}
-		}
-		src, srcRef, werr := s.resolveTree(ls, bp.Source, what+"source")
-		if werr != nil {
-			out.Error = werr
-			continue
-		}
-		dst, dstRef, werr := s.resolveTree(ls, bp.Target, what+"target")
-		if werr != nil {
-			out.Error = werr
-			continue
-		}
-		out.SourceRef, out.TargetRef = srcRef, dstRef
-		job := func() {
-			pr := s.run(r.Context(), rctx, ls, engine.Pair{Source: src, Target: dst, Label: label})
-			s.fillResult(out, pr, bp.WantPatched)
-		}
-		if i == len(pairs)-1 {
-			job()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			job()
-		}()
-	}
-	wg.Wait()
+	resp := s.respond(r.Context(), rctx, ls, &req)
 	if r.Context().Err() != nil {
 		status = 499 // client closed request; observed, not written
 		return
 	}
+	resp.SchemaVersion, resp.TraceID = WireVersion, rctx.Trace.String()
 	status = http.StatusOK
-	if batch {
-		writeJSON(w, status, BatchResponse{SchemaVersion: WireVersion, TraceID: rctx.Trace.String(), Results: results})
-		return
-	}
-	resp := &results[0]
-	resp.TraceID = rctx.Trace.String()
 	if resp.Error != nil {
 		status, kind = errStatus(resp.Error.Kind), resp.Error.Kind
 	}
-	writeJSON(w, status, resp)
+	writeJSON(w, status, &resp)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -666,61 +595,62 @@ func (s *Server) saturated() bool {
 	return float64(s.m.pending.Load()) >= readyFraction*float64(s.cfg.MaxQueue)
 }
 
-// decode reads and validates a diff request: body size cap, JSON decode,
-// schema version, language lookup, and a pair count the server can admit.
-// A body past maxBody is answered 413, and the server closes the
-// connection after the answer; a batch of more pairs than MaxQueue is
-// answered 413 too, without retry advice, because no wait would let it in.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, body any, meta func() (version, lang string, pairs []BatchPair)) (*langService, []BatchPair, *httpError) {
+// decode reads and validates a diff request into req: body size cap, JSON
+// decode, schema version, and language lookup. A body past maxBody is
+// answered 413, and the server closes the connection after the answer.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *DiffRequest) (*langService, *httpError) {
 	badRequest := func(status int, msg string) *httpError {
 		return &httpError{status: status, werr: WireError{Kind: ErrKindBadRequest, Message: msg}}
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return nil, nil, badRequest(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return nil, badRequest(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 		}
-		return nil, nil, badRequest(http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		return nil, badRequest(http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 	}
-	version, lang, pairs := meta()
-	if err := CheckWireVersion(version); err != nil {
-		return nil, nil, badRequest(http.StatusBadRequest, err.Error())
+	if err := CheckWireVersion(req.SchemaVersion); err != nil {
+		return nil, badRequest(http.StatusBadRequest, err.Error())
 	}
-	ls := s.langs[lang]
+	ls := s.langs[req.Lang]
 	if ls == nil {
-		return nil, nil, &httpError{
+		return nil, &httpError{
 			status: http.StatusNotFound,
-			werr:   WireError{Kind: ErrKindUnknownLang, Message: fmt.Sprintf("unknown lang %q (serving %v)", lang, s.langNames)},
+			werr:   WireError{Kind: ErrKindUnknownLang, Message: fmt.Sprintf("unknown lang %q (serving %v)", req.Lang, s.langNames)},
 		}
 	}
-	switch {
-	case len(pairs) == 0:
-		return nil, nil, badRequest(http.StatusBadRequest, "batch has no pairs")
-	case len(pairs) > s.cfg.MaxQueue:
-		return nil, nil, badRequest(http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d pairs exceeds the server's queue bound of %d jobs", len(pairs), s.cfg.MaxQueue))
-	}
-	return ls, pairs, nil
+	return ls, nil
 }
 
-// fillResult converts one engine PairResult into the wire response slot:
-// script + stats on success (including fallback results, which succeed
-// with Stats.Fallback set), a typed error otherwise.
-func (s *Server) fillResult(out *DiffResponse, pr engine.PairResult, wantPatched bool) {
+// respond resolves an admitted request's trees, runs its diff under ctx
+// and builds the answer: script + stats on success (including fallback
+// results, which succeed with Stats.Fallback set), a typed error
+// otherwise.
+func (s *Server) respond(ctx context.Context, trace telemetry.SpanContext, ls *langService, req *DiffRequest) DiffResponse {
+	src, srcRef, werr := s.resolveTree(ls, req.Source, "source")
+	if werr != nil {
+		return DiffResponse{Error: werr}
+	}
+	dst, dstRef, werr := s.resolveTree(ls, req.Target, "target")
+	if werr != nil {
+		return DiffResponse{Error: werr}
+	}
+	resp := DiffResponse{SourceRef: srcRef, TargetRef: dstRef}
+	pr := s.run(ctx, trace, ls, engine.Pair{Source: src, Target: dst, Label: req.Label})
 	if pr.Err != nil {
-		out.Error = &WireError{Kind: errKind(pr.Err), Message: pr.Err.Error()}
-		return
+		resp.Error = &WireError{Kind: errKind(pr.Err), Message: pr.Err.Error()}
+		return resp
 	}
 	ws, err := EncodeScript(pr.Result.Script)
 	if err != nil {
-		out.Error = &WireError{Kind: ErrKindInternal, Message: err.Error()}
-		return
+		resp.Error = &WireError{Kind: ErrKindInternal, Message: err.Error()}
+		return resp
 	}
-	out.Script = ws
-	out.Stats = StatsToWire(pr.Stats)
-	if wantPatched && pr.Result.Patched != nil {
-		out.PatchedSExpr = tree.EncodeSExpr(pr.Result.Patched)
+	resp.Script, resp.Stats = ws, StatsToWire(pr.Stats)
+	if req.WantPatched && pr.Result.Patched != nil {
+		resp.PatchedSExpr = tree.EncodeSExpr(pr.Result.Patched)
 	}
+	return resp
 }
 
 // errKind classifies an engine error into its wire kind.
@@ -743,8 +673,8 @@ func errKind(err error) string {
 	}
 }
 
-// errStatus maps the wire error kind of a failed pair to the HTTP status
-// of a single-diff response.
+// errStatus maps the wire error kind of a failed diff to the HTTP status
+// of its response.
 func errStatus(kind string) int {
 	switch kind {
 	case ErrKindBadRequest:

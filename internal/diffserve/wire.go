@@ -1,6 +1,6 @@
-// Package diffserve turns the batch diffing engine into a shared network
+// Package diffserve turns the diffing engine into a shared network
 // service: an HTTP/JSON server (cmd/diffd is its daemon front end) that
-// accepts diff and batch requests, runs each job on its own request
+// accepts diff requests, one pair each, runs each on its own request
 // goroutine once one of its language's worker slots is free, enforces
 // per-tenant concurrency limits with queue backpressure on its pending
 // jobs (shedding with 429 + Retry-After when saturated), and drains
@@ -82,23 +82,6 @@ type DiffRequest struct {
 	// response (off by default: the script is the service's product and
 	// the patched tree can be as large as the target).
 	WantPatched bool `json:"want_patched,omitempty"`
-}
-
-// BatchPair is one pair of a BatchRequest.
-type BatchPair struct {
-	Source      TreeInput `json:"source"`
-	Target      TreeInput `json:"target"`
-	Label       string    `json:"label,omitempty"`
-	WantPatched bool      `json:"want_patched,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/batch: one language, many pairs,
-// answered in one response. The server runs each pair as its own job,
-// so the pairs run in parallel as worker slots allow.
-type BatchRequest struct {
-	SchemaVersion string      `json:"schema_version"`
-	Lang          string      `json:"lang"`
-	Pairs         []BatchPair `json:"pairs"`
 }
 
 // WireScript is the versioned envelope of a truechange edit script. Edits
@@ -203,8 +186,8 @@ const (
 	ErrKindInternal    = "internal"
 )
 
-// WireError is the typed failure carried by error responses and by failed
-// pairs of a batch response.
+// WireError is the typed failure carried by error responses and by the
+// response of a failed diff.
 type WireError struct {
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
@@ -214,9 +197,8 @@ type WireError struct {
 }
 
 // DiffResponse is the body of a POST /v1/diff answer that got past
-// decoding and admission, and one element of a batch response. Error is
-// set instead of Script/Stats when the pair failed; a /v1/diff then
-// answers with the error's status.
+// decoding and admission. Error is set instead of Script/Stats when the
+// pair failed, and the answer then carries the error's status.
 type DiffResponse struct {
 	SchemaVersion string      `json:"schema_version"`
 	TraceID       string      `json:"trace_id,omitempty"`
@@ -231,14 +213,6 @@ type DiffResponse struct {
 	// WantPatched.
 	PatchedSExpr string     `json:"patched_sexpr,omitempty"`
 	Error        *WireError `json:"error,omitempty"`
-}
-
-// BatchResponse is the body of POST /v1/batch: one result per pair,
-// index-aligned with the request.
-type BatchResponse struct {
-	SchemaVersion string         `json:"schema_version"`
-	TraceID       string         `json:"trace_id,omitempty"`
-	Results       []DiffResponse `json:"results"`
 }
 
 // ErrorResponse is the body of a non-2xx answer to a request refused as a

@@ -1,24 +1,23 @@
-// Package engine runs truediff at corpus scale: batches of (source, target)
-// tree pairs are fanned over a bounded worker pool, and per-diff working
-// state (subtree registries, assignment maps, edit buffers, selection
-// heaps) is recycled through a sync.Pool instead of reallocated per diff.
+// Package engine runs truediff one pair per call and accounts for every
+// diff: per-diff working state (subtree registries, assignment maps, edit
+// buffers, selection heaps) is recycled through a sync.Pool instead of
+// reallocated per diff, and each diff, however it ends, lands once in the
+// counters, histograms, spans, logs and Config.Observer.
 //
-// The engine is the concurrency boundary of the system: a Differ is
-// immutable and an Engine adds only concurrency-safe state on top (the
-// scratch pool, atomic counters), so one Engine may be shared freely
-// between goroutines. The caller owns every URI: the engine keeps no
-// trees and no URI space of its own, so a diff's script depends only on
-// its pair. Batches run through DiffBatch, which honours context
-// cancellation; cumulative counters are read with Snapshot.
+// A Differ is immutable and an Engine adds only concurrency-safe state on
+// top (the scratch pool, atomic counters), so one Engine may be called
+// from many goroutines at once. That is how a caller diffs in parallel,
+// as diffd does with one goroutine per request. The caller owns every
+// URI: the engine keeps no trees and no URI space of its own, so a diff's
+// script depends only on its pair. Cumulative counters are read with
+// Snapshot.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/derrors"
@@ -32,11 +31,8 @@ import (
 )
 
 // Config configures an Engine. The zero value is usable: paper-standard
-// diff options, one worker per CPU.
+// diff options.
 type Config struct {
-	// Workers bounds the goroutines a DiffBatch fans out over. Zero or
-	// negative selects runtime.GOMAXPROCS(0).
-	Workers int
 	// Diff configures the underlying differ (equivalence mode, selection
 	// order, literal-mismatch handling).
 	Diff truediff.Options
@@ -50,8 +46,9 @@ type Config struct {
 
 	// Observer, when non-nil, is called synchronously after every diff —
 	// successful, failed, or short-circuited — with that diff's event.
-	// It runs on worker goroutines: keep it cheap and concurrency-safe
-	// (telemetry.TraceWriter is; so is recording into histograms).
+	// It runs on each diff's calling goroutine: keep it cheap and
+	// concurrency-safe (telemetry.TraceWriter is; so is recording into
+	// histograms).
 	Observer func(DiffEvent)
 	// SlowDiffThreshold enables slow-diff logging: completed diffs whose
 	// wall time meets or exceeds it are counted (Snapshot.SlowDiffs) and
@@ -82,8 +79,8 @@ type Config struct {
 	Faults *faultinject.Injector
 }
 
-// Engine diffs batches of tree pairs concurrently. Create one with New and
-// share it between goroutines; all methods are concurrency-safe.
+// Engine diffs tree pairs, one per call. Create one with New and share it
+// between goroutines; all methods are concurrency-safe.
 type Engine struct {
 	sch    *sig.Schema
 	differ *truediff.Differ
@@ -146,7 +143,7 @@ func (e *Engine) begin() error {
 	return nil
 }
 
-// Close shuts the engine down: it waits for in-flight Diff and DiffBatch
+// Close shuts the engine down: it waits for in-flight Diff and DiffPair
 // calls to complete. Calls entering after Close has begun fail with an
 // error matching derrors.ErrEngineClosed. Close is idempotent and always
 // returns nil; the error result exists so the engine satisfies the same
@@ -163,14 +160,7 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-func (e *Engine) workers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Pair is one diffing task of a batch.
+// Pair is one diffing task.
 type Pair struct {
 	Source *tree.Node
 	Target *tree.Node
@@ -179,15 +169,15 @@ type Pair struct {
 	// copied with). If nil, the diff numbers its loads past every URI of
 	// Source, the rule truediff.Differ.Diff applies to a nil allocator, so
 	// a pair's script is the same through the engine, the facade's Diff
-	// and diffd. Allocators are not concurrency-safe, so pairs of one batch
-	// must not share an Alloc.
+	// and diffd. Allocators are not concurrency-safe, so pairs diffed
+	// concurrently must not share an Alloc.
 	Alloc *uri.Allocator
 	// Label identifies the pair in observer events and trace records (for
 	// example a file path). The engine does not interpret it.
 	Label string
 }
 
-// DiffStats instruments one diff of a batch.
+// DiffStats instruments one diff.
 type DiffStats struct {
 	// Wall is the time the diff itself took (excluding queueing).
 	Wall time.Duration
@@ -227,102 +217,26 @@ type PairResult struct {
 	Err     error
 }
 
-// Diff runs a single diff through the engine: scratch state is drawn from
-// the pool and the per-diff counters feed Snapshot. See truediff.Differ.Diff
-// for the contract on source, target, and alloc. A nil ctx is treated as
-// context.Background(), matching DiffBatch. ctx is the diff's one route
-// for cancellation, deadline and trace parent; the diff polls it, so a
-// done ctx aborts it mid-algorithm with context.Cause(ctx). A deadline
-// whose cause matches derrors.ErrDiffTimeout counts in Snapshot.Timeouts,
-// and FallbackRootReplace rescues it.
-func (e *Engine) Diff(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator) (*truediff.Result, error) {
+// DiffPair diffs one pair with pooled scratch state and accounts for the
+// diff once, however it ends. Exactly one of the result's Result and Err
+// is set. ctx, nil meaning context.Background(), is the diff's one route
+// for cancellation, deadline and trace parent: a done ctx fails the call
+// before any work, one that ends mid-diff aborts it with
+// context.Cause(ctx), and a deadline whose cause matches
+// derrors.ErrDiffTimeout counts in Snapshot.Timeouts and is rescued by
+// FallbackRootReplace. With Config.Spans set the diff runs under an
+// "engine.diff" span parented on ctx's trace context.
+func (e *Engine) DiffPair(ctx context.Context, p Pair) PairResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := context.Cause(ctx); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return PairResult{Err: fmt.Errorf("engine: %w", err)}
 	}
 	if err := e.begin(); err != nil {
-		return nil, err
+		return PairResult{Err: err}
 	}
 	defer e.life.active.Done()
-	pr := e.diffOne(ctx, Pair{Source: source, Target: target, Alloc: alloc})
-	return pr.Result, pr.Err
-}
-
-// DiffBatch diffs every pair, fanning the work over the engine's worker
-// pool, and returns one result per pair, index-aligned with pairs. The
-// calling goroutine is one of the workers, so a batch of one pair starts
-// no goroutine. Every pair runs under ctx, as Diff's one does: one batch
-// has one deadline and one trace parent. A failed pair carries its error
-// in its slot; DiffBatch itself only returns an error when ctx is done, in
-// which case pairs that no worker claimed have their Err set to the
-// context's cause, and pairs that were mid-diff abort at their next poll
-// with the cause in their slot. Every pair therefore ends with exactly one
-// of Result or Err set. A nil ctx is treated as context.Background(),
-// matching Diff.
-func (e *Engine) DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := e.begin(); err != nil {
-		return nil, err
-	}
-	defer e.life.active.Done()
-	e.m.batches.Add(1)
-	results := make([]PairResult, len(pairs))
-	if len(pairs) == 0 {
-		return results, context.Cause(ctx)
-	}
-
-	workers := min(e.workers(), len(pairs))
-	// The queue-depth gauge counts pairs submitted but not yet claimed by a
-	// worker; every exit path below drains it back to its prior level.
-	e.m.queueDepth.Add(int64(len(pairs)))
-	started := time.Now()
-	// Workers claim pair indices in order from next until none is left or
-	// ctx is done. Each slot of results is written by exactly one worker,
-	// so no further synchronization is needed beyond wg.Wait.
-	var next atomic.Int64
-	work := func() {
-		for ctx.Err() == nil {
-			i := next.Add(1) - 1
-			if i >= int64(len(pairs)) {
-				return
-			}
-			e.m.queueDepth.Add(-1)
-			results[i] = e.diffOne(ctx, pairs[i])
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	// Capacity is what the pool could have diffed this batch (elapsed time
-	// across every worker); Snapshot.Utilization divides busy time by it.
-	e.m.capacityNanos.Add(uint64(time.Since(started).Nanoseconds()) * uint64(workers))
-
-	if claimed := next.Load(); claimed < int64(len(pairs)) {
-		err := fmt.Errorf("engine: batch cancelled: %w", context.Cause(ctx))
-		for i := claimed; i < int64(len(pairs)); i++ {
-			results[i].Err = err
-		}
-		e.m.queueDepth.Add(claimed - int64(len(pairs))) // never claimed by a worker
-		return results, err
-	}
-	return results, nil
-}
-
-// diffOne runs one pair and records it. With Config.Spans set the diff
-// runs under an "engine.diff" span, parented on ctx's trace context, and
-// its phases become child spans through a context-carried tracer.
-func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 	// Labels are caller-supplied (e.g. by remote diffserve clients) and
 	// fan out to every observability surface — span attributes, trace
 	// records, flight-recorder pages, Prometheus label values. Bound and
@@ -339,6 +253,13 @@ func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 	pr := e.diffPair(ctx, p)
 	e.record(DiffEvent{Label: p.Label, Trace: trace, Stats: pr.Stats, Err: pr.Err}, span)
 	return pr
+}
+
+// Diff is DiffPair for a pair given by its parts. See truediff.Differ.Diff
+// for the contract on source, target, and alloc.
+func (e *Engine) Diff(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator) (*truediff.Result, error) {
+	pr := e.DiffPair(ctx, Pair{Source: source, Target: target, Alloc: alloc})
+	return pr.Result, pr.Err
 }
 
 // diffPair executes one task with pooled scratch state. The diff runs
@@ -378,7 +299,7 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 
 	var ecol *truediff.ExplainCollector
 	if e.cfg.Explain {
-		// The collector is touched only by this worker goroutine: the
+		// The collector is touched only by this call's goroutine: the
 		// differ delivers into it synchronously at the end of the diff.
 		ecol = &truediff.ExplainCollector{}
 		ctx = truediff.ContextWithExplain(ctx, ecol)

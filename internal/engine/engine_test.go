@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/derrors"
@@ -61,17 +62,40 @@ func enginePairs(tps []testPair) []Pair {
 	return ps
 }
 
+// diffConcurrently runs every pair through DiffPair on a goroutine of its
+// own, all sharing e and ctx, and returns the results index-aligned with
+// pairs: the way a caller diffs in parallel.
+func diffConcurrently(ctx context.Context, e *Engine, pairs []Pair) []PairResult {
+	results := make([]PairResult, len(pairs))
+	var wg sync.WaitGroup
+	wg.Add(len(pairs))
+	for i := range pairs {
+		go func(i int) {
+			defer wg.Done()
+			results[i] = e.DiffPair(ctx, pairs[i])
+		}(i)
+	}
+	wg.Wait()
+	return results
+}
+
+// diffEach runs the pairs through DiffPair one after another, in order.
+func diffEach(ctx context.Context, e *Engine, pairs []Pair) []PairResult {
+	results := make([]PairResult, len(pairs))
+	for i, p := range pairs {
+		results[i] = e.DiffPair(ctx, p)
+	}
+	return results
+}
+
 // TestBatchMatchesSequential is the engine's core correctness property:
-// a concurrent batch produces, pair for pair, exactly the script and
-// patched tree a fresh sequential differ produces. Run with -race this
-// also exercises the scratch pool under contention.
+// concurrent DiffPair calls on one engine produce, pair for pair, exactly
+// the script and patched tree a fresh sequential differ produces. Run
+// with -race this also exercises the scratch pool under contention.
 func TestBatchMatchesSequential(t *testing.T) {
 	tps := makePairs(t, 24)
-	e := New(exp.Schema(), Config{Workers: 8})
-	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{})
+	results := diffConcurrently(context.Background(), e, enginePairs(tps))
 
 	d := truediff.New(exp.Schema())
 	for i, tp := range tps {
@@ -84,11 +108,11 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 		got := results[i].Result
 		if !reflect.DeepEqual(got.Script.Edits, want.Script.Edits) {
-			t.Errorf("pair %d: batch script differs from sequential script\nbatch: %v\nseq:   %v",
+			t.Errorf("pair %d: engine script differs from sequential script\nengine: %v\nseq:    %v",
 				i, got.Script.Edits, want.Script.Edits)
 		}
 		if !tree.Equal(got.Patched, want.Patched) {
-			t.Errorf("pair %d: batch patched tree differs from sequential", i)
+			t.Errorf("pair %d: engine patched tree differs from sequential", i)
 		}
 		if !tree.Equal(got.Patched, tp.pair.Target) {
 			t.Errorf("pair %d: patched tree does not equal the target", i)
@@ -96,23 +120,17 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestScratchRecyclingLeavesNoTrace runs two identical batches through a
-// single-worker engine, so the second batch demonstrably runs on recycled
-// scratch state (registry, assignment map, edit buffer, heap). Any state
-// leaking across diffs would perturb the second batch's scripts.
+// TestScratchRecyclingLeavesNoTrace runs the same pairs twice, one diff at
+// a time, so the second round demonstrably runs on recycled scratch state
+// (registry, assignment map, edit buffer, heap). Any state leaking across
+// diffs would perturb the second round's scripts.
 func TestScratchRecyclingLeavesNoTrace(t *testing.T) {
 	first := makePairs(t, 12)
 	second := makePairs(t, 12) // identical by construction (same seeds)
 
-	e := New(exp.Schema(), Config{Workers: 1})
-	r1, err := e.DiffBatch(context.Background(), enginePairs(first))
-	if err != nil {
-		t.Fatalf("batch 1: %v", err)
-	}
-	r2, err := e.DiffBatch(context.Background(), enginePairs(second))
-	if err != nil {
-		t.Fatalf("batch 2: %v", err)
-	}
+	e := New(exp.Schema(), Config{})
+	r1 := diffEach(context.Background(), e, enginePairs(first))
+	r2 := diffEach(context.Background(), e, enginePairs(second))
 	for i := range r1 {
 		if r1[i].Err != nil || r2[i].Err != nil {
 			t.Fatalf("pair %d: errs %v / %v", i, r1[i].Err, r2[i].Err)
@@ -122,36 +140,12 @@ func TestScratchRecyclingLeavesNoTrace(t *testing.T) {
 		}
 	}
 	if snap := e.Snapshot(); snap.PoolHitRate <= 0 {
-		t.Errorf("pool hit rate = %v, want > 0 after %d diffs on 1 worker", snap.PoolHitRate, snap.Diffs)
+		t.Errorf("pool hit rate = %v, want > 0 after %d diffs in sequence", snap.PoolHitRate, snap.Diffs)
 	}
 }
 
-// TestDiffBatchCancel checks that a cancelled context stops the batch: the
-// call reports the cancellation and pairs that never ran carry it as their
-// error.
-func TestDiffBatchCancel(t *testing.T) {
-	tps := makePairs(t, 64)
-	e := New(exp.Schema(), Config{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	results, err := e.DiffBatch(ctx, enginePairs(tps))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DiffBatch error = %v, want context.Canceled", err)
-	}
-	skipped := 0
-	for _, r := range results {
-		if r.Err != nil && errors.Is(r.Err, context.Canceled) {
-			skipped++
-		}
-	}
-	if skipped == 0 {
-		t.Error("no pair carries the cancellation error")
-	}
-}
-
-// TestErrorsSurfacePerPair checks that a failing pair does not fail the
-// batch: its slot carries a typed error and the other pairs complete.
+// TestErrorsSurfacePerPair checks that a failing pair fails alone: its
+// result carries a typed error and the pairs diffed beside it complete.
 func TestErrorsSurfacePerPair(t *testing.T) {
 	tps := makePairs(t, 2)
 
@@ -168,11 +162,8 @@ func TestErrorsSurfacePerPair(t *testing.T) {
 		{Source: nil, Target: tps[1].pair.Target},
 		{Source: alien, Target: tps[1].pair.Target, Alloc: falloc},
 	}
-	e := New(exp.Schema(), Config{Workers: 4})
-	results, err := e.DiffBatch(context.Background(), pairs)
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{})
+	results := diffConcurrently(context.Background(), e, pairs)
 	if results[0].Err != nil || results[0].Result == nil {
 		t.Errorf("healthy pair failed: %v", results[0].Err)
 	}
@@ -187,21 +178,16 @@ func TestErrorsSurfacePerPair(t *testing.T) {
 	}
 }
 
-// TestSnapshotCounters checks the instrumentation a batch leaves behind.
+// TestSnapshotCounters checks the instrumentation concurrent diffs leave
+// behind.
 func TestSnapshotCounters(t *testing.T) {
 	tps := makePairs(t, 16)
-	e := New(exp.Schema(), Config{Workers: 4})
-	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{})
+	results := diffConcurrently(context.Background(), e, enginePairs(tps))
 
 	snap := e.Snapshot()
 	if snap.Diffs != 16 {
 		t.Errorf("Diffs = %d, want 16", snap.Diffs)
-	}
-	if snap.Batches != 1 {
-		t.Errorf("Batches = %d, want 1", snap.Batches)
 	}
 	if snap.PoolGets != 16 {
 		t.Errorf("PoolGets = %d, want 16", snap.PoolGets)
@@ -228,7 +214,7 @@ func TestSnapshotCounters(t *testing.T) {
 		t.Errorf("node totals = %d+%d, want %d+%d", snap.SourceNodes, snap.TargetNodes, srcN, dstN)
 	}
 	if snap.NodesPerSecond() <= 0 {
-		t.Error("NodesPerSecond should be positive after a batch")
+		t.Error("NodesPerSecond should be positive after 16 diffs")
 	}
 	if snap.String() == "" {
 		t.Error("empty snapshot rendering")
@@ -239,11 +225,11 @@ func TestSnapshotCounters(t *testing.T) {
 // from 1, as diffd numbers each uploaded tree.
 func freshCopy(x *tree.Node) *tree.Node { return tree.CloneKeepDigests(x, uri.NewAllocator()) }
 
-// TestVersionChainBatch diffs a version chain in one batch: each version is
-// copied once, numbered from 1, and one pointer serves as the Target
-// of pair i and the Source of pair i+1, concurrently. Every pair has a nil
-// Alloc, so each draws its loads from an allocator of its own. The scripts
-// must be well-typed and patch each source into its target.
+// TestVersionChainBatch diffs a version chain, every pair at once: each
+// version is copied once, numbered from 1, and one pointer serves as the
+// Target of pair i and the Source of pair i+1, concurrently. Every pair
+// has a nil Alloc, so each draws its loads from an allocator of its own.
+// The scripts must be well-typed and patch each source into its target.
 func TestVersionChainBatch(t *testing.T) {
 	g := exp.NewGen(11)
 	const steps = 8
@@ -253,7 +239,7 @@ func TestVersionChainBatch(t *testing.T) {
 		versions[i] = g.MutateN(versions[i-1], 1+i%3)
 	}
 
-	e := New(g.Schema(), Config{Workers: 4})
+	e := New(g.Schema(), Config{})
 	copies := make([]*tree.Node, len(versions))
 	for i, v := range versions {
 		copies[i] = freshCopy(v)
@@ -262,10 +248,7 @@ func TestVersionChainBatch(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = Pair{Source: copies[i], Target: copies[i+1]}
 	}
-	results, err := e.DiffBatch(context.Background(), pairs)
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	results := diffConcurrently(context.Background(), e, pairs)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("pair %d: %v", i, r.Err)
@@ -320,13 +303,13 @@ func TestIdenticalPairShortCircuits(t *testing.T) {
 // pair. Trees copied from fresh allocators (each copy numbered from 1) and
 // diffed with nil Pair.Allocs give, edit for edit and URIs included, the
 // script of a sequential differ given a nil allocator too, and a second
-// batch on the same engine, after an unrelated diff, gives the same
+// round on the same engine, after an unrelated diff, gives the same
 // scripts again. Against the same content diffed under caller allocators,
 // the scripts have the same per-kind edit counts and equal patched
 // content; only URI numbering may differ.
 func TestNilAllocMatchesSequential(t *testing.T) {
 	tps := makePairs(t, 6)
-	e := New(exp.Schema(), Config{Workers: 2})
+	e := New(exp.Schema(), Config{})
 
 	managed := make([]Pair, len(tps))
 	for i, tp := range tps {
@@ -335,14 +318,8 @@ func TestNilAllocMatchesSequential(t *testing.T) {
 			Target: freshCopy(tp.refDst),
 		}
 	}
-	mres, err := e.DiffBatch(context.Background(), managed)
-	if err != nil {
-		t.Fatalf("managed batch: %v", err)
-	}
-	eres, err := e.DiffBatch(context.Background(), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("explicit batch: %v", err)
-	}
+	mres := diffConcurrently(context.Background(), e, managed)
+	eres := diffConcurrently(context.Background(), e, enginePairs(tps))
 	d := truediff.New(exp.Schema())
 	for i := range tps {
 		if mres[i].Err != nil || eres[i].Err != nil {
@@ -373,22 +350,20 @@ func TestNilAllocMatchesSequential(t *testing.T) {
 	if _, err := e.Diff(context.Background(), freshCopy(x), freshCopy(g.MutateN(x, 4)), nil); err != nil {
 		t.Fatalf("unrelated diff: %v", err)
 	}
-	again, err := e.DiffBatch(context.Background(), managed)
-	if err != nil {
-		t.Fatalf("second managed batch: %v", err)
-	}
+	again := diffConcurrently(context.Background(), e, managed)
 	for i := range managed {
 		if again[i].Err != nil {
-			t.Fatalf("pair %d, second batch: %v", i, again[i].Err)
+			t.Fatalf("pair %d, second round: %v", i, again[i].Err)
 		}
 		if !truechange.EqualEdits(again[i].Result.Script.Edits, mres[i].Result.Script.Edits) {
-			t.Errorf("pair %d: second batch changed the script\nfirst:  %v\nsecond: %v",
+			t.Errorf("pair %d: second round changed the script\nfirst:  %v\nsecond: %v",
 				i, mres[i].Result.Script.Edits, again[i].Result.Script.Edits)
 		}
 	}
 }
 
-// TestEngineDiffSingle covers the non-batch entry point.
+// TestEngineDiffSingle covers Diff, the entry point that takes a pair by
+// its parts.
 func TestEngineDiffSingle(t *testing.T) {
 	tps := makePairs(t, 1)
 	e := New(exp.Schema(), Config{})

@@ -20,13 +20,8 @@ import (
 func TestEngineExplainAndQuality(t *testing.T) {
 	tps := makePairs(t, 8)
 	var log eventLog
-	e := New(exp.Schema(), Config{
-		Workers: 4, Explain: true, Observer: log.add,
-	})
-	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{Explain: true, Observer: log.add})
+	results := diffConcurrently(context.Background(), e, enginePairs(tps))
 	for i, pr := range results {
 		if pr.Err != nil {
 			t.Fatalf("pair %d: %v", i, pr.Err)
@@ -73,14 +68,10 @@ func TestEngineExplainAndQuality(t *testing.T) {
 // still delivers a (trivially empty) explanation, no edits and reuse
 // ratio 1.
 func TestEngineExplainIdenticalPair(t *testing.T) {
-	e := New(exp.Schema(), Config{Workers: 1, Explain: true})
+	e := New(exp.Schema(), Config{Explain: true})
 	g := exp.NewGen(3)
 	x := tree.Clone(g.Tree(40), uri.NewAllocator(), tree.SHA256)
-	results, err := e.DiffBatch(context.Background(), []Pair{{Source: x, Target: x}})
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
-	pr := results[0]
+	pr := e.DiffPair(context.Background(), Pair{Source: x, Target: x})
 	if pr.Explain == nil || len(pr.Explain.Edits) != 0 {
 		t.Fatalf("identical pair explanation: %+v", pr.Explain)
 	}
@@ -96,15 +87,12 @@ func TestEngineContentIdenticalPair(t *testing.T) {
 	// Two generators with the same seed build equal trees from separate
 	// nodes.
 	src, dst := exp.NewGen(13).Tree(30), exp.NewGen(13).Tree(30)
-	e := New(exp.Schema(), Config{Workers: 1})
-	results, err := e.DiffBatch(context.Background(), []Pair{{Source: src, Target: dst}})
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+	e := New(exp.Schema(), Config{})
+	pr := e.DiffPair(context.Background(), Pair{Source: src, Target: dst})
+	if pr.Err != nil {
+		t.Fatal(pr.Err)
 	}
-	if results[0].Err != nil {
-		t.Fatal(results[0].Err)
-	}
-	if st := results[0].Stats; st.Identical || st.Edits != 0 || st.ReuseRatio != 1 {
+	if st := pr.Stats; st.Identical || st.Edits != 0 || st.ReuseRatio != 1 {
 		t.Fatalf("content-identical pair stats: %+v", st)
 	}
 }
@@ -113,35 +101,28 @@ func TestEngineContentIdenticalPair(t *testing.T) {
 // allocated or attached.
 func TestEngineExplainOffByDefault(t *testing.T) {
 	tps := makePairs(t, 2)
-	e := New(exp.Schema(), Config{Workers: 1})
-	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
-	for i, pr := range results {
+	e := New(exp.Schema(), Config{})
+	for i, pr := range diffEach(context.Background(), e, enginePairs(tps)) {
 		if pr.Explain != nil {
 			t.Fatalf("pair %d: explanation attached with Explain off", i)
 		}
 	}
 }
 
-// TestEngineExplainDeterministicAcrossConfigs: the same pairs diffed by a
-// single-worker and an eight-worker engine produce byte-identical
-// provenance — worker scheduling must not leak into explanations.
+// TestEngineExplainDeterministicAcrossConfigs: the same pairs diffed one
+// at a time and all at once, each on a fresh engine, produce
+// byte-identical provenance — scheduling must not leak into explanations.
 func TestEngineExplainDeterministicAcrossConfigs(t *testing.T) {
-	marshal := func(workers int) [][]byte {
+	marshal := func(run func(context.Context, *Engine, []Pair) []PairResult) [][]byte {
 		// makePairs is seed-deterministic: each call rebuilds identical
 		// trees on fresh caller-owned allocators, so load URIs line up.
 		pairs := enginePairs(makePairs(t, 10))
-		e := New(exp.Schema(), Config{Workers: workers, Explain: true})
-		results, err := e.DiffBatch(context.Background(), pairs)
-		if err != nil {
-			t.Fatalf("DiffBatch(workers=%d): %v", workers, err)
-		}
+		e := New(exp.Schema(), Config{Explain: true})
+		results := run(context.Background(), e, pairs)
 		out := make([][]byte, len(results))
 		for i, pr := range results {
 			if pr.Err != nil {
-				t.Fatalf("workers=%d pair %d: %v", workers, i, pr.Err)
+				t.Fatalf("pair %d: %v", i, pr.Err)
 			}
 			buf, err := json.Marshal(pr.Explain)
 			if err != nil {
@@ -151,10 +132,10 @@ func TestEngineExplainDeterministicAcrossConfigs(t *testing.T) {
 		}
 		return out
 	}
-	w1, w8 := marshal(1), marshal(8)
-	for i := range w1 {
-		if string(w1[i]) != string(w8[i]) {
-			t.Fatalf("pair %d provenance differs across worker counts:\n%s\nvs\n%s", i, w1[i], w8[i])
+	seq, par := marshal(diffEach), marshal(diffConcurrently)
+	for i := range seq {
+		if string(seq[i]) != string(par[i]) {
+			t.Fatalf("pair %d provenance differs between sequential and concurrent calls:\n%s\nvs\n%s", i, seq[i], par[i])
 		}
 	}
 }
@@ -168,9 +149,9 @@ func TestEngineHostileLabelSanitized(t *testing.T) {
 	pair := tps[0].pair
 	pair.Label = hostile
 	var log eventLog
-	e := New(exp.Schema(), Config{Workers: 1, Observer: log.add})
-	if _, err := e.DiffBatch(context.Background(), []Pair{pair}); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+	e := New(exp.Schema(), Config{Observer: log.add})
+	if pr := e.DiffPair(context.Background(), pair); pr.Err != nil {
+		t.Fatalf("DiffPair: %v", pr.Err)
 	}
 	events := log.all()
 	if len(events) != 1 {

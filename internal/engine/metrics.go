@@ -7,14 +7,14 @@ import (
 )
 
 // metrics holds the engine's cumulative counters. All fields are atomics so
-// workers update them without locking; Snapshot reads them without stopping
-// the world, so a snapshot taken mid-batch is internally consistent only per
-// counter (which is all the throughput arithmetic needs).
+// concurrent diffs update them without locking; Snapshot reads them without
+// stopping the world, so a snapshot taken while diffs run is internally
+// consistent only per counter (which is all the throughput arithmetic
+// needs).
 type metrics struct {
 	diffs       atomic.Uint64
 	errors      atomic.Uint64
 	slowDiffs   atomic.Uint64
-	batches     atomic.Uint64
 	edits       atomic.Uint64
 	sourceNodes atomic.Uint64
 	targetNodes atomic.Uint64
@@ -26,24 +26,16 @@ type metrics struct {
 
 	poolGets   atomic.Uint64
 	poolMisses atomic.Uint64
-
-	// queueDepth gauges pairs submitted to a running batch but not yet
-	// picked up by a worker; capacityNanos accumulates elapsed batch time
-	// multiplied by the batch's worker count (the utilization denominator).
-	queueDepth    atomic.Int64
-	capacityNanos atomic.Uint64
 }
 
 // Snapshot is a point-in-time view of an engine's cumulative counters.
 type Snapshot struct {
 	// Diffs counts completed diffs; Errors counts failed ones (schema
-	// mismatches, nil trees). Batches counts DiffBatch invocations.
-	// SlowDiffs counts diffs at or above Config.SlowDiffThreshold (always
-	// zero when the threshold is unset).
+	// mismatches, nil trees). SlowDiffs counts diffs at or above
+	// Config.SlowDiffThreshold (always zero when the threshold is unset).
 	Diffs     uint64
 	Errors    uint64
 	SlowDiffs uint64
-	Batches   uint64
 
 	// Panics counts diffs that panicked and were recovered into a
 	// PanicError; Timeouts counts diffs aborted by a per-diff deadline, a
@@ -60,8 +52,8 @@ type Snapshot struct {
 	// SourceNodes and TargetNodes total the input tree sizes.
 	SourceNodes uint64
 	TargetNodes uint64
-	// DiffWall totals per-diff wall time. With concurrent workers it
-	// exceeds elapsed time; divide node totals by it for per-worker
+	// DiffWall totals per-diff wall time. With concurrent calls it can
+	// exceed elapsed time; divide node totals by it for per-diff
 	// throughput.
 	DiffWall time.Duration
 
@@ -72,45 +64,30 @@ type Snapshot struct {
 	PoolMisses  uint64
 	PoolHitRate float64
 
-	// StoreHits and StoreMisses are always zero: the engine keeps no tree
-	// store. They remain only because pipebench's engine.store_hit_ratio
-	// column reads them, and go when the benchmark drops that column.
-	StoreHits   uint64
-	StoreMisses uint64
-
-	// QueueDepth gauges pairs submitted to a running batch but not yet
-	// picked up by a worker (0 when no batch is in flight). WorkerCapacity
-	// totals elapsed batch time across every worker of every batch — what
-	// the pool could have spent diffing — and Utilization is the busy
-	// fraction DiffWall / WorkerCapacity (0 with no capacity yet; values
-	// near 1 mean the workers were never idle, low values mean the batch
-	// was starved by feeding, skew, or short-circuited pairs).
-	QueueDepth     int64
+	// StoreHits, StoreMisses and WorkerCapacity are always zero: the
+	// engine keeps no tree store and no worker pool. They remain only
+	// because pipebench's engine.store_hit_ratio and engine.utilization
+	// columns read them, and go when the benchmark drops those columns.
+	StoreHits      uint64
+	StoreMisses    uint64
 	WorkerCapacity time.Duration
-	Utilization    float64
 }
 
 // Snapshot returns the engine's counters at this instant.
 func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
-		Diffs:          e.m.diffs.Load(),
-		Errors:         e.m.errors.Load(),
-		SlowDiffs:      e.m.slowDiffs.Load(),
-		Batches:        e.m.batches.Load(),
-		Panics:         e.m.panics.Load(),
-		Timeouts:       e.m.timeouts.Load(),
-		Fallbacks:      e.m.fallbacks.Load(),
-		Edits:          e.m.edits.Load(),
-		SourceNodes:    e.m.sourceNodes.Load(),
-		TargetNodes:    e.m.targetNodes.Load(),
-		DiffWall:       time.Duration(e.m.wallNanos.Load()),
-		PoolGets:       e.m.poolGets.Load(),
-		PoolMisses:     e.m.poolMisses.Load(),
-		QueueDepth:     e.m.queueDepth.Load(),
-		WorkerCapacity: time.Duration(e.m.capacityNanos.Load()),
-	}
-	if s.WorkerCapacity > 0 {
-		s.Utilization = float64(s.DiffWall) / float64(s.WorkerCapacity)
+		Diffs:       e.m.diffs.Load(),
+		Errors:      e.m.errors.Load(),
+		SlowDiffs:   e.m.slowDiffs.Load(),
+		Panics:      e.m.panics.Load(),
+		Timeouts:    e.m.timeouts.Load(),
+		Fallbacks:   e.m.fallbacks.Load(),
+		Edits:       e.m.edits.Load(),
+		SourceNodes: e.m.sourceNodes.Load(),
+		TargetNodes: e.m.targetNodes.Load(),
+		DiffWall:    time.Duration(e.m.wallNanos.Load()),
+		PoolGets:    e.m.poolGets.Load(),
+		PoolMisses:  e.m.poolMisses.Load(),
 	}
 	if s.PoolGets > 0 {
 		s.PoolHitRate = float64(s.PoolGets-s.PoolMisses) / float64(s.PoolGets)
@@ -120,20 +97,18 @@ func (e *Engine) Snapshot() Snapshot {
 
 // Sub returns the per-interval delta s − prev: every cumulative counter is
 // subtracted (saturating at zero, so a snapshot of a different engine or a
-// stale prev cannot wrap around), the hit rate is recomputed over the
-// interval, and the QueueDepth gauge keeps s's current value.
-// Taking a snapshot before and after a batch and subtracting gives
-// per-batch metrics without resetting the engine:
+// stale prev cannot wrap around) and the hit rate is recomputed over the
+// interval. Taking a snapshot before and after some diffs and subtracting
+// gives their metrics without resetting the engine:
 //
 //	before := e.Snapshot()
-//	results, _ := e.DiffBatch(ctx, pairs)
+//	// ... DiffPair calls ...
 //	delta := e.Snapshot().Sub(before)
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d := Snapshot{
 		Diffs:       sub64(s.Diffs, prev.Diffs),
 		Errors:      sub64(s.Errors, prev.Errors),
 		SlowDiffs:   sub64(s.SlowDiffs, prev.SlowDiffs),
-		Batches:     sub64(s.Batches, prev.Batches),
 		Panics:      sub64(s.Panics, prev.Panics),
 		Timeouts:    sub64(s.Timeouts, prev.Timeouts),
 		Fallbacks:   sub64(s.Fallbacks, prev.Fallbacks),
@@ -142,16 +117,9 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		TargetNodes: sub64(s.TargetNodes, prev.TargetNodes),
 		PoolGets:    sub64(s.PoolGets, prev.PoolGets),
 		PoolMisses:  sub64(s.PoolMisses, prev.PoolMisses),
-		QueueDepth:  s.QueueDepth,
 	}
 	if s.DiffWall > prev.DiffWall {
 		d.DiffWall = s.DiffWall - prev.DiffWall
-	}
-	if s.WorkerCapacity > prev.WorkerCapacity {
-		d.WorkerCapacity = s.WorkerCapacity - prev.WorkerCapacity
-	}
-	if d.WorkerCapacity > 0 {
-		d.Utilization = float64(d.DiffWall) / float64(d.WorkerCapacity)
 	}
 	if d.PoolGets > 0 {
 		d.PoolHitRate = float64(d.PoolGets-d.PoolMisses) / float64(d.PoolGets)
@@ -167,9 +135,9 @@ func sub64(a, b uint64) uint64 {
 }
 
 // NodesPerSecond is the engine's processing rate: input nodes handled per
-// second of per-diff wall time (per-worker throughput). It returns 0 (never
-// NaN or Inf) for snapshots with zero wall time, e.g. a fresh engine or an
-// all-short-circuit batch delta.
+// second of per-diff wall time (per-diff throughput). It returns 0 (never
+// NaN or Inf) for snapshots with zero wall time, e.g. a fresh engine or a
+// delta over short-circuited pairs only.
 func (s Snapshot) NodesPerSecond() float64 {
 	if s.DiffWall <= 0 {
 		return 0
@@ -183,14 +151,12 @@ func (s Snapshot) NodesPerSecond() float64 {
 // across runs and platforms and the output can be golden-tested.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"diffs %d (%d errors, %d batches), %d edits, %d+%d nodes in %v (%.0f nodes/s)\n"+
+		"diffs %d (%d errors), %d edits, %d+%d nodes in %v (%.0f nodes/s)\n"+
 			"resilience: %d panics, %d timeouts, %d fallbacks\n"+
-			"workers: %.1f%% utilized over %v capacity, queue depth %d\n"+
 			"scratch pool: %d gets, %d misses (%.1f%% hit)",
-		s.Diffs, s.Errors, s.Batches, s.Edits, s.SourceNodes, s.TargetNodes,
+		s.Diffs, s.Errors, s.Edits, s.SourceNodes, s.TargetNodes,
 		s.DiffWall.Round(time.Millisecond), s.NodesPerSecond(),
 		s.Panics, s.Timeouts, s.Fallbacks,
-		100*s.Utilization, s.WorkerCapacity.Round(time.Millisecond), s.QueueDepth,
 		s.PoolGets, s.PoolMisses, 100*s.PoolHitRate,
 	)
 }

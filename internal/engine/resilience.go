@@ -33,7 +33,7 @@ const (
 	// script (truediff.Differ.RootReplace): maximally verbose, but
 	// well-typed by construction and guaranteed to patch source into
 	// target. Pairs served this way have Stats.Fallback set and count into
-	// Snapshot.Fallbacks. Cancellation (the batch context going away, or a
+	// Snapshot.Fallbacks. Cancellation (the diff's context going away, or a
 	// deadline whose cause is not derrors.ErrDiffTimeout) is never
 	// rescued: the caller asked the work to stop.
 	FallbackRootReplace
@@ -56,8 +56,8 @@ func (e *PanicError) Unwrap() error { return derrors.ErrDiffPanic }
 // runDiff executes the diff algorithm for one pair inside the engine's
 // panic-isolation boundary: a panic anywhere under it — the differ, a
 // tracer callback, an injected fault — is recovered into a *PanicError
-// instead of unwinding the worker goroutine, so one poisoned pair cannot
-// take down a batch. The pooled scratch is safe to recycle afterwards
+// instead of unwinding the caller's goroutine, so one poisoned pair fails
+// alone. The pooled scratch is safe to recycle afterwards
 // because every diff begins by resetting it.
 func (e *Engine) runDiff(ctx context.Context, p Pair, s *truediff.Scratch) (res *truediff.Result, err error) {
 	defer func() {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,21 +15,18 @@ import (
 	"repro/internal/truediff"
 )
 
-// TestPanicIsolation injects a panic into one pair of a batch and checks
-// that (a) only that pair fails, with a *PanicError matching
-// derrors.ErrDiffPanic and carrying the stack, (b) every other pair
-// succeeds, and (c) the panic counter moves.
+// TestPanicIsolation injects a panic into the fourth of eight diffs on one
+// engine and checks that (a) only that pair fails, with a *PanicError
+// matching derrors.ErrDiffPanic and carrying the stack, (b) every other
+// pair succeeds, and (c) the panic counter moves.
 func TestPanicIsolation(t *testing.T) {
 	tps := makePairs(t, 8)
 	inj := faultinject.New(1, faultinject.Fault{
 		Site: FaultSiteDiff, Kind: faultinject.Panic, After: 3, Times: 1,
 	})
-	e := New(exp.Schema(), Config{Workers: 1, Faults: inj})
+	e := New(exp.Schema(), Config{Faults: inj})
 
-	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	results := diffEach(context.Background(), e, enginePairs(tps))
 	failed := 0
 	for i, pr := range results {
 		if pr.Err == nil {
@@ -82,7 +78,7 @@ func TestDiffTimeout(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Fault{
 		Site: FaultSiteDiff, Kind: faultinject.Delay, Delay: 50 * time.Millisecond, Times: 1,
 	})
-	e := New(exp.Schema(), Config{Workers: 1, Faults: inj})
+	e := New(exp.Schema(), Config{Faults: inj})
 	_, err := e.Diff(diffDeadline(t, 10*time.Millisecond), tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
 	if !errors.Is(err, derrors.ErrDiffTimeout) {
 		t.Fatalf("Diff under deadline overrun = %v, want ErrDiffTimeout", err)
@@ -100,22 +96,18 @@ func TestDiffTimeout(t *testing.T) {
 // TestFallbackRootReplace exercises graceful degradation on both rescue
 // paths — a panic and a timeout — and checks the synthesized script
 // patches source into target, the pair reports Fallback, and the failure
-// counters still record the underlying failure. Each pair runs as a batch
-// of one under a deadline of its own, as diffd runs a job.
+// counters still record the underlying failure. Each pair runs through
+// DiffPair under a deadline of its own, as diffd runs a job.
 func TestFallbackRootReplace(t *testing.T) {
 	tps := makePairs(t, 4)
 	inj := faultinject.New(1,
 		faultinject.Fault{Site: FaultSiteDiff, Kind: faultinject.Panic, After: 1, Times: 1},
 		faultinject.Fault{Site: FaultSiteDiff, Kind: faultinject.Delay, Delay: 100 * time.Millisecond, After: 2, Times: 1},
 	)
-	e := New(exp.Schema(), Config{Workers: 1, Fallback: FallbackRootReplace, Faults: inj})
+	e := New(exp.Schema(), Config{Fallback: FallbackRootReplace, Faults: inj})
 	results := make([]PairResult, len(tps))
 	for i, tp := range tps {
-		prs, err := e.DiffBatch(diffDeadline(t, 25*time.Millisecond), []Pair{tp.pair})
-		if err != nil {
-			t.Fatalf("pair %d: DiffBatch: %v", i, err)
-		}
-		results[i] = prs[0]
+		results[i] = e.DiffPair(diffDeadline(t, 25*time.Millisecond), tp.pair)
 	}
 	fallbacks := 0
 	for i, pr := range results {
@@ -162,7 +154,7 @@ func TestFallbackDoesNotRescueCancellation(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Fault{
 		Site: FaultSiteDiff, Kind: faultinject.Delay, Delay: 50 * time.Millisecond, Times: 1,
 	})
-	e := New(exp.Schema(), Config{Workers: 1, Fallback: FallbackRootReplace, Faults: inj})
+	e := New(exp.Schema(), Config{Fallback: FallbackRootReplace, Faults: inj})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.Diff(ctx, tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
@@ -171,9 +163,8 @@ func TestFallbackDoesNotRescueCancellation(t *testing.T) {
 	}
 	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	prs, _ := e.DiffBatch(ctx, []Pair{tps[0].pair})
-	if !errors.Is(prs[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("pair past a plain deadline: err = %v, want context.DeadlineExceeded", prs[0].Err)
+	if pr := e.DiffPair(ctx, tps[0].pair); !errors.Is(pr.Err, context.DeadlineExceeded) {
+		t.Fatalf("pair past a plain deadline: err = %v, want context.DeadlineExceeded", pr.Err)
 	}
 	if s := e.Snapshot(); s.Fallbacks != 0 || s.Timeouts != 0 {
 		t.Errorf("cancellation was rescued or counted: Fallbacks = %d, Timeouts = %d", s.Fallbacks, s.Timeouts)
@@ -185,7 +176,7 @@ func TestFallbackDoesNotRescueCancellation(t *testing.T) {
 func TestInjectedErrorFailsPairWithoutFallback(t *testing.T) {
 	tps := makePairs(t, 1)
 	inj := faultinject.New(1, faultinject.Fault{Site: FaultSiteDiff, Kind: faultinject.Error, Times: 1})
-	e := New(exp.Schema(), Config{Workers: 1, Fallback: FallbackRootReplace, Faults: inj})
+	e := New(exp.Schema(), Config{Fallback: FallbackRootReplace, Faults: inj})
 	_, err := e.Diff(nil, tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Diff = %v, want ErrInjected", err)
@@ -195,76 +186,27 @@ func TestInjectedErrorFailsPairWithoutFallback(t *testing.T) {
 	}
 }
 
-// TestMidBatchCancellationAccounting cancels a batch mid-flight and checks
-// the accounting invariant: every pair ends with exactly one of Result or
-// Err, never both, never neither (no zero-value PairResult slips through).
-func TestMidBatchCancellationAccounting(t *testing.T) {
-	tps := makePairs(t, 64)
-	e := New(exp.Schema(), Config{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-
-	var once sync.Once
-	e.cfg.Observer = func(DiffEvent) {
-		once.Do(cancel) // cancel as soon as the first diff completes
-	}
-	results, err := e.DiffBatch(ctx, enginePairs(tps))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DiffBatch = %v, want context.Canceled", err)
-	}
-	if len(results) != len(tps) {
-		t.Fatalf("got %d results for %d pairs", len(results), len(tps))
-	}
-	completed, failed := 0, 0
-	for i, pr := range results {
-		switch {
-		case pr.Result != nil && pr.Err != nil:
-			t.Errorf("pair %d has both Result and Err", i)
-		case pr.Result == nil && pr.Err == nil:
-			t.Errorf("pair %d has neither Result nor Err (zero-value PairResult)", i)
-		case pr.Err != nil:
-			failed++
-			if !errors.Is(pr.Err, context.Canceled) {
-				t.Errorf("pair %d error %v does not match context.Canceled", i, pr.Err)
-			}
-		default:
-			completed++
-		}
-	}
-	if completed == 0 {
-		t.Error("no pair completed before cancellation")
-	}
-	if failed == 0 {
-		t.Error("no pair was cancelled")
-	}
-}
-
 // TestNilContextNormalized: both entry points accept a nil ctx (treated as
 // context.Background()).
 func TestNilContextNormalized(t *testing.T) {
 	tps := makePairs(t, 2)
-	e := New(exp.Schema(), Config{Workers: 2})
+	e := New(exp.Schema(), Config{})
 	if _, err := e.Diff(nil, tps[0].pair.Source, tps[0].pair.Target, tps[0].pair.Alloc); err != nil {
 		t.Fatalf("Diff(nil ctx): %v", err)
 	}
-	results, err := e.DiffBatch(nil, enginePairs(tps[1:]))
-	if err != nil {
-		t.Fatalf("DiffBatch(nil ctx): %v", err)
-	}
-	if results[0].Err != nil {
-		t.Fatalf("pair failed under nil ctx: %v", results[0].Err)
+	if pr := e.DiffPair(nil, tps[1].pair); pr.Err != nil || pr.Result == nil {
+		t.Fatalf("DiffPair(nil ctx): %+v", pr)
 	}
 }
 
 // TestResilientBatchMatchesSequential: under a deadline that never fires,
-// a batch still produces exactly the scripts a plain differ does — the
-// resilience layer is observationally transparent on the happy path.
+// concurrent diffs under FallbackRootReplace still produce exactly the
+// scripts a plain differ does — the resilience layer is observationally
+// transparent on the happy path.
 func TestResilientBatchMatchesSequential(t *testing.T) {
 	tps := makePairs(t, 12)
-	e := New(exp.Schema(), Config{Workers: 4, Fallback: FallbackRootReplace})
-	results, err := e.DiffBatch(diffDeadline(t, time.Minute), enginePairs(tps))
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{Fallback: FallbackRootReplace})
+	results := diffConcurrently(diffDeadline(t, time.Minute), e, enginePairs(tps))
 	d := truediff.New(exp.Schema())
 	for i, pr := range results {
 		if pr.Err != nil {

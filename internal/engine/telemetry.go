@@ -60,8 +60,7 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 		counter("structdiff_diffs_total", "Completed diffs.", s.Diffs),
 		counter("structdiff_diff_errors_total", "Failed diffs (schema mismatches, nil trees).", s.Errors),
 		counter("structdiff_slow_diffs_total", "Diffs at or above the slow-diff threshold.", s.SlowDiffs),
-		counter("structdiff_batches_total", "DiffBatch invocations.", s.Batches),
-		counter("structdiff_engine_panics_total", "Diffs that panicked and were recovered by worker isolation.", s.Panics),
+		counter("structdiff_engine_panics_total", "Diffs that panicked and were recovered by panic isolation.", s.Panics),
 		counter("structdiff_engine_timeouts_total", "Diffs aborted by the per-diff deadline.", s.Timeouts),
 		counter("structdiff_engine_fallbacks_total", "Pairs served a synthesized root-replacement script.", s.Fallbacks),
 		counter("structdiff_edits_total", "Compound edits over all scripts produced.", s.Edits),
@@ -69,21 +68,9 @@ func (e *Engine) GatherMetrics() []telemetry.Metric {
 		counter("structdiff_target_nodes_total", "Target-tree nodes diffed.", s.TargetNodes),
 		{
 			Name: "structdiff_diff_wall_seconds_total", Kind: telemetry.KindCounter,
-			Help:  "Summed per-diff wall time (exceeds elapsed time with concurrent workers).",
+			Help:  "Summed per-diff wall time (can exceed elapsed time with concurrent diffs).",
 			Value: s.DiffWall.Seconds(),
 		},
-		telemetry.Metric{
-			Name: "structdiff_engine_queue_depth", Kind: telemetry.KindGauge,
-			Help:  "Pairs submitted to a running batch but not yet picked up by a worker.",
-			Value: float64(s.QueueDepth),
-		},
-		telemetry.Metric{
-			Name: "structdiff_engine_worker_capacity_seconds_total", Kind: telemetry.KindCounter,
-			Help:  "Elapsed batch time summed across every worker of every batch (the utilization denominator).",
-			Value: s.WorkerCapacity.Seconds(),
-		},
-		ratio("structdiff_engine_utilization_ratio",
-			"Busy fraction of the worker pool: summed diff wall time over worker capacity.", s.Utilization),
 		counter("structdiff_pool_gets_total", "Scratch-pool checkouts.", s.PoolGets),
 		counter("structdiff_pool_misses_total", "Scratch-pool checkouts that allocated fresh state.", s.PoolMisses),
 		ratio("structdiff_pool_hit_ratio", "Fraction of scratch-pool checkouts that recycled state.", s.PoolHitRate),

@@ -17,18 +17,18 @@ import (
 
 func TestSnapshotSub(t *testing.T) {
 	cur := Snapshot{
-		Diffs: 10, Errors: 2, SlowDiffs: 3, Batches: 4, Edits: 100,
+		Diffs: 10, Errors: 2, SlowDiffs: 3, Edits: 100,
 		SourceNodes: 1000, TargetNodes: 1200, DiffWall: 100 * time.Millisecond,
-		PoolGets: 8, PoolMisses: 2, QueueDepth: 7,
+		PoolGets: 8, PoolMisses: 2,
 	}
 	prev := Snapshot{
-		Diffs: 4, Errors: 2, SlowDiffs: 1, Batches: 1, Edits: 40,
+		Diffs: 4, Errors: 2, SlowDiffs: 1, Edits: 40,
 		SourceNodes: 400, TargetNodes: 500, DiffWall: 60 * time.Millisecond,
-		PoolGets: 4, PoolMisses: 2, QueueDepth: 3,
+		PoolGets: 4, PoolMisses: 2,
 	}
 	d := cur.Sub(prev)
 
-	if d.Diffs != 6 || d.Errors != 0 || d.SlowDiffs != 2 || d.Batches != 3 || d.Edits != 60 {
+	if d.Diffs != 6 || d.Errors != 0 || d.SlowDiffs != 2 || d.Edits != 60 {
 		t.Errorf("counter deltas wrong: %+v", d)
 	}
 	if d.SourceNodes != 600 || d.TargetNodes != 700 {
@@ -40,10 +40,6 @@ func TestSnapshotSub(t *testing.T) {
 	// The interval hit rate is recomputed from the deltas, not copied.
 	if d.PoolGets != 4 || d.PoolMisses != 0 || d.PoolHitRate != 1 {
 		t.Errorf("pool delta wrong: gets %d misses %d rate %v", d.PoolGets, d.PoolMisses, d.PoolHitRate)
-	}
-	// The queue-depth gauge keeps the current value.
-	if d.QueueDepth != 7 {
-		t.Errorf("gauge not kept: queue depth %d", d.QueueDepth)
 	}
 
 	// Subtracting a larger (stale or foreign) snapshot saturates at zero
@@ -78,22 +74,20 @@ func TestNodesPerSecondZeroDuration(t *testing.T) {
 // golden-tested by downstream tooling.
 func TestSnapshotStringGolden(t *testing.T) {
 	s := Snapshot{
-		Diffs: 10, Errors: 1, SlowDiffs: 3, Batches: 2, Edits: 40,
+		Diffs: 10, Errors: 1, SlowDiffs: 3, Edits: 40,
 		Panics: 1, Timeouts: 2, Fallbacks: 3,
 		SourceNodes: 1000, TargetNodes: 1100, DiffWall: 2100 * time.Millisecond,
 		PoolGets: 10, PoolMisses: 2, PoolHitRate: 0.8,
-		QueueDepth: 2, WorkerCapacity: 4200 * time.Millisecond, Utilization: 0.5,
 	}
-	want := "diffs 10 (1 errors, 2 batches), 40 edits, 1000+1100 nodes in 2.1s (1000 nodes/s)\n" +
+	want := "diffs 10 (1 errors), 40 edits, 1000+1100 nodes in 2.1s (1000 nodes/s)\n" +
 		"resilience: 1 panics, 2 timeouts, 3 fallbacks\n" +
-		"workers: 50.0% utilized over 4.2s capacity, queue depth 2\n" +
 		"scratch pool: 10 gets, 2 misses (80.0% hit)"
 	if got := s.String(); got != want {
 		t.Errorf("String mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
-// eventLog collects DiffEvents from concurrent workers.
+// eventLog collects DiffEvents from concurrent diffs.
 type eventLog struct {
 	mu     sync.Mutex
 	events []DiffEvent
@@ -113,7 +107,7 @@ func (l *eventLog) all() []DiffEvent {
 
 // TestObserverSeesEveryDiff: the observer fires once per pair — with the
 // pair's label, full phase breakdown, and edit count — across concurrent
-// workers.
+// DiffPair calls.
 func TestObserverSeesEveryDiff(t *testing.T) {
 	tps := makePairs(t, 12)
 	pairs := enginePairs(tps)
@@ -121,11 +115,8 @@ func TestObserverSeesEveryDiff(t *testing.T) {
 		pairs[i].Label = "pair-" + string(rune('a'+i))
 	}
 	var log eventLog
-	e := New(exp.Schema(), Config{Workers: 4, Observer: log.add})
-	results, err := e.DiffBatch(context.Background(), pairs)
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{Observer: log.add})
+	results := diffConcurrently(context.Background(), e, pairs)
 
 	events := log.all()
 	if len(events) != len(pairs) {
@@ -170,13 +161,10 @@ func TestSlowDiffLogging(t *testing.T) {
 	tps := makePairs(t, 6)
 	var buf bytes.Buffer
 	e := New(exp.Schema(), Config{
-		Workers:           2,
 		SlowDiffThreshold: time.Nanosecond,
 		Logger:            slog.New(slog.NewTextHandler(&buf, nil)),
 	})
-	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	diffConcurrently(context.Background(), e, enginePairs(tps))
 	if got := strings.Count(buf.String(), `msg="slow diff"`); got != len(tps) {
 		t.Fatalf("logger saw %d slow-diff records, want %d:\n%s", got, len(tps), buf.String())
 	}
@@ -188,8 +176,8 @@ func TestSlowDiffLogging(t *testing.T) {
 	g := exp.NewGen(99)
 	x := tree.Clone(g.Tree(50), uri.NewAllocator(), tree.SHA256)
 	before := e.Snapshot()
-	if _, err := e.DiffBatch(context.Background(), []Pair{{Source: x, Target: x}}); err != nil {
-		t.Fatalf("identical batch: %v", err)
+	if pr := e.DiffPair(context.Background(), Pair{Source: x, Target: x}); pr.Err != nil {
+		t.Fatalf("identical pair: %v", pr.Err)
 	}
 	if d := e.Snapshot().Sub(before); d.SlowDiffs != 0 {
 		t.Fatalf("identical pair counted as slow: %+v", d)
@@ -201,11 +189,11 @@ func TestSlowDiffLogging(t *testing.T) {
 // event is flagged Identical.
 func TestIdenticalPairTelemetry(t *testing.T) {
 	var log eventLog
-	e := New(exp.Schema(), Config{Workers: 1, Observer: log.add})
+	e := New(exp.Schema(), Config{Observer: log.add})
 	g := exp.NewGen(3)
 	x := tree.Clone(g.Tree(40), uri.NewAllocator(), tree.SHA256)
-	if _, err := e.DiffBatch(context.Background(), []Pair{{Source: x, Target: x, Label: "same"}}); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+	if pr := e.DiffPair(context.Background(), Pair{Source: x, Target: x, Label: "same"}); pr.Err != nil {
+		t.Fatalf("DiffPair: %v", pr.Err)
 	}
 	events := log.all()
 	if len(events) != 1 {
@@ -237,10 +225,8 @@ func TestIdenticalPairTelemetry(t *testing.T) {
 // phase-labelled histograms whose per-phase counts equal the diff count.
 func TestGatherMetrics(t *testing.T) {
 	tps := makePairs(t, 8)
-	e := New(exp.Schema(), Config{Workers: 4})
-	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{})
+	diffConcurrently(context.Background(), e, enginePairs(tps))
 	s := e.Snapshot()
 
 	var byName = map[string][]telemetry.Metric{}
@@ -292,41 +278,12 @@ func TestGatherMetrics(t *testing.T) {
 	}
 }
 
-// TestUtilizationView exercises the engine's worker-utilization counters:
-// after a real batch, worker capacity covers at least the summed diff
-// wall time divided by the worker count, utilization lands in (0, 1], and
-// the queue-depth gauge returns to zero.
-func TestUtilizationView(t *testing.T) {
-	tps := makePairs(t, 12)
-	e := New(exp.Schema(), Config{Workers: 3})
-	before := e.Snapshot()
-	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
-	d := e.Snapshot().Sub(before)
-
-	if d.WorkerCapacity <= 0 {
-		t.Fatalf("WorkerCapacity = %v, want > 0", d.WorkerCapacity)
-	}
-	if d.WorkerCapacity < d.DiffWall/3 {
-		t.Errorf("WorkerCapacity %v < DiffWall/3 %v: capacity must cover the batch", d.WorkerCapacity, d.DiffWall/3)
-	}
-	if d.Utilization <= 0 || d.Utilization > 1.000001 {
-		t.Errorf("Utilization = %v, want in (0, 1]", d.Utilization)
-	}
-	if d.QueueDepth != 0 {
-		t.Errorf("QueueDepth = %d after batch, want 0", d.QueueDepth)
-	}
-}
-
-// TestGatherMetricsUtilizationAndBuildInfo asserts the new exposition
-// families appear with the right types and sane values.
+// TestGatherMetricsUtilizationAndBuildInfo asserts the build-info and
+// pool-hit families appear with the right types and sane values.
 func TestGatherMetricsUtilizationAndBuildInfo(t *testing.T) {
 	tps := makePairs(t, 6)
-	e := New(exp.Schema(), Config{Workers: 2})
-	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	e := New(exp.Schema(), Config{})
+	diffConcurrently(context.Background(), e, enginePairs(tps))
 
 	var sb strings.Builder
 	if err := telemetry.WritePrometheus(&sb, e.GatherMetrics()); err != nil {
@@ -338,10 +295,6 @@ func TestGatherMetricsUtilizationAndBuildInfo(t *testing.T) {
 		`structdiff_build_info{version=`,
 		`go_version="`,
 		`vcs_revision="`,
-		"# TYPE structdiff_engine_queue_depth gauge",
-		"structdiff_engine_queue_depth 0",
-		"# TYPE structdiff_engine_worker_capacity_seconds_total counter",
-		"# TYPE structdiff_engine_utilization_ratio gauge",
 		"# TYPE structdiff_pool_hit_ratio gauge",
 	} {
 		if !strings.Contains(out, needle) {

@@ -22,13 +22,13 @@ func TestEngineSpans(t *testing.T) {
 	traces := make([]telemetry.SpanContext, len(pairs))
 	rec := telemetry.NewSpanRecorder()
 	var events eventLog
-	e := New(exp.Schema(), Config{Workers: 2, Spans: rec, Observer: events.add})
+	e := New(exp.Schema(), Config{Spans: rec, Observer: events.add})
 	for i := range pairs {
 		traces[i] = telemetry.NewSpanContext()
 		pairs[i].Label = "pair-" + string(rune('a'+i))
 		ctx := telemetry.ContextWithSpanContext(context.Background(), traces[i])
-		if _, err := e.DiffBatch(ctx, pairs[i:i+1]); err != nil {
-			t.Fatalf("DiffBatch: %v", err)
+		if pr := e.DiffPair(ctx, pairs[i]); pr.Err != nil {
+			t.Fatalf("DiffPair: %v", pr.Err)
 		}
 	}
 
@@ -86,11 +86,10 @@ func TestEngineSpans(t *testing.T) {
 // still carry their context's (possibly invalid) trace context unchanged.
 func TestEngineSpansOffNoTrace(t *testing.T) {
 	tps := makePairs(t, 1)
-	pairs := enginePairs(tps)
 	var events eventLog
 	e := New(exp.Schema(), Config{Observer: events.add})
-	if _, err := e.DiffBatch(context.Background(), pairs); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+	if pr := e.DiffPair(context.Background(), tps[0].pair); pr.Err != nil {
+		t.Fatalf("DiffPair: %v", pr.Err)
 	}
 	evs := events.all()
 	if len(evs) != 1 || evs[0].Trace.Valid() {
@@ -113,13 +112,10 @@ func TestEngineStructuredLogging(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	e := New(exp.Schema(), Config{
-		Workers:           1,
 		Logger:            logger,
 		SlowDiffThreshold: time.Nanosecond, // every real diff is slow
 	})
-	if _, err := e.DiffBatch(telemetry.ContextWithSpanContext(context.Background(), tc), pairs); err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
+	diffEach(telemetry.ContextWithSpanContext(context.Background(), tc), e, pairs)
 
 	var sawSlow, sawFailed bool
 	dec := json.NewDecoder(&buf)

@@ -3,6 +3,7 @@ package proptest
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -12,10 +13,10 @@ import (
 )
 
 // collectPairs generates n proptest pairs and adapts them to engine tasks.
-// The pairs share the generator's allocator, which is not concurrency-safe
-// across a batch, so each task gets Alloc nil: each diff then numbers its
-// loads past every URI of its source, as the facade's Diff does without
-// WithAllocator.
+// The pairs share the generator's allocator, which is not safe to use
+// from concurrent diffs, so each task gets Alloc nil: each diff then
+// numbers its loads past every URI of its source, as the facade's Diff
+// does without WithAllocator.
 func collectPairs(gen Generator, cfg Config, n int) ([]Pair, []structdiff.Pair) {
 	run := NewRun(gen, cfg)
 	ps := make([]Pair, n)
@@ -27,11 +28,38 @@ func collectPairs(gen Generator, cfg Config, n int) ([]Pair, []structdiff.Pair) 
 	return ps, eps
 }
 
-// TestEngineBatchAgreesWithDiff runs generated pairs through the
-// concurrent engine batch path and asserts each batch result agrees with
-// the single-shot facade Diff on the same pair: the same script edit for
-// edit, URIs included (truechange.EqualEdits), well-typed, and convergent
-// to the target.
+// diffGoroutines is how many goroutines share one engine in these tests.
+const diffGoroutines = 8
+
+// diffShared diffs every pair through DiffPair on one shared engine, from
+// diffGoroutines goroutines that take pairs off a channel, and returns
+// the results index-aligned with pairs.
+func diffShared(eng *structdiff.Engine, pairs []structdiff.Pair) []structdiff.PairResult {
+	results := make([]structdiff.PairResult, len(pairs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(diffGoroutines)
+	for g := 0; g < diffGoroutines; g++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				results[i] = eng.DiffPair(context.Background(), pairs[i])
+			}
+		}()
+	}
+	for i := range pairs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return results
+}
+
+// TestEngineBatchAgreesWithDiff runs generated pairs through DiffPair on
+// one engine shared by eight goroutines and asserts each result agrees
+// with the single-shot facade Diff on the same pair: the same script edit
+// for edit, URIs included (truechange.EqualEdits), well-typed, and
+// convergent to the target.
 func TestEngineBatchAgreesWithDiff(t *testing.T) {
 	cfg := runConfig()
 	cfg.MaxNodes = 120
@@ -43,30 +71,26 @@ func TestEngineBatchAgreesWithDiff(t *testing.T) {
 			sch := gen.Schema()
 			ps, eps := collectPairs(gen, cfg, n)
 
-			eng, err := structdiff.NewEngine(sch, structdiff.WithWorkers(4))
+			eng, err := structdiff.NewEngine(sch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := eng.DiffBatch(context.Background(), eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range results {
+			for i, r := range diffShared(eng, eps) {
 				if r.Err != nil {
-					t.Fatalf("pair %d (%q): batch diff failed: %v", i, ps[i].Desc, r.Err)
+					t.Fatalf("pair %d (%q): engine diff failed: %v", i, ps[i].Desc, r.Err)
 				}
 				if err := structdiff.WellTyped(sch, r.Result.Script); err != nil {
-					t.Fatalf("pair %d: batch script ill-typed: %v", i, err)
+					t.Fatalf("pair %d: engine script ill-typed: %v", i, err)
 				}
 				if r.Result.Patched.ExactHash() != ps[i].Target.ExactHash() {
-					t.Fatalf("pair %d: batch patched tree differs from target", i)
+					t.Fatalf("pair %d: engine patched tree differs from target", i)
 				}
 				single, err := structdiff.Diff(ps[i].Source, ps[i].Target, structdiff.WithSchema(sch))
 				if err != nil {
 					t.Fatalf("pair %d: single diff failed: %v", i, err)
 				}
 				if !truechange.EqualEdits(r.Result.Script.Edits, single.Script.Edits) {
-					t.Fatalf("pair %d (%q): batch script differs from single diff\nbatch:  %v\nsingle: %v",
+					t.Fatalf("pair %d (%q): engine script differs from single diff\nengine: %v\nsingle: %v",
 						i, ps[i].Desc, r.Result.Script.Edits, single.Script.Edits)
 				}
 				// Stats.Edits is the paper's compound conciseness metric,
@@ -97,19 +121,14 @@ func TestEngineBatchFaultFallback(t *testing.T) {
 		Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultPanic, Prob: 0.5,
 	})
 	eng, err := structdiff.NewEngine(sch,
-		structdiff.WithWorkers(4),
 		structdiff.WithFaultInjection(inj),
 		structdiff.WithFallback(structdiff.FallbackRootReplace),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := eng.DiffBatch(context.Background(), eps)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fallbacks := 0
-	for i, r := range results {
+	for i, r := range diffShared(eng, eps) {
 		if r.Err != nil {
 			t.Fatalf("pair %d: failed despite FallbackRootReplace: %v", i, r.Err)
 		}
@@ -146,19 +165,12 @@ func TestEngineBatchFaultNoFallback(t *testing.T) {
 	inj := structdiff.NewFaultInjector(cfg.Seed, structdiff.Fault{
 		Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultError, Prob: 0.5,
 	})
-	eng, err := structdiff.NewEngine(sch,
-		structdiff.WithWorkers(4),
-		structdiff.WithFaultInjection(inj),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := eng.DiffBatch(context.Background(), eps)
+	eng, err := structdiff.NewEngine(sch, structdiff.WithFaultInjection(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
 	failed := 0
-	for i, r := range results {
+	for i, r := range diffShared(eng, eps) {
 		if r.Err != nil {
 			if !errors.Is(r.Err, faultinject.ErrInjected) {
 				t.Fatalf("pair %d: unexpected failure (not the injected fault): %v", i, r.Err)

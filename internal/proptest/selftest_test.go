@@ -23,18 +23,12 @@ func buggyCheck(gen Generator, src, dst *tree.Node) error {
 	inj := faultinject.New(1, faultinject.Fault{
 		Site: structdiff.FaultSiteDiff, Kind: faultinject.Error,
 	})
-	eng, err := structdiff.NewEngine(gen.Schema(),
-		structdiff.WithWorkers(1), structdiff.WithFaultInjection(inj))
+	eng, err := structdiff.NewEngine(gen.Schema(), structdiff.WithFaultInjection(inj))
 	if err != nil {
 		return err
 	}
-	results, err := eng.DiffBatch(context.Background(),
-		[]structdiff.Pair{{Source: src, Target: dst}})
-	if err != nil {
-		return err
-	}
-	if results[0].Err != nil {
-		return propErr(PropWellTyped, "engine diff failed: %w", results[0].Err)
+	if pr := eng.DiffPair(context.Background(), structdiff.Pair{Source: src, Target: dst}); pr.Err != nil {
+		return propErr(PropWellTyped, "engine diff failed: %w", pr.Err)
 	}
 	return nil
 }

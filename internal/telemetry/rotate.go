@@ -40,7 +40,8 @@ func OpenRotatingFile(path string, maxBytes int64) (*RotatingFile, error) {
 
 // Write implements io.Writer. A write that would exceed the size limit
 // rotates first, so files only exceed the limit when a single record is
-// itself larger than it.
+// itself larger than it, or when a rotation failed: the record then lands
+// in the current file, past the limit, and the next write tries again.
 func (r *RotatingFile) Write(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -48,29 +49,35 @@ func (r *RotatingFile) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("telemetry: write to closed rotating file %s", r.path)
 	}
 	if r.max > 0 && r.size > 0 && r.size+int64(len(p)) > r.max {
-		if err := r.rotateLocked(); err != nil {
-			return 0, err
-		}
+		// A failed rotation keeps the current file in use and the next
+		// write retries it; failing the write would stop a TraceWriter for
+		// good, as its error is sticky.
+		_ = r.rotateLocked()
 	}
 	n, err := r.f.Write(p)
 	r.size += int64(n)
 	return n, err
 }
 
-// rotateLocked closes the current file, moves it to <path>.1, and opens a
-// fresh <path>. Called with the mutex held.
+// rotateLocked moves the current file to <path>.1, opens a fresh <path>,
+// and only then closes the old file, so no failure leaves the writer
+// without an open file: until the fresh file is open, the current one
+// stays in use under <path>. Called with the mutex held.
 func (r *RotatingFile) rotateLocked() error {
-	if err := r.f.Close(); err != nil {
-		return fmt.Errorf("telemetry: rotate %s: %w", r.path, err)
-	}
 	if err := os.Rename(r.path, r.path+".1"); err != nil {
 		return fmt.Errorf("telemetry: rotate %s: %w", r.path, err)
 	}
 	f, err := os.OpenFile(r.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		// Give the current file its name back, so writes stay in <path>.
+		_ = os.Rename(r.path+".1", r.path)
 		return fmt.Errorf("telemetry: rotate %s: %w", r.path, err)
 	}
+	old := r.f
 	r.f, r.size = f, 0
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("telemetry: rotate %s: close the rotated file: %w", r.path, err)
+	}
 	return nil
 }
 

@@ -115,6 +115,46 @@ func TestRotatingFileClosedWrite(t *testing.T) {
 	}
 }
 
+// TestRotatingFileFailedRotationKeepsWriting: a rotation that cannot move
+// the file, here because <path>.1 is a non-empty directory, leaves the
+// current file open and in use. The record lands in <path>, past the
+// limit; once the cause is gone, the next write rotates; and Close
+// returns nil.
+func TestRotatingFileFailedRotationKeepsWriting(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.MkdirAll(filepath.Join(path+".1", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := OpenRotatingFile(path, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{"first-record\n", "second\n"} {
+		if _, err := rf.Write([]byte(rec)); err != nil {
+			t.Fatalf("write %q: %v", rec, err)
+		}
+	}
+	if b, _ := os.ReadFile(path); string(b) != "first-record\nsecond\n" {
+		t.Fatalf("after a failed rotation %s holds %q, want both records", path, b)
+	}
+
+	if err := os.RemoveAll(path + ".1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rf.Write([]byte("third\n")); err != nil {
+		t.Fatalf("write after the cause is gone: %v", err)
+	}
+	if err := rf.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if b, _ := os.ReadFile(path + ".1"); string(b) != "first-record\nsecond\n" {
+		t.Errorf("rotated file holds %q, want the first two records", b)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "third\n" {
+		t.Errorf("fresh file holds %q, want the third record", b)
+	}
+}
+
 // TestRotatingTraceWriterConcurrent drives a TraceWriter over a small
 // RotatingFile from many goroutines (run under -race) and checks that
 // every line in every file parses as one complete JSON record — rotation

@@ -99,8 +99,9 @@ type Result struct {
 // Scratch holds the reusable per-invocation state of the algorithm: the
 // subtree registry, the assignment maps, the edit buffer, and the selection
 // heap. Allocating these dominates the fixed cost of small diffs, so
-// high-throughput callers (the batch engine's workers) recycle one Scratch
-// across many diffs instead of allocating fresh maps each time.
+// high-throughput callers (the engine, through its scratch pool) recycle
+// one Scratch across many diffs instead of allocating fresh maps each
+// time.
 //
 // A Scratch is not safe for concurrent use; use one per goroutine. Reuse
 // is invisible in the output: a recycled Scratch produces scripts

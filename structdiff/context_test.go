@@ -91,28 +91,3 @@ func TestPatchContext(t *testing.T) {
 		t.Errorf("cancelled PatchContext: err = %v, want context.Canceled", err)
 	}
 }
-
-// TestDiffBatchClosesOneShotEngine pins the facade contract that DiffBatch
-// tears its engine down on every path: a second batch through the facade
-// must build a fresh engine rather than observe ErrEngineClosed, and a
-// cancelled batch must not leave workers behind (which would deadlock the
-// implicit Close on the error path).
-func TestDiffBatchClosesOneShotEngine(t *testing.T) {
-	src, dst, sch, alloc := buildPair(t)
-	pairs := []structdiff.Pair{{Source: src, Target: dst, Alloc: alloc}}
-	if _, err := structdiff.DiffBatch(context.Background(), sch, pairs); err != nil {
-		t.Fatalf("first DiffBatch: %v", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := structdiff.DiffBatch(ctx, sch, pairs); err == nil {
-		t.Fatal("cancelled DiffBatch: expected error")
-	}
-
-	src2, dst2, sch2, alloc2 := buildPair(t)
-	if _, err := structdiff.DiffBatch(context.Background(), sch2,
-		[]structdiff.Pair{{Source: src2, Target: dst2, Alloc: alloc2}}); err != nil {
-		t.Fatalf("DiffBatch after error path: %v", err)
-	}
-}

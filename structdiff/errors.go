@@ -28,16 +28,15 @@ var (
 	// one-to-one.
 	ErrBadMatching = derrors.ErrBadMatching
 	// ErrDiffPanic reports a diff that panicked and was recovered by the
-	// engine's worker isolation (the wrapping PanicError carries the
-	// recovered value and stack); the pair fails alone, the batch
-	// completes.
+	// engine's panic isolation (the wrapping PanicError carries the
+	// recovered value and stack); the pair fails alone.
 	ErrDiffPanic = derrors.ErrDiffPanic
 	// ErrDiffTimeout reports a diff aborted because it overran a per-diff
 	// deadline: a context deadline whose cause wraps it
 	// (context.WithTimeoutCause). Distinct from a plain context deadline,
 	// which surfaces as context.DeadlineExceeded.
 	ErrDiffTimeout = derrors.ErrDiffTimeout
-	// ErrEngineClosed reports a Diff or DiffBatch call on an Engine whose
+	// ErrEngineClosed reports a Diff or DiffPair call on an Engine whose
 	// Close has begun.
 	ErrEngineClosed = derrors.ErrEngineClosed
 	// ErrServiceUnavailable reports a diff-service request rejected by

@@ -47,13 +47,7 @@ func TestEngineExplainOptions(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
-	results, err := e.DiffBatch(context.Background(), []structdiff.Pair{
-		{Source: src, Target: dst, Alloc: alloc, Label: "facade"},
-	})
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
-	pr := results[0]
+	pr := e.DiffPair(context.Background(), structdiff.Pair{Source: src, Target: dst, Alloc: alloc, Label: "facade"})
 	if pr.Err != nil {
 		t.Fatal(pr.Err)
 	}

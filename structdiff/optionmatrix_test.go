@@ -15,10 +15,10 @@ import (
 // TestOptionMatrix exercises the facade's engine options as a full cross
 // product — tracing (WithSpans, the tracer axis) × fallback × per-diff
 // deadline × fault injection — and checks each cell against the
-// documented outcome. Each pair runs as a batch of one, as diffd runs a
-// job, under a context whose deadline, when the cell sets one, has the
-// cause ErrDiffTimeout: none (timeout=0), one that passed before the call
-// (timeout=-1s), 25 ms or 1 min from the call.
+// documented outcome. Each pair runs through DiffPair, as diffd runs a
+// job, under a context of its own whose deadline, when the cell sets one,
+// has the cause ErrDiffTimeout: none (timeout=0), one that passed before
+// the call (timeout=-1s), 25 ms or 1 min from the call.
 //
 //   - no fault: every pair succeeds, whatever the other options;
 //   - an injected Error fault is an ordinary diff failure: never rescued
@@ -28,7 +28,7 @@ import (
 //   - an injected Delay fault only matters when it overruns the deadline:
 //     then the pair times out (ErrDiffTimeout) under FallbackNone and is
 //     rescued under FallbackRootReplace;
-//   - a deadline that passed before the call fails the batch with its
+//   - a deadline that passed before the call fails the call with its
 //     cause: no diff runs, so no fault fires and nothing is rescued;
 //   - with tracing on, every diff that runs gets one "engine.diff" span,
 //     failed ones included; clean runs add the four phase spans per pair,
@@ -119,10 +119,7 @@ func TestOptionMatrix(t *testing.T) {
 					want := expect(fb.mode, to.d, ft.name)
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
-						opts := []structdiff.Option{
-							structdiff.WithWorkers(2),
-							structdiff.WithFallback(fb.mode),
-						}
+						opts := []structdiff.Option{structdiff.WithFallback(fb.mode)}
 						var rec *structdiff.SpanRecorder
 						if trc.name == "tracer=on" {
 							rec = structdiff.NewSpanRecorder()
@@ -144,11 +141,7 @@ func TestOptionMatrix(t *testing.T) {
 								ctx, cancel = context.WithTimeoutCause(ctx, to.d, structdiff.ErrDiffTimeout)
 								defer cancel()
 							}
-							prs, err := eng.DiffBatch(ctx, pairs[i:i+1])
-							if (err != nil) != (want == wantErrExpired) {
-								t.Fatalf("pair %d: DiffBatch: %v", i, err)
-							}
-							results[i] = prs[0]
+							results[i] = eng.DiffPair(ctx, pairs[i])
 						}
 						for i, r := range results {
 							switch want {
@@ -225,7 +218,6 @@ func TestOptionsInvalidValues(t *testing.T) {
 	res, err := structdiff.Diff(src, dst,
 		structdiff.WithSchema(sch),
 		structdiff.WithAllocator(alloc),
-		structdiff.WithWorkers(-3),           // negative: GOMAXPROCS
 		structdiff.WithSpans(nil),            // nil sink: no tracing
 		structdiff.WithFaultInjection(nil),   // nil injector: no faults
 		structdiff.WithSlowDiffThreshold(-1), // negative: disabled
@@ -237,20 +229,19 @@ func TestOptionsInvalidValues(t *testing.T) {
 		t.Fatalf("script ill-typed: %v", err)
 	}
 
-	// The same degenerate values must also be harmless at engine build
-	// time, batch size zero included.
+	// An unknown fallback mode must also be harmless at engine build time
+	// and on the engine's diffs.
 	eng, err := structdiff.NewEngine(sch,
-		structdiff.WithWorkers(0),
 		structdiff.WithFallback(structdiff.FallbackMode(99)), // unknown mode: behaves as none
 	)
 	if err != nil {
 		t.Fatalf("NewEngine with degenerate options: %v", err)
 	}
-	results, err := eng.DiffBatch(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("empty DiffBatch: %v", err)
+	pr := eng.DiffPair(context.Background(), structdiff.Pair{Source: src, Target: dst})
+	if pr.Err != nil {
+		t.Fatalf("DiffPair with an unknown fallback mode: %v", pr.Err)
 	}
-	if len(results) != 0 {
-		t.Fatalf("empty batch returned %d results", len(results))
+	if err := structdiff.WellTyped(sch, pr.Result.Script); err != nil {
+		t.Fatalf("engine script ill-typed: %v", err)
 	}
 }

@@ -22,20 +22,13 @@ func TestFacadeFallbackOnInjectedPanic(t *testing.T) {
 		Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultPanic, Times: 1,
 	})
 	e, err := structdiff.NewEngine(sch,
-		structdiff.WithWorkers(1),
 		structdiff.WithFallback(structdiff.FallbackRootReplace),
 		structdiff.WithFaultInjection(inj),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.DiffBatch(context.Background(), []structdiff.Pair{
-		{Source: src, Target: dst, Alloc: alloc, Label: "poisoned"},
-	})
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
-	pr := results[0]
+	pr := e.DiffPair(context.Background(), structdiff.Pair{Source: src, Target: dst, Alloc: alloc, Label: "poisoned"})
 	if pr.Err != nil {
 		t.Fatalf("pair failed despite fallback: %v", pr.Err)
 	}
@@ -67,10 +60,7 @@ func TestFacadeDiffTimeout(t *testing.T) {
 		Site: structdiff.FaultSiteDiff, Kind: structdiff.FaultDelay,
 		Delay: 50 * time.Millisecond, Times: 1,
 	})
-	e, err := structdiff.NewEngine(sch,
-		structdiff.WithWorkers(1),
-		structdiff.WithFaultInjection(inj),
-	)
+	e, err := structdiff.NewEngine(sch, structdiff.WithFaultInjection(inj))
 	if err != nil {
 		t.Fatal(err)
 	}

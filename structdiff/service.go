@@ -7,7 +7,7 @@ import (
 )
 
 // DiffService is the transport-agnostic diffing surface: everything a
-// high-throughput caller needs — single diffs, batches, metrics,
+// high-throughput caller needs — diffs one pair per call, metrics,
 // lifecycle — without committing to where the work runs. Two
 // implementations ship with the package:
 //
@@ -26,13 +26,14 @@ type DiffService interface {
 	// Diff computes the edit script from source to target. See
 	// Engine.Diff for the contract on alloc.
 	Diff(ctx context.Context, source, target *Node, alloc *Allocator) (*Result, error)
-	// DiffBatch diffs many pairs concurrently; results are index-aligned
-	// and per-pair failures land in PairResult.Err.
-	DiffBatch(ctx context.Context, pairs []Pair) ([]PairResult, error)
+	// DiffPair diffs one pair, carrying its label, and returns its result
+	// with its stats; exactly one of PairResult.Result and Err is set. Call
+	// it from several goroutines to diff pairs in parallel.
+	DiffPair(ctx context.Context, p Pair) PairResult
 	// Snapshot reports the implementation's cumulative counters.
 	Snapshot() Snapshot
 	// Close releases the implementation's resources; for an Engine this
-	// waits for in-flight batches.
+	// waits for in-flight calls.
 	Close() error
 }
 

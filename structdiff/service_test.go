@@ -11,7 +11,8 @@ import (
 // Compile-time assertions live in service.go; this test proves the two
 // DiffService implementations are interchangeable at runtime: the same
 // generic routine runs against the in-process engine and the HTTP client
-// and produces scripts of equal size.
+// and produces scripts of equal size. Both treat a nil context as
+// context.Background().
 func TestDiffServiceImplementations(t *testing.T) {
 	src, dst, sch, _ := buildPair(t)
 
@@ -22,20 +23,25 @@ func TestDiffServiceImplementations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Diff: %v", err)
 		}
-		batch, err := svc.DiffBatch(context.Background(), []structdiff.Pair{
-			{Source: src, Target: dst, Label: "svc-test"},
-		})
-		if err != nil {
-			t.Fatalf("DiffBatch: %v", err)
+		pr := svc.DiffPair(context.Background(), structdiff.Pair{Source: src, Target: dst, Label: "svc-test"})
+		if pr.Err != nil || pr.Result == nil {
+			t.Fatalf("DiffPair: %+v", pr)
 		}
-		if batch[0].Err != nil {
-			t.Fatalf("batch pair: %v", batch[0].Err)
+		if got, want := pr.Result.Script.EditCount(), res.Script.EditCount(); got != want {
+			t.Errorf("DiffPair produced %d edits, Diff %d", got, want)
 		}
-		if got, want := batch[0].Result.Script.EditCount(), res.Script.EditCount(); got != want {
-			t.Errorf("batch produced %d edits, single diff %d", got, want)
+		if pr.Stats.Edits != pr.Result.Script.EditCount() || pr.Stats.TargetSize != dst.Size() {
+			t.Errorf("DiffPair stats %+v do not describe its script of %d edits and target of %d nodes",
+				pr.Stats, pr.Result.Script.EditCount(), dst.Size())
 		}
-		if s := svc.Snapshot(); s.Diffs == 0 {
-			t.Error("snapshot shows no diffs after two calls")
+		if _, err := svc.Diff(nil, src, dst, nil); err != nil { //nolint:staticcheck // nil ctx tolerance is part of the contract
+			t.Errorf("Diff with nil ctx: %v", err)
+		}
+		if pr := svc.DiffPair(nil, structdiff.Pair{Source: src, Target: dst}); pr.Err != nil { //nolint:staticcheck // nil ctx tolerance is part of the contract
+			t.Errorf("DiffPair with nil ctx: %v", pr.Err)
+		}
+		if s := svc.Snapshot(); s.Diffs != 4 {
+			t.Errorf("snapshot shows %d diffs after four calls, want 4", s.Diffs)
 		}
 		return res.Script.EditCount()
 	}

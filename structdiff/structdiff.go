@@ -3,8 +3,8 @@
 // (Erdweg, Szabó, Pacak; PLDI 2021). It is the single supported entry
 // point: everything an application needs — building typed trees, diffing
 // them into truechange edit scripts, patching trees, type-checking
-// scripts, and running corpus-scale batches through the concurrent engine
-// — is exported here or in a subpackage (langs/..., corpus, evaluation,
+// scripts, and running many diffs through one reusable engine — is
+// exported here or in a subpackage (langs/..., corpus, evaluation,
 // baselines/..., analysis). The internal/... packages remain importable
 // only by this module and may change shape without notice.
 //
@@ -17,10 +17,12 @@
 //	res, err := structdiff.Diff(one, two, structdiff.WithSchema(sch))
 //	// res.Script is the edit script, res.Patched the patched tree.
 //
-// # Batch diffing
+// # Many diffs
 //
-// For many diffs over one schema, create an Engine: it fans batches over a
-// worker pool and recycles per-diff scratch state. See NewEngine and
+// For many diffs over one schema, create an Engine: it takes one pair per
+// call, recycles per-diff scratch state between calls, and accounts for
+// every diff in its Snapshot. One Engine is safe to call from many
+// goroutines, which is how a caller diffs in parallel. See NewEngine and
 // docs/API.md.
 package structdiff
 
@@ -48,7 +50,6 @@ type config struct {
 	sch      *sig.Schema
 	alloc    *uri.Allocator
 	diff     truediff.Options
-	workers  int
 	slow     time.Duration
 	fallback FallbackMode
 	faults   *faultinject.Injector
@@ -88,10 +89,6 @@ func WithSelectionOrder(o SelectionOrder) Option { return func(c *config) { c.di
 // across equal-tagged nodes whose literals differ, emitting updates
 // instead of replacing the subtree (an ablation of the paper's algorithm).
 func WithUpdateOnLitMismatch() Option { return func(c *config) { c.diff.UpdateOnLitMismatch = true } }
-
-// WithWorkers bounds the goroutines an Engine fans a batch over (default:
-// one per CPU).
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithSlowDiffThreshold enables slow-diff logging on an Engine: completed
 // diffs whose wall time meets or exceeds d are counted (Snapshot.SlowDiffs)
@@ -284,17 +281,16 @@ func NewDiffer(sch *Schema, opts ...Option) *Differ {
 	return truediff.NewWithOptions(sch, cfg.diff)
 }
 
-// NewEngine returns a concurrent batch diffing engine for trees of the
-// schema, honouring WithWorkers and the diff options. See the Engine type
-// (internal/engine re-exported here) for the batch API and Snapshot for
-// its metrics.
+// NewEngine returns a reusable engine for trees of the schema, honouring
+// the diff options and the engine-only ones. It takes one pair per call
+// (Engine.DiffPair) and is safe to call from many goroutines at once; see
+// the Engine type (internal/engine re-exported here) and Snapshot.
 func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("structdiff: %w", ErrNoSchema)
 	}
 	cfg := newConfig(opts)
 	return engine.New(sch, engine.Config{
-		Workers:           cfg.workers,
 		Diff:              cfg.diff,
 		SlowDiffThreshold: cfg.slow,
 		Fallback:          cfg.fallback,
@@ -303,19 +299,4 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 		Logger:            cfg.logger,
 		Explain:           cfg.explain,
 	}), nil
-}
-
-// DiffBatch is a convenience wrapper: it builds a one-shot engine, runs
-// the pairs through it, and closes it on every path — success, batch
-// error, and engine construction failure alike — so the one-shot engine's
-// scratch state never outlives the call. Applications running more than
-// one batch should keep an Engine (NewEngine) so scratch state carries
-// over between batches, and Close it when done.
-func DiffBatch(ctx context.Context, sch *Schema, pairs []Pair, opts ...Option) ([]PairResult, error) {
-	e, err := NewEngine(sch, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.DiffBatch(ctx, pairs)
 }

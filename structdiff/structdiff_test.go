@@ -3,6 +3,7 @@ package structdiff_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/structdiff"
@@ -119,7 +120,7 @@ func TestDiffOptionsChangeBehaviour(t *testing.T) {
 func TestEngineThroughFacade(t *testing.T) {
 	g := exp.NewGen(7)
 	sch := g.Schema()
-	e, err := structdiff.NewEngine(sch, structdiff.WithWorkers(4))
+	e, err := structdiff.NewEngine(sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +135,18 @@ func TestEngineThroughFacade(t *testing.T) {
 		pairs = append(pairs, structdiff.Pair{Source: src, Target: dst, Alloc: alloc})
 		before = after
 	}
-	results, err := e.DiffBatch(context.Background(), pairs)
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
+	// One goroutine per pair, all sharing the engine: the way a caller
+	// diffs in parallel.
+	results := make([]structdiff.PairResult, len(pairs))
+	var wg sync.WaitGroup
+	wg.Add(len(pairs))
+	for i := range pairs {
+		go func(i int) {
+			defer wg.Done()
+			results[i] = e.DiffPair(context.Background(), pairs[i])
+		}(i)
 	}
+	wg.Wait()
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("pair %d: %v", i, r.Err)
@@ -149,18 +158,5 @@ func TestEngineThroughFacade(t *testing.T) {
 	snap := e.Snapshot()
 	if snap.Diffs != uint64(len(pairs)) {
 		t.Errorf("Snapshot().Diffs = %d, want %d", snap.Diffs, len(pairs))
-	}
-}
-
-func TestDiffBatchConvenience(t *testing.T) {
-	src, dst, sch, alloc := buildPair(t)
-	results, err := structdiff.DiffBatch(context.Background(), sch,
-		[]structdiff.Pair{{Source: src, Target: dst, Alloc: alloc}},
-		structdiff.WithWorkers(2))
-	if err != nil || len(results) != 1 || results[0].Err != nil {
-		t.Fatalf("DiffBatch: %v / %+v", err, results)
-	}
-	if results[0].Stats.Edits != results[0].Result.Script.EditCount() {
-		t.Error("per-pair stats edit count disagrees with script")
 	}
 }

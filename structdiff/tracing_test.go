@@ -73,21 +73,15 @@ func TestEngineFacadeObservability(t *testing.T) {
 	rec := structdiff.NewSpanRecorder()
 	var logs bytes.Buffer
 	e, err := structdiff.NewEngine(g.Schema(),
-		structdiff.WithWorkers(1), structdiff.WithSpans(rec),
+		structdiff.WithSpans(rec),
 		structdiff.WithLogger(slog.New(slog.NewJSONHandler(&logs, nil))),
 		structdiff.WithSlowDiffThreshold(time.Nanosecond)) // every real diff is slow
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
-	res, err := e.DiffBatch(context.Background(), []structdiff.Pair{
-		{Source: before, Target: after, Label: "facade"},
-	})
-	if err != nil {
-		t.Fatalf("DiffBatch: %v", err)
-	}
-	if res[0].Err != nil {
-		t.Fatalf("pair failed: %v", res[0].Err)
+	if pr := e.DiffPair(context.Background(), structdiff.Pair{Source: before, Target: after, Label: "facade"}); pr.Err != nil {
+		t.Fatalf("pair failed: %v", pr.Err)
 	}
 	if got := len(rec.Spans()); got != 5 {
 		t.Fatalf("engine recorded %d spans, want 5", got)

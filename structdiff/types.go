@@ -223,11 +223,11 @@ const (
 // Differ.DiffScratch.
 func NewScratch() *Scratch { return truediff.NewScratch() }
 
-// --- Batch engine (internal/engine) -------------------------------------
+// --- Engine (internal/engine) -------------------------------------------
 
 type (
-	// Engine diffs batches of tree pairs concurrently with pooled scratch
-	// state; see NewEngine.
+	// Engine diffs tree pairs, one per call, with pooled scratch state; one
+	// Engine is safe to call from many goroutines. See NewEngine.
 	Engine = engine.Engine
 	// Pair is one diffing task; PairResult its outcome; DiffStats its
 	// instrumentation.
@@ -235,7 +235,7 @@ type (
 	PairResult = engine.PairResult
 	DiffStats  = engine.DiffStats
 	// Snapshot is a point-in-time view of an engine's cumulative metrics;
-	// Snapshot.Sub derives per-batch deltas.
+	// Snapshot.Sub derives per-interval deltas.
 	Snapshot = engine.Snapshot
 	// FallbackMode selects the engine's graceful-degradation policy (see
 	// WithFallback); PanicError is the typed error of a recovered per-diff
